@@ -14,25 +14,11 @@ rounds on the *same* runner (cold-start effects swing them ±40%), so
 wall comparisons use their own, much wider band (``--wall-threshold``,
 default 50%) while simulated comparisons keep the tight default.
 
-With ``--expect-improvement`` the gate flips direction: instead of
-guarding against regressions it *requires* the fresh run to beat the
-baseline by at least the given factor — used once per optimization PR to
-prove the claimed speedup against the previous PR's committed baseline.
-Per experiment, pairs where both sides carry the simulated measure are
-preferred (and wall-only siblings of a simulated pair are skipped as
-cross-machine noise); wall medians are compared only when the experiment
-has no simulated measure at all, and those pairs get the required factor
-scaled down by half the wall band (a 3x claim checks as 2.25x at the
-default ``--wall-threshold`` 0.50) — the same noise allowance the
-regression direction already grants wall comparisons.
-
 Usage::
 
     python scripts/bench_gate.py BENCH_PR5.json            # auto-baseline
-    python scripts/bench_gate.py fresh.json --baseline BENCH_PR4.json
+    python scripts/bench_gate.py fresh.json --baseline BENCH_PR9.json
     python scripts/bench_gate.py fresh.json --threshold 0.20 --gate e5,e9
-    python scripts/bench_gate.py fresh.json --baseline BENCH_PR7.json \\
-        --expect-improvement e5:3,e9:3,e14:3
 """
 
 import argparse
@@ -150,80 +136,6 @@ def compare(baseline, fresh, gated, threshold, wall_threshold=None):
     return rows, failures
 
 
-def parse_expectations(spec):
-    """``"e5:3,e9:3.5"`` -> [("e5", 3.0), ("e9", 3.5)]."""
-    expectations = []
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, sep, factor = item.partition(":")
-        if not sep or not key.strip():
-            raise ValueError("bad expectation %r (want EXPT:FACTOR)" % item)
-        expectations.append((key.strip(), float(factor)))
-    return expectations
-
-
-def check_improvements(baseline, fresh, expectations,
-                       wall_threshold=DEFAULT_WALL_THRESHOLD):
-    """Returns (rows, failures) requiring base/fresh >= factor.
-
-    Per experiment: pairs where baseline *and* fresh carry the simulated
-    measure are compared on it; when any simulated pair exists, wall-only
-    siblings are skipped (their medians are cross-machine noise next to a
-    deterministic SimClock sum).  Only an experiment with no simulated
-    pair anywhere falls back to wall medians, and then the required
-    factor is relaxed by half the wall band — single-round wall medians
-    swing run to run even on one machine.
-    """
-    rows = []
-    failures = []
-    for key, factor in expectations:
-        names = sorted(
-            name for name, (token, __) in fresh.items()
-            if token_matches(token, key) and name in baseline
-        )
-        if not names:
-            rows.append((key, "-", "-", "-", "missing from fresh run"))
-            failures.append("%s: no paired benchmarks to check" % key)
-            continue
-        pairs = []
-        for name in names:
-            base_value, base_kind = measure(baseline[name][1])
-            fresh_value, fresh_kind = measure(fresh[name][1])
-            if base_kind == fresh_kind == "simulated-us":
-                pairs.append((name, base_value, fresh_value, base_kind))
-        simulated_only = bool(pairs)
-        if not pairs:
-            for name in names:
-                base_value = float(baseline[name][1]["stats"]["median"])
-                fresh_value = float(fresh[name][1]["stats"]["median"])
-                pairs.append((name, base_value, fresh_value, "wall-median-s"))
-        for name, base_value, fresh_value, kind in pairs:
-            label = name.replace("test_", "")
-            required = factor
-            if kind == "wall-median-s":
-                required = factor * (1 - wall_threshold / 2)
-            ratio = base_value / fresh_value if fresh_value else float("inf")
-            verdict = "ok" if ratio >= required else "TOO SLOW"
-            if ratio < required:
-                failures.append(
-                    "%s: %s %.4g -> %.4g (%.2fx < required %.2gx)"
-                    % (label, kind, base_value, fresh_value, ratio, required)
-                )
-            rows.append(
-                (label, kind, "%.4g" % base_value, "%.4g" % fresh_value,
-                 "%.2fx (need %.2gx) %s" % (ratio, required, verdict))
-            )
-        if simulated_only and len(pairs) < len(names):
-            skipped = len(names) - len(pairs)
-            rows.append(
-                (key, "wall-median-s", "-", "-",
-                 "%d wall-only sibling(s) skipped" % skipped)
-            )
-    return rows, failures
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("fresh", help="freshly generated benchmark JSON")
@@ -245,11 +157,6 @@ def main(argv=None):
         help="comma-separated experiment keys to gate (default %s)"
         % ",".join(DEFAULT_GATED),
     )
-    parser.add_argument(
-        "--expect-improvement", metavar="EXPT:FACTOR[,...]",
-        help="require fresh to beat the baseline by FACTOR on each "
-        "experiment (e.g. e5:3,e9:3,e14:3); replaces the regression gate",
-    )
     args = parser.parse_args(argv)
 
     baseline_path = args.baseline or find_baseline(args.fresh)
@@ -258,24 +165,14 @@ def main(argv=None):
         return 0
     baseline = load_benchmarks(baseline_path)
     fresh = load_benchmarks(args.fresh)
-    if args.expect_improvement:
-        expectations = parse_expectations(args.expect_improvement)
-        rows, failures = check_improvements(
-            baseline, fresh, expectations, args.wall_threshold
-        )
-        print(
-            "bench gate: %s (fresh) must improve on %s (baseline): %s"
-            % (args.fresh, baseline_path, args.expect_improvement)
-        )
-    else:
-        gated = [key.strip() for key in args.gate.split(",") if key.strip()]
-        rows, failures = compare(
-            baseline, fresh, gated, args.threshold, args.wall_threshold
-        )
-        print(
-            "bench gate: %s (fresh) vs %s (baseline), threshold %.0f%%"
-            % (args.fresh, baseline_path, 100 * args.threshold)
-        )
+    gated = [key.strip() for key in args.gate.split(",") if key.strip()]
+    rows, failures = compare(
+        baseline, fresh, gated, args.threshold, args.wall_threshold
+    )
+    print(
+        "bench gate: %s (fresh) vs %s (baseline), threshold %.0f%%"
+        % (args.fresh, baseline_path, 100 * args.threshold)
+    )
     header = ("exp", "measure", "baseline", "fresh", "delta")
     widths = [
         max(len(str(header[i])), max(len(str(row[i])) for row in rows))
@@ -290,10 +187,7 @@ def main(argv=None):
         for failure in failures:
             print("FAIL %s" % failure)
         return 1
-    if args.expect_improvement:
-        print("bench gate: all expected improvements met")
-    else:
-        print("bench gate: all gated experiments within threshold")
+    print("bench gate: all gated experiments within threshold")
     return 0
 
 

@@ -23,15 +23,11 @@ convention:
   :mod:`repro.profiling.metrics`, so the registry's namespace stays
   greppable and collision-checked.
 * **SIM005** — operator classes must implement the full operator
-  protocol: every ``Operator`` subclass defines ``execute``, and any
-  class exposing ``memory_pages`` must also implement
+  protocol: every ``Operator`` subclass defines ``execute_batches`` and
+  none defines a row-at-a-time ``execute`` (there is one execution
+  protocol), and any class exposing ``memory_pages`` must also implement
   ``relinquish_memory`` (and vice versa) — a consumer that advertises
   memory but cannot relinquish starves the memory governor's reclaim.
-  During the batch migration the two protocols must not mix: a class
-  implementing ``execute_batches`` must keep a row ``execute`` (the
-  cursor and snapshot-resolution surfaces stay row-at-a-time), and an
-  ``execute_batches`` body must not call ``.execute()`` directly except
-  through the explicit ``rows_to_batches`` shim.
 * **SIM006** — no mutable default arguments.
 * **SIM007** — no silently swallowed broad exceptions
   (``except:``/``except Exception:`` with a body of only ``pass``).
@@ -390,9 +386,9 @@ class MetricNameRule(Rule):
 class OperatorProtocolRule(Rule):
     rule_id = "SIM005"
     summary = (
-        "Operator subclasses must define execute(); execute_batches "
-        "requires a row execute and must not call .execute() directly; "
-        "memory_pages and relinquish_memory must be implemented together"
+        "Operator subclasses must define execute_batches() and must not "
+        "define execute(); memory_pages and relinquish_memory must be "
+        "implemented together"
     )
 
     OPERATOR_BASES = ("Operator",)
@@ -416,27 +412,21 @@ class OperatorProtocolRule(Rule):
         defined = self._defined_names(node)
         base_names = {_rightmost_name(base) for base in node.bases}
         if base_names & set(self.OPERATOR_BASES):
-            if "execute" not in defined:
+            if "execute_batches" not in defined:
                 self.report(
                     node,
-                    "operator class %r does not implement execute(); the "
-                    "operator protocol (execute/memory/observability) "
-                    "must be complete" % (node.name,),
+                    "operator class %r does not implement "
+                    "execute_batches(); the operator protocol "
+                    "(execute_batches/memory/observability) must be "
+                    "complete" % (node.name,),
                 )
-        if "execute_batches" in defined and "execute" not in defined:
-            self.report(
-                node,
-                "class %r implements execute_batches without a row "
-                "execute(); the cursor and snapshot-resolution surfaces "
-                "stay row-at-a-time, so the row protocol must survive the "
-                "batch migration" % (node.name,),
-            )
-        for stmt in node.body:
-            if (
-                isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and stmt.name == "execute_batches"
-            ):
-                self._check_batch_body(stmt)
+            if "execute" in defined:
+                self.report(
+                    node,
+                    "operator class %r defines a row-at-a-time execute(); "
+                    "operators have one protocol, execute_batches()"
+                    % (node.name,),
+                )
         has_pages = "memory_pages" in defined
         has_relinquish = "relinquish_memory" in defined
         if has_pages and not has_relinquish:
@@ -452,33 +442,6 @@ class OperatorProtocolRule(Rule):
                 "memory_pages; the governor cannot account it"
                 % (node.name,),
             )
-
-    def _check_batch_body(self, func):
-        """Flag direct ``.execute()`` calls inside an ``execute_batches``
-        body — a silent per-row detour mid-batch-pipeline.  The explicit
-        shim, ``rows_to_batches(<child>.execute(ctx), ...)``, is the one
-        sanctioned crossing."""
-        shimmed = set()
-        for call in ast.walk(func):
-            if isinstance(call, ast.Call) and (
-                _rightmost_name(call.func) == "rows_to_batches"
-            ):
-                for arg in call.args:
-                    shimmed.add(id(arg))
-        for call in ast.walk(func):
-            if (
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "execute"
-                and id(call) not in shimmed
-            ):
-                self.report(
-                    call,
-                    "execute_batches calls .execute() directly, mixing the "
-                    "row and batch protocols; consume children through "
-                    "execute_batches or wrap the row stream in "
-                    "rows_to_batches",
-                )
 
 
 # --------------------------------------------------------------------- #

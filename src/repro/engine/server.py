@@ -2,7 +2,6 @@
 
 import contextlib
 import dataclasses
-import os
 
 from repro.analysis import sanitizers
 from repro.buffer import BufferGovernor, BufferPool, GovernorConfig
@@ -102,13 +101,6 @@ class ServerConfig:
     #: Read-only statements run against a commit-LSN snapshot instead of
     #: the latest heap, so they never queue behind writers.
     snapshot_reads: bool = True
-    #: Vectorized batch execution: SELECTs run through the operators'
-    #: column-major ``execute_batches`` protocol (migrated operators
-    #: evaluate whole columns at a time; unmigrated ones are adapted by
-    #: the row shim).  ``None`` defers to the ``REPRO_BATCH`` environment
-    #: variable (default on); the differential CI lane runs both modes
-    #: and requires byte-identical results.
-    batch_execution: object = None
     #: Optional :class:`repro.replication.ReplicationConfig`: the server
     #: is a replicating primary — its WAL pages stream to replicas, and
     #: commits ack only after at least one replica durably holds them.
@@ -116,11 +108,6 @@ class ServerConfig:
     #: :class:`repro.replication.ReplicatedCluster`; this field carries
     #: the knobs.
     replication: object = None
-
-    def batch_execution_enabled(self):
-        if self.batch_execution is not None:
-            return bool(self.batch_execution)
-        return os.environ.get("REPRO_BATCH", "1") != "0"
 
 
 @dataclasses.dataclass
@@ -135,8 +122,6 @@ class StatementOverrides:
     statement granularity.  ``None`` fields inherit the server default.
     """
 
-    #: Vectorized batch execution on/off for this statement.
-    batch_execution: object = None
     #: Commit-LSN snapshot reads on/off for this statement (off reads the
     #: latest committed heap directly).
     snapshot_reads: object = None
@@ -978,12 +963,8 @@ class Connection:
         # commit-LSN snapshot taken here, so they never queue behind
         # writers (own uncommitted writes stay visible via snapshot_txn).
         snapshot_enabled = server.config.snapshot_reads
-        batch_enabled = server.config.batch_execution_enabled()
-        if overrides is not None:
-            if overrides.snapshot_reads is not None:
-                snapshot_enabled = bool(overrides.snapshot_reads)
-            if overrides.batch_execution is not None:
-                batch_enabled = bool(overrides.batch_execution)
+        if overrides is not None and overrides.snapshot_reads is not None:
+            snapshot_enabled = bool(overrides.snapshot_reads)
         snapshot_lsn = (
             server.versions.open_snapshot() if snapshot_enabled else None
         )
@@ -993,7 +974,6 @@ class Connection:
             metrics=server.metrics, fault_plan=server.fault_plan,
             yield_hook=server.spill_yield_point,
             snapshot_lsn=snapshot_lsn, snapshot_txn=self._txn_id,
-            batch_mode=batch_enabled,
         )
         collector = ExecStatsCollector()
         executor = Executor(

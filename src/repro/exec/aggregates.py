@@ -14,17 +14,13 @@ from repro.exec.batch import Batch, rows_to_batches
 from repro.exec.expr import (
     evaluate,
     evaluate_batch,
-    evaluate_predicate,
     evaluate_predicate_batch,
 )
 from repro.exec.spill import SpillFile, WorkMemory
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
-    CPU_HASH_BUILD_US,
     CPU_ROW_BATCH_US,
-    CPU_ROW_US,
     CPU_SORT_FACTOR_BATCH_US,
-    CPU_SORT_FACTOR_US,
 )
 from repro.exec.operators import Operator
 from repro.storage.btree import BTree
@@ -48,18 +44,9 @@ class AggState:
         self.extreme = None
         self.distinct = set() if call.distinct else None
 
-    def accumulate(self, env, params):
-        name = self.call.name
-        if name == "COUNT" and self.call.star:
-            self.count += 1
-            return
-        self.accumulate_value(evaluate(self.call.args[0], env, params))
-
     def accumulate_value(self, value):
-        """Fold one pre-evaluated argument value in (the batch path:
-        argument columns are vectorized once per batch, then folded here
-        row by row — accumulation order and results match
-        :meth:`accumulate` exactly)."""
+        """Fold one argument value in (argument columns are evaluated
+        once per batch, then folded here row by row, in row order)."""
         name = self.call.name
         if name == "COUNT" and self.call.star:
             self.count += 1
@@ -162,46 +149,11 @@ class HashGroupByOp(Operator):
     def adaptive_event_count(self):
         return 1 if self.fallback_engaged else 0
 
-    def execute(self, ctx):
-        self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
-        self._groups = {}
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
-        group_bytes = 32 + 24 * len(self.aggregates)
-        try:
-            for env in self.child.execute(ctx):
-                ctx.charge(CPU_HASH_BUILD_US)
-                key = tuple(
-                    evaluate(expr, env, ctx.params)
-                    for expr, __, __t in self.group_keys
-                )
-                if self.fallback_engaged:
-                    self._fallback_accumulate(ctx, key, env)
-                    continue
-                states = self._groups.get(key)
-                if states is None:
-                    if self._memory.would_exceed_soft(group_bytes):
-                        self._engage_fallback()
-                        self._fallback_accumulate(ctx, key, env)
-                        continue
-                    states = [AggState(call) for call in self.aggregates]
-                    self._groups[key] = states
-                    self._memory.add(group_bytes)
-                for state in states:
-                    state.accumulate(env, ctx.params)
-            self._emitting = True
-            yield from self._emit(ctx)
-        finally:
-            ctx.task.unregister_consumer(self)
-            self._memory.release_all()
-            if self._fallback is not None:
-                self._fallback.free()
-
     def execute_batches(self, ctx):
-        """Batch protocol: group keys and aggregate arguments vectorize
-        once per batch; per-row group insertion, soft-limit checks and
-        the temp-table fallback run in the row path's exact order, so
-        fallback engagement is identical across modes."""
+        """Group keys and aggregate arguments vectorize once per batch;
+        group insertion, soft-limit checks and the temp-table fallback
+        run per row in row order, so fallback engagement does not depend
+        on where batch boundaries fall."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._groups = {}
@@ -228,13 +180,13 @@ class HashGroupByOp(Operator):
                         for column in value_columns
                     ]
                     if self.fallback_engaged:
-                        self._fallback_accumulate_values(key, values)
+                        self._fallback_accumulate(key, values)
                         continue
                     states = self._groups.get(key)
                     if states is None:
                         if self._memory.would_exceed_soft(group_bytes):
                             self._engage_fallback()
-                            self._fallback_accumulate_values(key, values)
+                            self._fallback_accumulate(key, values)
                             continue
                         states = [AggState(call) for call in self.aggregates]
                         self._groups[key] = states
@@ -242,9 +194,7 @@ class HashGroupByOp(Operator):
                     for state, value in zip(states, values):
                         state.accumulate_value(value)
             self._emitting = True
-            yield from rows_to_batches(
-                self._emit(ctx, row_cost=CPU_ROW_BATCH_US), ctx.batch_rows
-            )
+            yield from rows_to_batches(self._emit(ctx), ctx.batch_rows)
         finally:
             ctx.task.unregister_consumer(self)
             self._memory.release_all()
@@ -266,23 +216,8 @@ class HashGroupByOp(Operator):
         self._groups = {}
         self._memory.release_all()
 
-    def _fallback_accumulate(self, ctx, key, env):
-        states = [AggState(call) for call in self.aggregates]
-        for state in states:
-            state.accumulate(env, ctx.params)
-        existing = self._fallback.lookup(key)
-        if existing is not None:
-            for state, partial in zip(states, existing):
-                state.merge_serialized(partial)
-            self._fallback.update(key, [s.serialize() for s in states])
-        else:
-            self._fallback.insert(key, [s.serialize() for s in states])
-            self.fallback_rows_written += 1
-
-    def _fallback_accumulate_values(self, key, values):
-        """The batch path's fallback accumulate: same temp-table probe
-        and merge sequence as :meth:`_fallback_accumulate`, fed with
-        pre-evaluated argument values."""
+    def _fallback_accumulate(self, key, values):
+        """Fold one row's argument values into its temp-table group."""
         states = [AggState(call) for call in self.aggregates]
         for state, value in zip(states, values):
             state.accumulate_value(value)
@@ -297,7 +232,7 @@ class HashGroupByOp(Operator):
 
     # -- output ------------------------------------------------------------ #
 
-    def _emit(self, ctx, row_cost=CPU_ROW_US):
+    def _emit(self, ctx):
         from repro.sql.binder import GROUP_ENV
 
         emitted = False
@@ -307,12 +242,12 @@ class HashGroupByOp(Operator):
                 for state, partial in zip(states, serialized):
                     state.merge_serialized(partial)
                 emitted = True
-                ctx.charge(row_cost)
+                ctx.charge(CPU_ROW_BATCH_US)
                 yield {GROUP_ENV: key + tuple(s.finalize() for s in states)}
         else:
             for key, states in self._groups.items():
                 emitted = True
-                ctx.charge(row_cost)
+                ctx.charge(CPU_ROW_BATCH_US)
                 yield {GROUP_ENV: key + tuple(s.finalize() for s in states)}
         if not emitted and not self.group_keys:
             # Scalar aggregation over zero rows yields one row.
@@ -411,41 +346,10 @@ class HashDistinctOp(Operator):
     def adaptive_event_count(self):
         return 1 if self.fallback_engaged else 0
 
-    def execute(self, ctx):
-        self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
-        self._seen = set()
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
-        try:
-            for row in self.child.execute(ctx):
-                ctx.charge(CPU_HASH_BUILD_US)
-                key = tuple(row)
-                if key in self._seen:
-                    continue
-                if self._fallback_index is not None:
-                    if self._fallback_index.search(key):
-                        continue
-                    self._fallback_index.insert(key, RowId(0, 0))
-                    yield row
-                    continue
-                if self._memory.would_exceed_soft(self.ROW_BYTES):
-                    self._engage_fallback()
-                    self._fallback_index.insert(key, RowId(0, 0))
-                    yield row
-                    continue
-                self._seen.add(key)
-                self._memory.add(self.ROW_BYTES)
-                yield row
-        finally:
-            ctx.task.unregister_consumer(self)
-            self._memory.release_all()
-
     def execute_batches(self, ctx):
-        """Batch protocol: probe keys materialize once per batch; the
-        seen-set probes, soft-limit checks, and the indexed-temp fallback
-        run per position in the row path's exact order, so duplicate
-        elimination and fallback engagement are identical across modes.
-        Survivors leave as one mask-take per input batch."""
+        """Probe keys materialize once per batch; the seen-set probes,
+        soft-limit checks and the indexed-temp fallback run per position
+        in row order.  Survivors leave as one mask-take per input batch."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._seen = set()
@@ -528,26 +432,10 @@ class SortOp(Operator):
     def spill_event_count(self):
         return self.runs_spilled
 
-    def execute(self, ctx):
-        self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
-        self._current = []
-        self._runs = []
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
-        try:
-            for env in self.child.execute(ctx):
-                ctx.charge(CPU_SORT_FACTOR_US * 4)
-                self._absorb(env)
-            self._merging = True
-            yield from self._merge_emit(ctx, CPU_ROW_US)
-        finally:
-            ctx.task.unregister_consumer(self)
-            self._memory.release_all()
-
     def execute_batches(self, ctx):
-        """Batch protocol: batched transport in and out; run spilling
-        decisions stay per-row (same soft-limit check sequence as the
-        row path), so the spilled runs are identical across modes."""
+        """Batched transport in and out; run-spilling decisions stay
+        per row, so the spilled runs do not depend on where batch
+        boundaries fall."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._current = []
@@ -559,9 +447,7 @@ class SortOp(Operator):
                 for env in batch.rows():
                     self._absorb(env)
             self._merging = True
-            yield from rows_to_batches(
-                self._merge_emit(ctx, CPU_ROW_BATCH_US), ctx.batch_rows
-            )
+            yield from rows_to_batches(self._merge_emit(ctx), ctx.batch_rows)
         finally:
             ctx.task.unregister_consumer(self)
             self._memory.release_all()
@@ -572,7 +458,7 @@ class SortOp(Operator):
         self._current.append(env)
         self._memory.add(self.ROW_BYTES)
 
-    def _merge_emit(self, ctx, row_cost):
+    def _merge_emit(self, ctx):
         key_of = self._key_function(ctx)
         current = self._current
         current.sort(key=key_of)
@@ -587,7 +473,7 @@ class SortOp(Operator):
         ]
         streams.append((key_of(env), len(runs), env) for env in current)
         for __, __i, env in heapq.merge(*streams):
-            ctx.charge(row_cost)
+            ctx.charge(CPU_ROW_BATCH_US)
             yield env
 
     def _flush_current_run(self):
@@ -660,14 +546,6 @@ class HavingOp(Operator):
         self.child = child
         self.conjunct_exprs = conjunct_exprs
 
-    def execute(self, ctx):
-        for env in self.child.execute(ctx):
-            if all(
-                evaluate_predicate(expr, env, ctx.params)
-                for expr in self.conjunct_exprs
-            ):
-                yield env
-
     def execute_batches(self, ctx):
         for batch in self.child.execute_batches(ctx):
             for expr in self.conjunct_exprs:
@@ -687,13 +565,6 @@ class ProjectOp(Operator):
         self.child = child
         self.items = items  # [(expr, name, type)]
 
-    def execute(self, ctx):
-        for env in self.child.execute(ctx):
-            ctx.charge(CPU_ROW_US)
-            yield tuple(
-                evaluate(expr, env, ctx.params) for expr, __, __t in self.items
-            )
-
     def execute_batches(self, ctx):
         """Vectorized select list: each item evaluates as one whole
         column; the output batch is tuple-shaped (``layout is None``)."""
@@ -710,16 +581,6 @@ class LimitOp(Operator):
     def __init__(self, child, limit):
         self.child = child
         self.limit = limit
-
-    def execute(self, ctx):
-        if self.limit <= 0:
-            return
-        emitted = 0
-        for row in self.child.execute(ctx):
-            yield row
-            emitted += 1
-            if emitted >= self.limit:
-                return
 
     def execute_batches(self, ctx):
         if self.limit <= 0:

@@ -1,19 +1,13 @@
-"""Column-major batches and the row <-> batch shims.
+"""Column-major batches, the unit every operator produces.
 
-The batch engine moves the operator protocol from row-at-a-time
-(``execute`` yielding one environment dict per row) to batch-at-a-time
-(``execute_batches`` yielding :class:`Batch` objects).  A batch stores
-rows column-major: one flat list of columns, with a *layout* mapping each
-environment key (quantifier id, or ``GROUP_ENV``) to its column span.
-Vectorized operators read whole columns with zero per-row dict lookups;
-unmigrated operators keep their row protocol and are adapted at the
-boundary by the shims below (the ``RowShim`` of the design docs):
-
-* :func:`rows_to_batches` packs a row stream into batches (a migrated
-  parent above an unmigrated child);
-* :func:`Batch.rows` / :func:`batches_to_rows` unpack batches back into
-  rows (an unmigrated parent above a migrated child, and the cursor /
-  snapshot-resolution surface, which stays row-at-a-time).
+A batch stores rows column-major: one flat list of columns, with a
+*layout* mapping each environment key (quantifier id, or ``GROUP_ENV``)
+to its column span.  Vectorized code reads whole columns with zero
+per-row dict lookups; code that works a row at a time (join emission,
+spill files, sort runs) unpacks with :meth:`Batch.rows` /
+:meth:`Batch.env_at` and re-packs with :func:`rows_to_batches`.
+:func:`batches_to_rows` is the boundary above the operator tree, where
+result tuples leave the engine.
 
 Two row shapes flow through the engine and both are supported: dict
 environments (``{qid: row_tuple}``) below Project, and plain tuples from
@@ -69,9 +63,21 @@ class Batch:
         return cls(None, columns, len(rows))
 
     @classmethod
+    def from_rows(cls, key, rows):
+        """Pack a non-empty list of same-width row tuples as the rows of
+        one environment key (a scan's quantifier)."""
+        columns = [list(column) for column in zip(*rows)]
+        return cls(((key, 0, len(columns)),), columns, len(rows))
+
+    @classmethod
     def from_columns(cls, layout, columns, count):
         """Wrap pre-built columns (the vectorized operators' fast path)."""
         return cls(layout, columns, count)
+
+    def as_quantifier(self, key):
+        """This tuple-shaped batch's columns as the rows of environment
+        key ``key`` (a sub-plan's output seen through its quantifier)."""
+        return Batch(((key, 0, len(self.columns)),), self.columns, self.count)
 
     # -- columnar access ------------------------------------------------ #
 
@@ -80,23 +86,20 @@ class Batch:
 
         The returned list is the batch's own storage: read-only by
         convention.  Returns ``None`` when the key is absent (the caller
-        raises the row path's exact error).
+        raises ``evaluate``'s exact error).
         """
         for entry_key, offset, width in self.layout:
             if entry_key == key:
                 if index >= width:
-                    # The row path raises IndexError from the row tuple.
+                    # ``evaluate`` raises IndexError from the row tuple.
                     raise IndexError("column index out of range")
                 return self.columns[offset + index]
         return None
 
-    def has_key(self, key):
-        return any(entry_key == key for entry_key, __, __w in self.layout)
-
-    # -- row access (the shim surface) ---------------------------------- #
+    # -- row access ----------------------------------------------------- #
 
     def rows(self):
-        """Unpack back into the row protocol's shapes, in order."""
+        """Unpack into environment dicts (or result tuples), in order."""
         if self.layout is None:
             yield from zip(*self.columns) if self.columns else (
                 () for __ in range(self.count)
@@ -114,9 +117,6 @@ class Batch:
             )
             for key, offset, width in self.layout
         }
-
-    def tuple_at(self, index):
-        return tuple(column[index] for column in self.columns)
 
     # -- transformations ------------------------------------------------ #
 
@@ -194,7 +194,7 @@ class BatchBuilder:
 
 
 def rows_to_batches(rows, batch_rows=DEFAULT_BATCH_ROWS):
-    """Shim: adapt a row stream (dicts or tuples) into batches."""
+    """Pack a row stream (dicts or tuples) into batches."""
     builder = BatchBuilder(batch_rows)
     for row in rows:
         batch = builder.add(row)
@@ -206,6 +206,6 @@ def rows_to_batches(rows, batch_rows=DEFAULT_BATCH_ROWS):
 
 
 def batches_to_rows(batches):
-    """Shim: unpack a batch stream back into the row protocol."""
+    """Unpack a batch stream into its rows."""
     for batch in batches:
         yield from batch.rows()

@@ -34,7 +34,7 @@ class ExecutionContext:
     def __init__(self, pool, temp_file, stats, clock, task, params=None,
                  feedback_enabled=True, metrics=None, fault_plan=None,
                  yield_hook=None, snapshot_lsn=None, snapshot_txn=None,
-                 batch_mode=False, batch_rows=DEFAULT_BATCH_ROWS):
+                 batch_rows=DEFAULT_BATCH_ROWS):
         self.pool = pool
         self.temp_file = temp_file
         self.stats = stats
@@ -44,10 +44,7 @@ class ExecutionContext:
         self.feedback_enabled = feedback_enabled
         self.metrics = metrics
         self.fault_plan = fault_plan
-        #: Vectorized execution: drive the plan through the operators'
-        #: ``execute_batches`` protocol instead of row ``execute``.
-        self.batch_mode = batch_mode
-        #: Rows per batch for batch construction and the row shims.
+        #: Rows per batch the operators build.
         self.batch_rows = batch_rows
         #: Workload-scheduler yield point, fired at spill-file flushes so
         #: concurrent sessions can interleave at I/O boundaries.
@@ -84,7 +81,7 @@ class ExecutionContext:
             params, self.feedback_enabled, metrics=self.metrics,
             fault_plan=self.fault_plan, yield_hook=self.yield_hook,
             snapshot_lsn=self.snapshot_lsn, snapshot_txn=self.snapshot_txn,
-            batch_mode=self.batch_mode, batch_rows=self.batch_rows,
+            batch_rows=self.batch_rows,
         )
         clone.cte_tables = self.cte_tables
         clone.notes = self.notes
@@ -119,18 +116,19 @@ class Executor:
             ctx.metrics.counter("exec.queries").inc()
         if result.recursive_cte is not None:
             self._materialize_cte(result.recursive_cte, ctx)
-        operator = self.build(result.plan, depth=0)
-        if ctx.batch_mode:
-            # Batch protocol through the tree; the cursor surface above
-            # stays row-at-a-time, so unpack at the very top.
-            yield from batches_to_rows(operator.execute_batches(ctx))
-            return
-        yield from operator.execute(ctx)
+        yield from self.rows(self.build(result.plan, depth=0), ctx)
+
+    @staticmethod
+    def rows(operator, ctx):
+        """The one batch -> row boundary: an operator tree's output as
+        rows (result tuples from a whole plan, environments from a
+        sub-tree the parallel pipeline materializes)."""
+        return batches_to_rows(operator.execute_batches(ctx))
 
     def _materialize_cte(self, cte, ctx):
         base_result = self.plan_block_fn(cte.base_block)
         base_operator = self.build(base_result.plan, depth=0)
-        working = [tuple(row) for row in base_operator.execute(ctx)]
+        working = [tuple(row) for row in self.rows(base_operator, ctx)]
         delta = list(working)
         iterations = 0
         strategies = []
@@ -147,7 +145,7 @@ class Executor:
             strategies.append(type(arm_result.plan).__name__)
             ctx.cte_tables[cte.name] = delta
             arm_operator = self.build(arm_result.plan, depth=0)
-            delta = [tuple(row) for row in arm_operator.execute(ctx)]
+            delta = [tuple(row) for row in self.rows(arm_operator, ctx)]
             working.extend(delta)
         ctx.cte_tables[cte.name] = working
         ctx.notes["recursive_iterations"] = iterations

@@ -216,17 +216,16 @@ def _in_list(expr, env, params):
 # --------------------------------------------------------------------- #
 # vectorized (batch) evaluation
 #
-# ``evaluate_batch`` returns one value per batch row, value-identical to
-# calling ``evaluate`` on each row's environment: batch and row engines
-# must produce byte-identical result sets (the differential CI lane
-# enforces it).  The one sanctioned divergence is *error timing* on
-# statements that raise mid-evaluation: a vectorized node evaluates its
-# whole batch, so a poisoned row later in a batch can surface before (or
-# after) the row engine would have reached it.  Error-free statements are
-# unaffected.  Short-circuit forms (AND/OR/CASE) only vectorize when the
-# skippable side is *total* (cannot raise); otherwise they fall back to
-# the scalar evaluator row by row, preserving short-circuit semantics
-# exactly.
+# ``evaluate`` above is the reference semantics.  ``evaluate_batch``
+# returns one value per batch row, identical in value and type to calling
+# ``evaluate`` on each row's environment, and raises iff ``evaluate``
+# raises on some row (tests/exec/test_expr_batch_property.py holds it to
+# that).  The one sanctioned divergence is *which* row's error surfaces:
+# a vectorized node evaluates its whole batch, so when several rows are
+# poisoned the error raised may belong to a later one.  Short-circuit
+# forms (AND/OR/IN/CASE) only vectorize when the skippable side is
+# *total* (cannot raise); otherwise they fall back to the scalar
+# evaluator row by row, preserving short-circuit semantics exactly.
 # --------------------------------------------------------------------- #
 
 def evaluate_batch(expr, batch, params=None):
@@ -411,6 +410,11 @@ def _between_batch(expr, batch, params):
 
 
 def _in_list_batch(expr, batch, params):
+    if not all(_is_total(item) for item in expr.items):
+        # ``_in_list`` stops at the first match and skips the list for a
+        # NULL operand: an item that can raise must not be evaluated for
+        # a row that never reaches it.
+        return _rowwise_batch(expr, batch, params)
     values = evaluate_batch(expr.operand, batch, params)
     item_columns = [
         evaluate_batch(item, batch, params) for item in expr.items

@@ -37,7 +37,7 @@ class OperatorStats:
         self.label = label
         self.executions = 0
         self.rows_out = 0
-        #: Batches produced via the batch protocol (0 in row mode).
+        #: Batches produced.
         self.batches = 0
         self.elapsed_us = 0
         self.pages_touched = 0
@@ -82,37 +82,7 @@ class InstrumentedOp(Operator):
     def adaptive_event_count(self):
         return self.inner.adaptive_event_count()
 
-    def execute(self, ctx):
-        stats = self.stats
-        stats.executions += 1
-        clock = ctx.clock
-        pool = ctx.pool
-        iterator = self.inner.execute(ctx)
-        try:
-            while True:
-                before_us = clock.now
-                before_pages = pool.hits + pool.misses
-                try:
-                    row = next(iterator)
-                except StopIteration:
-                    stats.elapsed_us += clock.now - before_us
-                    stats.pages_touched += (
-                        pool.hits + pool.misses - before_pages
-                    )
-                    break
-                stats.elapsed_us += clock.now - before_us
-                stats.pages_touched += pool.hits + pool.misses - before_pages
-                stats.rows_out += 1
-                yield row
-        finally:
-            iterator.close()
-            self._harvest(ctx)
-
     def execute_batches(self, ctx):
-        """Batch-protocol wrapper: same timing/page attribution as
-        :meth:`execute`, with rows counted per batch.  Delegates to the
-        inner operator's batch protocol directly so the instrumentation
-        never forces a row-shim detour at an operator boundary."""
         stats = self.stats
         stats.executions += 1
         clock = ctx.clock

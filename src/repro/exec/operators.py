@@ -1,5 +1,7 @@
 """Scan and join operators."""
 
+from itertools import islice
+
 from repro.common.errors import ExecutionError
 from repro.exec.batch import Batch, BatchBuilder, rows_to_batches
 from repro.exec.expr import (
@@ -16,7 +18,6 @@ from repro.exec.spill import (
 )
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
-    CPU_HASH_BUILD_US,
     CPU_HASH_PROBE_BATCH_US,
     CPU_HASH_PROBE_US,
     CPU_PREDICATE_BATCH_US,
@@ -34,28 +35,14 @@ HASH_PARTITIONS = 8
 
 
 class Operator:
-    """Base class: operators yield environment dicts (or tuples for
-    Project and above).
-
-    Two protocols coexist during the batch migration:
-
-    * ``execute(ctx)`` — the row protocol, one environment per ``next()``;
-    * ``execute_batches(ctx)`` — the batch protocol, column-major
-      :class:`~repro.exec.batch.Batch` slabs per ``next()``.
-
-    Migrated operators implement both natively; everyone else inherits
-    the row shim below, which adapts the row stream at the boundary.  An
-    operator must never implement ``execute_batches`` *without* a row
-    ``execute`` (lint rule SIM005): the cursor and snapshot-resolution
-    surfaces stay row-at-a-time.
+    """Base class.  One protocol: ``execute_batches(ctx)`` yields
+    column-major :class:`~repro.exec.batch.Batch` slabs — environment
+    layouts below Project, plain tuples (``layout is None``) from Project
+    upward.  Rows exist only above the tree, at :meth:`Executor.rows`.
     """
 
-    def execute(self, ctx):
-        raise NotImplementedError
-
     def execute_batches(self, ctx):
-        """Batch protocol; the default adapts the row protocol (RowShim)."""
-        return rows_to_batches(self.execute(ctx), ctx.batch_rows)
+        raise NotImplementedError
 
     # memory-governor consumer protocol (overridden by memory users)
     memory_pages = 0
@@ -77,8 +64,8 @@ class Operator:
 class SingleRowOp(Operator):
     """One empty environment (FROM-less SELECT)."""
 
-    def execute(self, ctx):
-        yield {}
+    def execute_batches(self, ctx):
+        yield Batch.from_columns((), [], 1)
 
 
 class SeqScanOp(Operator):
@@ -88,60 +75,24 @@ class SeqScanOp(Operator):
         self.quantifier = quantifier
         self.conjuncts = conjuncts
 
-    def execute(self, ctx):
-        storage = self.quantifier.schema.storage
-        qid = self.quantifier.id
-        counters = [[0, 0] for __ in self.conjuncts]  # [scanned, matched]
-        completed = False
-        n_conjuncts = len(self.conjuncts)
-        try:
-            for __, row in storage.scan(
-                snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-            ):
-                ctx.charge(CPU_ROW_US + n_conjuncts * CPU_PREDICATE_US)
-                env = {qid: row}
-                keep = True
-                for index, conjunct in enumerate(self.conjuncts):
-                    counters[index][0] += 1
-                    if evaluate_predicate(conjunct.expr, env, ctx.params):
-                        counters[index][1] += 1
-                    else:
-                        keep = False
-                        break
-                if keep:
-                    yield env
-            completed = True
-        finally:
-            if completed and ctx.feedback_enabled:
-                self._send_feedback(ctx, storage, counters)
-
     def execute_batches(self, ctx):
         """Vectorized scan: pack column-major slabs, filter whole columns.
 
-        Identical semantics to :meth:`execute` — same predicate
-        conditioning for the feedback counters (conjunct *i* sees only
-        rows surviving conjuncts < *i*), same completion gate — but the
-        per-row dict build and expression walk are amortized over
-        ``ctx.batch_rows`` rows.
+        Conjunct *i* sees only rows surviving conjuncts < *i*, so the
+        feedback counters carry the predicate conditioning
+        :meth:`_send_feedback` checks for; feedback is sent only when the
+        scan ran to completion.
         """
         storage = self.quantifier.schema.storage
         qid = self.quantifier.id
         counters = [[0, 0] for __ in self.conjuncts]  # [scanned, matched]
         completed = False
-        batch_rows = ctx.batch_rows
         try:
-            pending = []
-            for __, row in storage.scan(
+            scan = storage.scan(
                 snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-            ):
-                pending.append(row)
-                if len(pending) >= batch_rows:
-                    batch = self._filter_batch(ctx, qid, pending, counters)
-                    pending = []
-                    if batch.count:
-                        yield batch
-            if pending:
-                batch = self._filter_batch(ctx, qid, pending, counters)
+            )
+            for rows in _chunks((row for __, row in scan), ctx.batch_rows):
+                batch = self._filter_batch(ctx, qid, rows, counters)
                 if batch.count:
                     yield batch
             completed = True
@@ -151,13 +102,11 @@ class SeqScanOp(Operator):
 
     def _filter_batch(self, ctx, qid, rows, counters):
         n_conjuncts = len(self.conjuncts)
-        count = len(rows)
         ctx.charge(
-            count * (CPU_ROW_BATCH_US + n_conjuncts * CPU_PREDICATE_BATCH_US)
+            len(rows)
+            * (CPU_ROW_BATCH_US + n_conjuncts * CPU_PREDICATE_BATCH_US)
         )
-        width = len(rows[0])
-        columns = [[row[i] for row in rows] for i in range(width)]
-        batch = Batch.from_columns(((qid, 0, width),), columns, count)
+        batch = Batch.from_rows(qid, rows)
         for index, conjunct in enumerate(self.conjuncts):
             if batch.count == 0:
                 break
@@ -222,66 +171,61 @@ class IndexScanOp(Operator):
     def adaptive_event_count(self):
         return self.snapshot_fallbacks
 
-    def execute(self, ctx):
-        btree = self.index_schema.btree
+    def execute_batches(self, ctx):
         storage = self.quantifier.schema.storage
         qid = self.quantifier.id
         snapshot = ctx.snapshot_lsn
-        if snapshot is not None and self._must_fall_back(ctx, snapshot):
+        # The sarg is evaluated once per execution; the fallback test,
+        # the tree scan and the snapshot re-check all share these bounds.
+        bounds = self._bounds(ctx)
+        if snapshot is not None and self._must_fall_back(snapshot, bounds):
             # Some key this scan might need was *removed* from the B-tree
             # after this snapshot was taken (or the whole tree postdates
             # it) — no version chain can resurrect a key the scan never
             # visits, so the tree cannot enumerate this snapshot.  Fall
             # back to the exact heap path, keeping the sarg as a filter.
             self.snapshot_fallbacks += 1
-            yield from self._snapshot_heap_scan(ctx, storage, qid)
-            return
-        if "eq" in self.sarg:
-            values = tuple(
-                evaluate(expr, {}, ctx.params) for expr in self.sarg["eq"]
-            )
-            entries = btree.prefix_scan(values)
+            rows = self._snapshot_heap_rows(ctx, storage, bounds)
         else:
-            low, high, low_inc, high_inc = self._bounds(ctx)
-            entries = btree.range_scan(low, high, low_inc, high_inc)
-        bounds = self._bounds(ctx) if snapshot is not None else None
+            rows = self._index_rows(ctx, storage, snapshot, bounds)
+        for chunk in _chunks(rows, ctx.batch_rows):
+            batch = _filter(
+                Batch.from_rows(qid, chunk), self.residual, ctx.params
+            )
+            if batch.count:
+                yield batch
+
+    def _index_rows(self, ctx, storage, snapshot, bounds):
+        btree = self.index_schema.btree
+        if "eq" in self.sarg:
+            entries = btree.prefix_scan(bounds[0])
+        else:
+            entries = btree.range_scan(*bounds)
         for __, row_id in entries:
             ctx.charge(INDEX_NODE_US / 4.0 + CPU_ROW_US)
             if snapshot is None:
-                row = storage.get(row_id)
-            else:
-                # Snapshot read: the index reflects the *latest* keys, so
-                # the resolved image may be older than the entry that led
-                # here — re-verify the sarg against the image itself and
-                # skip rows whose slot was not visible at the snapshot.
-                row = storage.get_visible(row_id, snapshot, ctx.snapshot_txn)
-                if row is None or not self._key_in_bounds(row, bounds):
-                    continue
-            env = {qid: row}
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params) for c in self.residual
-            ):
-                yield env
+                yield storage.get(row_id)
+                continue
+            # Snapshot read: the index reflects the *latest* keys, so the
+            # resolved image may be older than the entry that led here —
+            # re-verify the sarg against the image itself and skip rows
+            # whose slot was not visible at the snapshot.
+            row = storage.get_visible(row_id, snapshot, ctx.snapshot_txn)
+            if row is not None and self._key_in_bounds(row, bounds):
+                yield row
 
-    def _snapshot_heap_scan(self, ctx, storage, qid):
-        bounds = self._bounds(ctx)
+    def _snapshot_heap_rows(self, ctx, storage, bounds):
         for __, row in storage.scan(
             snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
         ):
             ctx.charge(CPU_ROW_US)
-            if not self._key_in_bounds(row, bounds):
-                continue
-            env = {qid: row}
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params)
-                for c in self.residual
-            ):
-                yield env
+            if self._key_in_bounds(row, bounds):
+                yield row
 
-    def _must_fall_back(self, ctx, snapshot):
+    def _must_fall_back(self, snapshot, bounds):
         """Can the B-tree enumerate this snapshot?  Only *removals* blind
         an index scan (inserted-after entries are filtered by the
-        visibility re-check below), so the tree is trusted unless a key
+        visibility re-check above), so the tree is trusted unless a key
         inside this scan's bounds was deleted after the snapshot — or the
         whole tree postdates it (rebuild), or it is not maintained at all
         (replication standby)."""
@@ -293,7 +237,6 @@ class IndexScanOp(Operator):
         stamps = getattr(schema, "delete_stamps", None)
         if not stamps or max(stamps.values()) <= snapshot:
             return False
-        bounds = self._bounds(ctx)
         return any(
             lsn > snapshot and self._key_tuple_in_bounds(key, bounds)
             for key, lsn in stamps.items()
@@ -353,15 +296,16 @@ class DerivedScanOp(Operator):
         self.sub_operator = sub_operator
         self.conjuncts = conjuncts
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         qid = self.quantifier.id
-        for row in self.sub_operator.execute(ctx):
-            ctx.charge(CPU_ROW_US)
-            env = {qid: tuple(row)}
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params) for c in self.conjuncts
-            ):
-                yield env
+        for batch in self.sub_operator.execute_batches(ctx):
+            for __ in range(batch.count):
+                ctx.charge(CPU_ROW_US)
+            batch = _filter(
+                batch.as_quantifier(qid), self.conjuncts, ctx.params
+            )
+            if batch.count:
+                yield batch
 
 
 class ProcedureScanOp(Operator):
@@ -371,7 +315,7 @@ class ProcedureScanOp(Operator):
         self.quantifier = quantifier
         self.body_operator = body_operator
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         procedure = self.quantifier.procedure
         args = [
             evaluate(arg, {}, ctx.params)
@@ -382,10 +326,11 @@ class ProcedureScanOp(Operator):
         cardinality = 0
         qid = self.quantifier.id
         body_ctx = ctx.with_params(body_params)
-        for row in self.body_operator.execute(body_ctx):
-            cardinality += 1
-            ctx.charge(CPU_ROW_US)
-            yield {qid: tuple(row)}
+        for batch in self.body_operator.execute_batches(body_ctx):
+            cardinality += batch.count
+            for __ in range(batch.count):
+                ctx.charge(CPU_ROW_US)
+            yield batch.as_quantifier(qid)
         if ctx.stats is not None:
             ctx.stats.procedure_stats(procedure.name).record(
                 tuple(args), ctx.clock.now - started, cardinality
@@ -398,7 +343,7 @@ class RecursiveRefScanOp(Operator):
     def __init__(self, quantifier):
         self.quantifier = quantifier
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         rows = ctx.cte_tables.get(self.quantifier.cte_name)
         if rows is None:
             raise ExecutionError(
@@ -406,9 +351,10 @@ class RecursiveRefScanOp(Operator):
                 % (self.quantifier.cte_name,)
             )
         qid = self.quantifier.id
-        for row in rows:
-            ctx.charge(CPU_ROW_US)
-            yield {qid: tuple(row)}
+        for chunk in _chunks(rows, ctx.batch_rows):
+            for __ in chunk:
+                ctx.charge(CPU_ROW_US)
+            yield Batch.from_rows(qid, chunk)
 
 
 class FilterOp(Operator):
@@ -416,30 +362,11 @@ class FilterOp(Operator):
         self.child = child
         self.conjuncts = conjuncts
 
-    def execute(self, ctx):
-        for env in self.child.execute(ctx):
-            ctx.charge(len(self.conjuncts) * CPU_PREDICATE_US)
-            if all(
-                evaluate_predicate(c.expr, env, ctx.params)
-                for c in self.conjuncts
-            ):
-                yield env
-
     def execute_batches(self, ctx):
-        """Whole-column predicate evaluation; conjunct *i* only sees rows
-        surviving conjuncts < *i* (same evaluation set as the row path's
-        short-circuiting ``all``)."""
         n_conjuncts = len(self.conjuncts)
         for batch in self.child.execute_batches(ctx):
             ctx.charge(batch.count * n_conjuncts * CPU_PREDICATE_BATCH_US)
-            for conjunct in self.conjuncts:
-                if batch.count == 0:
-                    break
-                mask = evaluate_predicate_batch(
-                    conjunct.expr, batch, ctx.params
-                )
-                if not all(mask):
-                    batch = batch.take(mask)
+            batch = _filter(batch, self.conjuncts, ctx.params)
             if batch.count:
                 yield batch
 
@@ -461,14 +388,23 @@ class NLJoinOp(Operator):
     def spill_event_count(self):
         return 1 if self.inner_spilled else 0
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
         inner = SpillableBuffer(ctx)
         try:
-            for env in self.right.execute(ctx):
-                inner.append(env)
+            for batch in self.right.execute_batches(ctx):
+                for env in batch.rows():
+                    inner.append(env)
             inner.seal()
             self.inner_spilled = inner.spilled
-            for left_env in self.left.execute(ctx):
+            yield from rows_to_batches(
+                self._joined(ctx, inner), ctx.batch_rows
+            )
+        finally:
+            inner.free()
+
+    def _joined(self, ctx, inner):
+        for batch in self.left.execute_batches(ctx):
+            for left_env in batch.rows():
                 matched = False
                 for right_env in inner.scan():
                     ctx.charge(
@@ -491,8 +427,6 @@ class NLJoinOp(Operator):
                         yield left_env
                     elif self.join_type == Quantifier.LEFT:
                         yield null_extend(left_env, self.right_quantifiers)
-        finally:
-            inner.free()
 
 
 class IndexNLJoinOp(Operator):
@@ -508,9 +442,13 @@ class IndexNLJoinOp(Operator):
         self.conjuncts = conjuncts
         self.local_conjuncts = local_conjuncts
 
-    def execute(self, ctx):
-        for left_env in self.left.execute(ctx):
-            yield from self.probe(ctx, left_env)
+    def execute_batches(self, ctx):
+        return rows_to_batches(self._joined(ctx), ctx.batch_rows)
+
+    def _joined(self, ctx):
+        for batch in self.left.execute_batches(ctx):
+            for left_env in batch.rows():
+                yield from self.probe(ctx, left_env)
 
     def probe(self, ctx, left_env):
         """Probe for one outer environment (shared with the hash join's
@@ -642,7 +580,11 @@ class HashJoinOp(Operator):
 
     # -- execution ---------------------------------------------------------- #
 
-    def execute(self, ctx):
+    def execute_batches(self, ctx):
+        """Vectorized key evaluation and batched emission; memory
+        accounting, partition placement, eviction and the
+        alternate-strategy switch stay per row, so spill and adaptive
+        decisions do not depend on where batch boundaries fall."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._partitions = [dict() for __ in range(HASH_PARTITIONS)]
@@ -661,7 +603,9 @@ class HashJoinOp(Operator):
             ):
                 self.switched_to_alternate = True
                 ctx.note("hash_join_switched")
-                yield from self._execute_alternate(ctx)
+                yield from rows_to_batches(
+                    self._execute_alternate(ctx), ctx.batch_rows
+                )
                 return
             yield from self._probe(ctx)
         finally:
@@ -671,69 +615,7 @@ class HashJoinOp(Operator):
                 if spill is not None:
                     spill.free()
 
-    def execute_batches(self, ctx):
-        """Batch protocol: vectorized key evaluation, batched emission.
-
-        Per-row memory accounting, partition placement, eviction and the
-        alternate-strategy switch are byte-for-byte the row path's — only
-        key evaluation (whole columns) and output transport (batches) are
-        vectorized, so spill and adaptive decisions are identical across
-        modes.
-        """
-        self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
-        self._partitions = [dict() for __ in range(HASH_PARTITIONS)]
-        self._spills = [None] * HASH_PARTITIONS
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
-        try:
-            self._build_batches(ctx)
-            semi_switchable = (
-                self.join_type == Quantifier.SEMI and not self.residual
-            )
-            if (
-                self.alternate is not None
-                and self.alternate_threshold is not None
-                and self.build_row_count <= self.alternate_threshold
-                and (self.join_type == Quantifier.INNER or semi_switchable)
-            ):
-                self.switched_to_alternate = True
-                ctx.note("hash_join_switched")
-                # The alternate probes row-at-a-time (index NL is
-                # unmigrated); adapt its output at the boundary.
-                yield from rows_to_batches(
-                    self._execute_alternate(ctx), ctx.batch_rows
-                )
-                return
-            yield from self._probe_batches(ctx)
-        finally:
-            ctx.task.unregister_consumer(self)
-            self._memory.release_all()
-            for spill in self._spills:
-                if spill is not None:
-                    spill.free()
-
     def _build(self, ctx):
-        for env in self.right.execute(ctx):
-            ctx.charge(CPU_HASH_BUILD_US)
-            self.build_row_count += 1
-            self._row_bytes = max(self._row_bytes, env_row_bytes(env))
-            key = tuple(
-                evaluate(expr, env, ctx.params) for expr in self.build_keys
-            )
-            index = hash(key) % HASH_PARTITIONS
-            if self._partitions[index] is None:
-                self._spills[index].append((key, env))
-                continue
-            self._memory.add(self._row_bytes)
-            # The allocation may have reclaimed (evicted) this very
-            # partition; rows then go straight to its spill file.
-            partition = self._partitions[index]
-            if partition is None:
-                self._spills[index].append((key, env))
-            else:
-                partition.setdefault(key, []).append(env)
-
-    def _build_batches(self, ctx):
         for batch in self.right.execute_batches(ctx):
             ctx.charge(batch.count * CPU_HASH_BUILD_BATCH_US)
             key_columns = [
@@ -750,8 +632,8 @@ class HashJoinOp(Operator):
                     self._spills[index].append((key, env))
                     continue
                 self._memory.add(self._row_bytes)
-                # Same re-check as the row path: the allocation may have
-                # evicted this very partition.
+                # The allocation may have reclaimed (evicted) this very
+                # partition; rows then go straight to its spill file.
                 partition = self._partitions[index]
                 if partition is None:
                     self._spills[index].append((key, env))
@@ -790,46 +672,8 @@ class HashJoinOp(Operator):
                 yield from spill.read_all()
 
     def _probe(self, ctx):
-        probe_spills = [None] * HASH_PARTITIONS
-        for left_env in self.left.execute(ctx):
-            ctx.charge(CPU_HASH_PROBE_US)
-            key = tuple(
-                evaluate(expr, left_env, ctx.params) for expr in self.probe_keys
-            )
-            index = hash(key) % HASH_PARTITIONS
-            if self._partitions[index] is None:
-                if probe_spills[index] is None:
-                    probe_spills[index] = SpillFile(
-                        ctx.temp_file, self._row_bytes, ctx.pool.page_size,
-                        fault_plan=getattr(ctx, "fault_plan", None),
-                        yield_hook=getattr(ctx, "yield_hook", None),
-                    )
-                probe_spills[index].append((key, left_env))
-                self.probe_rows_spilled += 1
-                continue
-            yield from self._emit_matches(
-                ctx, left_env, key, self._partitions[index]
-            )
-        # Spilled partitions: reload the build side and re-probe.
-        for index in range(HASH_PARTITIONS):
-            probe_spill = probe_spills[index]
-            if probe_spill is None:
-                if self._spills[index] is not None:
-                    self._spills[index].free()
-                continue
-            build_table = {}
-            if self._spills[index] is not None:
-                for key, env in self._spills[index].read_all():
-                    build_table.setdefault(key, []).append(env)
-                self._spills[index].free()
-            for key, left_env in probe_spill.read_all():
-                ctx.charge(CPU_HASH_PROBE_US)
-                yield from self._emit_matches(ctx, left_env, key, build_table)
-            probe_spill.free()
-
-    def _probe_batches(self, ctx):
-        """Batch probe: vectorized probe-key columns, emission re-packed
-        into batches; spill routing matches the row path row-for-row."""
+        """Vectorized probe-key columns, emission re-packed into batches;
+        spill routing is per row."""
         probe_spills = [None] * HASH_PARTITIONS
         builder = BatchBuilder(ctx.batch_rows)
         for batch in self.left.execute_batches(ctx):
@@ -917,6 +761,29 @@ class HashJoinOp(Operator):
 # --------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------- #
+
+def _chunks(rows, size):
+    """Lists of up to ``size`` consecutive items of ``rows``."""
+    rows = iter(rows)
+    while True:
+        chunk = list(islice(rows, size))
+        if not chunk:
+            return
+        yield chunk
+
+
+def _filter(batch, conjuncts, params):
+    """Rows of ``batch`` satisfying every conjunct.  Conjunct *i* only
+    sees rows surviving conjuncts < *i* — the evaluation set of a
+    short-circuiting row-at-a-time ``all``."""
+    for conjunct in conjuncts:
+        if batch.count == 0:
+            break
+        mask = evaluate_predicate_batch(conjunct.expr, batch, params)
+        if not all(mask):
+            batch = batch.take(mask)
+    return batch
+
 
 def null_extend(env, quantifiers):
     """Left-outer NULL extension for the null-supplied side."""

@@ -119,7 +119,7 @@ class JoinStage:
         self.build_key = build_key
         self.probe_key = probe_key
         self.row_fetch_us = row_fetch_us
-        #: Per-row hash insert cost; batch mode passes the amortized
+        #: Per-row hash insert cost; the engine passes the amortized
         #: batch constant (workers fetch whole batches FCFS).
         self.build_us = build_us
         self.table = None
@@ -193,7 +193,7 @@ class ParallelPipeline:
         self.stages = stages
         self.group_by = group_by
         self.probe_fetch_us = probe_fetch_us
-        #: Per-row hash probe cost; batch mode passes the amortized
+        #: Per-row hash probe cost; the engine passes the amortized
         #: batch constant.
         self.probe_us = probe_us
 

@@ -18,7 +18,7 @@ Division of labour:
   serially on the joined rows.
 """
 
-from repro.exec.batch import batches_to_rows
+from repro.exec.batch import rows_to_batches
 from repro.exec.expr import evaluate
 from repro.exec.operators import Operator
 from repro.exec.parallel import JoinStage, ParallelPipeline
@@ -71,8 +71,8 @@ class _MaterializedRows(Operator):
     def __init__(self, rows):
         self.rows = rows
 
-    def execute(self, ctx):
-        yield from self.rows
+    def execute_batches(self, ctx):
+        return rows_to_batches(self.rows, ctx.batch_rows)
 
 
 def execute_parallel(plan, executor, ctx, n_workers):
@@ -90,50 +90,33 @@ def execute_parallel(plan, executor, ctx, n_workers):
         ctx.metrics.gauge("exec.parallel_workers").set(n_workers)
 
     # 1. Materialize the leaf (probe) input and every build input through
-    #    the ordinary operators: scan I/O stays serial and sequential.  In
-    #    batch mode the scans run vectorized (and charge the amortized
-    #    batch constants); the materialized rows feed the pipeline either
-    #    way.
-    batch_mode = getattr(ctx, "batch_mode", False)
-    probe_rows = _materialize(executor.build(leaf, depth=1), ctx, batch_mode)
+    #    the ordinary scan operators: scan I/O stays serial and sequential.
+    probe_rows = list(executor.rows(executor.build(leaf, depth=1), ctx))
     stages = []
     for join in joins:
-        build_rows = _materialize(
-            executor.build(join.right, depth=1), ctx, batch_mode
+        build_rows = list(
+            executor.rows(executor.build(join.right, depth=1), ctx)
         )
-        stages.append(_make_stage(join, build_rows, ctx.params, batch_mode))
+        stages.append(_make_stage(join, build_rows, ctx.params))
 
-    # 2. Parallel build + probe via the FCFS worker pipeline.  Batch mode
-    #    models workers fetching whole batches FCFS: the per-morsel fetch
-    #    and probe constants amortize exactly like the serial operators'.
-    if batch_mode:
-        pipeline = ParallelPipeline(
-            probe_rows, stages,
-            probe_fetch_us=CPU_ROW_BATCH_US,
-            probe_us=CPU_HASH_PROBE_BATCH_US,
-        )
-    else:
-        pipeline = ParallelPipeline(probe_rows, stages)
+    # 2. Parallel build + probe via the FCFS worker pipeline.  Workers
+    #    fetch whole batches FCFS: the per-morsel fetch and probe
+    #    constants amortize exactly like the serial operators'.
+    pipeline = ParallelPipeline(
+        probe_rows, stages,
+        probe_fetch_us=CPU_ROW_BATCH_US,
+        probe_us=CPU_HASH_PROBE_BATCH_US,
+    )
     output, stats = pipeline.run(n_workers=n_workers, ctx=ctx)
 
     # 3. Flatten the pipeline's nested (probe, build) tuples back into
     #    environment rows and run the serial remainder of the plan.
     joined_envs = [_flatten_env(item) for item in output]
     serial_top = _rebuild_serial(wrappers, executor, joined_envs)
-    if batch_mode:
-        rows = list(batches_to_rows(serial_top.execute_batches(ctx)))
-    else:
-        rows = list(serial_top.execute(ctx))
-    return rows, stats
+    return list(executor.rows(serial_top, ctx)), stats
 
 
-def _materialize(operator, ctx, batch_mode):
-    if batch_mode:
-        return list(batches_to_rows(operator.execute_batches(ctx)))
-    return list(operator.execute(ctx))
-
-
-def _make_stage(join, build_envs, params, batch_mode=False):
+def _make_stage(join, build_envs, params):
     build_keys = join.build_keys
     probe_keys = join.probe_keys
 
@@ -145,13 +128,11 @@ def _make_stage(join, build_envs, params, batch_mode=False):
             evaluate(expr, _flatten_env(item), params) for expr in probe_keys
         )
 
-    if batch_mode:
-        return JoinStage(
-            build_envs, build_key, probe_key,
-            row_fetch_us=CPU_ROW_BATCH_US,
-            build_us=CPU_HASH_BUILD_BATCH_US,
-        )
-    return JoinStage(build_envs, build_key, probe_key)
+    return JoinStage(
+        build_envs, build_key, probe_key,
+        row_fetch_us=CPU_ROW_BATCH_US,
+        build_us=CPU_HASH_BUILD_BATCH_US,
+    )
 
 
 def _flatten_env(item):

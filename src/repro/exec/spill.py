@@ -134,17 +134,6 @@ class SpillFile:
         self._pages.append(page_no)
         self._buffer = []
 
-    def append_batch(self, batch):
-        """Append a whole :class:`~repro.exec.batch.Batch` of rows.
-
-        Row-for-row identical to repeated :meth:`append` calls — the
-        same page-granular flushes, fault-injection points and yield
-        hooks fire in the same order — so batch-mode spills are
-        byte-compatible with row-mode spills.
-        """
-        for row in batch.rows():
-            self.append(row)
-
     def finish_writing(self):
         self._flush()
 
@@ -154,14 +143,6 @@ class SpillFile:
         for page_no in self._pages:
             for row in self.temp_file.read(page_no):
                 yield row
-
-    def read_batches(self, batch_rows):
-        """Read spilled rows back re-packed into batches (the batch
-        path's reload leg); same page reads and row order as
-        :meth:`read_all`."""
-        from repro.exec.batch import rows_to_batches
-
-        return rows_to_batches(self.read_all(), batch_rows)
 
     def free(self):
         self.finish_writing()

@@ -15,8 +15,6 @@ from repro.engine import StatementOverrides
 #: specially (the query must be executed past the cache's training
 #: period so a *cached* plan actually serves the final answer).
 NOREC_VARIANTS = (
-    ("batch_on", StatementOverrides(batch_execution=True)),
-    ("batch_off", StatementOverrides(batch_execution=False)),
     ("snapshot_on", StatementOverrides(snapshot_reads=True)),
     ("snapshot_off", StatementOverrides(snapshot_reads=False)),
     ("heap_scan", StatementOverrides(force_heap_scan=True)),

@@ -6,9 +6,10 @@ historically popular ways; the regression suite asserts that TLP
 catches *both* — if a refactor ever makes the oracles blind, the
 negatives go red before a real bug slips through.
 
-Both bugs are planted in the row **and** batch evaluators, like a
-genuine misreading of the SQL spec would be — a single-mode plant would
-be caught by NoREC's batch-on/batch-off variation instead of by TLP.
+Both bugs are planted in the scalar **and** the vectorized evaluator,
+like a genuine misreading of the SQL spec would be: scans, filters and
+HAVING evaluate whole batches, join residuals evaluate a row at a time,
+and a plant in only one of them would break some plans and not others.
 And both are deliberately **asymmetric** across the TLP partitions: a
 NULL-semantics bug applied uniformly to every partition (e.g.
 ``NULL AND TRUE = TRUE`` inside every branch) can cancel out of the
@@ -25,9 +26,13 @@ from repro.exec import expr as expr_module
 from repro.exec import operators as operators_module
 from repro.sql import ast
 
-#: Modules that imported the predicate entry points by name; the plant
+#: Where the predicate entry points were imported by name; the plant
 #: must rebind each import site, not just the defining module.
-_FILTER_SITES = (operators_module, aggregates_module)
+_FILTER_SITES = (
+    (operators_module, "evaluate_predicate"),
+    (operators_module, "evaluate_predicate_batch"),
+    (aggregates_module, "evaluate_predicate_batch"),
+)
 
 
 @contextlib.contextmanager
@@ -36,13 +41,12 @@ def predicate_pushdown_bug():
 
     The classic predicate-pushdown bug: a filter pushed into the scan
     drops the "unknown is not satisfied" rule, so rows whose predicate
-    evaluates to NULL leak through every WHERE clause — in row mode and
-    batch mode alike.  TLP then sees each NULL-predicate row in all
-    three partitions instead of exactly one.
+    evaluates to NULL leak through every WHERE clause.  TLP then sees
+    each NULL-predicate row in all three partitions instead of exactly
+    one.
     """
     saved = [
-        (site, site.evaluate_predicate, site.evaluate_predicate_batch)
-        for site in _FILTER_SITES
+        (site, name, getattr(site, name)) for site, name in _FILTER_SITES
     ]
 
     def leaky(expr, env, params=None):
@@ -57,15 +61,17 @@ def predicate_pushdown_bug():
             for value in expr_module.evaluate_batch(expr, batch, params)
         ]
 
-    for site in _FILTER_SITES:
-        site.evaluate_predicate = leaky
-        site.evaluate_predicate_batch = leaky_batch
+    plants = {
+        "evaluate_predicate": leaky,
+        "evaluate_predicate_batch": leaky_batch,
+    }
+    for site, name in _FILTER_SITES:
+        setattr(site, name, plants[name])
     try:
         yield
     finally:
-        for site, row_fn, batch_fn in saved:
-            site.evaluate_predicate = row_fn
-            site.evaluate_predicate_batch = batch_fn
+        for site, name, original in saved:
+            setattr(site, name, original)
 
 
 @contextlib.contextmanager

@@ -146,7 +146,7 @@ class TestSIM004MetricNames:
 
 
 class TestSIM005OperatorProtocol:
-    def test_operator_without_execute_fires(self):
+    def test_operator_without_execute_batches_fires(self):
         source = """
         class BrokenOp(Operator):
             def helper(self):
@@ -154,40 +154,7 @@ class TestSIM005OperatorProtocol:
         """
         assert "SIM005" in codes(source)
 
-    def test_memory_pages_without_relinquish_fires(self):
-        source = """
-        class HoarderOp(Operator):
-            memory_pages = 0
-
-            def execute(self, ctx):
-                yield from ()
-        """
-        assert "SIM005" in codes(source)
-
-    def test_full_protocol_is_clean(self):
-        source = """
-        class GoodOp(Operator):
-            def execute(self, ctx):
-                yield from ()
-
-            @property
-            def memory_pages(self):
-                return 0
-
-            def relinquish_memory(self):
-                return 0
-        """
-        assert codes(source) == []
-
-    def test_execute_batches_without_execute_fires(self):
-        source = """
-        class BatchOnly:
-            def execute_batches(self, ctx):
-                yield from ()
-        """
-        assert "SIM005" in codes(source)
-
-    def test_both_protocols_are_clean(self):
+    def test_operator_with_row_execute_fires(self):
         source = """
         class DualOp(Operator):
             def execute(self, ctx):
@@ -196,36 +163,38 @@ class TestSIM005OperatorProtocol:
             def execute_batches(self, ctx):
                 yield from ()
         """
+        assert "SIM005" in codes(source)
+
+    def test_row_execute_outside_operators_is_clean(self):
+        source = """
+        class Connection:
+            def execute(self, sql):
+                return sql
+        """
         assert codes(source) == []
 
-    def test_row_call_inside_execute_batches_fires(self):
+    def test_memory_pages_without_relinquish_fires(self):
         source = """
-        class MixerOp(Operator):
-            def execute(self, ctx):
-                yield from ()
+        class HoarderOp(Operator):
+            memory_pages = 0
 
             def execute_batches(self, ctx):
-                for row in self.child.execute(ctx):
-                    yield row
+                yield from ()
         """
         assert "SIM005" in codes(source)
 
-    def test_shimmed_row_call_is_clean(self):
+    def test_full_protocol_is_clean(self):
         source = """
-        class ShimOp(Operator):
-            def execute(self, ctx):
+        class GoodOp(Operator):
+            def execute_batches(self, ctx):
                 yield from ()
 
-            def execute_batches(self, ctx):
-                return rows_to_batches(self.execute(ctx), ctx.batch_rows)
-        """
-        assert codes(source) == []
+            @property
+            def memory_pages(self):
+                return 0
 
-    def test_row_call_outside_execute_batches_is_clean(self):
-        source = """
-        class RunnerOp(Operator):
-            def execute(self, ctx):
-                yield from self.child.execute(ctx)
+            def relinquish_memory(self):
+                return 0
         """
         assert codes(source) == []
 

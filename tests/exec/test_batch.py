@@ -1,11 +1,13 @@
 """Batch-execution edge cases.
 
-The batch engine's contract is row equivalence: vectorization changes
-per-row CPU accounting, never row values, row order, or error outcomes.
-These tests pin the awkward corners — empty batches, spills straddling a
-batch boundary, statement aborts mid-batch, and snapshot resolution
-through the row shim — by running the same statements in both modes.
+Operators trade column-major batches, but what a statement returns must
+not depend on where batch boundaries fall.  These tests pin the awkward
+corners — empty batches, spills straddling a batch boundary, statement
+aborts mid-batch, snapshot resolution, sub-plans — against answers
+computed in plain Python.
 """
+
+import re
 
 import pytest
 
@@ -20,25 +22,23 @@ from repro.exec.batch import (
 from repro.faults import FaultPlan, FaultRates
 
 
-def make_server(batch=True, **kwargs):
+def make_server(**kwargs):
     kwargs.setdefault("start_buffer_governor", False)
     kwargs.setdefault("initial_pool_pages", 512)
-    return Server(ServerConfig(batch_execution=batch, **kwargs))
+    return Server(ServerConfig(**kwargs))
 
 
-def both_modes(statements, query, **kwargs):
-    """Run the setup + query in each mode; returns (row rows, batch rows)."""
-    results = []
-    for batch in (False, True):
-        server = make_server(batch=batch, **kwargs)
-        conn = server.connect()
-        for sql, rows in statements:
-            if rows is None:
-                conn.execute(sql)
-            else:
-                server.load_table(sql, rows)
-        results.append(conn.execute(query).rows)
-    return results[0], results[1]
+def loaded(setup, **kwargs):
+    """A server with ``setup`` applied: ``(sql, None)`` executes,
+    ``(table, rows)`` bulk-loads.  Returns (server, connection)."""
+    server = make_server(**kwargs)
+    conn = server.connect()
+    for sql, rows in setup:
+        if rows is None:
+            conn.execute(sql)
+        else:
+            server.load_table(sql, rows)
+    return server, conn
 
 
 class TestBatchUnit:
@@ -97,23 +97,23 @@ class TestEmptyBatches:
         ("t", [(i, i % 7, i * 3) for i in range(400)]),
     ]
 
-    @pytest.mark.parametrize("query", [
-        "SELECT id FROM t WHERE v < 0",
-        "SELECT g, COUNT(*) FROM t WHERE v < 0 GROUP BY g",
-        "SELECT SUM(v) FROM t WHERE v < 0",
-        "SELECT a.id FROM t a JOIN t b ON a.id = b.v WHERE b.v < 0",
-        "SELECT DISTINCT g FROM t WHERE id > 10000",
-        "SELECT id FROM t WHERE v < 0 ORDER BY id LIMIT 5",
+    @pytest.mark.parametrize("query, expected", [
+        ("SELECT id FROM t WHERE v < 0", []),
+        ("SELECT g, COUNT(*) FROM t WHERE v < 0 GROUP BY g", []),
+        ("SELECT SUM(v) FROM t WHERE v < 0", [(None,)]),
+        ("SELECT a.id FROM t a JOIN t b ON a.id = b.v WHERE b.v < 0", []),
+        ("SELECT DISTINCT g FROM t WHERE id > 10000", []),
+        ("SELECT id FROM t WHERE v < 0 ORDER BY id LIMIT 5", []),
     ])
-    def test_zero_row_results_agree(self, query):
-        row_rows, batch_rows = both_modes(self.SETUP, query)
-        assert batch_rows == row_rows
+    def test_zero_row_inputs(self, query, expected):
+        __, conn = loaded(self.SETUP)
+        assert conn.execute(query).rows == expected
 
     def test_aggregate_over_empty_input_yields_its_null_row(self):
-        row_rows, batch_rows = both_modes(
-            self.SETUP, "SELECT COUNT(*), SUM(v) FROM t WHERE v < 0"
-        )
-        assert batch_rows == row_rows == [(0, None)]
+        __, conn = loaded(self.SETUP)
+        assert conn.execute(
+            "SELECT COUNT(*), SUM(v) FROM t WHERE v < 0"
+        ).rows == [(0, None)]
 
 
 class TestSpillStraddle:
@@ -129,41 +129,57 @@ class TestSpillStraddle:
     #: ~2-page soft limit (128 pages / 64 slots): hash builds larger
     #: than one batch must spill partway through a batch.
     TIGHT = dict(initial_pool_pages=128, multiprogramming_level=64)
+    #: Enough work memory that nothing here spills.
+    AMPLE = dict(initial_pool_pages=8192)
 
-    def test_join_spilling_mid_batch_matches_row_mode(self):
-        query = (
-            "SELECT r.id, s.id FROM r JOIN s ON r.b = s.b "
-            "ORDER BY r.id, s.id"
-        )
-        row_rows, batch_rows = both_modes(self.SETUP, query, **self.TIGHT)
-        assert batch_rows == row_rows
-        assert len(batch_rows) == 700 * 9  # every s row meets 9 r rows
+    JOIN = (
+        "SELECT r.id, s.id FROM r JOIN s ON r.b = s.b ORDER BY r.id, s.id"
+    )
 
-    def test_group_by_fallback_mid_batch_matches_row_mode(self):
-        query = (
+    def run(self, query, **config):
+        """(rows, spill events) of ``query`` on a fresh server."""
+        server, conn = loaded(self.SETUP, **config)
+        rows = conn.execute(query).rows
+        return rows, server.metrics.snapshot().get("exec.spill_events", 0)
+
+    def spilling_and_unspilled(self, query):
+        """Rows from the memory-starved run — which must actually have
+        spilled — and from a run with ample memory, which must not."""
+        spilled, spills = self.run(query, **self.TIGHT)
+        assert spills >= 1
+        unspilled, spills = self.run(query, **self.AMPLE)
+        assert spills == 0
+        return spilled, unspilled
+
+    def test_tight_config_actually_spills(self):
+        assert self.run(self.JOIN, **self.TIGHT)[1] >= 1
+
+    def test_join_spilling_mid_batch(self):
+        spilled, unspilled = self.spilling_and_unspilled(self.JOIN)
+        expected = [
+            (r, s) for r in range(900) for s in range(700)
+            if r % 100 == s % 100
+        ]
+        assert spilled == unspilled == expected
+        assert len(expected) == 700 * 9  # every s row meets 9 r rows
+
+    def test_group_by_fallback_mid_batch(self):
+        spilled, unspilled = self.spilling_and_unspilled(
             "SELECT b, COUNT(*), SUM(id) FROM r GROUP BY b ORDER BY b"
         )
-        row_rows, batch_rows = both_modes(self.SETUP, query, **self.TIGHT)
-        assert batch_rows == row_rows
+        expected = [
+            (b, 9, sum(range(b, 900, 100))) for b in range(100)
+        ]
+        assert spilled == unspilled == expected
 
-    def test_sort_spilling_mid_batch_matches_row_mode(self):
-        query = "SELECT id, b FROM r ORDER BY b, id"
-        row_rows, batch_rows = both_modes(self.SETUP, query, **self.TIGHT)
-        assert batch_rows == row_rows
-
-    def test_batch_mode_actually_spilled(self):
-        server = make_server(batch=True, **self.TIGHT)
-        conn = server.connect()
-        for sql, rows in self.SETUP:
-            if rows is None:
-                conn.execute(sql)
-            else:
-                server.load_table(sql, rows)
-        conn.execute(
-            "SELECT r.id, s.id FROM r JOIN s ON r.b = s.b "
-            "ORDER BY r.id, s.id"
+    def test_sort_spilling_mid_batch(self):
+        spilled, unspilled = self.spilling_and_unspilled(
+            "SELECT id, b FROM r ORDER BY b, id"
         )
-        assert server.metrics.snapshot()["exec.spill_events"] >= 1
+        expected = sorted(
+            ((i, i % 100) for i in range(900)), key=lambda row: row[::-1]
+        )
+        assert spilled == unspilled == expected
 
 
 def quiet_rates(**overrides):
@@ -181,14 +197,15 @@ def quiet_rates(**overrides):
 
 class TestMidBatchAbort:
     """A statement dying partway through a batch must release its quota
-    and leave the server healthy, exactly like a row-mode abort."""
+    and leave the server healthy."""
+
+    SETUP = [
+        ("CREATE TABLE t (id INT PRIMARY KEY, v INT)", None),
+        ("t", [(i, (i * 37) % 1000) for i in range(3000)]),
+    ]
 
     def loaded(self, plan=None, **kwargs):
-        server = make_server(batch=True, fault_plan=plan, **kwargs)
-        conn = server.connect()
-        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        server.load_table("t", [(i, (i * 37) % 1000) for i in range(3000)])
-        return server, conn
+        return loaded(self.SETUP, fault_plan=plan, **kwargs)
 
     def test_expression_error_mid_batch_aborts_cleanly(self):
         server, conn = self.loaded()
@@ -207,25 +224,24 @@ class TestMidBatchAbort:
             conn.execute("SELECT id, v FROM t ORDER BY v, id")
         assert plan.statement_aborts == 1
         assert server.memory_governor.total_used_pages() == 0
-        # Healed, the same statement completes in batch mode.
+        # Healed, the same statement completes.
         plan.rates.spill_write_error = 0.0
         result = conn.execute("SELECT id, v FROM t ORDER BY v, id")
         assert len(result.rows) == 3000
 
 
-class TestSnapshotThroughShim:
-    """Snapshot-LSN row resolution stays correct in batch mode: the scan
-    operators resolve versions per row, and the index-scan fallback (an
-    unmigrated operator behind the row shim) still engages."""
+class TestSnapshotReads:
+    """Snapshot-LSN row resolution under batches: the scan operators
+    resolve versions per row, and the index-scan heap fallback engages."""
 
     def seeded(self):
-        server = make_server(batch=True)
+        server = make_server()
         writer = server.connect()
         writer.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
         server.load_table("t", [(i, 0) for i in range(10)])
         return server, writer, server.connect()
 
-    def test_uncommitted_write_invisible_in_batch_mode(self):
+    def test_uncommitted_write_invisible(self):
         server, writer, reader = self.seeded()
         writer.begin()
         writer.execute("UPDATE t SET v = 99 WHERE id = 0")
@@ -240,13 +256,13 @@ class TestSnapshotThroughShim:
             "SELECT v FROM t WHERE id = 0"
         ).rows == [(99,)]
 
-    def test_index_fallback_resolves_through_the_shim(self):
+    def test_index_fallback_resolves_the_before_image(self):
         server, writer, reader = self.seeded()
         before = server.metrics.counter("exec.adaptive_fallbacks").value
         writer.begin()
         writer.execute("DELETE FROM t WHERE id = 5")
         # The pk entry is gone; only the versioned-heap fallback can
-        # resolve the before-image — through the IndexScan row shim.
+        # resolve the before-image.
         assert reader.execute(
             "SELECT v FROM t WHERE id = 5"
         ).rows == [(0,)]
@@ -260,23 +276,44 @@ class TestExplainAnalyzeBatches:
         ("CREATE TABLE t (id INT PRIMARY KEY, g INT)", None),
         ("t", [(i, i % 5) for i in range(600)]),
     ]
-    QUERY = "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g"
 
-    def run_one(self, batch):
-        server = make_server(batch=batch)
-        conn = server.connect()
-        for sql, rows in self.SETUP:
-            if rows is None:
-                conn.execute(sql)
-            else:
-                server.load_table(sql, rows)
-        return conn.execute(self.QUERY).explain(analyze=True)
+    def assert_every_node_reports_batches(self, text):
+        lines = text.splitlines()
+        assert lines
+        for line in lines:
+            assert re.search(r"batches=\d+ rows_per_batch=", line), line
 
-    def test_batch_mode_reports_batches_per_operator(self):
-        text = self.run_one(batch=True)
-        assert "batches=" in text
-        assert "rows_per_batch=" in text
+    def test_reports_batches_per_operator(self):
+        __, conn = loaded(self.SETUP)
+        result = conn.execute(
+            "SELECT g, COUNT(*) FROM t GROUP BY g ORDER BY g"
+        )
+        self.assert_every_node_reports_batches(result.explain(analyze=True))
 
-    def test_row_mode_rendering_is_unchanged(self):
-        text = self.run_one(batch=False)
-        assert "batches=" not in text
+    def test_sub_plans_and_cursors_run_batches(self):
+        __, conn = loaded(self.SETUP)
+        result = conn.execute(
+            "SELECT d.g, d.n FROM "
+            "(SELECT g, COUNT(*) AS n FROM t GROUP BY g) d WHERE d.n > 1"
+        )
+        assert sorted(result.rows) == [(g, 120) for g in range(5)]
+        text = result.explain(analyze=True)
+        assert "DerivedScan" in text and "HashGroupBy" in text
+        self.assert_every_node_reports_batches(text)
+
+        cursor = conn.open_cursor("SELECT id FROM t WHERE g = 3")
+        assert cursor.fetchall() == [(i,) for i in range(3, 600, 5)]
+        self.assert_every_node_reports_batches(cursor.explain(analyze=True))
+        cursor.close()
+
+    def test_insert_select_inserts_what_its_select_returns(self):
+        __, conn = loaded(self.SETUP)
+        conn.execute("CREATE TABLE copy (id INT PRIMARY KEY, g INT)")
+        select = "SELECT id, g FROM t WHERE g = 2 AND id > 300"
+        expected = conn.execute(select + " ORDER BY id").rows
+        assert expected == [(i, 2) for i in range(302, 600, 5)]
+        result = conn.execute("INSERT INTO copy " + select)
+        assert result.rowcount == len(expected)
+        assert conn.execute(
+            "SELECT id, g FROM copy ORDER BY id"
+        ).rows == expected
