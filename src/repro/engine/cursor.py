@@ -16,7 +16,6 @@ reproducing the fiber model's concurrency without OS threads.
 
 from repro.buffer import Heap
 from repro.common.errors import ExecutionError
-from repro.exec import ExecutionContext, Executor
 from repro.exec.instrument import ExecStatsCollector
 from repro.sql import Binder, ast, parse_statement
 
@@ -34,28 +33,14 @@ class Cursor:
         optimizer = server.make_optimizer()
         self._result = optimizer.optimize_select(block)
         self._server = server
-        self._task = server.memory_governor.begin_task()
+        self.exec_stats = ExecStatsCollector()
         # The cursor's snapshot stays open across fetches: every batch
         # reads the same commit-LSN image, however long the application
         # waits between FETCH requests.
-        self._snapshot_lsn = (
-            server.versions.open_snapshot()
-            if server.config.snapshot_reads else None
-        )
-        self._ctx = ExecutionContext(
-            server.pool, server.temp_file, server.stats, server.clock,
-            self._task, params,
-            feedback_enabled=server.config.feedback_enabled,
-            metrics=server.metrics, fault_plan=server.fault_plan,
-            yield_hook=server.spill_yield_point,
-            snapshot_lsn=self._snapshot_lsn,
-            snapshot_txn=connection._txn_id,
-        )
-        self.exec_stats = ExecStatsCollector()
-        executor = Executor(
-            plan_block_fn=optimizer.optimize_select,
-            bind_recursive_arm_fn=self._binder.bind_recursive_arm,
-            exec_stats=self.exec_stats,
+        self._ctx, executor = server.open_execution(
+            optimizer, self._binder, params,
+            snapshot=server.config.snapshot_reads,
+            snapshot_txn=connection._txn_id, exec_stats=self.exec_stats,
         )
         server.metrics.counter("cursors.opened").inc()
         self._rows = executor.run(self._result, self._ctx)
@@ -129,9 +114,7 @@ class Cursor:
         self.heap.lock()
         self.heap.free()
         self._rows.close()
-        if self._snapshot_lsn is not None:
-            self._server.versions.close_snapshot(self._snapshot_lsn)
-        self._server.memory_governor.end_task(self._task)
+        self._server.close_execution(self._ctx)
         if self._server.sanitize and self._server.pin_checks_quiescent():
             self._server.pool.assert_no_pins("cursor close")
 

@@ -50,6 +50,13 @@ from repro.storage.log import INSERT as LOG_INSERT
 from repro.storage.log import UPDATE as LOG_UPDATE
 from repro.storage.rowstore import TableStorage
 
+#: :meth:`Server.apply_change` modes — which steps of the write sequence
+#: the caller has already made unnecessary.  Arguments internal callers
+#: pass a constant to, not settings.
+FORWARD = "forward"  #: DML and synchronization: every step runs
+UNDO = "undo"        #: runtime rollback: locks held, images versioned
+LOAD = "load"        #: bulk load: no lock, version or per-row statistics
+
 
 @dataclasses.dataclass
 class ServerConfig:
@@ -268,16 +275,9 @@ class Server:
             scheduler_fn=lambda: self.scheduler,
             sanitize=self.sanitize,
         )
-        from repro.engine.locks import LockManager
         from repro.engine.versions import VersionManager
 
-        self.lock_manager = LockManager(
-            self.volume.create_file("locks"), self.pool,
-            metrics=self.metrics,
-            scheduler_fn=lambda: self.scheduler,
-            blocking=self.config.blocking_locks,
-            sanitize=self.sanitize,
-        )
+        self.lock_manager = self._new_lock_manager()
         #: Row-version snapshots for lock-free reads (MVCC-lite).
         self.versions = VersionManager(metrics=self.metrics)
         governor_cls = (
@@ -368,6 +368,19 @@ class Server:
                 threshold=self.config.dtt_recalibration_threshold,
                 metrics=self.metrics,
             )
+
+    def _new_lock_manager(self):
+        """A fresh lock table (construction, and again after a crash:
+        locks die with the process)."""
+        from repro.engine.locks import LockManager
+
+        return LockManager(
+            self.volume.create_file("locks"), self.pool,
+            metrics=self.metrics,
+            scheduler_fn=lambda: self.scheduler,
+            blocking=self.config.blocking_locks,
+            sanitize=self.sanitize,
+        )
 
     def _attach_races(self):
         """Point every tapped component at the race sanitizer (re-run
@@ -494,15 +507,7 @@ class Server:
         self.group_commit.reset()
         self.pool.lsn_fn = lambda: self.txn_log.peek_next_lsn()
         self.pool.wal_fn = lambda: self.txn_log.force()
-        from repro.engine.locks import LockManager
-
-        self.lock_manager = LockManager(
-            self.volume.create_file("locks"), self.pool,
-            metrics=self.metrics,
-            scheduler_fn=lambda: self.scheduler,
-            blocking=self.config.blocking_locks,
-            sanitize=self.sanitize,
-        )
+        self.lock_manager = self._new_lock_manager()
         # Row-version chains are volatile: they die with the process, and
         # the snapshot horizon restarts at the recovered log's durable LSN.
         self.versions.reset(self.txn_log.durable_lsn)
@@ -592,6 +597,37 @@ class Server:
             use_indexes=use_indexes,
         )
 
+    def open_execution(self, optimizer, binder, params, snapshot=False,
+                       snapshot_txn=None, exec_stats=None):
+        """``(ctx, executor)`` for running one optimized block.
+
+        Admits a memory-governor task, then (``snapshot=True``) opens the
+        commit-LSN snapshot the statement reads — in that order: admission
+        may park the session, and the snapshot must not predate the wait.
+        Pair with :meth:`close_execution`.
+        """
+        task = self.memory_governor.begin_task()
+        ctx = ExecutionContext(
+            self.pool, self.temp_file, self.stats, self.clock, task,
+            params, feedback_enabled=self.config.feedback_enabled,
+            metrics=self.metrics, fault_plan=self.fault_plan,
+            yield_hook=self.spill_yield_point,
+            snapshot_lsn=self.versions.open_snapshot() if snapshot else None,
+            snapshot_txn=snapshot_txn,
+        )
+        executor = Executor(
+            plan_block_fn=optimizer.optimize_select,
+            bind_recursive_arm_fn=binder.bind_recursive_arm,
+            exec_stats=exec_stats,
+        )
+        return ctx, executor
+
+    def close_execution(self, ctx):
+        """Release what :meth:`open_execution` took."""
+        if ctx.snapshot_lsn is not None:
+            self.versions.close_snapshot(ctx.snapshot_lsn)
+        self.memory_governor.end_task(ctx.task)
+
     # ------------------------------------------------------------------ #
     # DTT model deployment (Section 4.2)
     # ------------------------------------------------------------------ #
@@ -632,14 +668,7 @@ class Server:
         self.txn_log.begin(txn_id)
         for row in rows:
             coerced = self._coerce_row(table, row)
-            row_id = table.storage.insert(coerced)
-            self._index_insert(table, coerced, row_id)
-            table.storage.stamp_page(
-                row_id.page_ordinal, self.txn_log.peek_next_lsn()
-            )
-            self.txn_log.log_change(
-                txn_id, LOG_INSERT, table.name, row_id, after=coerced
-            )
+            self.apply_change(txn_id, table, None, None, coerced, LOAD)
         ticket = self.group_commit.commit(txn_id)
         # Advance the snapshot horizon so readers opened after the load
         # see its rows (the load versions nothing: no snapshot can
@@ -662,15 +691,76 @@ class Server:
             coerced.append(coerce_value(column.type_name, value))
         return tuple(coerced)
 
-    def _index_check_unique(self, table, row):
-        """Raise before any mutation if ``row`` would violate a unique
-        index — the heap must never hold a row that was only rejected
-        after its insert (nothing is logged yet, so rollback could not
-        remove it)."""
+    def apply_change(self, txn_id, table, row_id, before, after,
+                     mode=FORWARD):
+        """Apply one logical row change — the only code that does — and
+        return the row's id.
+
+        The images name the kind: ``before is None`` inserts ``after``
+        (choosing the row id), ``after is None`` deletes, else the row at
+        ``row_id`` is overwritten.  The step order is fixed here and
+        argued in DESIGN.md §9; ``mode`` (:data:`FORWARD`, :data:`UNDO`,
+        :data:`LOAD`) names the steps the caller has made unnecessary.
+        A FORWARD update or delete arrives with the row lock held and
+        ``before`` re-read under it: that re-check is predicate-specific.
+        """
+        storage = table.storage
+        forward = mode == FORWARD
+        if forward and after is not None:
+            # Before any mutation: nothing is logged yet, so rollback
+            # could not remove a row rejected after it reached the heap.
+            self._index_check_unique(table, after, before)
+        if before is None:
+            kind = LOG_INSERT
+            row_id = storage.insert(after)
+            if forward:
+                try:
+                    self.lock_manager.acquire(txn_id, table.name, row_id)
+                except Exception:
+                    # Nothing is logged for this row yet: compensate the
+                    # heap insert physically so the slot is not leaked.
+                    storage.delete(row_id)
+                    raise
+            if mode != LOAD:
+                # UNDO too: a re-inserted row lands in a fresh slot with
+                # no chain, and without a pending entry a snapshot reader
+                # would see it *and* the before-image at the old slot.
+                self.versions.note_write(storage, row_id, None, txn_id)
+        else:
+            if forward:
+                self.versions.note_write(storage, row_id, before, txn_id)
+            if after is None:
+                kind = LOG_DELETE
+                storage.delete(row_id)
+            else:
+                kind = LOG_UPDATE
+                storage.update(row_id, after)
+            self._index_delete(table, before, row_id)
+        if after is not None:
+            self._index_insert(table, after, row_id)
+        if mode != LOAD:
+            if before is None:
+                self.stats.note_insert(table.name, after)
+            elif after is None:
+                self.stats.note_delete(table.name, before)
+            else:
+                self.stats.note_update(table.name, before, after)
+        storage.stamp_page(row_id.page_ordinal, self.txn_log.peek_next_lsn())
+        self.txn_log.log_change(
+            txn_id, kind, table.name, row_id, before=before, after=after
+        )
+        return row_id
+
+    def _index_check_unique(self, table, row, before=None):
+        """Raise if ``row`` would violate a unique index.  A key kept
+        from ``before`` cannot newly collide and is not searched."""
         for index in self.catalog.indexes_on(table.name):
             if getattr(index, "virtual", False) or not index.unique:
                 continue
-            key = tuple(row[table.column_index(c)] for c in index.column_names)
+            columns = [table.column_index(c) for c in index.column_names]
+            key = tuple(row[i] for i in columns)
+            if before is not None and key == tuple(before[i] for i in columns):
+                continue
             if index.btree.search(key):
                 raise ExecutionError(
                     "duplicate key %r in unique index %r" % (key, index.name)
@@ -875,10 +965,8 @@ class Connection:
             )
         if isinstance(statement, ast.InsertStatement):
             return self._execute_insert(statement, params)
-        if isinstance(statement, ast.UpdateStatement):
-            return self._execute_update(statement, params)
-        if isinstance(statement, ast.DeleteStatement):
-            return self._execute_delete(statement, params)
+        if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
+            return self._execute_searched_dml(statement, params)
         if isinstance(statement, ast.CreateTableStatement):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateIndexStatement):
@@ -958,28 +1046,16 @@ class Connection:
         else:
             result = optimize()
         self.last_plan = result
-        task = server.memory_governor.begin_task()
-        # Read-only statements take no locks: they run against the
-        # commit-LSN snapshot taken here, so they never queue behind
-        # writers (own uncommitted writes stay visible via snapshot_txn).
+        # Read-only statements take no locks: they run against a
+        # commit-LSN snapshot, so they never queue behind writers (own
+        # uncommitted writes stay visible via snapshot_txn).
         snapshot_enabled = server.config.snapshot_reads
         if overrides is not None and overrides.snapshot_reads is not None:
             snapshot_enabled = bool(overrides.snapshot_reads)
-        snapshot_lsn = (
-            server.versions.open_snapshot() if snapshot_enabled else None
-        )
-        ctx = ExecutionContext(
-            server.pool, server.temp_file, server.stats, server.clock, task,
-            params, feedback_enabled=server.config.feedback_enabled,
-            metrics=server.metrics, fault_plan=server.fault_plan,
-            yield_hook=server.spill_yield_point,
-            snapshot_lsn=snapshot_lsn, snapshot_txn=self._txn_id,
-        )
         collector = ExecStatsCollector()
-        executor = Executor(
-            plan_block_fn=lambda b: optimizer.optimize_select(b),
-            bind_recursive_arm_fn=binder.bind_recursive_arm,
-            exec_stats=collector,
+        ctx, executor = server.open_execution(
+            optimizer, binder, params, snapshot=snapshot_enabled,
+            snapshot_txn=self._txn_id, exec_stats=collector,
         )
         try:
             rows = None
@@ -1003,9 +1079,7 @@ class Connection:
             if rows is None:
                 rows = list(executor.run(result, ctx))
         finally:
-            if snapshot_lsn is not None:
-                server.versions.close_snapshot(snapshot_lsn)
-            server.memory_governor.end_task(task)
+            server.close_execution(ctx)
         return Result(
             rows, block.output_columns(), result, ctx.notes, len(rows),
             exec_stats=collector,
@@ -1026,60 +1100,27 @@ class Connection:
         else:
             select_result = self._run_block(bound.select_block, binder, params)
             rows = [list(row) for row in select_result]
-        txn_id, implicit = self._ensure_txn()
-        inserted = 0
-        try:
+        with self._autocommit() as txn_id:
             for values in rows:
                 full_row = [None] * len(table.columns)
                 for column_index, value in zip(bound.column_indexes, values):
                     full_row[column_index] = value
                 coerced = server._coerce_row(table, full_row)
-                server._index_check_unique(table, coerced)
-                row_id = table.storage.insert(coerced)
-                try:
-                    server.lock_manager.acquire(txn_id, table.name, row_id)
-                except Exception:
-                    # Nothing is logged for this row yet: compensate the
-                    # heap insert physically so the slot is not leaked.
-                    table.storage.delete(row_id)
-                    raise
-                server.versions.note_write(table.storage, row_id, None, txn_id)
-                server._index_insert(table, coerced, row_id)
-                server.stats.note_insert(table.name, coerced)
-                table.storage.stamp_page(
-                    row_id.page_ordinal, server.txn_log.peek_next_lsn()
-                )
-                server.txn_log.log_change(
-                    txn_id, LOG_INSERT, table.name, row_id, after=coerced
-                )
-                inserted += 1
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            try:
-                self.commit()
-            except FaultError:
-                # The commit force died: the transaction is still active
-                # in the log, so autocommit semantics demand it unwind.
-                self.rollback()
-                raise
-        return Result(rowcount=inserted)
+                server.apply_change(txn_id, table, None, None, coerced)
+        return Result(rowcount=len(rows))
 
-    def _execute_update(self, statement, params):
+    def _execute_searched_dml(self, statement, params):
+        """UPDATE and DELETE — a DELETE is an UPDATE to no row."""
         server = self.server
-        binder = Binder(server.catalog)
-        bound = binder.bind(statement)
+        bound = Binder(server.catalog).bind(statement)
         table = bound.table
-        optimizer = server.make_optimizer()
-        result = optimizer.optimize_simple_dml(bound)
+        result = server.make_optimizer().optimize_simple_dml(bound)
         self.last_plan = result
         targets = self._collect_dml_targets(bound, result, params)
-        txn_id, implicit = self._ensure_txn()
-        updated = 0
-        try:
-            for row_id, old_row in targets:
+        is_update = isinstance(statement, ast.UpdateStatement)
+        changed = 0
+        with self._autocommit() as txn_id:
+            for row_id, __ in targets:
                 server.lock_manager.acquire(txn_id, table.name, row_id)
                 # The acquire may have parked this session: re-read under
                 # the lock and re-check the predicate — the target list
@@ -1087,79 +1128,16 @@ class Connection:
                 old_row = self._recheck_target(table, bound, row_id, params)
                 if old_row is None:
                     continue
-                server.versions.note_write(
-                    table.storage, row_id, old_row, txn_id
-                )
-                env = {bound.quantifier.id: old_row}
-                new_row = list(old_row)
-                for column_index, expr in bound.assignments:
-                    new_row[column_index] = evaluate(expr, env, params)
-                coerced = server._coerce_row(table, new_row)
-                table.storage.update(row_id, coerced)
-                server._index_delete(table, old_row, row_id)
-                server._index_insert(table, coerced, row_id)
-                server.stats.note_update(table.name, old_row, coerced)
-                table.storage.stamp_page(
-                    row_id.page_ordinal, server.txn_log.peek_next_lsn()
-                )
-                server.txn_log.log_change(
-                    txn_id, LOG_UPDATE, table.name, row_id,
-                    before=old_row, after=coerced,
-                )
-                updated += 1
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            try:
-                self.commit()
-            except FaultError:
-                self.rollback()
-                raise
-        return Result(rowcount=updated, plan_result=result)
-
-    def _execute_delete(self, statement, params):
-        server = self.server
-        binder = Binder(server.catalog)
-        bound = binder.bind(statement)
-        table = bound.table
-        optimizer = server.make_optimizer()
-        result = optimizer.optimize_simple_dml(bound)
-        self.last_plan = result
-        targets = self._collect_dml_targets(bound, result, params)
-        txn_id, implicit = self._ensure_txn()
-        deleted = 0
-        try:
-            for row_id, old_row in targets:
-                server.lock_manager.acquire(txn_id, table.name, row_id)
-                old_row = self._recheck_target(table, bound, row_id, params)
-                if old_row is None:
-                    continue
-                server.versions.note_write(
-                    table.storage, row_id, old_row, txn_id
-                )
-                table.storage.delete(row_id)
-                server._index_delete(table, old_row, row_id)
-                server.stats.note_delete(table.name, old_row)
-                table.storage.stamp_page(
-                    row_id.page_ordinal, server.txn_log.peek_next_lsn()
-                )
-                server.txn_log.log_change(
-                    txn_id, LOG_DELETE, table.name, row_id, before=old_row
-                )
-                deleted += 1
-        except Exception:
-            if implicit:
-                self.rollback()
-            raise
-        if implicit:
-            try:
-                self.commit()
-            except FaultError:
-                self.rollback()
-                raise
-        return Result(rowcount=deleted, plan_result=result)
+                new_row = None
+                if is_update:
+                    env = {bound.quantifier.id: old_row}
+                    new_row = list(old_row)
+                    for column_index, expr in bound.assignments:
+                        new_row[column_index] = evaluate(expr, env, params)
+                    new_row = server._coerce_row(table, new_row)
+                server.apply_change(txn_id, table, row_id, old_row, new_row)
+                changed += 1
+        return Result(rowcount=changed, plan_result=result)
 
     def _collect_dml_targets(self, bound, result, params):
         """Materialize (row_id, row) targets before mutating."""
@@ -1213,21 +1191,11 @@ class Connection:
         server = self.server
         optimizer = server.make_optimizer()
         result = optimizer.optimize_select(block)
-        task = server.memory_governor.begin_task()
-        ctx = ExecutionContext(
-            server.pool, server.temp_file, server.stats, server.clock, task,
-            params, feedback_enabled=server.config.feedback_enabled,
-            metrics=server.metrics, fault_plan=server.fault_plan,
-            yield_hook=server.spill_yield_point,
-        )
-        executor = Executor(
-            plan_block_fn=lambda b: optimizer.optimize_select(b),
-            bind_recursive_arm_fn=binder.bind_recursive_arm,
-        )
+        ctx, executor = server.open_execution(optimizer, binder, params)
         try:
             return list(executor.run(result, ctx))
         finally:
-            server.memory_governor.end_task(task)
+            server.close_execution(ctx)
 
     # -- DDL ------------------------------------------------------------------ #
 
@@ -1480,46 +1448,12 @@ class Connection:
         txn_log = server.txn_log
         txn_id = self._txn_id
         for record in txn_log.undo_chain(txn_id):
-            table = server.catalog.table(record.table)
-            if record.kind == LOG_INSERT:
-                row = table.storage.delete(record.row_id)
-                server._index_delete(table, row, record.row_id)
-                server.stats.note_delete(table.name, row)
-                table.storage.stamp_page(
-                    record.row_id.page_ordinal, txn_log.peek_next_lsn()
-                )
-                txn_log.log_change(
-                    txn_id, LOG_DELETE, table.name, record.row_id, before=row
-                )
-            elif record.kind == LOG_DELETE:
-                restored = record.before
-                new_row_id = table.storage.insert(restored)
-                # The restored row lands in a fresh slot with no chain:
-                # without a pending entry a snapshot reader would see it
-                # *and* the before-image at the old slot — double-read.
-                server.versions.note_write(
-                    table.storage, new_row_id, None, txn_id
-                )
-                server._index_insert(table, restored, new_row_id)
-                server.stats.note_insert(table.name, restored)
-                table.storage.stamp_page(
-                    new_row_id.page_ordinal, txn_log.peek_next_lsn()
-                )
-                txn_log.log_change(
-                    txn_id, LOG_INSERT, table.name, new_row_id, after=restored
-                )
-            elif record.kind == LOG_UPDATE:
-                table.storage.update(record.row_id, record.before)
-                server._index_delete(table, record.after, record.row_id)
-                server._index_insert(table, record.before, record.row_id)
-                server.stats.note_update(table.name, record.after, record.before)
-                table.storage.stamp_page(
-                    record.row_id.page_ordinal, txn_log.peek_next_lsn()
-                )
-                txn_log.log_change(
-                    txn_id, LOG_UPDATE, table.name, record.row_id,
-                    before=record.after, after=record.before,
-                )
+            # The inverse of a change is the change with its images
+            # swapped (an undone DELETE re-inserts into a fresh slot).
+            server.apply_change(
+                txn_id, server.catalog.table(record.table), record.row_id,
+                record.after, record.before, UNDO,
+            )
         txn_log.rollback(txn_id)
         # Undo restored the committed heap images, so the before-image
         # chains must forget this transaction before its locks go.
@@ -1527,11 +1461,30 @@ class Connection:
         server.lock_manager.release_all(txn_id)
         self._txn_id = None
 
-    def _ensure_txn(self):
-        """(txn_id, implicit?) — autocommit wraps DML in its own txn."""
+    @contextlib.contextmanager
+    def _autocommit(self):
+        """The transaction id a DML statement writes under.
+
+        Inside an explicit transaction that is the open one and the
+        statement's fate is the caller's; otherwise the statement is its
+        own transaction — rolled back if it fails, committed if not.
+        """
         if self._txn_id is not None:
-            return self._txn_id, False
-        return self.begin(), True
+            yield self._txn_id
+            return
+        txn_id = self.begin()
+        try:
+            yield txn_id
+        except Exception:
+            self.rollback()
+            raise
+        try:
+            self.commit()
+        except FaultError:
+            # The commit force died: the transaction is still active in
+            # the log, so autocommit semantics demand it unwind.
+            self.rollback()
+            raise
 
 
 def _procedure_body_sql(create_sql):

@@ -163,7 +163,7 @@ class SyncSession:
                     direction,
                 )
                 return
-            self._do_insert(target, table, record.after, txn_id)
+            target.apply_change(txn_id, table, None, None, record.after)
         elif record.kind == LOG_UPDATE:
             pk = pk_of(record.after)
             existing = _find_by_pk(target, table, pk_of(record.before))
@@ -175,7 +175,9 @@ class SyncSession:
                 if resolution == ConflictPolicy.REMOTE_WINS and (
                     direction == "upload"
                 ):
-                    self._do_insert(target, table, record.after, txn_id)
+                    target.apply_change(
+                        txn_id, table, None, None, record.after
+                    )
                 return
             row_id, current = existing
             if direction == "upload" and tuple(current) != tuple(record.before):
@@ -185,13 +187,12 @@ class SyncSession:
                     direction,
                 )
                 return
-            self._do_update(target, table, row_id, current, record.after, txn_id)
+            self._do_write(target, table, row_id, record.after, txn_id)
         elif record.kind == LOG_DELETE:
             existing = _find_by_pk(target, table, pk_of(record.before))
             if existing is None:
                 return  # deleted on both sides: nothing to do
-            row_id, current = existing
-            self._do_delete(target, table, row_id, current, txn_id)
+            self._do_write(target, table, existing[0], None, txn_id)
 
     def _resolve_update(self, record, target, table, pk, existing, txn_id,
                         stats, direction):
@@ -205,9 +206,7 @@ class SyncSession:
             else resolution == ConflictPolicy.CONSOLIDATED_WINS
         )
         if remote_change_applies:
-            self._do_update(
-                target, table, row_id, current, record.after, txn_id
-            )
+            self._do_write(target, table, row_id, record.after, txn_id)
 
     def _record_conflict(self, table_name, pk, remote_row, consolidated_row,
                          stats):
@@ -235,57 +234,15 @@ class SyncSession:
         run_sync.__name__ = "sync.synchronize"
         return run_sync
 
-    # -- primitive writes (locked and logged on the target) ---------------- #
+    # -- writes on the target ---------------------------------------------- #
 
-    def _do_insert(self, target, table, row, txn_id):
-        row_id = table.storage.insert(row)
-        try:
-            target.lock_manager.acquire(txn_id, table.name, row_id)
-        except Exception:
-            # Nothing is logged yet: compensate the heap insert physically.
-            table.storage.delete(row_id)
-            raise
-        target.versions.note_write(table.storage, row_id, None, txn_id)
-        target._index_insert(table, row, row_id)
-        target.stats.note_insert(table.name, row)
-        table.storage.stamp_page(
-            row_id.page_ordinal, target.txn_log.peek_next_lsn()
-        )
-        target.txn_log.log_change(
-            txn_id, LOG_INSERT, table.name, row_id, after=tuple(row)
-        )
-
-    def _do_update(self, target, table, row_id, old_row, new_row, txn_id):
+    def _do_write(self, target, table, row_id, new_row, txn_id):
+        """Overwrite the row at ``row_id`` (``new_row=None`` deletes it)."""
         target.lock_manager.acquire(txn_id, table.name, row_id)
         # The acquire may have parked this session: the row may have
         # changed (or vanished) while it waited, so re-read under the lock.
         old_row = table.storage.get(row_id)
-        target.versions.note_write(table.storage, row_id, old_row, txn_id)
-        table.storage.update(row_id, new_row)
-        target._index_delete(table, old_row, row_id)
-        target._index_insert(table, new_row, row_id)
-        target.stats.note_update(table.name, old_row, new_row)
-        table.storage.stamp_page(
-            row_id.page_ordinal, target.txn_log.peek_next_lsn()
-        )
-        target.txn_log.log_change(
-            txn_id, LOG_UPDATE, table.name, row_id,
-            before=tuple(old_row), after=tuple(new_row),
-        )
-
-    def _do_delete(self, target, table, row_id, old_row, txn_id):
-        target.lock_manager.acquire(txn_id, table.name, row_id)
-        old_row = table.storage.get(row_id)
-        target.versions.note_write(table.storage, row_id, old_row, txn_id)
-        table.storage.delete(row_id)
-        target._index_delete(table, old_row, row_id)
-        target.stats.note_delete(table.name, old_row)
-        table.storage.stamp_page(
-            row_id.page_ordinal, target.txn_log.peek_next_lsn()
-        )
-        target.txn_log.log_change(
-            txn_id, LOG_DELETE, table.name, row_id, before=tuple(old_row)
-        )
+        target.apply_change(txn_id, table, row_id, old_row, new_row)
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Server, ServerConfig
 from repro.common.errors import ExecutionError, ReproError
+from tests.conftest import assert_indexes_match_heap
 
 
 @pytest.fixture
@@ -316,6 +317,32 @@ class TestDml:
         with pytest.raises(ExecutionError):
             conn.execute("INSERT INTO emp VALUES (1, 'dup', 1, 1.0, NULL)")
 
+    @pytest.mark.parametrize("explicit_txn", [False, True])
+    def test_failed_key_changing_update_leaves_no_trace(
+        self, conn, explicit_txn
+    ):
+        """The uniqueness check runs before any mutation: nothing is
+        logged for a rejected row, so nothing could undo it afterwards."""
+        server = conn.server
+        before = rows(conn.execute("SELECT * FROM emp"))
+        if explicit_txn:
+            conn.execute("BEGIN")
+        with pytest.raises(ExecutionError):
+            conn.execute("UPDATE emp SET id = 2 WHERE id = 1")
+        if explicit_txn:
+            conn.execute("COMMIT")
+
+        def check():
+            assert rows(conn.execute("SELECT * FROM emp")) == before
+            by_old = conn.execute("SELECT name FROM emp WHERE id = 1")
+            by_new = conn.execute("SELECT name FROM emp WHERE id = 2")
+            assert (by_old.rows, by_new.rows) == ([("ann",)], [("bob",)])
+            assert_indexes_match_heap(server)
+
+        check()
+        server.simulate_crash_and_recover()
+        check()
+
     def test_not_null_violation(self, conn):
         with pytest.raises(ReproError):
             conn.execute("INSERT INTO dept VALUES (NULL, 'x', 0.0)")
@@ -358,6 +385,7 @@ class TestTransactions:
         conn.execute("ROLLBACK")
         result = conn.execute("SELECT name FROM emp WHERE id = 1")
         assert result.rows == [("ann",)]
+        assert_indexes_match_heap(conn.server)
 
 
 class TestProcedures:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Server, ServerConfig
+from tests.conftest import assert_indexes_match_heap
 
 
 @pytest.fixture
@@ -58,10 +59,12 @@ class TestRestart:
         conn.execute("DELETE FROM t WHERE id = 2")
         conn.execute("ROLLBACK")
         conn.execute("INSERT INTO t VALUES (3, 'c')")
+        assert_indexes_match_heap(server)
         server.txn_log.force()
         server.crash()
         server.restart()
         assert _rows(conn) == [(1, "a"), (2, "b"), (3, "c")]
+        assert_indexes_match_heap(server)
 
     def test_indexes_rebuilt_and_consistent(self, server, conn):
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")

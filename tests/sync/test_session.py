@@ -4,8 +4,9 @@ databases (the disconnected-operation scenario of the paper's intro)."""
 import pytest
 
 from repro import Server, ServerConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ExecutionError, ReproError
 from repro.sync import ConflictPolicy, SyncSession
+from tests.conftest import assert_indexes_match_heap
 
 DDL = "CREATE TABLE orders (id INT PRIMARY KEY, status VARCHAR(10), qty INT)"
 
@@ -192,3 +193,21 @@ class TestValidation:
         consolidated_server = consolidated.server
         consolidated_server.simulate_crash_and_recover()
         assert rows_of(consolidated) == [(1, "x", 1)]
+        assert_indexes_match_heap(consolidated_server)
+
+    def test_rejected_upload_leaves_target_unchanged(self):
+        """An upload that violates a secondary unique index fails before
+        any mutation: no unlogged row may sit in the consolidated heap
+        until the next restart drops it."""
+        remote, consolidated, session = make_pair()
+        for conn in (remote, consolidated):
+            conn.execute("CREATE UNIQUE INDEX orders_qty ON orders (qty)")
+        consolidated.execute("INSERT INTO orders VALUES (1, 'hq', 7)")
+        remote.execute("INSERT INTO orders VALUES (2, 'field', 7)")
+        with pytest.raises(ExecutionError):
+            session.synchronize()
+        assert rows_of(consolidated) == [(1, "hq", 7)]
+        assert_indexes_match_heap(consolidated.server)
+        consolidated.server.simulate_crash_and_recover()
+        assert rows_of(consolidated) == [(1, "hq", 7)]
+        assert_indexes_match_heap(consolidated.server)
