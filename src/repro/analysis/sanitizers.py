@@ -5,7 +5,8 @@ show; these sanitizers check the invariants only execution can reach:
 
 * **pin leaks** — :class:`SanitizedBufferPool` records the call site of
   every pin and the server asserts zero pinned frames at each statement
-  boundary, reporting where the leaked pins were taken;
+  boundary, reporting where the leaked pins were taken; the same
+  boundary recounts the pool's per-file resident-frame counters;
 * **governor accounting** — :class:`SanitizedTask` cross-checks
   ``used_pages`` against the registered consumers' ``memory_pages`` after
   every allocate/release, and :class:`SanitizedMemoryGovernor` asserts a
@@ -13,7 +14,9 @@ show; these sanitizers check the invariants only execution can reach:
 * **one clock** — :class:`SanitizedSimClock` asserts monotonicity;
 * **replacement sanity** — :class:`SanitizedGClockPolicy` asserts hand
   validity on every sweep (the exact invariant whose violation caused the
-  PR 1 hand-drift bug).
+  PR 1 hand-drift bug) and that its reference order still is
+  ``last_ref_tick`` order — on sweeps, removals and statement
+  boundaries, never on a hit, so sanitized lanes keep the O(1) hit path.
 
 Enable them with ``Server(sanitize=True)``, the ``REPRO_SANITIZE``
 environment variable, or :func:`set_sanitizers_enabled` (the pytest
@@ -22,6 +25,7 @@ They are assertions, not recovery: a failure raises
 :class:`SanitizerError` at the first observation of a broken invariant.
 """
 
+import collections
 import os
 import sys
 
@@ -54,7 +58,12 @@ class ClockError(SanitizerError):
 
 
 class ReplacementError(SanitizerError):
-    """The GClock hand or victim left its valid range."""
+    """The GClock hand or victim left its valid range, or its reference
+    order stopped being ``last_ref_tick`` order."""
+
+
+class ResidentCountError(SanitizerError):
+    """The pool's per-file resident counts disagree with a recount."""
 
 
 class GovernorDriftError(SanitizerError):
@@ -175,7 +184,28 @@ class SanitizedBufferPool(BufferPool):
                 origins[key] = list(self._pin_sites.get(key, []))
         return origins
 
+    def assert_bookkeeping(self, context="statement end"):
+        """The incrementally maintained state equals a recount: per-file
+        resident counts here, reference order in the policy."""
+        recount = collections.Counter(
+            frame.owner for frame in self._frames.values()
+            if frame.owner is not None
+        )
+        if dict(recount) != self._resident:
+            raise ResidentCountError(
+                "resident counts drifted at %s: counted %r, maintained %r"
+                % (
+                    context,
+                    {f.name: n for f, n in recount.items()},
+                    {f.name: n for f, n in self._resident.items()},
+                )
+            )
+        check = getattr(self.policy, "check_reference_order", None)
+        if check is not None:
+            check(context)
+
     def assert_no_pins(self, context="statement end"):
+        self.assert_bookkeeping(context)
         pinned = [f for f in self._frames.values() if f.pinned]
         if not pinned:
             return
@@ -348,7 +378,36 @@ class SanitizedGClockPolicy(GClockPolicy):
     The PR 1 hand-drift bug (`on_remove` forgetting to shift the hand)
     produced exactly the states these checks reject: a hand past the end
     of the ring, or a victim that is pinned or no longer resident.
+
+    ``_segment_of`` reads the oldest reference tick off the head of the
+    reference order instead of scanning the ring; :meth:`check_reference_order`
+    recounts that on every sweep, removal and statement boundary.
+    ``on_reference`` is deliberately not overridden: a hit costs the same
+    with sanitizers on.
     """
+
+    def check_reference_order(self, event):
+        order = list(self._by_reference)
+        if len(order) != len(self._ring) or set(order) != set(self._ring):
+            raise ReplacementError(
+                "GClock ring (%d frames) and reference order (%d frames) "
+                "hold different frames after %s"
+                % (len(self._ring), len(order), event)
+            )
+        if not order:
+            return
+        ticks = [frame.last_ref_tick for frame in order]
+        if ticks[0] != min(ticks):
+            raise ReplacementError(
+                "GClock reference-order head has tick %d but the oldest "
+                "frame in the ring has %d after %s (a reference skipped "
+                "move_to_end?)" % (ticks[0], min(ticks), event)
+            )
+        if ticks != sorted(ticks):
+            raise ReplacementError(
+                "GClock reference order is not last_ref_tick order after "
+                "%s: the policy was handed a decreasing tick" % (event,)
+            )
 
     def _check_hand(self, event):
         if not (0 <= self._hand <= len(self._ring)):
@@ -368,9 +427,11 @@ class SanitizedGClockPolicy(GClockPolicy):
             raise ReplacementError(
                 "removed frame %r still in the GClock ring" % (frame,)
             )
+        self.check_reference_order("on_remove")
 
     def choose_victim(self, frames, tick):
         self._check_hand("sweep start")
+        self.check_reference_order("sweep start")
         victim = super().choose_victim(frames, tick)
         self._check_hand("sweep end")
         if victim.pinned:

@@ -27,6 +27,10 @@ class BufferPool:
         self.capacity_pages = int(capacity_pages)
         self.policy = policy if policy is not None else GClockPolicy()
         self._frames = {}  # key -> Frame
+        #: Resident disk-backed frames per file, kept in step with
+        #: ``_frames`` by ``_add_frame`` / ``_drop_frame``: the paper's
+        #: "maintained in real time" statistic behind ``resident_fraction``.
+        self._resident = {}  # PagedFile -> frame count
         self._tick = 0
         #: Dirty-page table (ARIES): key -> recLSN, the end-of-log LSN at
         #: the moment a clean disk-backed frame first went dirty.  Its
@@ -112,12 +116,7 @@ class BufferPool:
         buffer pool ... maintained in real time", Section 3.2)."""
         if file.page_count == 0:
             return 0.0
-        resident = sum(
-            1
-            for frame in self._frames.values()
-            if frame.owner is file
-        )
-        return min(1.0, resident / file.page_count)
+        return min(1.0, self._resident.get(file, 0) / file.page_count)
 
     def mark(self):
         """Snapshot of the miss counter, for the governor's polling."""
@@ -157,8 +156,7 @@ class BufferPool:
         frame = Frame(kind, owner=file, page_no=page_no)
         frame.payload = file.read(page_no)
         frame.pin_count = 1
-        self._frames[key] = frame
-        self.policy.on_insert(frame, self._tick)
+        self._add_frame(frame)
         return frame
 
     def new_page(self, file, kind=PageKind.TABLE, payload=None):
@@ -174,8 +172,7 @@ class BufferPool:
         frame.pin_count = 1
         frame.dirty = True
         self._note_dirty(frame)
-        self._frames[frame.key] = frame
-        self.policy.on_insert(frame, self._tick)
+        self._add_frame(frame)
         return frame
 
     @contextlib.contextmanager
@@ -240,9 +237,8 @@ class BufferPool:
         """Drop every frame of ``file`` without writing back (file dropped)."""
         for key, frame in list(self._frames.items()):
             if frame.owner is file:
-                self.policy.on_remove(frame)
                 self._dirty_rec_lsn.pop(key, None)
-                del self._frames[key]
+                self._drop_frame(frame)
 
     def drop_all(self):
         """Lose every frame without writeback — a process crash.
@@ -251,8 +247,7 @@ class BufferPool:
         restart recovery rebuilds the rest from the log.
         """
         for frame in list(self._frames.values()):
-            self.policy.on_remove(frame)
-        self._frames.clear()
+            self._drop_frame(frame)
         self._dirty_rec_lsn.clear()
 
     # ------------------------------------------------------------------ #
@@ -266,15 +261,13 @@ class BufferPool:
         frame = Frame(PageKind.HEAP, heap_ref=heap_ref, payload=payload)
         frame.pin_count = 1
         frame.dirty = True
-        self._frames[frame.key] = frame
-        self.policy.on_insert(frame, self._tick)
+        self._add_frame(frame)
         return frame
 
     def release_frame(self, frame):
         """Return a heap/temp frame to the pool permanently (heap freed)."""
         if frame.key in self._frames:
-            self.policy.on_remove(frame)
-            del self._frames[frame.key]
+            self._drop_frame(frame)
 
     def repin(self, frame):
         """Pin an already-resident frame (heap re-lock fast path)."""
@@ -308,6 +301,27 @@ class BufferPool:
     # internals
     # ------------------------------------------------------------------ #
 
+    def _add_frame(self, frame):
+        """Enter a new frame into the frame table, its file's resident
+        count and the replacement policy."""
+        self._frames[frame.key] = frame
+        if frame.owner is not None:
+            self._resident[frame.owner] = (
+                self._resident.get(frame.owner, 0) + 1
+            )
+        self.policy.on_insert(frame, self._tick)
+
+    def _drop_frame(self, frame):
+        """The inverse of :meth:`_add_frame` (no writeback, no spill)."""
+        self.policy.on_remove(frame)
+        del self._frames[frame.key]
+        if frame.owner is not None:
+            left = self._resident[frame.owner] - 1
+            if left:
+                self._resident[frame.owner] = left
+            else:
+                del self._resident[frame.owner]
+
     def _make_room(self, needed):
         while len(self._frames) + needed > self.capacity_pages:
             victim = self.policy.choose_victim(set(self._frames.values()), self._tick)
@@ -326,8 +340,7 @@ class BufferPool:
             # An unlocked heap page is stolen: swap it to the temporary
             # file so the heap can swizzle it back in on re-lock.
             self._spill_heap_frame(frame)
-        self.policy.on_remove(frame)
-        del self._frames[frame.key]
+        self._drop_frame(frame)
 
     def _spill_heap_frame(self, frame):
         heap, slot = frame.heap_ref
@@ -347,6 +360,5 @@ class BufferPool:
         frame = Frame(PageKind.HEAP, heap_ref=heap_ref, payload=payload)
         frame.pin_count = 1
         frame.dirty = True
-        self._frames[frame.key] = frame
-        self.policy.on_insert(frame, self._tick)
+        self._add_frame(frame)
         return frame

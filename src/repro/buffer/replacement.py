@@ -63,6 +63,10 @@ class GClockPolicy(ReplacementPolicy):
     def __init__(self):
         self._ring = []  # frames in insertion order; hand cycles this list
         self._hand = 0
+        #: The same frames in reference order, oldest first.  The pool's
+        #: ticks never decrease, so reference order is ``last_ref_tick``
+        #: order and the first entry carries the ring's minimum.
+        self._by_reference = collections.OrderedDict()
         self._lookaside = collections.deque()
 
     # -- lifecycle ------------------------------------------------------- #
@@ -72,6 +76,7 @@ class GClockPolicy(ReplacementPolicy):
         frame.last_ref_tick = tick
         frame.insert_tick = tick
         self._ring.append(frame)
+        self._by_reference[frame] = None
 
     def on_reference(self, frame, tick):
         # A re-reference bumps the score only if the page has aged out of
@@ -81,6 +86,7 @@ class GClockPolicy(ReplacementPolicy):
         if self._segment_of(frame, tick) > 0:
             frame.score = min(MAX_SCORE, frame.score + 1.0)
         frame.last_ref_tick = tick
+        self._by_reference.move_to_end(frame)
 
     def on_remove(self, frame):
         try:
@@ -88,6 +94,7 @@ class GClockPolicy(ReplacementPolicy):
         except ValueError:
             return
         del self._ring[index]
+        del self._by_reference[frame]
         # Removing a frame below the hand shifts the ring left under it;
         # follow the shift or the hand silently skips the next frame.
         if index < self._hand:
@@ -141,7 +148,7 @@ class GClockPolicy(ReplacementPolicy):
         """
         if not self._ring:
             return 0
-        oldest = min(f.last_ref_tick for f in self._ring)
+        oldest = next(iter(self._by_reference)).last_ref_tick
         span = max(1, tick - oldest)
         age = tick - frame.last_ref_tick
         return min(SEGMENTS - 1, (age * SEGMENTS) // span)

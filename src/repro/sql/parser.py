@@ -26,7 +26,13 @@ class _Parser:
     # ------------------------------------------------------------------ #
 
     def _peek(self, offset=0):
-        return self._tokens[min(self._index + offset, len(self._tokens) - 1)]
+        # The list ends in EOF and _advance never steps past it, so only
+        # a positive look-ahead can run off the end.
+        if offset:
+            return self._tokens[
+                min(self._index + offset, len(self._tokens) - 1)
+            ]
+        return self._tokens[self._index]
 
     def _advance(self):
         token = self._tokens[self._index]

@@ -174,7 +174,11 @@ class ColumnHistogram:
         return max(0.0, self.table_total_hint - self.known_count())
 
     def total_count(self):
-        return self.known_count() + self.unseen_count()
+        # known_count() is two passes over the histogram: take it once
+        # (same operands and order as known_count() + unseen_count()).
+        known = self.known_count()
+        hint = self.table_total_hint
+        return known + (0.0 if hint is None else max(0.0, hint - known))
 
     def note_table_total(self, n_rows):
         """Record the table's current row count (from the manager)."""

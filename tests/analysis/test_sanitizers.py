@@ -11,6 +11,7 @@ from repro.analysis.sanitizers import (
     QuotaAccountingError,
     RecoveryIdempotenceError,
     ReplacementError,
+    ResidentCountError,
     SanitizedBufferGovernor,
     SanitizedBufferPool,
     SanitizedGClockPolicy,
@@ -19,6 +20,7 @@ from repro.analysis.sanitizers import (
 )
 from repro.buffer import BufferPool, GovernorConfig
 from repro.buffer.frames import Frame, PageKind
+from repro.buffer.replacement import GClockPolicy
 from repro.common import MiB, SimClock
 from repro.common.errors import MemoryQuotaExceededError
 from repro.exec.spill import WorkMemory
@@ -257,6 +259,83 @@ class TestGClockSanitizer:
     def test_server_uses_sanitized_policy(self):
         server = make_server()
         assert isinstance(server.pool.policy, SanitizedGClockPolicy)
+
+    def test_skipped_move_to_end_detected(self):
+        """Plant the bug the reference order invites: a reference that
+        stamps the tick but leaves the frame where it was, so the head no
+        longer carries the ring's oldest tick."""
+
+        class Forgetful(SanitizedGClockPolicy):
+            def on_reference(self, frame, tick):
+                frame.last_ref_tick = tick  # no move_to_end
+
+        policy = Forgetful()
+        frames = self._frames(3)
+        for tick, frame in enumerate(frames):
+            policy.on_insert(frame, tick)
+        policy.on_reference(frames[0], 10)
+        with pytest.raises(ReplacementError) as excinfo:
+            policy.choose_victim(set(frames), 11)
+        assert "reference-order head has tick 10" in str(excinfo.value)
+        with pytest.raises(ReplacementError):
+            policy.on_remove(frames[2])
+
+    def test_decreasing_tick_detected(self):
+        policy = SanitizedGClockPolicy()
+        frames = self._frames(3)
+        for tick, frame in enumerate(frames):
+            policy.on_insert(frame, 10 * (tick + 1))
+        policy.on_reference(frames[1], 15)  # after tick 30: time ran back
+        with pytest.raises(ReplacementError) as excinfo:
+            policy.check_reference_order("statement end")
+        assert "decreasing tick" in str(excinfo.value)
+
+    def test_ring_and_reference_order_must_hold_the_same_frames(self):
+        policy = SanitizedGClockPolicy()
+        frames = self._frames(2)
+        for tick, frame in enumerate(frames):
+            policy.on_insert(frame, tick)
+        del policy._by_reference[frames[0]]
+        with pytest.raises(ReplacementError) as excinfo:
+            policy.choose_victim(set(frames), 2)
+        assert "hold different frames" in str(excinfo.value)
+
+    def test_hits_are_not_intercepted(self):
+        """The checks run on sweeps, removals and statement boundaries; a
+        hit costs the same with sanitizers on."""
+        assert (
+            SanitizedGClockPolicy.on_reference is GClockPolicy.on_reference
+        )
+
+
+class TestResidentCountSanitizer:
+    def test_drift_detected_at_the_statement_boundary(self):
+        server = make_server()
+        conn = server.connect()
+        conn.execute("CREATE TABLE t (a INT PRIMARY KEY)")
+        conn.execute("INSERT INTO t VALUES (1), (2)")
+        table_file = server.catalog.table("t").storage.file
+        server.pool._resident[table_file] += 1  # a drop that forgot to count
+        with pytest.raises(ResidentCountError) as excinfo:
+            conn.execute("SELECT a FROM t")
+        assert "resident counts drifted at statement end" in str(
+            excinfo.value
+        )
+
+    def test_statement_boundary_also_checks_the_policy(self):
+        server = make_server()
+        conn = server.connect()
+        conn.execute("CREATE TABLE t (a INT PRIMARY KEY)")
+        conn.execute("CREATE TABLE u (a INT PRIMARY KEY)")
+        conn.execute("INSERT INTO t VALUES (1)")
+        conn.execute("INSERT INTO u VALUES (1)")
+        u_file = server.catalog.table("u").storage.file
+        stale = next(
+            f for f in server.pool._frames.values() if f.owner is u_file
+        )
+        stale.last_ref_tick = 10**9  # a tick the order does not reflect
+        with pytest.raises(ReplacementError):
+            conn.execute("SELECT a FROM t")  # never touches u's frames
 
 
 def make_sanitized_buffer_governor():

@@ -1,5 +1,7 @@
 """Unit tests for the buffer pool."""
 
+import sys
+
 import pytest
 
 from repro.buffer import BufferPool, PageKind
@@ -133,6 +135,51 @@ def test_resident_fraction(env):
     assert pool.resident_fraction(dbfile) == pytest.approx(1.0)
     fill_file(dbfile, pool, 12)  # 16 total pages, at most 8 resident
     assert pool.resident_fraction(dbfile) <= 0.5 + 1e-9
+
+
+def _count_calls(fn):
+    """Python and builtin calls made by ``fn()`` — a cost measure that
+    reads no clock (a generator counts once per item it yields)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_hit_and_resident_fraction_cost_is_independent_of_pool_size():
+    """The hit path and the cost model's residency lookup are O(1): the
+    same number of calls in a 16-frame and a 2,048-frame pool, both fully
+    resident.  A scan of the ring or the frame table on either path — the
+    ``min(f.last_ref_tick for f in ring)`` this replaced — fails here."""
+    costs = {}
+    for n_pages in (16, 2048):
+        volume = Volume(FlashDisk(SimClock(), 50_000))
+        dbfile = volume.create_file("main.db")
+        pool = BufferPool(volume.create_file("temp"), capacity_pages=n_pages)
+        # The oldest page sits in the last segment at either size, so both
+        # hits take the same branch through the policy.
+        oldest = fill_file(dbfile, pool, n_pages)[0]
+        assert pool.used_pages == n_pages and pool.misses == 0
+
+        def hit():
+            pool.unpin(pool.fetch(dbfile, oldest))
+
+        costs[n_pages] = (
+            _count_calls(hit),
+            _count_calls(lambda: pool.resident_fraction(dbfile)),
+        )
+        assert pool.hits == 1 and pool.resident_fraction(dbfile) == 1.0
+    assert costs[16] == costs[2048]
 
 
 def test_miss_accounting(env):

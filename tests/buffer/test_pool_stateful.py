@@ -7,7 +7,9 @@ the pool's core invariants after every step:
 * resident frames never exceed capacity;
 * pinned frames are never evicted;
 * page contents always round-trip (through eviction, write-back, and heap
-  spilling alike).
+  spilling alike);
+* ``resident_fraction`` (an incrementally maintained per-file count)
+  equals a recount of the frame table.
 """
 
 from hypothesis import settings
@@ -32,6 +34,7 @@ class PoolMachine(RuleBasedStateMachine):
         self.volume = Volume(FlashDisk(clock, 200_000))
         self.dbfile = self.volume.create_file("data")
         temp = self.volume.create_file("temp")
+        self.scratch = self.volume.create_file("scratch")
         self.pool = BufferPool(temp, capacity_pages=12)
         self.contents = {}   # page_no -> expected payload
         self.pinned = {}     # page_no -> frame (currently pinned by us)
@@ -89,6 +92,18 @@ class PoolMachine(RuleBasedStateMachine):
             self.pool.unpin(frame)
         self.pinned = {}
 
+    # -- a second file that gets dropped ------------------------------------ #
+
+    @rule()
+    def new_scratch_page(self):
+        if self._headroom() < 2:
+            return
+        self.pool.unpin(self.pool.new_page(self.scratch, PageKind.INDEX))
+
+    @rule()
+    def drop_scratch_frames(self):
+        self.pool.discard(self.scratch)
+
     # -- heaps --------------------------------------------------------------- #
 
     @rule(n_pages=st.integers(min_value=1, max_value=3))
@@ -138,6 +153,19 @@ class PoolMachine(RuleBasedStateMachine):
         for page, frame in self.pinned.items():
             assert self.pool.resident(self.dbfile, page)
             assert frame.pin_count >= 1
+
+    @invariant()
+    def resident_fraction_is_a_recount(self):
+        for file in (self.dbfile, self.scratch, self.pool.temp_file):
+            resident = sum(
+                1 for frame in self.pool._frames.values()
+                if frame.owner is file
+            )
+            expected = (
+                min(1.0, resident / file.page_count) if file.page_count
+                else 0.0
+            )
+            assert self.pool.resident_fraction(file) == expected
 
     def teardown(self):
         for frame in self.pinned.values():

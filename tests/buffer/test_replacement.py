@@ -1,9 +1,12 @@
 """Unit tests for page replacement policies."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.buffer import FIFOPolicy, GClockPolicy, LRUPolicy, PageKind
 from repro.buffer.frames import Frame
+from repro.buffer.replacement import SEGMENTS
 from repro.common.errors import BufferPoolExhaustedError
 
 
@@ -136,6 +139,105 @@ class TestGClock:
         policy.on_reference(frame, 100)
         policy.on_reference(frame, 100)
         assert frame.score == 1.0
+
+
+class ScanningGClockPolicy(GClockPolicy):
+    """The reference: ``_segment_of`` as it was defined before the
+    reference order existed — the oldest tick found by scanning the ring."""
+
+    def _segment_of(self, frame, tick):
+        if not self._ring:
+            return 0
+        oldest = min(f.last_ref_tick for f in self._ring)
+        span = max(1, tick - oldest)
+        age = tick - frame.last_ref_tick
+        return min(SEGMENTS - 1, (age * SEGMENTS) // span)
+
+
+_KINDS = (PageKind.TABLE, PageKind.INDEX, PageKind.HEAP, PageKind.TEMP)
+
+#: One step: (operation, frame picker, tick advance).  The picker indexes
+#: the resident frames modulo their number (few values, so the same frame
+#: is hit again and again); advances mix long gaps with short ones — a
+#: short gap after a long one is what tells segment 0 from the rest — and
+#: may be zero because the policy only needs ticks that never decrease.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "reference", "reference", "reference",
+             "pin", "unpin", "remove", "victim"]
+        ),
+        st.integers(min_value=0, max_value=5),
+        st.sampled_from([0, 1, 1, 2, 3, 50, 400]),
+    ),
+    min_size=20,  # hypothesis averages ~5 elements when min_size is 0
+    max_size=120,
+)
+
+
+class TestGClockReferenceOrderIsExact:
+    """Differential test: the O(1) oldest-tick lookup and the ring scan it
+    replaced give the same score after every step and the same victims."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS)
+    @example(steps=[
+        # Re-referencing the oldest frame moves the minimum: a policy that
+        # kept the head where it was would see segment 7 on the last step.
+        ("insert", 0, 0), ("insert", 0, 0),
+        ("reference", 0, 50), ("reference", 0, 1),
+    ])
+    def test_same_scores_and_victims_as_the_ring_scan(self, steps):
+        fast, scan = GClockPolicy(), ScanningGClockPolicy()
+        resident = []  # [(frame under fast, frame under scan)]
+        tick = 0
+        for n, (op, pick, advance) in enumerate(steps):
+            tick += advance
+            if op == "insert" or not resident:
+                pair = tuple(
+                    make_frame(_KINDS[pick % len(_KINDS)], key=n)
+                    for __ in range(2)
+                )
+                resident.append(pair)
+                fast.on_insert(pair[0], tick)
+                scan.on_insert(pair[1], tick)
+                continue
+            pair = resident[pick % len(resident)]
+            if op == "reference":
+                fast.on_reference(pair[0], tick)
+                scan.on_reference(pair[1], tick)
+            elif op == "pin":
+                for frame in pair:
+                    frame.pin_count += 1
+            elif op == "unpin":
+                for frame, policy in zip(pair, (fast, scan)):
+                    frame.pin_count = max(0, frame.pin_count - 1)
+                    policy.note_reusable(frame)
+            elif op == "remove":
+                resident.remove(pair)
+                fast.on_remove(pair[0])
+                scan.on_remove(pair[1])
+            else:
+                outcomes = []
+                for side, policy in enumerate((fast, scan)):
+                    try:
+                        victim = policy.choose_victim(
+                            {p[side] for p in resident}, tick
+                        )
+                    except BufferPoolExhaustedError:
+                        outcomes.append(None)
+                    else:
+                        outcomes.append(victim.key)
+                        policy.on_remove(victim)
+                assert outcomes[0] == outcomes[1]
+                resident = [p for p in resident if p[0].key != outcomes[0]]
+            assert [p[0].score for p in resident] == [
+                p[1].score for p in resident
+            ]
+            assert [p[0].last_ref_tick for p in resident] == [
+                p[1].last_ref_tick for p in resident
+            ]
+            assert fast._hand == scan._hand
 
 
 class TestLRU:
