@@ -20,6 +20,8 @@ from repro.recovery.harness import (
     CrashReport,
     GroupCommitCrashHarness,
     VerificationError,
+    check_indexes_match_heap,
+    state_fingerprint,
 )
 from repro.recovery.restart import RecoveryManager, RecoveryReport
 
@@ -35,4 +37,6 @@ __all__ = [
     "RecoveryManager",
     "RecoveryReport",
     "VerificationError",
+    "check_indexes_match_heap",
+    "state_fingerprint",
 ]

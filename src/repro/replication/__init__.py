@@ -16,10 +16,10 @@ case.
 
 from repro.replication.cluster import ReplicatedCluster, ReplicationConfig
 from repro.replication.failover import FailoverController
+from repro.recovery.harness import state_fingerprint
 from repro.replication.harness import (
     ReplicatedCrashHarness,
     ReplicatedCrashReport,
-    state_fingerprint,
 )
 from repro.replication.network import NetworkLink, SimNetwork
 from repro.replication.replica import Replica, ReplicationProtocolError

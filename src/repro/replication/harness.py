@@ -1,6 +1,8 @@
 """Replicated crash harness: kill the primary, fail over, verify.
 
-This is the replication tier's differential oracle.  One run:
+This is the replication tier's differential oracle — the multi-session
+crash oracle of :class:`~repro.recovery.harness.GroupCommitCrashHarness`
+with a different scenario plugged in.  One run:
 
 1. builds a :class:`~repro.replication.cluster.ReplicatedCluster`,
    applies schema and priming loads everywhere, and checkpoints so the
@@ -14,73 +16,31 @@ This is the replication tier's differential oracle.  One run:
    primary is never restarted; replicas survive it);
 4. optionally tears the mirrored-log tail of a *spare* replica (one that
    will not win the election), modelling a replica that died mid-receive;
-5. fails over and checks three contracts against the promoted node:
-
-   * **zero acknowledged loss** — every transaction the primary's
-     group-commit settled (settling waits on the synchronous-replication
-     ack gate) is in the promoted node's committed set;
-   * **no invented commits** — anything committed beyond the
-     acknowledged set was in the crash-time batch or active at death;
-   * **committed-exactly** — the promoted node's tables equal a fresh
-     single-node server replaying schema + loads + acknowledged
-     statements + exactly some subset of the crash-interrupted ones
-     (the subset-mask idiom of
-     :class:`~repro.recovery.harness.GroupCommitCrashHarness`).
+5. fails over and holds the promoted node to the oracle's contracts:
+   zero acknowledged loss (settling a commit waits on the
+   synchronous-replication ack gate), no invented commits, and
+   committed-exactly against a fresh single-node server replaying schema
+   + loads + acknowledged statements + exactly some subset of the
+   crash-interrupted ones.
 
 Determinism is the caller's half: run the harness twice with one seed
 and compare ``scheduler.trace``, the fault-plan log, and
-:func:`state_fingerprint` of the promoted server byte-for-byte.
+:func:`~repro.recovery.harness.state_fingerprint` of the promoted server
+byte-for-byte.
 """
 
 import dataclasses
 
-from repro.common.errors import SimulatedCrash
 from repro.engine.server import Server
-from repro.recovery.harness import CrashHarness, VerificationError
+from repro.recovery.harness import CrashReport, GroupCommitCrashHarness
 from repro.replication.cluster import ReplicatedCluster, _quiet_plan
 
-
-def state_fingerprint(server):
-    """Canonical text of every table's page images on ``server`` — the
-    physical-determinism surface, byte-comparable across same-seed runs."""
-    parts = []
-    for table in sorted(server.catalog.tables(), key=lambda t: t.name):
-        if table.storage is None:
-            continue
-        images = table.storage.page_images()
-        for ordinal in sorted(images):
-            parts.append("%s:%d %s" % (table.name, ordinal, images[ordinal]))
-    return "\n".join(parts)
+#: The report of a replicated run is the crash report (``promoted_name``,
+#: ``failover_us`` and ``torn_replica`` filled in).
+ReplicatedCrashReport = CrashReport
 
 
-class ReplicatedCrashReport:
-    """Everything one replicated harness run learned."""
-
-    def __init__(self):
-        self.crashed = False
-        self.crash_site = None
-        self.promoted_name = None
-        self.failover_us = None
-        self.recovery = None
-        self.acked_statements = []
-        self.survivors = []
-        self.torn_replica = None
-        self.tables_verified = 0
-        self.rows_verified = 0
-
-    def __repr__(self):
-        return (
-            "ReplicatedCrashReport(crashed=%r, promoted=%r, acked=%d, "
-            "survivors=%d, verified=%d rows)"
-            % (
-                self.crashed, self.promoted_name,
-                len(self.acked_statements), len(self.survivors),
-                self.rows_verified,
-            )
-        )
-
-
-class ReplicatedCrashHarness:
+class ReplicatedCrashHarness(GroupCommitCrashHarness):
     """Crash the primary of a replicated cluster and verify failover.
 
     ``config`` is the primary's :class:`~repro.engine.server.ServerConfig`
@@ -89,19 +49,19 @@ class ReplicatedCrashHarness:
     ``[(name, [sql, ...]), ...]`` run autocommit under the scheduler.
     ``crash_point=None`` skips the kill: the workload completes, the
     primary is simply abandoned, and failover degenerates to
-    archive-and-restore.
+    archive-and-restore.  After :meth:`run`, ``server`` is the promoted
+    node's.
     """
 
     def __init__(self, config, schema, loads, sessions, crash_point=None,
                  seed=0, switch_rate=0.25, tear_spare_tail=False,
                  before_failover=None):
+        super().__init__(
+            self._reference_server, schema, sessions,
+            crash_point=crash_point, seed=seed, switch_rate=switch_rate,
+            loads=loads,
+        )
         self.config = config
-        self.schema = list(schema)
-        self.loads = list(loads)
-        self.sessions = [(name, list(stmts)) for name, stmts in sessions]
-        self.crash_point = crash_point
-        self.seed = seed
-        self.switch_rate = switch_rate
         #: Tear the mirrored-log tail of a replica that will *lose* the
         #: election (a node that died mid-receive must not poison the
         #: promotion of its healthy peer).
@@ -110,102 +70,42 @@ class ReplicatedCrashHarness:
         #: and the election — the partition-during-failover window.
         self.before_failover = before_failover
         self.cluster = None
-        self.scheduler = None
-        self.report = ReplicatedCrashReport()
-        self.acked = {name: [] for name, __ in self.sessions}
-        self.inflight = {name: None for name, __ in self.sessions}
-        self._schema_txns = set()
 
-    # ------------------------------------------------------------------ #
-    # the run
-    # ------------------------------------------------------------------ #
+    def _reference_server(self):
+        """A quiet single-node server with the primary's configuration."""
+        return Server(dataclasses.replace(
+            self.config,
+            replication=None,
+            fault_plan=_quiet_plan(self.seed),
+            start_buffer_governor=False,
+            start_checkpoint_governor=False,
+        ))
 
-    def run(self):
-        from repro.engine.scheduler import WorkloadScheduler
-
-        report = self.report
+    def _build(self):
         cluster = ReplicatedCluster(self.config)
         self.cluster = cluster
-        primary = cluster.primary
         cluster.execute_schema(self.schema)
         for table_name, rows in self.loads:
             cluster.load_table(table_name, rows)
-        primary.checkpoint()
+        cluster.primary.checkpoint()
         cluster.sync()
-        self._schema_txns = set(primary.txn_log.committed_txns())
-        self._arm(primary)
-        scheduler = WorkloadScheduler(
-            primary, seed=self.seed, switch_rate=self.switch_rate
-        )
-        self.scheduler = scheduler
-        for name, statements in self.sessions:
-            scheduler.add_session(name, self._session_source(name, statements))
-        cluster.attach_scheduler(scheduler)
-        try:
-            scheduler.run()
-        except SimulatedCrash as crash:
-            report.crashed = True
-            report.crash_site = str(crash)
-        finally:
-            primary.txn_log.crash_hook = None
-        report.acked_statements = [
-            (sql, None)
-            for name, __ in self.sessions
-            for sql in self.acked[name]
-        ]
-        # Adjudicate at the instant of death, before failover touches
-        # anything: what did the primary settle, and what was in flight?
-        acked_txns = (
-            set(primary.txn_log.committed_txns()) - self._schema_txns
-        )
-        in_batch = {
-            t.txn_id for t in primary.group_commit.pending_tickets()
-        }
-        allowed_extra = in_batch | set(primary.txn_log.active_txns())
+        return cluster.primary
+
+    def _attach(self, scheduler):
+        self.cluster.attach_scheduler(scheduler)
+
+    def _recover(self, primary):
+        """The primary stays dead: promote the best replica."""
+        report = self.report
         if self.tear_spare_tail:
             report.torn_replica = self._tear_spare()
         if self.before_failover is not None:
-            self.before_failover(cluster)
-        promoted = cluster.fail_over()
+            self.before_failover(self.cluster)
+        promoted = self.cluster.fail_over()
         report.promoted_name = promoted.name
-        report.failover_us = cluster.controller.failover_us
-        report.recovery = cluster.controller.recovery
-        self._check_acked(promoted, acked_txns, allowed_extra)
-        self._verify_exactly(promoted)
-        return report
-
-    def _arm(self, primary):
-        if self.crash_point is None:
-            return
-        point = self.crash_point
-        remaining = [point.occurrence]
-
-        def hook(site):
-            if site != point.site:
-                return
-            remaining[0] -= 1
-            if remaining[0] <= 0:
-                raise SimulatedCrash("crash point %s" % (site,))
-
-        primary.txn_log.crash_hook = hook
-
-    def _session_source(self, name, statements):
-        def source(connection):
-            session = next(
-                s for s in self.scheduler.sessions if s.name == name
-            )
-            for sql in statements:
-                self.inflight[name] = sql
-                failed_before = session.statements_failed
-                yield sql
-                # The generator resumes only after ``execute`` returned —
-                # but the scheduler absorbs statement-level fault
-                # casualties, so "resumed" only means "acked" when the
-                # statement did not fail.
-                self.inflight[name] = None
-                if session.statements_failed == failed_before:
-                    self.acked[name].append(sql)
-        return source
+        report.failover_us = self.cluster.controller.failover_us
+        report.recovery = self.cluster.controller.recovery
+        return promoted.server, promoted.committed
 
     def _tear_spare(self):
         """Tear the mirrored tail of a replica the election won't pick."""
@@ -215,117 +115,3 @@ class ReplicatedCrashHarness:
         best = max(replicas, key=lambda r: r.received_lsn)
         spare = next(r for r in replicas if r is not best)
         return spare.name if spare.tear_tail() else None
-
-    # ------------------------------------------------------------------ #
-    # the oracle
-    # ------------------------------------------------------------------ #
-
-    def _check_acked(self, promoted, acked_txns, allowed_extra):
-        """Log-level ack contract against the promoted node."""
-        recovered = set(promoted.committed)
-        lost = acked_txns - recovered
-        if lost:
-            raise VerificationError(
-                "failover lost acknowledged commits: txns %s (promoted %r "
-                "applied to LSN %d)"
-                % (sorted(lost), promoted.name, promoted.applied_lsn)
-            )
-        stray = (recovered - self._schema_txns - acked_txns) - allowed_extra
-        if stray:
-            raise VerificationError(
-                "promoted node committed transactions that were neither "
-                "acknowledged nor in the crash-time batch: %s"
-                % sorted(stray)
-            )
-
-    def _verify_exactly(self, promoted):
-        """Row-level committed-exactly, differentially against a fresh
-        single-node server replaying the acknowledged prefix plus exactly
-        some subset of the crash-interrupted statements."""
-        report = self.report
-        server = promoted.server
-        interrupted = [
-            (name, self.inflight[name])
-            for name, __ in self.sessions
-            if self.inflight[name] is not None
-        ]
-        actual = {
-            table.name: CrashHarness._table_rows(server, table.name)
-            for table in server.catalog.tables()
-        }
-        for mask in range(1 << len(interrupted)):
-            subset = [
-                (sql, None)
-                for bit, (__, sql) in enumerate(interrupted)
-                if mask & (1 << bit)
-            ]
-            if self._reference_matches(subset, actual):
-                report.survivors = [sql for sql, __ in subset]
-                report.tables_verified = len(actual)
-                report.rows_verified = sum(
-                    len(rows) for rows in actual.values()
-                )
-                self._verify_indexes(server)
-                return
-        raise VerificationError(
-            "promoted state matches no subset of the %d interrupted "
-            "statements over the %d acknowledged ones (partial or "
-            "invented effects survived failover)"
-            % (len(interrupted), len(report.acked_statements))
-        )
-
-    def _reference_matches(self, subset, actual):
-        reference = self._reference_server()
-        connection = reference.connect()
-        try:
-            for sql in self.schema:
-                connection.execute(sql)
-            for table_name, rows in self.loads:
-                reference.load_table(table_name, rows)
-            for sql, params in self.report.acked_statements + subset:
-                connection.execute(sql, params=params)
-            for name, rows in actual.items():
-                if CrashHarness._table_rows(reference, name) != rows:
-                    return False
-            return True
-        finally:
-            connection.close()
-
-    def _reference_server(self):
-        return Server(dataclasses.replace(
-            self.config,
-            replication=None,
-            fault_plan=_quiet_plan(self.seed),
-            start_buffer_governor=False,
-            start_checkpoint_governor=False,
-        ))
-
-    @staticmethod
-    def _verify_indexes(server):
-        for index in server.catalog.indexes():
-            if getattr(index, "virtual", False) or index.btree is None:
-                continue
-            table = server.catalog.table(index.table_name)
-            heap_keys = sorted(
-                (
-                    tuple(
-                        row[table.column_index(c)]
-                        for c in index.column_names
-                    ),
-                    row_id,
-                )
-                for row_id, row in table.storage.scan()
-            )
-            index_keys = sorted(
-                (tuple(key), row_id)
-                for key, row_id in index.btree.range_scan()
-            )
-            if heap_keys != index_keys:
-                raise VerificationError(
-                    "index %r disagrees with heap %r after promotion: %d "
-                    "heap entries vs %d index entries"
-                    % (
-                        index.name, table.name,
-                        len(heap_keys), len(index_keys),
-                    )
-                )

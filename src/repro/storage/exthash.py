@@ -14,10 +14,24 @@ ordinary pool pages — evictable to disk like everything else.
 
 from repro.buffer.frames import PageKind
 from repro.common.errors import ReproError
+from repro.common.hashing import string_hash
 
 #: Entries per bucket page (derived from page size in a real system; a
 #: modest constant keeps splits frequent enough to exercise the algorithm).
 DEFAULT_BUCKET_CAPACITY = 64
+
+
+def stable_hash(key):
+    """``hash(key)`` without the per-process salt: ``str`` / ``bytes``
+    parts (alone or inside tuples) go through crc32, so bucket placement
+    — and with it pool misses and simulated time — is the same under
+    every ``PYTHONHASHSEED``.  Everything else keeps ``hash()``, so equal
+    keys (``1 == 1.0``) still collide."""
+    if isinstance(key, (str, bytes)):
+        return string_hash(key)
+    if isinstance(key, tuple):
+        return hash(tuple([stable_hash(part) for part in key]))
+    return hash(key)
 
 
 class ExtensibleHashTable:
@@ -108,7 +122,7 @@ class ExtensibleHashTable:
     # ------------------------------------------------------------------ #
 
     def _bucket_for(self, key):
-        index = hash(key) & ((1 << self.global_depth) - 1)
+        index = stable_hash(key) & ((1 << self.global_depth) - 1)
         return self._directory[index]
 
     def _new_bucket(self, local_depth):
@@ -148,7 +162,7 @@ class ExtensibleHashTable:
         # Redistribute the entries between the two buckets.
         stay, move = {}, {}
         for key, value in entries.items():
-            if hash(key) & bit:
+            if stable_hash(key) & bit:
                 move[key] = value
             else:
                 stay[key] = value

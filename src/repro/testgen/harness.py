@@ -94,6 +94,8 @@ class AdversarialHarness:
         self.scheduler_bursts = scheduler_bursts
         self.server_config = server_config
         self.include_plan_cache = include_plan_cache
+        #: The server of the last :meth:`run`, kept for post-run oracles.
+        self.server = None
 
     # ------------------------------------------------------------------ #
     # setup
@@ -124,7 +126,7 @@ class AdversarialHarness:
 
     def run(self, raise_on_violation=False):
         schema = SchemaGenerator(self.schema_seed).generate()
-        server = self._build_server()
+        server = self.server = self._build_server()
         connection = server.connect()
         self._load(connection, schema)
         rng = random.Random("harness:%d:%d" % (self.seed, self.schema_seed))

@@ -103,7 +103,14 @@ class TestExplainAnalyze:
         result = conn.execute(JOIN_SQL)
         text = result.explain(analyze=True)
         lines = text.splitlines()
-        # Every line pairs the optimizer's estimate with the actuals.
+        # Under fault injection the tree is followed by one trailer line
+        # counting what the statement absorbed.
+        if lines[-1].startswith("faults:"):
+            assert re.fullmatch(
+                r"faults: injected=\d+ retries=\d+", lines.pop()
+            )
+        # Every operator line pairs the optimizer's estimate with the
+        # actuals.
         assert all("(rows=" in line for line in lines)
         assert all(
             "[actual" in line or "[never executed]" in line

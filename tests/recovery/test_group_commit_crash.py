@@ -11,6 +11,8 @@ dying batch.
 import pytest
 
 from repro import Server, ServerConfig
+from repro.faults import FaultPlan, FaultRates
+from repro.faults.plan import DISK_READ_ERROR
 from repro.recovery import CrashPoint, GroupCommitCrashHarness
 from repro.storage.log import CRASH_GROUP_FORCE, GroupCommitConfig
 
@@ -129,3 +131,58 @@ class TestWideWindowBatches:
         report = harness.run()
         assert report.crashed
         assert report.tables_verified >= 1
+
+
+class TestAbsorbedFailuresAreNotAcks:
+    """The scheduler absorbs a statement-level casualty and resumes the
+    session's generator anyway; the harness must not count that
+    statement as acknowledged (it used to, and then found its effects
+    "missing" from the surviving state)."""
+
+    def test_failed_statement_is_neither_acked_nor_in_flight(self):
+        quiet = dict(
+            disk_write_error=0.0, disk_latency=0.0, log_force_error=0.0,
+            spill_write_error=0.0, working_set_outage=0.0,
+        )
+
+        def factory():
+            # Budget: one statement's worth of read retries, then quiet.
+            return Server(ServerConfig(
+                start_buffer_governor=False, initial_pool_pages=16,
+                fault_plan=FaultPlan(
+                    seed=1, rates=FaultRates(disk_read_error=0.0, **quiet),
+                    budgets={DISK_READ_ERROR: 6},
+                ),
+            ))
+
+        class HostileOnceGivensAreDurable(GroupCommitCrashHarness):
+            def _build(self):
+                server = super()._build()
+                server.fault_plan.rates = FaultRates(
+                    disk_read_error=1.0, **quiet
+                )
+                return server
+
+        sessions = [
+            (
+                "s%d" % k,
+                [
+                    "UPDATE t SET v = v + 1 WHERE id = %d" % (1500 * k + i)
+                    for i in range(3)
+                ],
+            )
+            for k in range(3)
+        ]
+        harness = HostileOnceGivensAreDurable(
+            factory, ["CREATE TABLE t (id INT PRIMARY KEY, v INT)"],
+            sessions, seed=3, loads=[("t", [(i, 0) for i in range(6000)])],
+        )
+        report = harness.run()  # raised VerificationError before the fix
+        failed = [
+            sql for s in harness.scheduler.sessions for sql, __ in s.errors
+        ]
+        assert len(failed) == 1
+        acked = [sql for sql, __ in report.acked_statements]
+        assert failed[0] not in acked and len(acked) == 3 * 3 - 1
+        assert all(sql is None for sql in harness.inflight.values())
+        assert not report.crashed and harness.survivors == []

@@ -1,6 +1,9 @@
 """Unit + property tests for the disk-based extensible hash table."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.storage import FlashDisk, Volume
-from repro.storage.exthash import ExtensibleHashTable
+from repro.storage.exthash import ExtensibleHashTable, stable_hash
 
 
 def make_table(bucket_capacity=4, pool_pages=256):
@@ -127,3 +130,39 @@ def test_property_matches_dict_model(operations):
     assert dict(table.items()) == model
     for key in range(51):
         assert table.get(key) == model.get(key)
+
+
+class TestPlacementIsSaltIndependent:
+    """Bucket placement decides which pool pages a lock lands on, hence
+    pool misses and simulated time — it must not depend on the
+    interpreter's per-process ``str`` hash salt."""
+
+    def test_numeric_keys_that_compare_equal_still_collide(self):
+        assert stable_hash((1, "t")) == stable_hash((1.0, "t"))
+        table, __ = make_table()
+        table.put(("t", 1, 0), "x")
+        assert table.get(("t", 1.0, 0)) == "x"
+
+    def test_simulated_clock_is_the_same_under_two_hash_salts(self):
+        # Lock-table keys are (table_name, page, slot): 500-row INSERTs
+        # against a 16-page pool split lock buckets and evict them.
+        script = (
+            "from repro import Server, ServerConfig\n"
+            "server = Server(ServerConfig(start_buffer_governor=False,"
+            " initial_pool_pages=16))\n"
+            "conn = server.connect()\n"
+            "conn.execute('CREATE TABLE t (id INT PRIMARY KEY, v INT)')\n"
+            "for b in range(6):\n"
+            "    conn.execute('INSERT INTO t VALUES ' + ', '.join("
+            "'(%d, %d)' % (b * 500 + i, i % 13) for i in range(500)))\n"
+            "print(server.clock.now, server.pool.misses)\n"
+        )
+        outputs = set()
+        for salt in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=salt)
+            env.pop("REPRO_FAULTS", None)
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1, outputs
