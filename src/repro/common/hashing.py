@@ -78,6 +78,41 @@ def string_hash(text):
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+#: Column types whose values (int, float, bool) hash the same in every
+#: process; ``str`` / ``bytes`` hashes are salted per process
+#: (``PYTHONHASHSEED``), and so is ``datetime.date`` (it hashes its bytes).
+_UNSALTED_TYPES = frozenset(("INT", "DOUBLE", "BOOLEAN"))
+
+
+def stable_hash(key):
+    """``hash(key)`` without anything that differs between processes:
+    ``str`` / ``bytes`` parts (alone or inside tuples) go through crc32,
+    dates through their ordinal, and ``None`` (hashed by address before
+    Python 3.12) is 0 — so hash-bucket and join-partition placement, and
+    with it pool misses and simulated time, is the same under every
+    ``PYTHONHASHSEED``.  Everything else keeps ``hash()``, so equal keys
+    (``1 == 1.0``) still collide."""
+    if isinstance(key, (str, bytes)):
+        return string_hash(key)
+    if isinstance(key, tuple):
+        return hash(tuple([stable_hash(part) for part in key]))
+    if key is None:
+        return 0
+    if isinstance(key, datetime.date):
+        return key.toordinal()
+    return hash(key)
+
+
+def hash_for_types(type_names):
+    """The cheapest process-independent hash for NULL-free keys of these
+    column types: plain ``hash`` when no part can be salted,
+    :func:`stable_hash` otherwise (or when a type is unknown).  A key
+    holding a NULL always needs :func:`stable_hash`."""
+    if all(name in _UNSALTED_TYPES for name in type_names):
+        return hash
+    return stable_hash
+
+
 def value_width(type_name):
     """Distance between two consecutive domain values of a type.
 

@@ -31,11 +31,18 @@ from repro.storage.rowstore import RowId
 # aggregate accumulators
 # --------------------------------------------------------------------- #
 
+#: What folding one value into an :class:`AggState` does.
+_COUNT_STAR, _COUNT, _TOTAL, _MIN, _MAX = range(5)
+_FOLD_KINDS = {
+    "COUNT": _COUNT, "SUM": _TOTAL, "AVG": _TOTAL, "MIN": _MIN, "MAX": _MAX,
+}
+
+
 class AggState:
     """Partial state of one aggregate; serializable as a plain tuple so
     fallback groups can live in temporary-table rows."""
 
-    __slots__ = ("call", "count", "total", "extreme", "distinct")
+    __slots__ = ("call", "count", "total", "extreme", "distinct", "_kind")
 
     def __init__(self, call):
         self.call = call
@@ -43,12 +50,17 @@ class AggState:
         self.total = None
         self.extreme = None
         self.distinct = set() if call.distinct else None
+        # Resolved here, once, so the fold compares no strings per value.
+        self._kind = (
+            _COUNT_STAR if call.name == "COUNT" and call.star
+            else _FOLD_KINDS.get(call.name)
+        )
 
     def accumulate_value(self, value):
         """Fold one argument value in (argument columns are evaluated
         once per batch, then folded here row by row, in row order)."""
-        name = self.call.name
-        if name == "COUNT" and self.call.star:
+        kind = self._kind
+        if kind == _COUNT_STAR:
             self.count += 1
             return
         if value is None:
@@ -58,12 +70,15 @@ class AggState:
                 return
             self.distinct.add(value)
         self.count += 1
-        if name in ("SUM", "AVG"):
-            self.total = value if self.total is None else self.total + value
-        elif name == "MIN":
-            self.extreme = value if self.extreme is None else min(self.extreme, value)
-        elif name == "MAX":
-            self.extreme = value if self.extreme is None else max(self.extreme, value)
+        if kind == _TOTAL:
+            total = self.total
+            self.total = value if total is None else total + value
+        elif kind == _MIN:
+            extreme = self.extreme
+            self.extreme = value if extreme is None else min(extreme, value)
+        elif kind == _MAX:
+            extreme = self.extreme
+            self.extreme = value if extreme is None else max(extreme, value)
 
     def merge_serialized(self, data):
         """Merge a serialized partial state (from a fallback temp row)."""
@@ -167,18 +182,15 @@ class HashGroupByOp(Operator):
                     for expr, __, __t in self.group_keys
                 ]
                 value_columns = [
-                    None if call.name == "COUNT" and call.star
+                    [None] * batch.count if call.name == "COUNT" and call.star
                     else evaluate_batch(call.args[0], batch, ctx.params)
                     for call in self.aggregates
                 ]
-                for position in range(batch.count):
-                    key = tuple(
-                        column[position] for column in key_columns
-                    )
-                    values = [
-                        None if column is None else column[position]
-                        for column in value_columns
-                    ]
+                # zip() of no columns is empty, not batch.count empties.
+                no_values = [()] * batch.count
+                keys = zip(*key_columns) if key_columns else no_values
+                rows = zip(*value_columns) if value_columns else no_values
+                for key, values in zip(keys, rows):
                     if self.fallback_engaged:
                         self._fallback_accumulate(key, values)
                         continue

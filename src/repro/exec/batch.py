@@ -3,8 +3,8 @@
 A batch stores rows column-major: one flat list of columns, with a
 *layout* mapping each environment key (quantifier id, or ``GROUP_ENV``)
 to its column span.  Vectorized code reads whole columns with zero
-per-row dict lookups; code that works a row at a time (join emission,
-spill files, sort runs) unpacks with :meth:`Batch.rows` /
+per-row dict lookups; code that works a row at a time (nested-loop join
+emission, spill files, sort runs) unpacks with :meth:`Batch.rows` /
 :meth:`Batch.env_at` and re-packs with :func:`rows_to_batches`.
 :func:`batches_to_rows` is the boundary above the operator tree, where
 result tuples leave the engine.
@@ -17,6 +17,32 @@ Project upward (``layout is None``).
 #: Rows per batch.  Large enough to amortize interpreter overhead,
 #: small enough that a batch never dominates an operator's memory.
 DEFAULT_BATCH_ROWS = 256
+
+
+def layout_of(shape):
+    """The layout of rows whose environments hold ``shape``'s
+    ``(key, width)`` pairs, in that order."""
+    layout = []
+    offset = 0
+    for key, width in shape:
+        layout.append((key, offset, width))
+        offset += width
+    return tuple(layout)
+
+
+def concat_layouts(left, right):
+    """The layout of ``{**left_env, **right_env}`` rows."""
+    return layout_of(
+        [(key, width) for key, __, width in left]
+        + [(key, width) for key, __, width in right]
+    )
+
+
+def env_of(layout, values):
+    """One row's flat ``values`` under ``layout`` as an environment dict."""
+    return {
+        key: values[offset:offset + width] for key, offset, width in layout
+    }
 
 
 class Batch:
@@ -40,18 +66,15 @@ class Batch:
     @classmethod
     def from_envs(cls, envs):
         """Pack environment dicts (all sharing one key/width shape)."""
-        first = envs[0]
-        layout = []
-        offset = 0
-        for key, row in first.items():
-            width = len(row)
-            layout.append((key, offset, width))
-            offset += width
-        columns = [None] * offset
-        for key, offset_, width in layout:
-            for index in range(width):
-                columns[offset_ + index] = [env[key][index] for env in envs]
-        return cls(tuple(layout), columns, len(envs))
+        layout = layout_of(
+            [(key, len(row)) for key, row in envs[0].items()]
+        )
+        columns = [
+            [env[key][index] for env in envs]
+            for key, __, width in layout
+            for index in range(width)
+        ]
+        return cls(layout, columns, len(envs))
 
     @classmethod
     def from_tuples(cls, rows, width):

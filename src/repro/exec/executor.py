@@ -59,18 +59,36 @@ class ExecutionContext:
 
     def charge(self, microseconds):
         """Charge CPU time to the simulated clock."""
-        self.clock.advance(int(microseconds) if microseconds >= 1 else 0)
-        self._accumulate(microseconds)
-
-    _fraction = 0.0
-
-    def _accumulate(self, microseconds):
+        if microseconds >= 1:
+            self.clock.advance(int(microseconds))
         # Sub-microsecond charges accumulate so per-row CPU is not lost.
         self._fraction += microseconds - int(microseconds)
         if self._fraction >= 1.0:
             whole = int(self._fraction)
             self.clock.advance(whole)
             self._fraction -= whole
+
+    _fraction = 0.0
+
+    def charge_rows(self, count, unit_us):
+        """Charge ``count`` rows of ``unit_us`` each, leaving ``clock.now``
+        and the carried fraction exactly as ``count`` calls of
+        :meth:`charge` would.  The fraction is folded a row at a time:
+        ``count * unit_us`` in one float add rounds differently
+        (``0.075 * 256`` is not dyadic), and the clock must not depend on
+        how an operator groups its rows."""
+        step = unit_us - int(unit_us)
+        fraction = self._fraction
+        ticks = int(unit_us) * count
+        for __ in range(count):
+            fraction += step
+            if fraction >= 1.0:
+                whole = int(fraction)
+                ticks += whole
+                fraction -= whole
+        self._fraction = fraction
+        if ticks:
+            self.clock.advance(ticks)
 
     def note(self, event):
         self.notes[event] = self.notes.get(event, 0) + 1

@@ -3,7 +3,14 @@
 from itertools import islice
 
 from repro.common.errors import ExecutionError
-from repro.exec.batch import Batch, BatchBuilder, rows_to_batches
+from repro.common.hashing import hash_for_types, stable_hash
+from repro.exec.batch import (
+    Batch,
+    concat_layouts,
+    env_of,
+    layout_of,
+    rows_to_batches,
+)
 from repro.exec.expr import (
     evaluate,
     evaluate_batch,
@@ -500,6 +507,11 @@ class HashJoinOp(Operator):
       **index-nested-loops alternate** and the true build cardinality is
       below the crossover threshold, execution switches strategies and the
       probe side is never scanned.
+
+    Build rows are kept as flat value tuples under the build input's one
+    layout, and the probe gathers each probe row's whole match list into
+    output columns (:class:`_JoinOutput`): no environment dict is built
+    per joined row.
     """
 
     def __init__(self, left, right, join_type, conjuncts, build_keys,
@@ -515,6 +527,22 @@ class HashJoinOp(Operator):
         self.alternate = alternate
         self.alternate_threshold = alternate_threshold
         self.residual = [c for c in conjuncts if c.equi is None]
+        #: Hash of a NULL-free key, bound once per join from the key
+        #: columns' types: partition placement — which partition spills,
+        #: hence simulated time — must not depend on the process's hash
+        #: salt, and INT keys should still pay only the builtin.
+        self._hash_key = hash_for_types(
+            getattr(expr, "type_name", None)
+            for expr in list(build_keys) + list(probe_keys)
+        )
+        #: What :func:`null_extend` appends to an unmatched LEFT row.
+        self._null_layout = layout_of(
+            (quantifier.id, max(1, len(quantifier.columns)))
+            for quantifier in right_quantifiers
+        )
+        self._null_values = (None,) * sum(
+            width for __, __o, width in self._null_layout
+        )
         # observability
         self.partitions_evicted = 0
         self.switched_to_alternate = False
@@ -522,8 +550,10 @@ class HashJoinOp(Operator):
         self.probe_rows_spilled = 0
         self._memory = None
         self._partitions = None
+        self._partition_rows = None
         self._spills = None
         self._row_bytes = 64
+        self._right_layout = None
 
     # -- memory-governor consumer protocol ------------------------------- #
 
@@ -540,54 +570,50 @@ class HashJoinOp(Operator):
         return 1 if self.switched_to_alternate else 0
 
     def relinquish_memory(self):
-        """Evict the largest in-memory partition to the temp file."""
+        """Evict the in-memory partition with the most rows (the lowest
+        index on ties) to the temp file."""
         if not self._partitions:
             return 0
-        candidates = [
-            index
-            for index in range(HASH_PARTITIONS)
-            if self._partitions[index] is not None and self._partitions[index]
-        ]
-        if not candidates:
+        counts = self._partition_rows
+        largest = max(range(HASH_PARTITIONS), key=counts.__getitem__)
+        if not counts[largest]:
             return 0
-        largest = max(
-            candidates,
-            key=lambda index: sum(
-                len(rows) for rows in self._partitions[index].values()
-            ),
-        )
         return self._evict_partition(largest)
 
     def _evict_partition(self, index):
-        partition = self._partitions[index]
-        spill = SpillFile(
-            self._ctx.temp_file, self._row_bytes, self._ctx.pool.page_size,
-            fault_plan=getattr(self._ctx, "fault_plan", None),
-            yield_hook=getattr(self._ctx, "yield_hook", None),
-        )
-        evicted_bytes = 0
-        for key, rows in partition.items():
-            for env in rows:
-                spill.append((key, env))
-                evicted_bytes += self._row_bytes
+        spill = self._spill_file()
+        for key, rows in self._partitions[index].items():
+            for row in rows:
+                spill.append((key, row))
         spill.finish_writing()
         self._spills[index] = spill
         self._partitions[index] = None
+        evicted_bytes = self._row_bytes * self._partition_rows[index]
+        self._partition_rows[index] = 0
         before = self._memory.pages_held
         self._memory.remove(evicted_bytes)
         self.partitions_evicted += 1
         return before - self._memory.pages_held
 
+    def _spill_file(self):
+        ctx = self._ctx
+        return SpillFile(
+            ctx.temp_file, self._row_bytes, ctx.pool.page_size,
+            fault_plan=getattr(ctx, "fault_plan", None),
+            yield_hook=getattr(ctx, "yield_hook", None),
+        )
+
     # -- execution ---------------------------------------------------------- #
 
     def execute_batches(self, ctx):
-        """Vectorized key evaluation and batched emission; memory
+        """Vectorized key evaluation and column-major emission; memory
         accounting, partition placement, eviction and the
         alternate-strategy switch stay per row, so spill and adaptive
         decisions do not depend on where batch boundaries fall."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._partitions = [dict() for __ in range(HASH_PARTITIONS)]
+        self._partition_rows = [0] * HASH_PARTITIONS
         self._spills = [None] * HASH_PARTITIONS
         ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         try:
@@ -616,29 +642,42 @@ class HashJoinOp(Operator):
                     spill.free()
 
     def _build(self, ctx):
+        hash_key = self._hash_key
+        partitions, spills = self._partitions, self._spills
+        partition_rows = self._partition_rows
         for batch in self.right.execute_batches(ctx):
             ctx.charge(batch.count * CPU_HASH_BUILD_BATCH_US)
             key_columns = [
                 evaluate_batch(expr, batch, ctx.params)
                 for expr in self.build_keys
             ]
-            for position in range(batch.count):
-                self.build_row_count += 1
-                env = batch.env_at(position)
-                self._row_bytes = max(self._row_bytes, env_row_bytes(env))
-                key = tuple(column[position] for column in key_columns)
-                index = hash(key) % HASH_PARTITIONS
-                if self._partitions[index] is None:
-                    self._spills[index].append((key, env))
+            if batch.layout != self._right_layout:
+                if self._right_layout is not None:
+                    raise ExecutionError(
+                        "hash join build input changed its row layout"
+                    )
+                self._right_layout = batch.layout
+            # Every row of a batch has the batch's shape: one sizes all.
+            self._row_bytes = max(
+                self._row_bytes, env_row_bytes(batch.env_at(0))
+            )
+            self.build_row_count += batch.count
+            for key, row in zip(zip(*key_columns), zip(*batch.columns)):
+                index = (
+                    stable_hash(key) if None in key else hash_key(key)
+                ) % HASH_PARTITIONS
+                if partitions[index] is None:
+                    spills[index].append((key, row))
                     continue
                 self._memory.add(self._row_bytes)
                 # The allocation may have reclaimed (evicted) this very
                 # partition; rows then go straight to its spill file.
-                partition = self._partitions[index]
+                partition = partitions[index]
                 if partition is None:
-                    self._spills[index].append((key, env))
+                    spills[index].append((key, row))
                 else:
-                    partition.setdefault(key, []).append(env)
+                    partition.setdefault(key, []).append(row)
+                    partition_rows[index] += 1
 
     def _execute_alternate(self, ctx):
         """The index-NL switch: build rows become the outer input.
@@ -649,65 +688,70 @@ class HashJoinOp(Operator):
         *distinct* key preserves the semantics (the alternate probes with
         inner-join emission, so the probe-side rows flow out).
         """
+        layout = self._right_layout
         if self.join_type == Quantifier.SEMI:
             seen_keys = set()
-            for key, env in self._all_build_rows():
+            for key, row in self._all_build_rows():
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                yield from self.alternate.probe(ctx, env)
+                yield from self.alternate.probe(ctx, env_of(layout, row))
         else:
-            for __, env in self._all_build_rows():
-                yield from self.alternate.probe(ctx, env)
+            for __, row in self._all_build_rows():
+                yield from self.alternate.probe(ctx, env_of(layout, row))
 
     def _all_build_rows(self):
         for partition in self._partitions:
             if partition is None:
                 continue
             for key, rows in partition.items():
-                for env in rows:
-                    yield key, env
+                for row in rows:
+                    yield key, row
         for spill in self._spills:
             if spill is not None:
                 yield from spill.read_all()
 
     def _probe(self, ctx):
-        """Vectorized probe-key columns, emission re-packed into batches;
-        spill routing is per row."""
+        """Vectorized probe-key columns and column-major emission; spill
+        routing is per row."""
+        hash_key = self._hash_key
+        partitions = self._partitions
         probe_spills = [None] * HASH_PARTITIONS
-        builder = BatchBuilder(ctx.batch_rows)
+        out = _JoinOutput(ctx, CPU_ROW_BATCH_US)
         for batch in self.left.execute_batches(ctx):
             ctx.charge(batch.count * CPU_HASH_PROBE_BATCH_US)
             key_columns = [
                 evaluate_batch(expr, batch, ctx.params)
                 for expr in self.probe_keys
             ]
-            for position in range(batch.count):
-                key = tuple(column[position] for column in key_columns)
-                index = hash(key) % HASH_PARTITIONS
-                if self._partitions[index] is None:
+            layout = batch.layout
+            for key, row in zip(zip(*key_columns), zip(*batch.columns)):
+                null_key = None in key
+                index = (
+                    stable_hash(key) if null_key else hash_key(key)
+                ) % HASH_PARTITIONS
+                table = partitions[index]
+                if table is None:
+                    # The append may write a temp page, and a disk write
+                    # reads the clock: every emitted row's charge must be
+                    # on it first.
+                    out.settle()
                     if probe_spills[index] is None:
-                        probe_spills[index] = SpillFile(
-                            ctx.temp_file, self._row_bytes,
-                            ctx.pool.page_size,
-                            fault_plan=getattr(ctx, "fault_plan", None),
-                            yield_hook=getattr(ctx, "yield_hook", None),
-                        )
-                    probe_spills[index].append(
-                        (key, batch.env_at(position))
-                    )
+                        probe_spills[index] = self._spill_file()
+                    probe_spills[index].append((key, layout, row))
                     self.probe_rows_spilled += 1
                     continue
-                for out_env in self._emit_matches(
-                    ctx, batch.env_at(position), key,
-                    self._partitions[index], row_cost=CPU_ROW_BATCH_US,
-                ):
-                    done = builder.add(out_env)
-                    if done is not None:
-                        yield done
-        # Spilled partitions: reload the build side and re-probe.  This
-        # leg stays row-at-a-time (spill files read back rows), so it
-        # charges the unamortized row constants.
+                self._join_row(
+                    out, layout, row, None if null_key else table.get(key)
+                )
+                if out.ready:
+                    yield from out.drain()
+            out.settle()
+        # Spilled partitions: reload the build side and re-probe.  Spill
+        # files read rows back one at a time (lazily, a page read per
+        # page), so this leg charges the unamortized row constants and
+        # settles after every probe row.
+        out.row_cost = CPU_ROW_US
         for index in range(HASH_PARTITIONS):
             probe_spill = probe_spills[index]
             if probe_spill is None:
@@ -716,46 +760,167 @@ class HashJoinOp(Operator):
                 continue
             build_table = {}
             if self._spills[index] is not None:
-                for key, env in self._spills[index].read_all():
-                    build_table.setdefault(key, []).append(env)
+                for key, row in self._spills[index].read_all():
+                    build_table.setdefault(key, []).append(row)
                 self._spills[index].free()
-            for key, left_env in probe_spill.read_all():
+            for key, layout, row in probe_spill.read_all():
                 ctx.charge(CPU_HASH_PROBE_US)
-                for out_env in self._emit_matches(
-                    ctx, left_env, key, build_table
-                ):
-                    done = builder.add(out_env)
-                    if done is not None:
-                        yield done
+                self._join_row(
+                    out, layout, row,
+                    None if None in key else build_table.get(key),
+                )
+                if out.ready:
+                    yield from out.drain()
+                out.settle()
             probe_spill.free()
-        tail = builder.finish()
-        if tail is not None:
-            yield tail
+        if out.count:
+            yield out.take_all()
 
-    def _emit_matches(self, ctx, left_env, key, table, row_cost=CPU_ROW_US):
-        rows = table.get(key)
-        matched = False
-        if rows and all(value is not None for value in key):
-            for right_env in rows:
-                merged = {**left_env, **right_env}
-                if self.residual and not all(
-                    evaluate_predicate(c.expr, merged, ctx.params)
-                    for c in self.residual
-                ):
-                    continue
-                matched = True
-                if self.join_type == Quantifier.SEMI:
-                    yield left_env
-                    return
-                if self.join_type == Quantifier.ANTI:
-                    break
-                ctx.charge(row_cost)
-                yield merged
-        if not matched:
-            if self.join_type == Quantifier.ANTI:
-                yield left_env
-            elif self.join_type == Quantifier.LEFT:
-                yield null_extend(left_env, self.right_quantifiers)
+    def _join_row(self, out, left_layout, row, candidates):
+        """Buffer in ``out`` what one probe row (flat values ``row``)
+        joins to; ``candidates`` are the build rows under its key."""
+        if self.join_type in (Quantifier.SEMI, Quantifier.ANTI):
+            matched = bool(candidates) and (
+                not self.residual
+                or self._any_match(left_layout, row, candidates)
+            )
+            if matched == (self.join_type == Quantifier.SEMI):
+                out.add(left_layout, (), zip(row), 1, owes=False)
+            return
+        if candidates:
+            count = len(candidates)
+            columns = [[value] * count for value in row]
+            columns.extend(zip(*candidates))
+            if self.residual:
+                survivors = _filter(
+                    Batch(
+                        concat_layouts(left_layout, self._right_layout),
+                        columns, count,
+                    ),
+                    self.residual, self._ctx.params,
+                )
+                columns, count = survivors.columns, survivors.count
+            if count:
+                out.add(
+                    left_layout, self._right_layout, columns, count,
+                    owes=True,
+                )
+                return
+        if self.join_type == Quantifier.LEFT:
+            out.add(
+                left_layout, self._null_layout,
+                zip(row + self._null_values), 1, owes=False,
+            )
+
+    def _any_match(self, left_layout, row, candidates):
+        """Does some candidate satisfy the residual?  Semi and anti joins
+        stop at the first that does, and a candidate past it may be one
+        the residual raises on — so this one case evaluates a candidate
+        at a time, on merged environments."""
+        left_env = env_of(left_layout, row)
+        params = self._ctx.params
+        for candidate in candidates:
+            merged = {**left_env, **env_of(self._right_layout, candidate)}
+            if all(
+                evaluate_predicate(c.expr, merged, params)
+                for c in self.residual
+            ):
+                return True
+        return False
+
+
+class _JoinOutput:
+    """Column-major output buffer of one hash-join probe.
+
+    Whole match lists go in (:meth:`add`) and batches of exactly
+    ``ctx.batch_rows`` rows come out (:meth:`drain`), a change of row
+    shape flushing early — the batches :class:`BatchBuilder` packs from
+    the same rows one at a time.
+
+    The per-row emit charge is applied per batch under one rule: wherever
+    anything else can read or advance the clock — a yield to the
+    consumer, a pull from a child, a spill-file read or write — the clock
+    holds exactly the charges a row-at-a-time join would have made by
+    then.  So :meth:`drain` charges a batch's outstanding rows
+    immediately before yielding it, and the probe calls :meth:`settle`
+    before it pulls or spills.
+    """
+
+    def __init__(self, ctx, row_cost):
+        self.ctx = ctx
+        self.batch_rows = ctx.batch_rows
+        self.row_cost = row_cost
+        self.shape = None  # (left layout, right layout) of buffered rows
+        self.layout = None
+        self.columns = []
+        self.count = 0
+        #: Buffered rows whose emit charge is not on the clock yet.
+        self.owed = 0
+        #: Completed batches: ``(batch, rows to charge before its yield)``.
+        self.ready = []
+
+    def add(self, left_layout, right_layout, columns, count, owes):
+        """Buffer ``count`` rows given as one value sequence per output
+        column.  ``owes``: whether they carry the emit charge (matched
+        INNER / LEFT rows do; NULL-extended and semi / anti rows never
+        did)."""
+        owed = count if owes else 0
+        if (left_layout, right_layout) != self.shape:
+            if self.count:
+                # BatchBuilder saw a shape change only once it was handed
+                # the first row of the new shape — by then charged.
+                lead = 1 if owes else 0
+                self.ready.append((self.take_all(), self.owed + lead))
+                self.owed = 0
+                owed -= lead
+            self.shape = (left_layout, right_layout)
+            self.layout = concat_layouts(left_layout, right_layout)
+            self.columns = [list(values) for values in columns]
+        else:
+            for column, values in zip(self.columns, columns):
+                column.extend(values)
+        self.count += count
+        self.owed += owed
+        size = self.batch_rows
+        if self.count >= size:
+            # The buffer was short of a batch before this call, so the
+            # rows beyond each cut are this call's rows: all of them owe.
+            start = 0
+            while self.count - start >= size:
+                beyond = self.count - start - size
+                self.ready.append((
+                    Batch(
+                        self.layout,
+                        [c[start:start + size] for c in self.columns],
+                        size,
+                    ),
+                    self.owed - beyond,
+                ))
+                self.owed = beyond
+                start += size
+            self.columns = [column[start:] for column in self.columns]
+            self.count -= start
+
+    def drain(self):
+        """Yield the completed batches, each one's outstanding rows
+        charged immediately before it."""
+        ready, self.ready = self.ready, []
+        for batch, due in ready:
+            self.ctx.charge_rows(due, self.row_cost)
+            yield batch
+
+    def settle(self):
+        """Charge the buffered rows that still owe (nothing is ready)."""
+        if self.owed:
+            self.ctx.charge_rows(self.owed, self.row_cost)
+            self.owed = 0
+
+    def take_all(self):
+        """The buffered rows as one batch; the buffer is left empty."""
+        batch = Batch(self.layout, self.columns, self.count)
+        self.columns = [[] for __ in self.columns]
+        self.count = 0
+        return batch
 
 
 # --------------------------------------------------------------------- #

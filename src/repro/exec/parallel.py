@@ -22,6 +22,7 @@ shared simulated clock at the end.
 """
 
 from repro.common.errors import ExecutionError
+from repro.common.hashing import stable_hash
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_US,
     CPU_HASH_PROBE_US,
@@ -105,7 +106,7 @@ class BloomFilter:
         )
 
     def _positions(self, key):
-        base = hash(key)
+        base = stable_hash(key)
         for i in range(self._n_hashes):
             yield (base ^ (i * 0x9E3779B9)) % self._n_bits
 

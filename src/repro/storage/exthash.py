@@ -14,24 +14,11 @@ ordinary pool pages — evictable to disk like everything else.
 
 from repro.buffer.frames import PageKind
 from repro.common.errors import ReproError
-from repro.common.hashing import string_hash
+from repro.common.hashing import stable_hash
 
 #: Entries per bucket page (derived from page size in a real system; a
 #: modest constant keeps splits frequent enough to exercise the algorithm).
 DEFAULT_BUCKET_CAPACITY = 64
-
-
-def stable_hash(key):
-    """``hash(key)`` without the per-process salt: ``str`` / ``bytes``
-    parts (alone or inside tuples) go through crc32, so bucket placement
-    — and with it pool misses and simulated time — is the same under
-    every ``PYTHONHASHSEED``.  Everything else keeps ``hash()``, so equal
-    keys (``1 == 1.0``) still collide."""
-    if isinstance(key, (str, bytes)):
-        return string_hash(key)
-    if isinstance(key, tuple):
-        return hash(tuple([stable_hash(part) for part in key]))
-    return hash(key)
 
 
 class ExtensibleHashTable:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import order_preserving_hash, string_hash, value_width, word_tokens
+from repro.common.hashing import hash_for_types, stable_hash
 
 
 class TestOrderPreservingHash:
@@ -79,6 +80,28 @@ class TestStringHash:
 
     def test_range_is_32_bit(self):
         assert 0 <= string_hash("x" * 1000) <= 0xFFFFFFFF
+
+
+class TestStableHash:
+    """Nothing that differs between processes may reach a hash that
+    places a row: not the ``str`` salt, not where ``None`` lives."""
+
+    def test_is_the_builtin_hash_on_null_free_numeric_keys(self):
+        # So a join may bind plain ``hash`` for INT keys and still agree
+        # with ``stable_hash`` about every key that holds no NULL.
+        for key in [(0,), (-1,), (7, 2.5), (True, 2 ** 70), (1.0,)]:
+            assert stable_hash(key) == hash(key)
+
+    def test_strings_nulls_and_dates_take_fixed_values(self):
+        assert stable_hash("abc") == string_hash("abc")
+        assert stable_hash(None) == 0
+        assert stable_hash((None, "abc")) == hash((0, string_hash("abc")))
+        assert stable_hash(datetime.date(1970, 1, 2)) == 719164
+
+    def test_hash_for_types(self):
+        assert hash_for_types(["INT", "DOUBLE", "BOOLEAN"]) is hash
+        for salted in ("VARCHAR", "LONG VARCHAR", "DATE", None):
+            assert hash_for_types(["INT", salted]) is stable_hash
 
 
 class TestValueWidth:

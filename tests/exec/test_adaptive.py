@@ -1,10 +1,16 @@
 """Engine-level tests for the adaptive execution behaviours (Section 4.3)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import Server, ServerConfig
 from repro.buffer import GovernorConfig
 from repro.common import MiB
+from repro.exec.operators import HashJoinOp
 
 
 def make_server(pool_pages=2048, mpl=4):
@@ -103,6 +109,78 @@ class TestHashJoinAdaptivity:
             "SELECT COUNT(*) FROM customer c JOIN orders o ON o.cust_id = c.id"
         )
         assert server.disk.writes > writes_before
+
+
+    def test_eviction_picks_the_partition_with_the_most_rows(self, monkeypatch):
+        """The victim comes from per-partition row counts kept at insert
+        and eviction, and is the one a walk over every build row picks:
+        the sequence of evicted partitions and the statement's simulated
+        time are those of the row-counting scan this replaced."""
+        evicted = []
+        evict = HashJoinOp._evict_partition
+
+        def recording_evict(operator, index):
+            rows = [
+                sum(len(matches) for matches in partition.values())
+                if partition else 0
+                for partition in operator._partitions
+            ]
+            assert rows == operator._partition_rows
+            assert rows[index] == max(rows) and rows.index(max(rows)) == index
+            evicted.append(index)
+            return evict(operator, index)
+
+        monkeypatch.setattr(HashJoinOp, "_evict_partition", recording_evict)
+        server = make_server(pool_pages=256, mpl=8)  # soft limit: 32 pages
+        conn = server.connect()
+        conn.execute("CREATE TABLE a (id INT PRIMARY KEY, k INT, w INT)")
+        conn.execute("CREATE TABLE b (id INT PRIMARY KEY, k INT, amount INT)")
+        server.load_table("a", [(i, i % 700, i) for i in range(6000)])
+        server.load_table("b", [(i, i % 900, i % 97) for i in range(6000)])
+        started = server.clock.now
+        result = conn.execute(
+            "SELECT COUNT(*), SUM(b.amount) FROM a JOIN b ON a.k = b.k"
+        )
+        assert result.rows == [(41200, 1974278)]
+        assert evicted == [0, 2, 7, 4, 5, 3]
+        if server.fault_plan is None:  # injected I/O retries take time
+            assert server.clock.now - started == 2_410_589
+
+    def test_partition_placement_ignores_the_hash_salt(self):
+        """Which partition a VARCHAR (or NULL) key lands in — so which
+        partitions spill, and the statement's simulated time — is the
+        same in every process: ``hash()`` of a ``str`` is salted per
+        process and ``hash(None)`` is an address before Python 3.12."""
+        script = (
+            "from repro import Server, ServerConfig\n"
+            "server = Server(ServerConfig(initial_pool_pages=64, "
+            "multiprogramming_level=8, start_buffer_governor=False))\n"
+            "conn = server.connect()\n"
+            "conn.execute('CREATE TABLE a (id INT PRIMARY KEY, "
+            "name VARCHAR(12))')\n"
+            "conn.execute('CREATE TABLE b (id INT PRIMARY KEY, "
+            "name VARCHAR(12), amount INT)')\n"
+            "name = lambda i, m: None if i % 11 == 0 else 'n%05d' % (i % m)\n"
+            "server.load_table('a', [(i, name(i, 170)) "
+            "for i in range(1500)])\n"
+            "server.load_table('b', [(i, name(i, 230), i % 97) "
+            "for i in range(1500)])\n"
+            "result = conn.execute('SELECT COUNT(*), SUM(b.amount) FROM a "
+            "LEFT JOIN b ON a.name = b.name')\n"
+            "spills = server.metrics.snapshot()['exec.spill_events']\n"
+            "print(result.rows, spills > 0, server.clock.now, "
+            "server.disk.writes)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        outputs = []
+        for salt in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=str(src))
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            ).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("[(8447, 390356)] True ")
 
 
 class TestGroupByFallback:

@@ -3,6 +3,16 @@
 import pytest
 
 from repro import Server, ServerConfig
+from repro.buffer import BufferPool
+from repro.common import SimClock
+from repro.exec import MemoryGovernor
+from repro.exec.aggregates import AggState, HashGroupByOp
+from repro.exec.batch import Batch
+from repro.exec.executor import ExecutionContext
+from repro.exec.operators import Operator
+from repro.sql import ast
+from repro.sql.binder import GROUP_ENV
+from repro.storage import FlashDisk, Volume
 
 
 @pytest.fixture
@@ -122,3 +132,120 @@ class TestEmptyInputs:
         assert conn.execute(
             "SELECT t.id, u.id FROM t LEFT JOIN u ON t.k = u.id"
         ).rows == [(1, None)]
+
+
+# --------------------------------------------------------------------- #
+# the fold, at operator level
+# --------------------------------------------------------------------- #
+
+def _column(index):
+    ref = ast.ColumnRef(None, "c%d" % index)
+    ref.quantifier_id, ref.column_index, ref.type_name = 1, index, "INT"
+    return ref
+
+
+class _Batches(Operator):
+    def __init__(self, rows, size):
+        self.rows, self.size = rows, size
+
+    def execute_batches(self, ctx):
+        for start in range(0, len(self.rows), self.size):
+            yield Batch.from_rows(1, self.rows[start:start + self.size])
+
+
+def _group_by(rows, chunk, aggregates, pool_pages=8, mpl=8):
+    """Run ``GROUP BY c0`` over ``rows`` fed ``chunk`` at a time under a
+    one-page soft limit; returns (operator, result rows, clock)."""
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 100_000))
+    temp = volume.create_file("temp")
+    pool = BufferPool(temp, capacity_pages=pool_pages)
+    governor = MemoryGovernor(pool, 4096, multiprogramming_level=mpl)
+    ctx = ExecutionContext(
+        pool, temp, None, clock, governor.begin_task(), batch_rows=chunk
+    )
+    operator = HashGroupByOp(
+        _Batches(rows, chunk), [(_column(0), "k", "INT")], aggregates
+    )
+    result = [
+        env[GROUP_ENV]
+        for batch in operator.execute_batches(ctx)
+        for env in batch.rows()
+    ]
+    return operator, result, clock
+
+
+class TestFoldBoundaries:
+    def test_fallback_engagement_ignores_batch_boundaries(self):
+        """The soft limit trips on one particular row — mid-batch at every
+        chunk size here — so rows written to the fallback table, the
+        answer and the simulated clock are the same at 7, 64 and 256 rows
+        a batch."""
+        rows = [(i % 300, i) for i in range(900)]
+        aggregates = [
+            ast.FunctionCall("COUNT", [], star=True),
+            ast.FunctionCall("SUM", [_column(1)]),
+        ]
+        outcomes = []
+        for chunk in (7, 64, 256):
+            operator, result, clock = _group_by(rows, chunk, aggregates)
+            assert operator.fallback_engaged
+            outcomes.append((
+                operator.fallback_rows_written, sorted(result), clock.now,
+            ))
+        # 4,096-byte page / 80 bytes a group: the 52nd group trips it.
+        assert outcomes[0][0] == 300
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0][1][:2] == [(0, 3, 900), (1, 3, 903)]
+
+
+def _string_dispatch_fold(call, values):
+    """The aggregate fold as it compared ``call.name`` per value."""
+    count, total, extreme, distinct = 0, None, None, set()
+    for value in values:
+        if call.name == "COUNT" and call.star:
+            count += 1
+            continue
+        if value is None:
+            continue
+        if call.distinct:
+            if value in distinct:
+                continue
+            distinct.add(value)
+        count += 1
+        if call.name in ("SUM", "AVG"):
+            total = value if total is None else total + value
+        elif call.name == "MIN":
+            extreme = value if extreme is None else min(extreme, value)
+        elif call.name == "MAX":
+            extreme = value if extreme is None else max(extreme, value)
+    if call.name == "COUNT":
+        return count
+    if call.name == "SUM":
+        return total
+    if call.name == "AVG":
+        return None if count == 0 else total / count
+    return extreme
+
+
+@pytest.mark.parametrize("values", [
+    [], [None, None], [3, None, 1, 3, None, 2], [2.5, -1.0, 2.5],
+    ["b", None, "a", "b"],
+])
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("name", ["COUNT", "SUM", "AVG", "MIN", "MAX"])
+def test_kind_resolved_state_equals_string_dispatch(name, distinct, values):
+    if values and isinstance(values[0], str) and name in ("SUM", "AVG"):
+        pytest.skip("no string sums")
+    calls = [ast.FunctionCall(name, [_column(1)], distinct=distinct)]
+    if name == "COUNT" and not distinct:
+        calls.append(ast.FunctionCall("COUNT", [], star=True))
+    for call in calls:
+        state = AggState(call)
+        for value in values:
+            state.accumulate_value(value)
+        assert state.finalize() == _string_dispatch_fold(call, values)
+        # The serialized partial state round-trips through a merge.
+        merged = AggState(call)
+        merged.merge_serialized(state.serialize())
+        assert merged.finalize() == state.finalize()
