@@ -28,6 +28,7 @@ import dataclasses
 from repro.common.errors import IOFaultError
 from repro.common.units import KiB, MiB, MINUTE, SECOND, bytes_to_pages
 from repro.ossim.memory import WorkingSetProbeOutage, WorkingSetUnavailable
+from repro.profiling.metrics import NULL_METRICS
 
 GovernorSample = collections.namedtuple(
     "GovernorSample",
@@ -100,19 +101,15 @@ class BufferGovernor:
         #: probe outages without falling back to the CE control law.
         self._last_working_set = None
         self._running = False
-        self._metrics = metrics
-        self._m_ws_outages = None
-        self._m_resize_faults = None
-        if metrics is not None:
-            self._m_polls = metrics.counter("governor.polls")
-            self._m_actions = {
-                action: metrics.counter("governor.action.%s" % action)
-                for action in (GROW, SHRINK, HOLD_DEADBAND, HOLD_NO_MISSES,
-                               HOLD)
-            }
-            self._m_pool_bytes = metrics.gauge("governor.pool_bytes")
-            self._m_ws_outages = metrics.counter("governor.ws_probe_outages")
-            self._m_resize_faults = metrics.counter("governor.resize_io_faults")
+        metrics = metrics or NULL_METRICS
+        self._m_polls = metrics.counter("governor.polls")
+        self._m_actions = {
+            action: metrics.counter("governor.action.%s" % action)
+            for action in (GROW, SHRINK, HOLD_DEADBAND, HOLD_NO_MISSES, HOLD)
+        }
+        self._m_pool_bytes = metrics.gauge("governor.pool_bytes")
+        self._m_ws_outages = metrics.counter("governor.ws_probe_outages")
+        self._m_resize_faults = metrics.counter("governor.resize_io_faults")
         self._sync_process_allocation()
 
     # ------------------------------------------------------------------ #
@@ -158,8 +155,7 @@ class BufferGovernor:
         except WorkingSetProbeOutage:
             # Injected transient outage: ride it out on the last good
             # reading rather than degrading to the CE control law.
-            if self._m_ws_outages is not None:
-                self._m_ws_outages.inc()
+            self._m_ws_outages.inc()
             working_set = self._last_working_set
             if working_set is not None:
                 ideal = working_set + free - config.os_reserve_bytes
@@ -179,8 +175,7 @@ class BufferGovernor:
                 # count it and let the next poll try again — a governor
                 # timer must never kill the statement whose clock advance
                 # happened to fire it.
-                if self._m_resize_faults is not None:
-                    self._m_resize_faults.inc()
+                self._m_resize_faults.inc()
             self._sync_process_allocation()
 
         interval = self._next_interval()
@@ -195,10 +190,9 @@ class BufferGovernor:
             interval_us=interval,
         )
         self.history.append(sample)
-        if self._metrics is not None:
-            self._m_polls.inc()
-            self._m_actions[action].inc()
-            self._m_pool_bytes.set(self.pool.size_bytes())
+        self._m_polls.inc()
+        self._m_actions[action].inc()
+        self._m_pool_bytes.set(self.pool.size_bytes())
         if self._fast_polls_left > 0:
             self._fast_polls_left -= 1
         self._note_database_growth()

@@ -110,6 +110,12 @@ class IndexSchema:
         self.unique = unique
         #: Set by the engine: the BTree instance.
         self.btree = None
+        #: True for the Index Consultant's costing-only indexes: no
+        #: entries, so every maintenance and verification path skips them.
+        self.virtual = False
+        #: Positions of the key columns in a table row; resolved by
+        #: :meth:`Catalog.add_index`, which attaches the index to its table.
+        self.key_positions = None
         #: LSN stamp of the last DML/DDL that touched this index's
         #: entries (observability; fallback decisions use the narrower
         #: per-key state below).
@@ -131,6 +137,10 @@ class IndexSchema:
         #: while shipped WAL is applied heap-only; every snapshot scan
         #: falls back until promotion rebuilds the index.
         self.always_fallback = False
+
+    def key_of(self, row):
+        """The index key of one table row."""
+        return tuple(row[position] for position in self.key_positions)
 
     def __repr__(self):
         return "IndexSchema(%s ON %s(%s)%s)" % (
@@ -206,7 +216,10 @@ class Catalog:
     def add_index(self, schema):
         if schema.name in self._indexes:
             raise CatalogError("index %r already exists" % (schema.name,))
-        self.table(schema.table_name)  # must exist
+        table = self.table(schema.table_name)  # must exist
+        schema.key_positions = tuple(
+            table.column_index(name) for name in schema.column_names
+        )
         self._indexes[schema.name] = schema
         return schema
 

@@ -16,6 +16,7 @@ import random
 from repro.common.errors import CalibrationError, IOFaultError, TransientIOError
 from repro.dtt.curve import DTTCurve
 from repro.dtt.model import DTTModel, READ, WRITE
+from repro.profiling.metrics import NULL_METRICS
 
 #: Band sizes probed by default: logarithmically spaced, like Figure 2(b).
 DEFAULT_BANDS = (1, 4, 16, 64, 256, 1024, 4096, 16384, 65536)
@@ -178,14 +179,9 @@ class RetryRecalibrator:
         self.recalibrations_aborted = 0
         self._recent = collections.deque(maxlen=self.window)
         self._cooldown = 0
-        self._m_recalibrations = (
-            metrics.counter("dtt.recalibrations")
-            if metrics is not None else None
-        )
-        self._m_aborted = (
-            metrics.counter("dtt.recalibrations_aborted")
-            if metrics is not None else None
-        )
+        metrics = metrics or NULL_METRICS
+        self._m_recalibrations = metrics.counter("dtt.recalibrations")
+        self._m_aborted = metrics.counter("dtt.recalibrations_aborted")
 
     def observe(self, statement_retries):
         """Fold one finished statement's retry count in; returns True
@@ -213,13 +209,11 @@ class RetryRecalibrator:
             # The device is too sick to even measure right now; keep the
             # old model and let the cooldown expire before trying again.
             self.recalibrations_aborted += 1
-            if self._m_aborted is not None:
-                self._m_aborted.inc()
+            self._m_aborted.inc()
             return False
         server.catalog.dtt_model = model
         self.recalibrations += 1
-        if self._m_recalibrations is not None:
-            self._m_recalibrations.inc()
+        self._m_recalibrations.inc()
         if server.tracer is not None:
             server.tracer.record_system(
                 "dtt-recalibrate", server.clock.now,

@@ -31,6 +31,7 @@ import contextlib
 
 from repro.analysis.races import tap as _race_tap
 from repro.common.errors import ReproError
+from repro.profiling.metrics import NULL_METRICS
 from repro.storage.exthash import ExtensibleHashTable
 
 # Table lock modes (multi-granularity; row locks are always exclusive).
@@ -109,14 +110,6 @@ class LockWaiter:
         )
 
 
-class _NullCounter:
-    def inc(self, n=1):
-        pass
-
-
-_NULL = _NullCounter()
-
-
 class LockManager:
     """Row and table locks per transaction, blocking under a scheduler."""
 
@@ -139,21 +132,15 @@ class LockManager:
         self.deadlocks = 0
         self.stalls = 0
         self.release_misses = 0
-        if metrics is not None:
-            self._m_conflicts = metrics.counter("locks.conflicts")
-            self._m_waits = metrics.counter("locks.waits")
-            self._m_deadlocks = metrics.counter("locks.deadlocks")
-            self._m_stalls = metrics.counter("locks.stalls")
-            self._m_release_miss = metrics.counter("locks.release_miss")
-            metrics.register_probe(
-                "locks.table_pages", lambda: self.lock_table_pages
-            )
-        else:
-            self._m_conflicts = _NULL
-            self._m_waits = _NULL
-            self._m_deadlocks = _NULL
-            self._m_stalls = _NULL
-            self._m_release_miss = _NULL
+        metrics = metrics or NULL_METRICS
+        self._m_conflicts = metrics.counter("locks.conflicts")
+        self._m_waits = metrics.counter("locks.waits")
+        self._m_deadlocks = metrics.counter("locks.deadlocks")
+        self._m_stalls = metrics.counter("locks.stalls")
+        self._m_release_miss = metrics.counter("locks.release_miss")
+        metrics.register_probe(
+            "locks.table_pages", lambda: self.lock_table_pages
+        )
 
     # ------------------------------------------------------------------ #
     # acquisition
@@ -270,7 +257,7 @@ class LockManager:
         if (
             not self.blocking
             or scheduler is None
-            or not scheduler.lock_can_wait()
+            or not scheduler.can_wait()
         ):
             raise LockConflictError(key, tuple(sorted(blockers)))
         waiter = LockWaiter(txn_id, key, mode)

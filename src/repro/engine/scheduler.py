@@ -68,6 +68,22 @@ YIELD_REPL_APPLY = "repl.apply"
 MAX_STALLED_DISPATCHES = 16
 
 
+def _lock_resolved(waiter):
+    if waiter.granted:
+        return "lock-granted"
+    return "lock-victim" if waiter.victim else None
+
+
+#: ``(blocked status, waiting_on -> trace event once the wait is over)``,
+#: in the order :meth:`WorkloadScheduler._resolve_waiters` wakes them.
+_RESOLVED = (
+    (WAITING_COMMIT,
+     lambda ticket: "commit-durable" if ticket.durable else None),
+    (WAITING_LOCK, _lock_resolved),
+    (WAITING_REPL, lambda ready_fn: "repl-ready" if ready_fn() else None),
+)
+
+
 class Session:
     """One scripted client: a name plus a source of statements.
 
@@ -90,9 +106,9 @@ class Session:
         self.status = READY
         self.event = threading.Event()
         self.thread = None
-        self.ticket = None
-        self.lock_waiter = None
-        self.repl_ready_fn = None
+        #: What a WAITING_COMMIT / WAITING_LOCK / WAITING_REPL session is
+        #: parked on: its commit ticket, lock waiter or readiness predicate.
+        self.waiting_on = None
         self.in_statement = False
         self.statements_run = 0
         self.statements_failed = 0
@@ -278,10 +294,11 @@ class WorkloadScheduler:
     def running_session(self):
         return self._current
 
-    def commit_can_wait(self):
-        """Whether parking this commit can possibly be productive: the
-        call must come from a session thread and at least one sibling
-        must still be live to join the batch or run meanwhile."""
+    def can_wait(self):
+        """Whether parking the caller (on a commit ticket, on a lock) can
+        possibly be productive: the call must come from a session thread
+        and at least one sibling must still be live — to join the commit
+        batch, to release the lock, or just to run meanwhile."""
         if self._aborting:
             return False
         session = self._current
@@ -296,16 +313,10 @@ class WorkloadScheduler:
 
     def wait_for_commit(self, ticket, coordinator):
         """Park the current session until its commit ticket is durable."""
-        session = self._current
-        session.ticket = ticket
-        session.status = WAITING_COMMIT
-        self._m_commit_waits.inc()
-        self._trace(session, "wait:commit lsn=%d" % ticket.lsn)
-        try:
-            if not self._dispatch_from(session):
-                self._park(session)
-        finally:
-            session.ticket = None
+        self._block(
+            self._current, WAITING_COMMIT, self._m_commit_waits,
+            "wait:commit lsn=%d" % ticket.lsn, ticket,
+        )
 
     # ------------------------------------------------------------------ #
     # replication surface
@@ -327,35 +338,13 @@ class WorkloadScheduler:
             return
         if ready_fn():
             return
-        session.repl_ready_fn = ready_fn
-        session.status = WAITING_REPL
-        self._m_repl_waits.inc()
-        self._trace(session, "wait:repl")
-        try:
-            if not self._dispatch_from(session):
-                self._park(session)
-        finally:
-            session.repl_ready_fn = None
+        self._block(
+            session, WAITING_REPL, self._m_repl_waits, "wait:repl", ready_fn
+        )
 
     # ------------------------------------------------------------------ #
     # lock-manager surface
     # ------------------------------------------------------------------ #
-
-    def lock_can_wait(self):
-        """Whether parking on a lock can possibly be productive: the call
-        must come from a session thread and at least one sibling must be
-        live to eventually release the lock (or this run to unwind)."""
-        if self._aborting:
-            return False
-        session = self._current
-        if session is None or (
-            threading.current_thread() is not session.thread
-        ):
-            return False
-        return any(
-            s is not session and s.status not in (DONE, FAILED, ABORTED)
-            for s in self._sessions
-        )
 
     def wait_for_lock(self, waiter):
         """Park the current session until its lock request is granted or
@@ -367,16 +356,11 @@ class WorkloadScheduler:
         """
         session = self._current
         waiter.session = session
-        session.lock_waiter = waiter
-        session.status = WAITING_LOCK
-        self._m_lock_waits.inc()
-        self._trace(session, "wait:lock %s" % waiter.describe())
-        self._release_admission(session)
-        try:
-            if not self._dispatch_from(session):
-                self._park(session)
-        finally:
-            session.lock_waiter = None
+        self._block(
+            session, WAITING_LOCK, self._m_lock_waits,
+            "wait:lock %s" % waiter.describe(), waiter,
+            before_park=self._release_admission,
+        )
         self._acquire_admission(session)
         self._assert_admitted(session)
 
@@ -415,15 +399,11 @@ class WorkloadScheduler:
 
     def _acquire_admission(self, session):
         admission = self._admission()
-        if admission.request(session):
-            return
-        session.status = WAITING_ADMISSION
-        self._m_admission_waits.inc()
-        self._trace(
-            session, "wait:admission depth=%d" % admission.queue_depth()
-        )
-        if not self._dispatch_from(session):
-            self._park(session)
+        if not admission.request(session):
+            self._block(
+                session, WAITING_ADMISSION, self._m_admission_waits,
+                "wait:admission depth=%d" % admission.queue_depth(),
+            )
 
     def _release_admission(self, session):
         for promoted in self._admission().release(session):
@@ -485,6 +465,24 @@ class WorkloadScheduler:
                 "session %r torn down by a sibling's failure" % session.name
             )
 
+    def _block(self, session, status, counter, event, waiting_on=None,
+               before_park=None):
+        """The one park-and-resume: mark ``session`` blocked in ``status``
+        on ``waiting_on``, hand the baton onward and return once
+        :meth:`_resolve_waiters` (or an admission promotion) has made it
+        runnable again."""
+        session.waiting_on = waiting_on
+        session.status = status
+        counter.inc()
+        self._trace(session, event)
+        if before_park is not None:
+            before_park(session)
+        try:
+            if not self._dispatch_from(session):
+                self._park(session)
+        finally:
+            session.waiting_on = None
+
     def _take_ready(self):
         while self._ready:
             session = self._ready.pop(0)
@@ -493,37 +491,19 @@ class WorkloadScheduler:
         return None
 
     def _resolve_waiters(self):
-        for session in self._sessions:
-            if (
-                session.status == WAITING_COMMIT
-                and session.ticket is not None
-                and session.ticket.durable
-            ):
-                session.status = READY
-                self._ready.append(session)
-                self._trace(session, "commit-durable")
-        for session in self._sessions:
-            waiter = session.lock_waiter
-            if (
-                session.status == WAITING_LOCK
-                and waiter is not None
-                and (waiter.granted or waiter.victim)
-            ):
-                session.status = READY
-                self._ready.append(session)
-                self._trace(
-                    session,
-                    "lock-granted" if waiter.granted else "lock-victim",
-                )
-        for session in self._sessions:
-            if (
-                session.status == WAITING_REPL
-                and session.repl_ready_fn is not None
-                and session.repl_ready_fn()
-            ):
-                session.status = READY
-                self._ready.append(session)
-                self._trace(session, "repl-ready")
+        """Re-ready every session whose wait is over.  The order is part
+        of the trace: durable commits, then lock grants and victims, then
+        replication readiness, then admission promotions — each in
+        session order."""
+        for status, resolved in _RESOLVED:
+            for session in self._sessions:
+                if session.status != status or session.waiting_on is None:
+                    continue
+                event = resolved(session.waiting_on)
+                if event is not None:
+                    session.status = READY
+                    self._ready.append(session)
+                    self._trace(session, event)
         for promoted in self._admission().promote():
             if promoted.status == WAITING_ADMISSION:
                 promoted.status = READY
@@ -604,7 +584,7 @@ class WorkloadScheduler:
         if lock_manager is None:
             return False
         for candidate in self._sessions:
-            waiter = candidate.lock_waiter
+            waiter = candidate.waiting_on
             if (
                 candidate.status == WAITING_LOCK
                 and waiter is not None

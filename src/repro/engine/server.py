@@ -755,11 +755,10 @@ class Server:
         """Raise if ``row`` would violate a unique index.  A key kept
         from ``before`` cannot newly collide and is not searched."""
         for index in self.catalog.indexes_on(table.name):
-            if getattr(index, "virtual", False) or not index.unique:
+            if index.virtual or not index.unique:
                 continue
-            columns = [table.column_index(c) for c in index.column_names]
-            key = tuple(row[i] for i in columns)
-            if before is not None and key == tuple(before[i] for i in columns):
+            key = index.key_of(row)
+            if before is not None and key == index.key_of(before):
                 continue
             if index.btree.search(key):
                 raise ExecutionError(
@@ -768,9 +767,9 @@ class Server:
 
     def _index_insert(self, table, row, row_id):
         for index in self.catalog.indexes_on(table.name):
-            if getattr(index, "virtual", False):
+            if index.virtual:
                 continue
-            key = tuple(row[table.column_index(c)] for c in index.column_names)
+            key = index.key_of(row)
             if index.unique and index.btree.search(key):
                 raise ExecutionError(
                     "duplicate key %r in unique index %r" % (key, index.name)
@@ -780,9 +779,9 @@ class Server:
 
     def _index_delete(self, table, row, row_id):
         for index in self.catalog.indexes_on(table.name):
-            if getattr(index, "virtual", False):
+            if index.virtual:
                 continue
-            key = tuple(row[table.column_index(c)] for c in index.column_names)
+            key = index.key_of(row)
             index.btree.delete(key, row_id)
             # Removals are the only mutations that can blind a snapshot
             # index scan, so they are stamped per key: a scan whose
@@ -1280,7 +1279,7 @@ class Connection:
         index.btree = BTree(index_file, server.pool, name=index_name)
         server.catalog.add_index(index)
         for row_id, row in table.storage.scan():
-            key = tuple(row[table.column_index(c)] for c in column_names)
+            key = index.key_of(row)
             if unique and index.btree.search(key):
                 raise ExecutionError(
                     "duplicate key %r building unique index %r"
@@ -1356,7 +1355,7 @@ class Connection:
             )
             table.storage = TableStorage(table, new_file, server.pool)
             for index in indexes:
-                if getattr(index, "virtual", False):
+                if index.virtual:
                     continue
                 server.pool.discard(index.btree.file)
                 index.btree.file.truncate()
@@ -1374,7 +1373,7 @@ class Connection:
             # The rebuild drained all writers and replayed committed rows
             # only: re-stamp past the per-insert mutation stamps.
             for index in indexes:
-                if getattr(index, "virtual", False):
+                if index.virtual:
                     continue
                 server._stamp_index_rebuilt(index)
             old_file.truncate()

@@ -22,14 +22,7 @@ Version-chain mutations are bracketed in race-sanitizer spans
 """
 
 from repro.analysis.races import tap as _race_tap
-
-
-class _NullCounter:
-    def inc(self, n=1):
-        pass
-
-
-_NULL = _NullCounter()
+from repro.profiling.metrics import NULL_METRICS
 
 
 class VersionManager:
@@ -43,19 +36,16 @@ class VersionManager:
         self.last_commit_lsn = 0
         self.recorded = 0
         self.purged = 0
-        if metrics is not None:
-            self._m_recorded = metrics.counter("versions.recorded")
-            self._m_purged = metrics.counter("versions.purged")
-            metrics.register_probe(
-                "versions.active_snapshots",
-                lambda: sum(self._snapshots.values()),
-            )
-            metrics.register_probe(
-                "versions.rows_versioned", self.rows_versioned
-            )
-        else:
-            self._m_recorded = _NULL
-            self._m_purged = _NULL
+        metrics = metrics or NULL_METRICS
+        self._m_recorded = metrics.counter("versions.recorded")
+        self._m_purged = metrics.counter("versions.purged")
+        metrics.register_probe(
+            "versions.active_snapshots",
+            lambda: sum(self._snapshots.values()),
+        )
+        metrics.register_probe(
+            "versions.rows_versioned", self.rows_versioned
+        )
 
     # ------------------------------------------------------------------ #
     # writer side

@@ -23,6 +23,7 @@ from repro.exec.operators import (
     SingleRowOp,
 )
 from repro.optimizer import plans as p
+from repro.profiling.metrics import NULL_METRICS
 
 #: Bound on recursive-union iterations (runaway-recursion backstop).
 MAX_RECURSION_DEPTH = 200
@@ -42,7 +43,7 @@ class ExecutionContext:
         self.task = task
         self.params = params
         self.feedback_enabled = feedback_enabled
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         self.fault_plan = fault_plan
         #: Rows per batch the operators build.
         self.batch_rows = batch_rows
@@ -130,8 +131,7 @@ class Executor:
 
     def run(self, result, ctx):
         """Execute an OptimizerResult for a SELECT; yields result tuples."""
-        if ctx.metrics is not None:
-            ctx.metrics.counter("exec.queries").inc()
+        ctx.metrics.counter("exec.queries").inc()
         if result.recursive_cte is not None:
             self._materialize_cte(result.recursive_cte, ctx)
         yield from self.rows(self.build(result.plan, depth=0), ctx)

@@ -123,13 +123,10 @@ class InstrumentedOp(Operator):
         new_adaptive = adaptive - stats.adaptive_events
         stats.spill_events = spills
         stats.adaptive_events = adaptive
-        if ctx.metrics is not None:
-            if new_spills > 0:
-                ctx.metrics.counter("exec.spill_events").inc(new_spills)
-            if new_adaptive > 0:
-                ctx.metrics.counter("exec.adaptive_fallbacks").inc(
-                    new_adaptive
-                )
+        if new_spills > 0:
+            ctx.metrics.counter("exec.spill_events").inc(new_spills)
+        if new_adaptive > 0:
+            ctx.metrics.counter("exec.adaptive_fallbacks").inc(new_adaptive)
 
 
 class ExecStatsCollector:

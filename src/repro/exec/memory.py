@@ -15,6 +15,7 @@ import collections
 
 from repro.analysis.races import tap as _race_tap
 from repro.common.errors import MemoryQuotaExceededError
+from repro.profiling.metrics import NULL_METRICS
 
 
 class AdmissionQueue:
@@ -37,17 +38,15 @@ class AdmissionQueue:
         self.total_admissions = 0
         self.total_waits = 0
         self.peak_admitted = 0
-        self._m_admissions = None
-        self._m_waits = None
-        if metrics is not None:
-            self._m_admissions = metrics.counter("memgov.admissions")
-            self._m_waits = metrics.counter("memgov.admission_waits")
-            metrics.register_probe(
-                "memgov.admitted_sessions", lambda: len(self._admitted)
-            )
-            metrics.register_probe(
-                "memgov.admission_queue_depth", lambda: len(self._queue)
-            )
+        metrics = metrics or NULL_METRICS
+        self._m_admissions = metrics.counter("memgov.admissions")
+        self._m_waits = metrics.counter("memgov.admission_waits")
+        metrics.register_probe(
+            "memgov.admitted_sessions", lambda: len(self._admitted)
+        )
+        metrics.register_probe(
+            "memgov.admission_queue_depth", lambda: len(self._queue)
+        )
 
     def capacity(self):
         """Live slot count: the governor's current multiprogramming level."""
@@ -79,8 +78,7 @@ class AdmissionQueue:
             if who not in self._queue:
                 self._queue.append(who)
                 self.total_waits += 1
-                if self._m_waits is not None:
-                    self._m_waits.inc()
+                self._m_waits.inc()
         return False
 
     def release(self, who):
@@ -113,8 +111,7 @@ class AdmissionQueue:
         self._admitted.add(who)
         self.total_admissions += 1
         self.peak_admitted = max(self.peak_admitted, len(self._admitted))
-        if self._m_admissions is not None:
-            self._m_admissions.inc()
+        self._m_admissions.inc()
 
 
 class Task:
@@ -244,25 +241,24 @@ class MemoryGovernor:
         self._window_peak_concurrency = 0
         self.mpl_changes = []  # [(completed tasks, old level, new level)]
         #: Statement admission gate consumed by the workload scheduler.
+        self._metrics = metrics = metrics or NULL_METRICS
         self.admission = AdmissionQueue(self, metrics=metrics)
-        self._metrics = metrics
-        if metrics is not None:
-            self._m_tasks = metrics.counter("memgov.tasks_completed")
-            self._m_soft_hits = metrics.counter("memgov.soft_limit_hits")
-            self._m_mpl_changes = metrics.counter("memgov.mpl_changes")
-            metrics.register_probe(
-                "memgov.active_tasks", lambda: len(self._tasks)
-            )
-            metrics.register_probe(
-                "memgov.multiprogramming_level",
-                lambda: self.multiprogramming_level,
-            )
-            metrics.register_probe(
-                "memgov.soft_limit_pages", self.soft_limit_pages
-            )
-            metrics.register_probe(
-                "memgov.hard_limit_pages", self.hard_limit_pages
-            )
+        self._m_tasks = metrics.counter("memgov.tasks_completed")
+        self._m_soft_hits = metrics.counter("memgov.soft_limit_hits")
+        self._m_mpl_changes = metrics.counter("memgov.mpl_changes")
+        metrics.register_probe(
+            "memgov.active_tasks", lambda: len(self._tasks)
+        )
+        metrics.register_probe(
+            "memgov.multiprogramming_level",
+            lambda: self.multiprogramming_level,
+        )
+        metrics.register_probe(
+            "memgov.soft_limit_pages", self.soft_limit_pages
+        )
+        metrics.register_probe(
+            "memgov.hard_limit_pages", self.hard_limit_pages
+        )
 
     # -- task lifecycle ------------------------------------------------------ #
 
@@ -279,10 +275,9 @@ class MemoryGovernor:
         self._tasks.pop(task.task_id, None)
         self._window_tasks += 1
         self._window_soft_hits += task.soft_limit_hits
-        if self._metrics is not None:
-            self._m_tasks.inc()
-            if task.soft_limit_hits:
-                self._m_soft_hits.inc(task.soft_limit_hits)
+        self._m_tasks.inc()
+        if task.soft_limit_hits:
+            self._m_soft_hits.inc(task.soft_limit_hits)
         if self.adaptive and self._window_tasks >= self.ADAPT_WINDOW:
             self.adapt_multiprogramming_level()
 
@@ -327,8 +322,7 @@ class MemoryGovernor:
             self.mpl_changes.append(
                 (self._window_tasks, old_level, self.multiprogramming_level)
             )
-            if self._metrics is not None:
-                self._m_mpl_changes.inc()
+            self._m_mpl_changes.inc()
         self._window_tasks = 0
         self._window_soft_hits = 0
         self._window_peak_concurrency = len(self._tasks)
@@ -375,8 +369,6 @@ class MemoryGovernor:
     def _metric_value(self, name, default=0):
         """A registry value, or ``default`` when the metric (or the whole
         registry) is absent — rig setups wire neither."""
-        if self._metrics is None:
-            return default
         try:
             return self._metrics.value(name)
         except KeyError:

@@ -33,8 +33,15 @@ from repro.optimizer.costmodel import (
     CPU_ROW_US,
     INDEX_NODE_US,
 )
-from repro.sql import ast
 from repro.sql.binder import Quantifier
+from repro.sql.predicates import (
+    CMP,
+    LIKE,
+    NO_VALUE,
+    NULL,
+    range_bounds,
+    static_value,
+)
 
 #: Hash-join partitions ("buckets are divided uniformly into a small,
 #: fixed, number of partitions").
@@ -137,9 +144,9 @@ class SeqScanOp(Operator):
                 # histogram.  This is the "almost" in the paper's
                 # "(almost) any predicate ... can lead to an update".
                 continue
-            classified = classify_predicate(
-                conjunct.expr, self.quantifier.id, ctx.params
-            )
+            # Local conjuncts reference this quantifier only, so the
+            # reading the binder took is a reading on this scan's table.
+            classified = classify_predicate(conjunct.column, ctx.params)
             if classified is None:
                 continue
             kind, column_index, payload = classified
@@ -237,11 +244,9 @@ class IndexScanOp(Operator):
         whole tree postdates it (rebuild), or it is not maintained at all
         (replication standby)."""
         schema = self.index_schema
-        if getattr(schema, "always_fallback", False):
+        if schema.always_fallback or schema.rebuild_lsn > snapshot:
             return True
-        if getattr(schema, "rebuild_lsn", 0) > snapshot:
-            return True
-        stamps = getattr(schema, "delete_stamps", None)
+        stamps = schema.delete_stamps
         if not stamps or max(stamps.values()) <= snapshot:
             return False
         return any(
@@ -250,12 +255,7 @@ class IndexScanOp(Operator):
         )
 
     def _key_in_bounds(self, row, bounds):
-        table = self.quantifier.schema
-        key = tuple(
-            row[table.column_index(c)]
-            for c in self.index_schema.column_names
-        )
-        return self._key_tuple_in_bounds(key, bounds)
+        return self._key_tuple_in_bounds(self.index_schema.key_of(row), bounds)
 
     @staticmethod
     def _key_tuple_in_bounds(key, bounds):
@@ -958,80 +958,30 @@ def null_extend(env, quantifiers):
     return extended
 
 
-def classify_predicate(expr, qid, params):
-    """Map a conjunct onto a histogram-updatable shape, or None.
+def classify_predicate(predicate, params):
+    """Map a recognised column predicate (``Conjunct.column``) onto a
+    histogram-updatable shape, or None.
 
     Returns ('eq', column_index, value) / ('range', ci, (low, high, li, hi))
-    / ('null', ci, negated) / ('like', ci, pattern).
+    / ('null', ci, None) / ('like', ci, pattern).
     """
-    if isinstance(expr, ast.BinaryOp) and expr.op in ("=", "<", "<=", ">", ">="):
-        for column_side, value_side, flipped in (
-            (expr.left, expr.right, False), (expr.right, expr.left, True)
-        ):
-            if not (
-                isinstance(column_side, ast.ColumnRef)
-                and column_side.bound
-                and column_side.quantifier_id == qid
-            ):
-                continue
-            value = _static_value(value_side, params)
-            if value is _NO_VALUE or value is None:
-                return None
-            op = expr.op
-            if flipped:
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-            ci = column_side.column_index
-            if op == "=":
-                return ("eq", ci, value)
-            if op == "<":
-                return ("range", ci, (None, value, True, False))
-            if op == "<=":
-                return ("range", ci, (None, value, True, True))
-            if op == ">":
-                return ("range", ci, (value, None, False, True))
-            return ("range", ci, (value, None, True, True))
-    if isinstance(expr, ast.Between) and not expr.negated:
-        operand = expr.operand
-        if (
-            isinstance(operand, ast.ColumnRef)
-            and operand.quantifier_id == qid
-        ):
-            low = _static_value(expr.low, params)
-            high = _static_value(expr.high, params)
-            if low not in (_NO_VALUE, None) and high not in (_NO_VALUE, None):
-                return ("range", operand.column_index, (low, high, True, True))
-    if isinstance(expr, ast.IsNull) and not expr.negated:
-        operand = expr.operand
-        if isinstance(operand, ast.ColumnRef) and operand.quantifier_id == qid:
-            return ("null", operand.column_index, None)
-    if isinstance(expr, ast.Like) and not expr.negated:
-        operand = expr.operand
-        if isinstance(operand, ast.ColumnRef) and operand.quantifier_id == qid:
-            pattern = _static_value(expr.pattern, params)
-            if isinstance(pattern, str):
-                return ("like", operand.column_index, pattern)
-    return None
-
-
-class _NoValue:
-    pass
-
-
-_NO_VALUE = _NoValue()
-
-
-def _static_value(expr, params):
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.Parameter) and params is not None:
-        try:
-            if expr.name is not None:
-                return params[expr.name]
-            return params[expr.ordinal]
-        except (KeyError, IndexError, TypeError):
-            return _NO_VALUE
-    if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-        inner = _static_value(expr.operand, params)
-        if inner not in (_NO_VALUE, None):
-            return -inner
-    return _NO_VALUE
+    # Operand policy: parameters resolve to their values; a NULL or
+    # non-constant operand, and every negated shape, teaches nothing.
+    if predicate is None or predicate.negated:
+        return None
+    values = [static_value(operand, params) for operand in predicate.operands]
+    if any(value is NO_VALUE or value is None for value in values):
+        return None
+    column_index = predicate.column.column_index
+    if predicate.kind == NULL:
+        return ("null", column_index, None)
+    if predicate.kind == LIKE:
+        if isinstance(values[0], str):
+            return ("like", column_index, values[0])
+        return None
+    if predicate.kind == CMP and predicate.op == "=":
+        return ("eq", column_index, values[0])
+    bounds = range_bounds(predicate, values)
+    if bounds is None:
+        return None
+    return ("range", column_index, bounds)

@@ -85,9 +85,8 @@ def execute_parallel(plan, executor, ctx, n_workers):
     if core is None or n_workers < 2:
         return None, None
     wrappers, joins, leaf = core
-    if ctx.metrics is not None:
-        ctx.metrics.counter("exec.parallel_queries").inc()
-        ctx.metrics.gauge("exec.parallel_workers").set(n_workers)
+    ctx.metrics.counter("exec.parallel_queries").inc()
+    ctx.metrics.gauge("exec.parallel_workers").set(n_workers)
 
     # 1. Materialize the leaf (probe) input and every build input through
     #    the ordinary scan operators: scan I/O stays serial and sequential.

@@ -21,6 +21,7 @@ import dataclasses
 import random
 
 from repro.common.units import MiB
+from repro.profiling.metrics import NULL_METRICS
 
 # --------------------------------------------------------------------- #
 # injection sites (literal, greppable — mirrors the metric-name rule)
@@ -156,11 +157,7 @@ class FaultPlan:
         self.injected = 0
         self.retries = 0
         self.statement_aborts = 0
-        self._clock = None
-        self._tracer_fn = None
-        self._m_injected = None
-        self._m_retries = None
-        self._m_aborts = None
+        self.bind(clock=None)  # unbound: no clock, no tracer, null metrics
 
     # ------------------------------------------------------------------ #
     # wiring
@@ -175,10 +172,10 @@ class FaultPlan:
         """
         self._clock = clock
         self._tracer_fn = tracer_fn
-        if metrics is not None:
-            self._m_injected = metrics.counter("faults.injected")
-            self._m_retries = metrics.counter("faults.retries")
-            self._m_aborts = metrics.counter("faults.statement_aborts")
+        metrics = metrics or NULL_METRICS
+        self._m_injected = metrics.counter("faults.injected")
+        self._m_retries = metrics.counter("faults.retries")
+        self._m_aborts = metrics.counter("faults.statement_aborts")
         return self
 
     # ------------------------------------------------------------------ #
@@ -231,8 +228,7 @@ class FaultPlan:
         self.log.append(record)
         self._site_counts[site] += 1
         self.injected += 1
-        if self._m_injected is not None:
-            self._m_injected.inc()
+        self._m_injected.inc()
         if self._tracer_fn is not None:
             tracer = self._tracer_fn()
             if tracer is not None and hasattr(tracer, "record_fault"):
@@ -244,14 +240,12 @@ class FaultPlan:
     def note_retry(self, site):
         """Count one bounded-retry recovery attempt at ``site``."""
         self.retries += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
+        self._m_retries.inc()
 
     def note_statement_abort(self):
         """Count one statement terminated by a fault-typed error."""
         self.statement_aborts += 1
-        if self._m_aborts is not None:
-            self._m_aborts.inc()
+        self._m_aborts.inc()
 
     # ------------------------------------------------------------------ #
     # replay / post-mortem surface

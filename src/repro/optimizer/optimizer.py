@@ -31,7 +31,9 @@ from repro.optimizer.plans import (
     RecursiveRefScanPlan,
     SeqScanPlan,
     SortPlan,
+    sarg_for,
 )
+from repro.profiling.metrics import NULL_METRICS
 from repro.sql import ast
 from repro.sql.binder import (
     BoundDelete,
@@ -76,7 +78,7 @@ class Optimizer:
         self.governor_mode = governor_mode
         self.effort_factor = effort_factor
         self.last_stats = None
-        self.metrics = metrics
+        self.metrics = metrics or NULL_METRICS
         #: When False every SELECT access path falls back to heap scans:
         #: no sargable index options, no index-NL probes, no hash-join
         #: index alternates.  DML's heuristic bypass keeps its index picks
@@ -104,12 +106,11 @@ class Optimizer:
         recursive_cte = block.with_recursive
         plan, cost, stats = self._optimize_block(block, quota)
         self.last_stats = stats
-        if self.metrics is not None:
-            self.metrics.counter("optimizer.optimizations").inc()
-            if stats is not None:
-                self.metrics.counter("optimizer.nodes_visited").inc(
-                    stats.nodes_visited
-                )
+        self.metrics.counter("optimizer.optimizations").inc()
+        if stats is not None:
+            self.metrics.counter("optimizer.nodes_visited").inc(
+                stats.nodes_visited
+            )
         return OptimizerResult(
             plan, block, stats, cost=cost, recursive_cte=recursive_cte
         )
@@ -122,8 +123,7 @@ class Optimizer:
         local = list(bound.conjuncts)
         access = self._heuristic_access(quantifier, local)
         access.est_rows = max(1.0, quantifier.schema.row_count * 0.1)
-        if self.metrics is not None:
-            self.metrics.counter("optimizer.bypassed").inc()
+        self.metrics.counter("optimizer.bypassed").inc()
         return OptimizerResult(access, bypassed=True)
 
     def _heuristic_access(self, quantifier, conjuncts):
@@ -133,11 +133,11 @@ class Optimizer:
                 continue
             leading = table.column_index(index_schema.column_names[0])
             for conjunct in conjuncts:
-                sarg = _eq_sarg_for(conjunct.expr, quantifier.id, leading)
-                if sarg is not None:
+                sarg = sarg_for(conjunct.column, leading)
+                if sarg is not None and "eq" in sarg:
                     residual = [c for c in conjuncts if c is not conjunct]
                     return IndexScanPlan(
-                        quantifier, index_schema, {"eq": [sarg]}, residual
+                        quantifier, index_schema, sarg, residual
                     )
         return SeqScanPlan(quantifier, conjuncts)
 
@@ -267,16 +267,8 @@ class Optimizer:
         sarg = None
         sarg_conjunct = None
         for conjunct in info.local_conjuncts:
-            eq_value = _eq_sarg_for(conjunct.expr, quantifier.id, leading_index)
-            if eq_value is not None:
-                sarg = {"eq": [eq_value]}
-                sarg_conjunct = conjunct
-                break
-            range_sarg = _range_sarg_for(
-                conjunct.expr, quantifier.id, leading_index
-            )
-            if range_sarg is not None:
-                sarg = range_sarg
+            sarg = sarg_for(conjunct.column, leading_index)
+            if sarg is not None:
                 sarg_conjunct = conjunct
                 break
         if sarg is None:
@@ -543,69 +535,6 @@ class ProjectSource:
 
     def walk(self):
         yield self
-
-
-# --------------------------------------------------------------------- #
-# sarg helpers
-# --------------------------------------------------------------------- #
-
-def _eq_sarg_for(expr, qid, column_index):
-    """The comparand expression when ``expr`` is `col = <expr>` for the
-    given column (literal/parameter comparand only)."""
-    if not isinstance(expr, ast.BinaryOp) or expr.op != "=":
-        return None
-    for column_side, value_side in (
-        (expr.left, expr.right), (expr.right, expr.left)
-    ):
-        if (
-            isinstance(column_side, ast.ColumnRef)
-            and column_side.bound
-            and column_side.quantifier_id == qid
-            and column_side.column_index == column_index
-            and isinstance(value_side, (ast.Literal, ast.Parameter))
-        ):
-            return value_side
-    return None
-
-
-def _range_sarg_for(expr, qid, column_index):
-    """A range sarg dict for `col <op> literal` / BETWEEN."""
-    if isinstance(expr, ast.Between) and not expr.negated:
-        operand = expr.operand
-        if (
-            isinstance(operand, ast.ColumnRef)
-            and operand.quantifier_id == qid
-            and operand.column_index == column_index
-            and isinstance(expr.low, (ast.Literal, ast.Parameter))
-            and isinstance(expr.high, (ast.Literal, ast.Parameter))
-        ):
-            return {"low": expr.low, "low_inclusive": True,
-                    "high": expr.high, "high_inclusive": True}
-    if not isinstance(expr, ast.BinaryOp):
-        return None
-    if expr.op not in ("<", "<=", ">", ">="):
-        return None
-    for column_side, value_side, flip in (
-        (expr.left, expr.right, False), (expr.right, expr.left, True)
-    ):
-        if (
-            isinstance(column_side, ast.ColumnRef)
-            and column_side.bound
-            and column_side.quantifier_id == qid
-            and column_side.column_index == column_index
-            and isinstance(value_side, (ast.Literal, ast.Parameter))
-        ):
-            op = expr.op
-            if flip:
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-            if op == "<":
-                return {"high": value_side, "high_inclusive": False}
-            if op == "<=":
-                return {"high": value_side, "high_inclusive": True}
-            if op == ">":
-                return {"low": value_side, "low_inclusive": False}
-            return {"low": value_side, "low_inclusive": True}
-    return None
 
 
 def _hash_keys(conjuncts, build_qid):

@@ -11,6 +11,8 @@ taken from a decaying logarithmic scale."
 
 import collections
 
+from repro.profiling.metrics import NULL_METRICS
+
 #: Consecutive identical optimizations required before caching.
 TRAINING_PERIOD = 3
 
@@ -56,13 +58,12 @@ class PlanCache:
         self.optimizations = 0
         self.verifications = 0
         self.invalidations = 0
-        self._metrics = metrics
+        self._metrics = metrics or NULL_METRICS
 
     def _count(self, name, n=1):
         """Bump both the local experiment counter and the shared registry."""
         setattr(self, name, getattr(self, name) + n)
-        if self._metrics is not None:
-            self._metrics.counter("plancache." + name).inc(n)
+        self._metrics.counter("plancache." + name).inc(n)
 
     def _due_for_verification(self, uses):
         """Whether a cached plan must be re-verified at this use count.

@@ -7,6 +7,9 @@ the hash join's alternate index-nested-loops strategy (Section 4.3) is an
 annotation placed here by the optimizer.
 """
 
+from repro.sql import ast
+from repro.sql.predicates import CMP, range_bounds
+
 
 class PlanNode:
     """Base class for plan nodes."""
@@ -75,6 +78,37 @@ class IndexScanPlan(PlanNode):
         return "IndexScan(%s via %s)" % (
             self.quantifier.alias, self.index_schema.name
         )
+
+
+def sarg_for(predicate, column_index=None):
+    """The :attr:`IndexScanPlan.sarg` a recognised column predicate gives
+    an index led by its column (``column_index``, when given, must be that
+    column), or None: ``{"eq": [operand]}`` for an equality, the present
+    ends of ``low`` / ``high`` with their ``*_inclusive`` flags for a range.
+    """
+    if predicate is None or predicate.negated:
+        return None
+    if column_index not in (None, predicate.column.column_index):
+        return None
+    # Operand policy: Literal / Parameter nodes only — the scan evaluates
+    # its bounds once, without a row (so ``k > -5`` is not sargable).
+    if not all(
+        isinstance(operand, (ast.Literal, ast.Parameter))
+        for operand in predicate.operands
+    ):
+        return None
+    if predicate.kind == CMP and predicate.op == "=":
+        return {"eq": list(predicate.operands)}
+    bounds = range_bounds(predicate)
+    if bounds is None:
+        return None
+    low, high, low_inclusive, high_inclusive = bounds
+    sarg = {}
+    if low is not None:
+        sarg.update(low=low, low_inclusive=low_inclusive)
+    if high is not None:
+        sarg.update(high=high, high_inclusive=high_inclusive)
+    return sarg
 
 
 class DerivedScanPlan(PlanNode):

@@ -8,6 +8,18 @@ traditional magic numbers when nothing has been observed yet.
 
 from repro.sql import ast
 from repro.sql.binder import Quantifier
+from repro.sql.predicates import (
+    BETWEEN,
+    CMP,
+    IN,
+    LIKE,
+    NO_VALUE,
+    NULL,
+    column_predicate,
+    predicate_kind,
+    range_bounds,
+    static_value,
+)
 from repro.stats.joinhist import join_selectivity as histogram_join_selectivity
 
 #: Magic numbers used when no statistics exist (classic System R values).
@@ -41,122 +53,79 @@ class SelectivityEstimator:
                 left = self.local_selectivity(expr.left, quantifier)
                 right = self.local_selectivity(expr.right, quantifier)
                 return min(1.0, left + right - left * right)
-            if expr.op in ("=", "<>", "<", "<=", ">", ">="):
-                return self._comparison(expr, quantifier)
         if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
             return max(0.0, 1.0 - self.local_selectivity(expr.operand, quantifier))
-        if isinstance(expr, ast.IsNull):
-            return self._is_null(expr, quantifier)
-        if isinstance(expr, ast.Between):
-            return self._between(expr, quantifier)
-        if isinstance(expr, ast.InList):
-            return self._in_list(expr, quantifier)
-        if isinstance(expr, ast.Like):
-            return self._like(expr, quantifier)
-        return DEFAULT_GENERIC
-
-    def _comparison(self, expr, quantifier):
-        column, value = _column_vs_value(expr.left, expr.right, quantifier)
-        flipped = False
-        if column is None:
-            column, value = _column_vs_value(expr.right, expr.left, quantifier)
-            flipped = True
-        if column is None:
-            return DEFAULT_EQ if expr.op == "=" else DEFAULT_RANGE
+        predicate = column_predicate(expr, quantifier.id)
+        if predicate is None:
+            return _unrecognised_default(expr)
+        # Operand policy: literals and ``-literal`` fold to values; a
+        # parameter (or any other expression) is an unknown constant.
+        values = [static_value(operand) for operand in predicate.operands]
+        column = predicate.column
+        kind = predicate.kind
+        if kind == CMP and predicate.op == "=":
+            return self._equality(quantifier, column, values[0])
+        if kind == CMP and predicate.op == "<>":
+            return max(0.0, 1.0 - self._eq_estimate(quantifier, column, values[0]))
         histogram = self._histogram(quantifier, column.column_index)
-        op = expr.op
-        if flipped:
-            op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if op == "=":
-            if value is _UNKNOWN:
-                return histogram.density() if histogram is not None else DEFAULT_EQ
+        if histogram is not None and histogram.total_count() <= 0:
+            histogram = None  # nothing observed yet
+        if kind == NULL:
+            if histogram is not None:
+                fraction = histogram.estimate_null()
+            else:
+                # NOT NULL columns never match IS NULL.
+                fraction = DEFAULT_EQ if self._nullable(quantifier, column) else 0.0
+            return (1.0 - fraction) if predicate.negated else fraction
+        if kind == IN:
+            fraction = min(1.0, sum(
+                (self._eq_estimate(quantifier, column, value) for value in values),
+                0.0,
+            ))
+        elif kind == LIKE:
+            if not isinstance(values[0], str):
+                return DEFAULT_LIKE
+            fraction = self._like(quantifier, column, histogram, values[0])
+        elif histogram is None or any(value is NO_VALUE for value in values):
+            fraction = DEFAULT_RANGE
+        else:
+            fraction = histogram.estimate_range(*range_bounds(predicate, values))
+        return max(0.0, 1.0 - fraction) if predicate.negated else fraction
+
+    def _equality(self, quantifier, column, value):
+        """``column = value``: string statistics, then the histogram,
+        then the distinct-key count of an index led by the column."""
+        if value is not NO_VALUE:
             string_estimate = self._string_predicate(
                 quantifier, column.column_index, "=", value
             )
             if string_estimate is not None:
                 return string_estimate
-            if histogram is not None and histogram.total_count() > 0:
-                return histogram.estimate_eq(value)
-            index_estimate = self._index_eq(quantifier, column.column_index)
-            if index_estimate is not None:
-                return index_estimate
-            return DEFAULT_EQ
-        if op == "<>":
-            return max(0.0, 1.0 - self._eq_estimate(quantifier, column, value))
-        # Range comparison.
-        if value is _UNKNOWN or histogram is None or histogram.total_count() == 0:
-            return DEFAULT_RANGE
-        if op == "<":
-            return histogram.estimate_range(high=value, high_inclusive=False)
-        if op == "<=":
-            return histogram.estimate_range(high=value)
-        if op == ">":
-            return histogram.estimate_range(low=value, low_inclusive=False)
-        return histogram.estimate_range(low=value)
+            histogram = self._histogram(quantifier, column.column_index)
+            if histogram is None or histogram.total_count() <= 0:
+                index_estimate = self._index_eq(quantifier, column.column_index)
+                if index_estimate is not None:
+                    return index_estimate
+        return self._eq_estimate(quantifier, column, value)
 
     def _eq_estimate(self, quantifier, column, value):
         histogram = self._histogram(quantifier, column.column_index)
-        if value is _UNKNOWN:
+        if value is NO_VALUE:
             return histogram.density() if histogram is not None else DEFAULT_EQ
         if histogram is not None and histogram.total_count() > 0:
             return histogram.estimate_eq(value)
         return DEFAULT_EQ
 
-    def _is_null(self, expr, quantifier):
-        if not isinstance(expr.operand, ast.ColumnRef):
-            return DEFAULT_EQ
-        histogram = self._histogram(quantifier, expr.operand.column_index)
-        if histogram is not None and histogram.total_count() > 0:
-            fraction = histogram.estimate_null()
-        else:
-            # NOT NULL columns never match IS NULL.
-            fraction = 0.0 if not self._nullable(quantifier, expr.operand) else DEFAULT_EQ
-        return (1.0 - fraction) if expr.negated else fraction
-
-    def _between(self, expr, quantifier):
-        if not isinstance(expr.operand, ast.ColumnRef):
-            return DEFAULT_RANGE
-        low = _literal_value(expr.low)
-        high = _literal_value(expr.high)
-        histogram = self._histogram(quantifier, expr.operand.column_index)
-        if (
-            low is _UNKNOWN or high is _UNKNOWN
-            or histogram is None or histogram.total_count() == 0
-        ):
-            fraction = DEFAULT_RANGE
-        else:
-            fraction = histogram.estimate_range(low, high)
-        return max(0.0, 1.0 - fraction) if expr.negated else fraction
-
-    def _in_list(self, expr, quantifier):
-        if not isinstance(expr.operand, ast.ColumnRef):
-            return min(1.0, DEFAULT_EQ * max(1, len(expr.items)))
-        total = 0.0
-        for item in expr.items:
-            value = _literal_value(item)
-            total += self._eq_estimate(quantifier, expr.operand, value)
-        fraction = min(1.0, total)
-        return max(0.0, 1.0 - fraction) if expr.negated else fraction
-
-    def _like(self, expr, quantifier):
-        if not isinstance(expr.operand, ast.ColumnRef):
-            return DEFAULT_LIKE
-        pattern = _literal_value(expr.pattern)
-        if pattern is _UNKNOWN or not isinstance(pattern, str):
-            return DEFAULT_LIKE
+    def _like(self, quantifier, column, histogram, pattern):
         fraction = None
-        string_stats = self._string_stats(quantifier, expr.operand.column_index)
+        string_stats = self._string_stats(quantifier, column.column_index)
         if string_stats is not None:
             fraction = string_stats.estimate_like(pattern)
         if fraction is None or fraction == _string_default():
             prefix = _like_prefix(pattern)
-            if prefix:
-                histogram = self._histogram(quantifier, expr.operand.column_index)
-                if histogram is not None and histogram.total_count() > 0:
-                    fraction = histogram.estimate_like_prefix(prefix)
-        if fraction is None:
-            fraction = DEFAULT_LIKE
-        return max(0.0, 1.0 - fraction) if expr.negated else fraction
+            if prefix and histogram is not None:
+                fraction = histogram.estimate_like_prefix(prefix)
+        return DEFAULT_LIKE if fraction is None else fraction
 
     # ------------------------------------------------------------------ #
     # join predicates
@@ -259,37 +228,21 @@ class SelectivityEstimator:
 
 
 # --------------------------------------------------------------------- #
-# literal plumbing
+# helpers
 # --------------------------------------------------------------------- #
 
-class _Unknown:
-    def __repr__(self):
-        return "<unknown value>"
+#: What a shape is worth when its operand is not a column of the
+#: quantifier (an expression, a function call, another column).
+_UNRECOGNISED = {BETWEEN: DEFAULT_RANGE, NULL: DEFAULT_EQ, LIKE: DEFAULT_LIKE}
 
 
-_UNKNOWN = _Unknown()
-
-
-def _literal_value(expr):
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-        inner = _literal_value(expr.operand)
-        if inner is not _UNKNOWN and inner is not None:
-            return -inner
-    return _UNKNOWN
-
-
-def _column_vs_value(maybe_column, maybe_value, quantifier):
-    """(column_ref, literal_or_UNKNOWN) when the pair matches col-op-value."""
-    if (
-        isinstance(maybe_column, ast.ColumnRef)
-        and maybe_column.bound
-        and maybe_column.quantifier_id == quantifier.id
-        and not isinstance(maybe_value, ast.ColumnRef)
-    ):
-        return maybe_column, _literal_value(maybe_value)
-    return None, None
+def _unrecognised_default(expr):
+    kind = predicate_kind(expr)
+    if kind == CMP:
+        return DEFAULT_EQ if expr.op == "=" else DEFAULT_RANGE
+    if kind == IN:
+        return min(1.0, DEFAULT_EQ * max(1, len(expr.items)))
+    return _UNRECOGNISED.get(kind, DEFAULT_GENERIC)
 
 
 def _like_prefix(pattern):

@@ -15,9 +15,10 @@ hold no data and are stripped before any execution.
 
 import math
 
+from repro.catalog import IndexSchema
+from repro.optimizer.plans import sarg_for
 from repro.sql import Binder, ast, parse_statement
 from repro.sql.binder import Quantifier
-from repro.catalog import IndexSchema
 
 
 class _VirtualStats:
@@ -151,7 +152,7 @@ class IndexConsultant:
             for conjunct in block.conjuncts:
                 if conjunct.refs != frozenset({quantifier.id}):
                     continue
-                column = _sargable_column(conjunct.expr, quantifier.id)
+                column = _sargable_column(conjunct.column)
                 if column is None:
                     continue
                 column_name = table.columns[column[0]].name
@@ -264,7 +265,7 @@ class IndexConsultant:
         """Existing secondary indexes the workload never touches."""
         recommendations = []
         for index in self.server.catalog.indexes():
-            if getattr(index, "virtual", False) or index.unique:
+            if index.virtual or index.unique:
                 continue
             if index.name.startswith("pk_"):
                 continue
@@ -282,28 +283,12 @@ class IndexConsultant:
         return Binder(self.server.catalog).bind(statement)
 
 
-def _sargable_column(expr, qid):
-    """``(column_index, 'eq'|'range')`` when expr is col-op-constant."""
-    if isinstance(expr, ast.BinaryOp) and expr.op in ("=", "<", "<=", ">", ">="):
-        for column_side, value_side in (
-            (expr.left, expr.right), (expr.right, expr.left)
-        ):
-            if (
-                isinstance(column_side, ast.ColumnRef)
-                and column_side.bound
-                and column_side.quantifier_id == qid
-                and isinstance(value_side, (ast.Literal, ast.Parameter))
-            ):
-                return (
-                    column_side.column_index,
-                    "eq" if expr.op == "=" else "range",
-                )
-    if isinstance(expr, ast.Between) and not expr.negated:
-        operand = expr.operand
-        if (
-            isinstance(operand, ast.ColumnRef)
-            and operand.bound
-            and operand.quantifier_id == qid
-        ):
-            return (operand.column_index, "range")
-    return None
+def _sargable_column(predicate):
+    """``(column_index, 'eq'|'range')`` when an index led by the
+    predicate's column could serve it.  Operand policy: whatever the
+    optimizer's own sarg builder accepts — the consultant asks for the
+    indexes that optimizer would use, no others."""
+    sarg = sarg_for(predicate)
+    if sarg is None:
+        return None
+    return predicate.column.column_index, "eq" if "eq" in sarg else "range"

@@ -181,3 +181,37 @@ class MetricsRegistry:
         if self.clock is not None:
             snap["snapshot_at_us"] = self.clock.now
         return snap
+
+
+class _NullInstrument:
+    """Counter, gauge and histogram at once; records nothing."""
+
+    __slots__ = ()
+
+    def inc(self, n=1):
+        pass
+
+    set = add = observe = inc
+
+
+class NullMetricsRegistry:
+    """What a component publishes through when it was handed no registry
+    (built by hand in a test or a bench rig): every factory returns one
+    shared no-op instrument, probes are dropped, no name exists."""
+
+    _instrument = _NullInstrument()
+
+    def counter(self, name, bounds=None):
+        return self._instrument
+
+    gauge = histogram = counter
+
+    def register_probe(self, name, fn):
+        pass
+
+    def value(self, name):
+        raise KeyError(name)
+
+
+#: The default for every ``metrics=None`` parameter.
+NULL_METRICS = NullMetricsRegistry()

@@ -29,6 +29,7 @@ import dataclasses
 from repro.common.errors import IOFaultError
 from repro.common.units import SECOND
 from repro.dtt.model import READ, WRITE
+from repro.profiling.metrics import NULL_METRICS
 from repro.storage.log import RECORDS_PER_PAGE
 
 CkptSample = collections.namedtuple(
@@ -102,18 +103,15 @@ class CheckpointGovernor:
         self._last_poll_us = None
         self._last_statements = statements_fn()
         self._running = False
-        self._metrics = metrics
-        self._m_polls = None
-        self._m_io_faults = None
-        if metrics is not None:
-            self._m_polls = metrics.counter("ckpt.polls")
-            self._m_actions = {
-                action: metrics.counter("ckpt.action.%s" % action)
-                for action in (CKPT_URGENT, CKPT_IDLE, CKPT_FIXED, HOLD,
-                               HOLD_RECOVERY)
-            }
-            self._m_estimate = metrics.gauge("ckpt.est_recovery_us")
-            self._m_io_faults = metrics.counter("ckpt.io_faults")
+        metrics = metrics or NULL_METRICS
+        self._m_polls = metrics.counter("ckpt.polls")
+        self._m_actions = {
+            action: metrics.counter("ckpt.action.%s" % action)
+            for action in (CKPT_URGENT, CKPT_IDLE, CKPT_FIXED, HOLD,
+                           HOLD_RECOVERY)
+        }
+        self._m_estimate = metrics.gauge("ckpt.est_recovery_us")
+        self._m_io_faults = metrics.counter("ckpt.io_faults")
 
     # ------------------------------------------------------------------ #
     # lifecycle (mirrors the buffer governor)
@@ -197,8 +195,7 @@ class CheckpointGovernor:
                 # Count it and retry at the next poll — a governor timer
                 # must never kill the statement whose clock advance
                 # happened to fire it.
-                if self._m_io_faults is not None:
-                    self._m_io_faults.inc()
+                self._m_io_faults.inc()
             estimate_after = self.estimate_recovery_us()
         else:
             estimate_after = estimate
@@ -213,10 +210,9 @@ class CheckpointGovernor:
             interval_us=interval,
         )
         self.history.append(sample)
-        if self._m_polls is not None:
-            self._m_polls.inc()
-            self._m_actions[action].inc()
-            self._m_estimate.set(estimate_after)
+        self._m_polls.inc()
+        self._m_actions[action].inc()
+        self._m_estimate.set(estimate_after)
         self._last_estimate_us = estimate_after
         self._last_poll_us = self.clock.now
         self._last_statements = statements

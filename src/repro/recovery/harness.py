@@ -62,13 +62,12 @@ def check_indexes_match_heap(server):
     heap's, **and** every heap key is found by a root-to-leaf search (the
     leaf chain can hold an entry the root no longer routes to)."""
     for index in server.catalog.indexes():
-        if getattr(index, "virtual", False) or index.btree is None:
+        if index.virtual or index.btree is None:
             continue
         table = server.catalog.table(index.table_name)
-        columns = [table.column_index(c) for c in index.column_names]
         # Multisets, not sorted lists: keys may hold NULLs.
         heap_keys = collections.Counter(
-            (tuple(row[i] for i in columns), row_id)
+            (index.key_of(row), row_id)
             for row_id, row in table.storage.scan()
         )
         index_keys = collections.Counter(

@@ -174,8 +174,7 @@ class RecoveryManager:
             indexes = [
                 index
                 for index in server.catalog.indexes_on(table.name)
-                if not getattr(index, "virtual", False)
-                and index.btree is not None
+                if not index.virtual and index.btree is not None
             ]
             for index in indexes:
                 server.pool.discard(index.btree.file)

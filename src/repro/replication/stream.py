@@ -27,6 +27,7 @@ max-applied replica can never lose an acknowledged commit.
 
 from repro.common.errors import IOFaultError
 from repro.faults.plan import NET_SEND_DROP, FaultRates
+from repro.profiling.metrics import NULL_METRICS
 
 
 class ReplicationFrame:
@@ -63,18 +64,16 @@ class LogStreamPublisher:
         self._cursors = {}
         self.ship_retries = 0
         self.sync_stalls = 0
-        self._m_published = None
-        self._m_retries = None
-        if metrics is not None:
-            self._m_published = metrics.counter("repl.frames_published")
-            self._m_retries = metrics.counter("repl.ship_retries")
-            metrics.register_probe("repl.acked_lsn", self.acked_lsn)
-            metrics.register_probe(
-                "repl.frames_pending",
-                lambda: len(self.frames) * len(self.links) - sum(
-                    self._cursors.values()
-                ),
-            )
+        metrics = metrics or NULL_METRICS
+        self._m_published = metrics.counter("repl.frames_published")
+        self._m_retries = metrics.counter("repl.ship_retries")
+        metrics.register_probe("repl.acked_lsn", self.acked_lsn)
+        metrics.register_probe(
+            "repl.frames_pending",
+            lambda: len(self.frames) * len(self.links) - sum(
+                self._cursors.values()
+            ),
+        )
 
     def attach(self, link):
         self.links.append(link)
@@ -92,8 +91,7 @@ class LogStreamPublisher:
         for the next pump (or for :meth:`ensure_acked` at commit time).
         """
         self.frames.append(ReplicationFrame(page_no, first_lsn, payload))
-        if self._m_published is not None:
-            self._m_published.inc()
+        self._m_published.inc()
         self.pump()
 
     def pump(self):
@@ -151,8 +149,7 @@ class LogStreamPublisher:
                     "retries" % (lsn, limit)
                 )
             self.ship_retries += 1
-            if self._m_retries is not None:
-                self._m_retries.inc()
+            self._m_retries.inc()
             if self.fault_plan is not None:
                 self.fault_plan.note_retry(NET_SEND_DROP)
             self.stall()
@@ -165,8 +162,7 @@ class LogStreamPublisher:
         still show in ``repl.ship_retries`` so seed-replay accounting
         balances."""
         self.ship_retries += 1
-        if self._m_retries is not None:
-            self._m_retries.inc()
+        self._m_retries.inc()
 
     def stall(self):
         """Advance the clock toward the next event that can free a send."""

@@ -11,7 +11,33 @@ their resolved (quantifier id, column index, type) triple.
 # --------------------------------------------------------------------- #
 
 class Expression:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    Every tree walker goes through :meth:`children` / :meth:`map_children`,
+    so a node type states where its sub-expressions live exactly once: in
+    ``_child_attrs`` (attributes holding one expression each) and
+    ``_child_list_attr`` (an attribute holding a list of them).
+    """
+
+    _child_attrs = ()
+    _child_list_attr = None
+
+    def children(self):
+        """The direct sub-expressions, in source order."""
+        found = [getattr(self, attr) for attr in self._child_attrs]
+        if self._child_list_attr is not None:
+            found.extend(getattr(self, self._child_list_attr))
+        return found
+
+    def map_children(self, fn):
+        """Replace each direct sub-expression ``c`` with ``fn(c)``, in place."""
+        for attr in self._child_attrs:
+            setattr(self, attr, fn(getattr(self, attr)))
+        if self._child_list_attr is not None:
+            setattr(
+                self, self._child_list_attr,
+                [fn(child) for child in getattr(self, self._child_list_attr)],
+            )
 
 
 class Literal(Expression):
@@ -63,6 +89,8 @@ class Star(Expression):
 
 
 class BinaryOp(Expression):
+    _child_attrs = ("left", "right")
+
     def __init__(self, op, left, right):
         self.op = op  # '=', '<>', '<', '<=', '>', '>=', '+', '-', '*', '/', 'AND', 'OR', '||'
         self.left = left
@@ -73,6 +101,8 @@ class BinaryOp(Expression):
 
 
 class UnaryOp(Expression):
+    _child_attrs = ("operand",)
+
     def __init__(self, op, operand):
         self.op = op  # 'NOT', '-'
         self.operand = operand
@@ -82,6 +112,8 @@ class UnaryOp(Expression):
 
 
 class IsNull(Expression):
+    _child_attrs = ("operand",)
+
     def __init__(self, operand, negated=False):
         self.operand = operand
         self.negated = negated
@@ -91,6 +123,8 @@ class IsNull(Expression):
 
 
 class Like(Expression):
+    _child_attrs = ("operand", "pattern")
+
     def __init__(self, operand, pattern, negated=False):
         self.operand = operand
         self.pattern = pattern  # Expression (usually Literal)
@@ -101,6 +135,8 @@ class Like(Expression):
 
 
 class Between(Expression):
+    _child_attrs = ("operand", "low", "high")
+
     def __init__(self, operand, low, high, negated=False):
         self.operand = operand
         self.low = low
@@ -112,6 +148,9 @@ class Between(Expression):
 
 
 class InList(Expression):
+    _child_attrs = ("operand",)
+    _child_list_attr = "items"
+
     def __init__(self, operand, items, negated=False):
         self.operand = operand
         self.items = items
@@ -122,6 +161,8 @@ class InList(Expression):
 
 
 class InSubquery(Expression):
+    _child_attrs = ("operand",)  # the subquery is a statement
+
     def __init__(self, operand, subquery, negated=False):
         self.operand = operand
         self.subquery = subquery  # SelectStatement
@@ -142,6 +183,7 @@ class Exists(Expression):
 
 class FunctionCall(Expression):
     AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+    _child_list_attr = "args"
 
     def __init__(self, name, args, distinct=False, star=False):
         self.name = name.upper()
@@ -163,6 +205,17 @@ class CaseExpr(Expression):
     def __init__(self, branches, default):
         self.branches = branches  # [(condition, result)]
         self.default = default
+
+    def children(self):
+        found = [child for branch in self.branches for child in branch]
+        if self.default is not None:
+            found.append(self.default)
+        return found
+
+    def map_children(self, fn):
+        self.branches = [(fn(c), fn(r)) for c, r in self.branches]
+        if self.default is not None:
+            self.default = fn(self.default)
 
     def __repr__(self):
         return "CaseExpr(%d branches)" % (len(self.branches),)

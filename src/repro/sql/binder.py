@@ -22,6 +22,7 @@ import copy
 from repro.common.errors import SqlTypeError
 from repro.sql import ast
 from repro.sql.parser import parse_statement
+from repro.sql.predicates import column_predicate
 
 #: Pseudo-environment key for post-aggregation rows.
 GROUP_ENV = "__group__"
@@ -87,12 +88,22 @@ class Quantifier:
 
 
 class Conjunct:
-    """One AND-factor of a WHERE/HAVING clause."""
+    """One AND-factor of a WHERE/HAVING clause.
+
+    The two shapes the optimizer, the executor and the Index Consultant
+    act on are recognised here, once: ``equi`` (`colA = colB` across two
+    quantifiers) and ``column`` (a single-quantifier conjunct read as a
+    :class:`~repro.sql.predicates.ColumnPredicate`, else None).
+    """
 
     def __init__(self, expr, refs):
         self.expr = expr
         self.refs = frozenset(refs)
         self.equi = _detect_equi(expr)
+        self.column = (
+            column_predicate(expr, next(iter(self.refs)))
+            if len(self.refs) == 1 else None
+        )
 
     @property
     def is_join(self):
@@ -556,16 +567,7 @@ class Binder:
                 new_ref.column_index = index
                 new_ref.type_name = node.type_name
                 return new_ref
-            for attr in ("left", "right", "operand", "low", "high", "pattern"):
-                child = getattr(node, attr, None)
-                if isinstance(child, ast.Expression):
-                    setattr(node, attr, rewrite(child))
-            if isinstance(node, (ast.InList, ast.FunctionCall)):
-                items_attr = "items" if isinstance(node, ast.InList) else "args"
-                setattr(
-                    node, items_attr,
-                    [rewrite(child) for child in getattr(node, items_attr)],
-                )
+            node.map_children(rewrite)
             return node
 
         return rewrite(expr)
@@ -808,20 +810,8 @@ def _collect_refs(expr, refs=None):
         refs = set()
     if isinstance(expr, ast.ColumnRef) and expr.bound:
         refs.add(expr.quantifier_id)
-    for attr in ("left", "right", "operand", "low", "high", "pattern", "default"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, ast.Expression):
-            _collect_refs(child, refs)
-    if isinstance(expr, ast.InList):
-        for item in expr.items:
-            _collect_refs(item, refs)
-    if isinstance(expr, ast.FunctionCall):
-        for arg in expr.args:
-            _collect_refs(arg, refs)
-    if isinstance(expr, ast.CaseExpr):
-        for condition, result in expr.branches:
-            _collect_refs(condition, refs)
-            _collect_refs(result, refs)
+    for child in expr.children():
+        _collect_refs(child, refs)
     return refs
 
 
@@ -829,20 +819,8 @@ def _collect_aggregates(expr, out):
     if isinstance(expr, ast.FunctionCall) and expr.is_aggregate:
         out.append(expr)
         return
-    for attr in ("left", "right", "operand", "low", "high", "pattern", "default"):
-        child = getattr(expr, attr, None)
-        if isinstance(child, ast.Expression):
-            _collect_aggregates(child, out)
-    if isinstance(expr, ast.InList):
-        for item in expr.items:
-            _collect_aggregates(item, out)
-    if isinstance(expr, ast.FunctionCall) and not expr.is_aggregate:
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
-    if isinstance(expr, ast.CaseExpr):
-        for condition, result in expr.branches:
-            _collect_aggregates(condition, out)
-            _collect_aggregates(result, out)
+    for child in expr.children():
+        _collect_aggregates(child, out)
 
 
 def expr_signature(expr):
@@ -919,18 +897,7 @@ class _GroupRewriter:
                 "column %r must appear in GROUP BY or inside an aggregate"
                 % (expr.column_name,)
             )
-        for attr in ("left", "right", "operand", "low", "high", "pattern", "default"):
-            child = getattr(expr, attr, None)
-            if isinstance(child, ast.Expression):
-                setattr(expr, attr, self.rewrite(child))
-        if isinstance(expr, ast.InList):
-            expr.items = [self.rewrite(item) for item in expr.items]
-        if isinstance(expr, ast.FunctionCall):
-            expr.args = [self.rewrite(arg) for arg in expr.args]
-        if isinstance(expr, ast.CaseExpr):
-            expr.branches = [
-                (self.rewrite(c), self.rewrite(r)) for c, r in expr.branches
-            ]
+        expr.map_children(self.rewrite)
         return expr
 
 

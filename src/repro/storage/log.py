@@ -32,6 +32,7 @@ import zlib
 
 from repro.analysis.races import tap as _race_tap
 from repro.common.errors import IOFaultError, TransactionError
+from repro.profiling.metrics import NULL_METRICS
 
 #: Log record kinds.
 BEGIN = "BEGIN"
@@ -141,12 +142,7 @@ class TransactionLog:
         #: (the synchronous-replication ack gate lives in the group
         #: commit coordinator instead, see ``GroupCommitCoordinator``).
         self.stream_taps = []
-        self._m_forces = None
-        self._m_pages = None
-        self._m_force_retries = None
-        self._m_torn = None
-        if metrics is not None:
-            self.attach_metrics(metrics)
+        self.attach_metrics(metrics or NULL_METRICS)
 
     def attach_metrics(self, registry):
         """Publish ``wal.*`` counters (idempotent across log reopen)."""
@@ -397,8 +393,7 @@ class TransactionLog:
                     % (page_no, plan.rates.io_retry_limit)
                 )
             plan.note_retry(LOG_FORCE_ERROR)
-            if self._m_force_retries is not None:
-                self._m_force_retries.inc()
+            self._m_force_retries.inc()
             self._file.volume.disk.clock.advance(
                 int(plan.rates.io_retry_backoff_us * (2 ** (attempt - 1)))
             )
@@ -438,9 +433,8 @@ class TransactionLog:
             pages_written += 1
             for tap in self.stream_taps:
                 tap(page_no, lsn, payload)
-        if self._m_forces is not None:
-            self._m_forces.inc()
-            self._m_pages.inc(pages_written)
+        self._m_forces.inc()
+        self._m_pages.inc(pages_written)
         return pages_written
 
     # ------------------------------------------------------------------ #
@@ -483,8 +477,7 @@ class TransactionLog:
             if not _validate_page(payload, expected_lsn):
                 dropped = log_file.page_count - page_no
                 log.torn_pages_dropped = dropped
-                if log._m_torn is not None:
-                    log._m_torn.inc(dropped)
+                log._m_torn.inc(dropped)
                 if not scanned_any and start_page > 1:
                     # The master pointed into the torn region: the
                     # checkpoint cannot be trusted, rescan everything.
@@ -712,21 +705,16 @@ class GroupCommitCoordinator:
         self.window_us = 0
         self.batches = 0
         self.committed = 0
-        self._m_batches = None
-        self._m_batch_size = None
-        self._m_latency = None
-        if metrics is not None:
-            self._m_batches = metrics.counter("wal.group_commit.batches")
-            self._m_batch_size = metrics.histogram(
-                "wal.group_commit.batch_size"
-            )
-            self._m_latency = metrics.histogram("txn.commit_latency_us")
-            metrics.register_probe(
-                "wal.group_commit.window_us", lambda: self.window_us
-            )
-            metrics.register_probe(
-                "wal.group_commit.pending", lambda: len(self._pending)
-            )
+        metrics = metrics or NULL_METRICS
+        self._m_batches = metrics.counter("wal.group_commit.batches")
+        self._m_batch_size = metrics.histogram("wal.group_commit.batch_size")
+        self._m_latency = metrics.histogram("txn.commit_latency_us")
+        metrics.register_probe(
+            "wal.group_commit.window_us", lambda: self.window_us
+        )
+        metrics.register_probe(
+            "wal.group_commit.pending", lambda: len(self._pending)
+        )
 
     # ------------------------------------------------------------------ #
     # the commit path
@@ -753,7 +741,7 @@ class GroupCommitCoordinator:
                 or self.window_us <= 0
                 or len(self._pending) >= self.config.target_batch
                 or scheduler is None
-                or not scheduler.commit_can_wait()
+                or not scheduler.can_wait()
             ):
                 self.flush()  # noqa: SIM011
             else:
@@ -769,8 +757,7 @@ class GroupCommitCoordinator:
             raise
         if self.sanitize:
             self._assert_acked(log, ticket)
-        if self._m_latency is not None:
-            self._m_latency.observe(self._clock.now - ticket.enqueued_at_us)
+        self._m_latency.observe(self._clock.now - ticket.enqueued_at_us)
         return ticket
 
     def flush(self):
@@ -812,9 +799,8 @@ class GroupCommitCoordinator:
         if done:
             self.batches += 1
             self.committed += len(done)
-            if self._m_batches is not None:
-                self._m_batches.inc()
-                self._m_batch_size.observe(len(done))
+            self._m_batches.inc()
+            self._m_batch_size.observe(len(done))
         return len(done)
 
     # ------------------------------------------------------------------ #

@@ -207,6 +207,22 @@ class TestSubqueries:
         )
         assert result.rows == [("empty",)]
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT t.id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE "
+        "CASE WHEN u.z > 2 THEN u.g ELSE -1 END = t.g)",
+        "SELECT t.id FROM t WHERE t.g IN (SELECT u.g FROM u WHERE "
+        "CASE WHEN u.z > t.id THEN 1 ELSE 0 END = 1)",
+    ])
+    def test_correlated_column_inside_case(self, conn, sql):
+        """Both raised "no join strategy found": the lifted conjunct still
+        named the subquery's inner quantifier."""
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, g INT)")
+        conn.execute("CREATE TABLE u (id INT PRIMARY KEY, g INT, z INT)")
+        for i in range(6):
+            conn.execute("INSERT INTO t VALUES (?, ?)", params=(i, i % 3))
+            conn.execute("INSERT INTO u VALUES (?, ?, ?)", params=(i, i % 2, i))
+        assert rows(conn.execute(sql)) == [(0,), (1,), (3,), (4,)]
+
     def test_derived_table(self, conn):
         result = conn.execute(
             "SELECT t.name FROM "

@@ -1,13 +1,14 @@
 """Unit tests for the Index Consultant (virtual indexes)."""
 
+import contextlib
+
 import pytest
 
 from repro import Server, ServerConfig
 from repro.profiling import IndexConsultant, VirtualBTree
 
 
-@pytest.fixture
-def server():
+def load_sales():
     server = Server(ServerConfig(start_buffer_governor=False,
                                  initial_pool_pages=512))
     conn = server.connect()
@@ -20,6 +21,27 @@ def server():
         [(i, i % 40, float(i % 997), i % 365) for i in range(20000)],
     )
     return server
+
+
+@pytest.fixture(scope="module")
+def server():
+    """One loaded server for the module (loading takes 1.6 s): analysis
+    only adds and removes virtual indexes, and a test that creates a real
+    index or table does it under :func:`created`."""
+    return load_sales()
+
+
+@contextlib.contextmanager
+def created(server, create_sql):
+    """Run ``CREATE INDEX|TABLE name ...``; drop the object afterwards."""
+    conn = server.connect()
+    conn.execute(create_sql)
+    kind, name = create_sql.split()[1:3]
+    try:
+        yield conn
+    finally:
+        conn.execute("DROP %s %s" % (kind, name))
+        conn.close()
 
 
 class TestVirtualBTree:
@@ -54,12 +76,11 @@ class TestConsultant:
         assert [r for r in recommendations if r.action == "create"] == []
 
     def test_no_recommendation_when_index_exists(self, server):
-        conn = server.connect()
-        conn.execute("CREATE INDEX sales_region ON sales (region)")
-        consultant = IndexConsultant(server)
-        recommendations = consultant.analyze(
-            ["SELECT amount FROM sales WHERE region = 7"]
-        )
+        with created(server, "CREATE INDEX sales_region ON sales (region)"):
+            consultant = IndexConsultant(server)
+            recommendations = consultant.analyze(
+                ["SELECT amount FROM sales WHERE region = 7"]
+            )
         assert [r for r in recommendations if r.action == "create"] == []
 
     def test_composite_spec_for_eq_plus_range(self, server):
@@ -78,27 +99,27 @@ class TestConsultant:
         assert all(not name.startswith("virt_") for name in names)
 
     def test_drop_recommendation_for_unused_index(self, server):
-        conn = server.connect()
-        conn.execute("CREATE INDEX useless ON sales (amount)")
-        consultant = IndexConsultant(server)
-        recommendations = consultant.analyze(
-            ["SELECT COUNT(*) FROM sales WHERE day = 10"]
-        )
+        with created(server, "CREATE INDEX useless ON sales (amount)"):
+            consultant = IndexConsultant(server)
+            recommendations = consultant.analyze(
+                ["SELECT COUNT(*) FROM sales WHERE day = 10"]
+            )
         drops = [r for r in recommendations if r.action == "drop"]
         assert any(r.index_name == "useless" for r in drops)
 
     def test_used_index_not_dropped(self, server):
-        conn = server.connect()
-        conn.execute("CREATE INDEX sales_day ON sales (day)")
-        consultant = IndexConsultant(server)
-        recommendations = consultant.analyze(
-            ["SELECT amount FROM sales WHERE day = 10"]
-        )
+        with created(server, "CREATE INDEX sales_day ON sales (day)"):
+            consultant = IndexConsultant(server)
+            recommendations = consultant.analyze(
+                ["SELECT amount FROM sales WHERE day = 10"]
+            )
         drops = [r.index_name for r in recommendations if r.action == "drop"]
         assert "sales_day" not in drops
 
-    def test_applying_recommendation_speeds_up_workload(self, server):
+    def test_applying_recommendation_speeds_up_workload(self):
         """Closing the loop: the recommended index reduces actual cost."""
+        # Its own server: it shrinks the pool and executes (so feeds back).
+        server = load_sales()
         conn = server.connect()
         query = "SELECT amount FROM sales WHERE region = 7"
         consultant = IndexConsultant(server)
@@ -122,16 +143,17 @@ class TestConsultant:
         assert after_us < before_us
 
     def test_join_column_spec(self, server):
-        conn = server.connect()
-        conn.execute("CREATE TABLE region_info (rid INT, name VARCHAR(10))")
-        server.load_table(
-            "region_info", [(i, "r%d" % i) for i in range(40)]
-        )
-        consultant = IndexConsultant(server)
-        recommendations = consultant.analyze([
-            "SELECT r.name FROM sales s, region_info r "
-            "WHERE s.region = r.rid AND s.day = 5"
-        ] * 2)
+        with created(
+            server, "CREATE TABLE region_info (rid INT, name VARCHAR(10))"
+        ):
+            server.load_table(
+                "region_info", [(i, "r%d" % i) for i in range(40)]
+            )
+            consultant = IndexConsultant(server)
+            recommendations = consultant.analyze([
+                "SELECT r.name FROM sales s, region_info r "
+                "WHERE s.region = r.rid AND s.day = 5"
+            ] * 2)
         creates = {r.column_names for r in recommendations if r.action == "create"}
         # At least one useful index among day/region/rid is suggested.
         assert creates

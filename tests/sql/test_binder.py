@@ -168,6 +168,28 @@ class TestSubqueryUnnesting:
         assert block.quantifiers[0].id in lifted.refs
         assert semi.id in lifted.refs
 
+    @pytest.mark.parametrize("predicate", [
+        "CASE WHEN e.salary > 2 THEN e.dept_id ELSE -1 END = d.id",
+        "CASE WHEN e.salary > d.id THEN 1 ELSE 0 END = 1",
+        "COALESCE(e.dept_id, -1) = d.id",
+        "e.dept_id BETWEEN d.id AND d.id",
+        "e.dept_id IN (d.id, 0)",
+    ])
+    def test_lifted_conjunct_reads_inner_columns_through_the_semi_join(
+        self, catalog, predicate
+    ):
+        """Whatever node the subquery's own column sits in (CASE used to
+        be skipped by one of four hand-copied child lists), the lifted
+        conjunct must name only the outer and the semi-join quantifier."""
+        block = bind(
+            catalog,
+            "SELECT dname FROM dept d WHERE EXISTS "
+            "(SELECT 1 FROM emp e WHERE %s)" % (predicate,),
+        )
+        outer, semi = block.quantifiers
+        [lifted] = semi.on_conjuncts
+        assert lifted.refs == {outer.id, semi.id}
+
     def test_uncorrelated_exists_rejected(self, catalog):
         with pytest.raises(SqlTypeError):
             bind(catalog, "SELECT 1 FROM dept WHERE EXISTS (SELECT 1 FROM emp)")

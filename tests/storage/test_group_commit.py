@@ -63,7 +63,7 @@ class ParkingScheduler:
         self.park_first = park_first
         self.parked = []
 
-    def commit_can_wait(self):
+    def can_wait(self):
         return len(self.parked) < self.park_first
 
     def wait_for_commit(self, ticket, coordinator):
@@ -215,7 +215,7 @@ class TestFailurePaths:
 
     def test_ack_invariant_catches_lying_ticket(self):
         class LyingScheduler:
-            def commit_can_wait(self):
+            def can_wait(self):
                 return True
 
             def wait_for_commit(self, ticket, coordinator):
