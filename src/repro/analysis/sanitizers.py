@@ -16,7 +16,11 @@ show; these sanitizers check the invariants only execution can reach:
   validity on every sweep (the exact invariant whose violation caused the
   PR 1 hand-drift bug) and that its reference order still is
   ``last_ref_tick`` order — on sweeps, removals and statement
-  boundaries, never on a hit, so sanitized lanes keep the O(1) hit path.
+  boundaries, never on a hit, so sanitized lanes keep the O(1) hit path;
+* **page images** — :class:`SanitizedVolume` re-checks, a row at a time,
+  what the volume's copy decides a page at a time: after every page
+  read and write the durable image equals the frame's payload and shares
+  no dict, list or set with it.
 
 Enable them with ``Server(sanitize=True)``, the ``REPRO_SANITIZE``
 environment variable, or :func:`set_sanitizers_enabled` (the pytest
@@ -39,6 +43,7 @@ from repro.buffer.pool import BufferPool
 from repro.buffer.replacement import GClockPolicy
 from repro.common.clock import SimClock
 from repro.exec.memory import MemoryGovernor, Task
+from repro.storage.pagedfile import Volume
 
 # --------------------------------------------------------------------- #
 # errors (base class in repro.analysis.sanitizer_base)
@@ -85,6 +90,11 @@ class SchedulerInvariantError(SanitizerError):
 
 class GroupCommitInvariantError(SanitizerError):
     """A commit was acknowledged before its LSN was durable."""
+
+
+class PageImageError(SanitizerError):
+    """A page image differs from its source, or the durable image and
+    the frame's payload share a mutable container."""
 
 
 def _call_site():
@@ -443,3 +453,68 @@ class SanitizedGClockPolicy(GClockPolicy):
                 "GClock chose a non-resident victim: %r" % (victim,)
             )
         return victim
+
+
+# --------------------------------------------------------------------- #
+# page-image sanitizer
+# --------------------------------------------------------------------- #
+
+
+_CONTAINERS = (dict, list, tuple, set)
+
+
+def _mutable_containers(value, found):
+    """Collect ``id -> object`` for every dict, list and set reachable
+    from ``value`` (through tuples too) into ``found``."""
+    if isinstance(value, (dict, list, set)):
+        found[id(value)] = value
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return found  # set members are hashable: nothing mutable below
+    for item in value:
+        if isinstance(item, _CONTAINERS):
+            _mutable_containers(item, found)
+    return found
+
+
+class SanitizedVolume(Volume):
+    """Asserts every page transfer leaves two separate, equal images.
+
+    ``Volume`` shares whatever its copy takes for a value and decides
+    that for a whole page at once; this walks source and copy element by
+    element after each transfer.  A shared container would make a frame's
+    next in-place update durable with no writeback — invisible until a
+    crash recovers the wrong page.
+    """
+
+    def _check_image(self, event, global_page, source, image):
+        if image != source:
+            raise PageImageError(
+                "page %d: image after %s differs from its source: %r != %r"
+                % (global_page, event, image, source)
+            )
+        ours = _mutable_containers(source, {})
+        shared = [
+            item for key, item in _mutable_containers(image, {}).items()
+            if key in ours
+        ]
+        if shared:
+            raise PageImageError(
+                "page %d: durable image and frame share %d mutable "
+                "container(s) after %s, e.g. %r"
+                % (global_page, len(shared), event, shared[0])
+            )
+
+    def read_payload(self, global_page):
+        image = super().read_payload(global_page)
+        self._check_image(
+            "read_payload", global_page, self._store.get(global_page), image
+        )
+        return image
+
+    def write_payload(self, global_page, payload):
+        super().write_payload(global_page, payload)
+        self._check_image(
+            "write_payload", global_page, payload, self._store[global_page]
+        )

@@ -289,7 +289,7 @@ class BufferPool:
         while len(self._frames) > n_pages:
             try:
                 victim = self.policy.choose_victim(
-                    set(self._frames.values()), self._tick
+                    self._frames.values(), self._tick
                 )
             except BufferPoolExhaustedError:
                 break
@@ -324,7 +324,9 @@ class BufferPool:
 
     def _make_room(self, needed):
         while len(self._frames) + needed > self.capacity_pages:
-            victim = self.policy.choose_victim(set(self._frames.values()), self._tick)
+            victim = self.policy.choose_victim(
+                self._frames.values(), self._tick
+            )
             self._evict(victim)
 
     def _evict(self, frame):

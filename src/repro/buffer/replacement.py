@@ -50,7 +50,8 @@ class ReplacementPolicy:
         raise NotImplementedError
 
     def choose_victim(self, frames, tick):
-        """Pick an unpinned frame to evict, or raise."""
+        """Pick an unpinned frame among ``frames`` — the pool's live view
+        of its resident frames, not a copy — to evict, or raise."""
         raise NotImplementedError
 
     def note_reusable(self, frame):
@@ -112,7 +113,10 @@ class GClockPolicy(ReplacementPolicy):
         # Fast path: the lookaside queue is checked before the clock runs.
         while self._lookaside:
             frame = self._lookaside.popleft()
-            if frame in frames and not frame.pinned:
+            # Every resident frame is in the reference order (on_insert
+            # / on_remove), so residency is a probe of the policy's own
+            # dict, not a scan of the pool's view.
+            if frame in self._by_reference and not frame.pinned:
                 return frame
         if not self._ring:
             raise BufferPoolExhaustedError("empty pool has no victim")

@@ -193,8 +193,9 @@ class Server:
     def __init__(self, config=None, clock=None, os=None, disk=None,
                  sanitize=None):
         self.config = config if config is not None else ServerConfig()
-        #: Debug mode: wrap the pool, governor, clock, and replacement
-        #: policy in the runtime sanitizers of :mod:`repro.analysis`.
+        #: Debug mode: wrap the volume, pool, governor, clock, and
+        #: replacement policy in the runtime sanitizers of
+        #: :mod:`repro.analysis`.
         #: ``None`` defers to the ``REPRO_SANITIZE`` process default
         #: (the test suite turns it on via a fixture).
         if sanitize is None:
@@ -238,7 +239,10 @@ class Server:
         if plan is not None and not isinstance(disk, FaultyDisk):
             disk = FaultyDisk(disk, plan)
         self.disk = disk
-        self.volume = Volume(disk)
+        self.volume = (
+            sanitizers.SanitizedVolume(disk) if self.sanitize
+            else Volume(disk)
+        )
         self.temp_file = self.volume.create_file("temp")
         self.log_file = self.volume.create_file("txn.log")
         if self.sanitize:

@@ -102,10 +102,10 @@ class SeqScanOp(Operator):
         counters = [[0, 0] for __ in self.conjuncts]  # [scanned, matched]
         completed = False
         try:
-            scan = storage.scan(
+            pages = storage.scan(
                 snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-            )
-            for rows in _chunks((row for __, row in scan), ctx.batch_rows):
+            ).pages()
+            for rows in _page_chunks(pages, ctx.batch_rows):
                 batch = self._filter_batch(ctx, qid, rows, counters)
                 if batch.count:
                     yield batch
@@ -229,12 +229,15 @@ class IndexScanOp(Operator):
                 yield row
 
     def _snapshot_heap_rows(self, ctx, storage, bounds):
-        for __, row in storage.scan(
+        for __, rows in storage.scan(
             snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-        ):
-            ctx.charge(CPU_ROW_US)
-            if self._key_in_bounds(row, bounds):
-                yield row
+        ).pages():
+            for row in rows:
+                if row is None:
+                    continue
+                ctx.charge(CPU_ROW_US)
+                if self._key_in_bounds(row, bounds):
+                    yield row
 
     def _must_fall_back(self, snapshot, bounds):
         """Can the B-tree enumerate this snapshot?  Only *removals* blind
@@ -934,6 +937,30 @@ def _chunks(rows, size):
         chunk = list(islice(rows, size))
         if not chunk:
             return
+        yield chunk
+
+
+def _page_chunks(pages, size):
+    """Lists of exactly ``size`` consecutive live rows (the last one
+    shorter) cut from :meth:`HeapScan.pages`.
+
+    A page is pulled only when the chunk being filled needs another row,
+    and a full chunk is handed over before the next pull: where a page
+    fetch falls on the simulated clock must not depend on the scan
+    reading a page at a time.
+    """
+    chunk = []
+    for __, rows in pages:
+        rows = [row for row in rows if row is not None]
+        start = 0
+        while len(chunk) + len(rows) - start >= size:
+            end = start + size - len(chunk)
+            chunk += rows[start:end]
+            yield chunk
+            chunk = []
+            start = end
+        chunk += rows[start:]
+    if chunk:
         yield chunk
 
 

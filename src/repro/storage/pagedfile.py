@@ -26,24 +26,48 @@ IO_RETRY_BACKOFF_US = 100
 PageAddress = collections.namedtuple("PageAddress", ["file_id", "page_no"])
 
 
+def _is_value(items):
+    """Whether no dict, list or set is reachable from the tuple ``items``.
+
+    Decided by asking for its hash: a tuple hashes iff every element
+    does, all the way down, and the mutable containers do not — one
+    C-level pass instead of a Python call per row.  The hash *value* is
+    never used, so nothing here depends on the interpreter's hash salt.
+    """
+    try:
+        hash(items)
+    except TypeError:
+        return False
+    return True
+
+
 def _copy_payload(value):
-    """Structural copy of a page payload (containers only).
+    """Copy of a page payload: containers copied, values shared.
 
     The volume's payload store is the *durable* page image; buffer-pool
     frames mutate payloads in place.  Copying on both read and write is
     what keeps the two worlds separate — without it, an in-memory slot
     update would silently become durable with no writeback, and crash
-    recovery would have nothing to recover.  Scalars (and engine value
-    objects like RowId, which are never mutated) are shared.
+    recovery would have nothing to recover.  What a frame mutates is a
+    dict, a list or a set, so those are rebuilt; scalars and engine value
+    objects like RowId are shared, and so is a tuple when everything in
+    it is a value (rows, encoded keys, data-change log records — frozen
+    where they are made).  A tuple holding a container (a checkpoint
+    record carries a dict) is rebuilt around its copy.  The result equals
+    ``copy.deepcopy(value)`` and shares no mutable container with it.
     """
     if isinstance(value, dict):
         return {key: _copy_payload(item) for key, item in value.items()}
     if isinstance(value, list):
+        if _is_value(tuple(value)):
+            return list(value)
         return [_copy_payload(item) for item in value]
     if isinstance(value, tuple):
+        if _is_value(value):
+            return value
         return tuple(_copy_payload(item) for item in value)
     if isinstance(value, set):
-        return {_copy_payload(item) for item in value}
+        return set(value)  # members are hashable, hence values
     return value
 
 

@@ -75,6 +75,69 @@ class VersionEntry:
         )
 
 
+def _visible(chain, heap_row, snapshot, snapshot_txn):
+    """The image of a row with version ``chain`` visible at ``snapshot``
+    given its current heap image; None when the row is invisible."""
+    for entry in chain:
+        if entry.commit_lsn is None:
+            if entry.txn_id == snapshot_txn:
+                continue  # read-your-own-writes
+            return entry.before
+        if entry.commit_lsn > snapshot:
+            return entry.before
+    return heap_row
+
+
+class HeapScan:
+    """One sequential pass over a table's heap, a page at a time.
+
+    :meth:`pages` is the one page loop; iterating the scan itself is the
+    row-at-a-time view of it, for callers that need row ids.
+    """
+
+    __slots__ = ("_storage", "_snapshot", "_snapshot_txn")
+
+    def __init__(self, storage, snapshot, snapshot_txn):
+        self._storage = storage
+        self._snapshot = snapshot
+        self._snapshot_txn = snapshot_txn
+
+    def pages(self):
+        """Yields ``(ordinal, rows)`` in physical order, ``rows`` a fresh
+        list with one entry per slot (None = empty, or invisible at the
+        snapshot).
+
+        Pages are fetched through the buffer pool in file order, which is
+        what makes full scans sequential on the device.  A snapshot scan
+        resolves the whole page when it is fetched — slot copy and chains
+        are one consistent reading, whatever a writer does while the
+        consumer is suspended inside the page — and a page holding no
+        chain pays one dict probe.
+        """
+        storage = self._storage
+        snapshot = self._snapshot
+        for ordinal in range(len(storage._page_numbers)):
+            frame = storage._fetch(ordinal)
+            try:
+                rows = list(frame.payload["slots"])
+            finally:
+                storage.pool.unpin(frame)
+            if snapshot is not None:
+                chains = storage._versions.get(ordinal)
+                if chains:
+                    for slot, chain in chains.items():
+                        rows[slot] = _visible(
+                            chain, rows[slot], snapshot, self._snapshot_txn
+                        )
+            yield ordinal, rows
+
+    def __iter__(self):
+        for ordinal, rows in self.pages():
+            for slot, row in enumerate(rows):
+                if row is not None:
+                    yield RowId(ordinal, slot), row
+
+
 class TableStorage:
     """Heap-file storage for one table."""
 
@@ -89,10 +152,11 @@ class TableStorage:
         self._page_numbers = []  # ordinal -> file page number
         self._pages_with_space = []  # ordinals that have free slots
         self.row_count = 0
-        #: row_id -> [VersionEntry, ...] oldest-to-newest.  Per-row write
-        #: order equals commit order (row X locks serialize writers), so
-        #: chains are naturally sorted by commit LSN with pending entries
-        #: at the tail.
+        #: page ordinal -> slot -> [VersionEntry, ...] oldest-to-newest,
+        #: so a scan asks "does this page hold a chain" with one probe.
+        #: Per-row write order equals commit order (row X locks serialize
+        #: writers), so chains are naturally sorted by commit LSN with
+        #: pending entries at the tail.
         self._versions = {}
 
     # ------------------------------------------------------------------ #
@@ -187,32 +251,16 @@ class TableStorage:
     # ------------------------------------------------------------------ #
 
     def scan(self, snapshot=None, snapshot_txn=None):
-        """Sequential scan: yields ``(row_id, row)`` in physical order.
-
-        Pages are fetched through the buffer pool in file order, which is
-        what makes full scans sequential on the device.
+        """A sequential scan (:class:`HeapScan`): iterate it for
+        ``(row_id, row)`` in physical order, or take its ``pages()``.
 
         With ``snapshot`` (a commit LSN), each slot resolves through its
         version chain: rows whose newest committed change is past the
         snapshot yield their before-image, foreign uncommitted changes
         are invisible, and ``snapshot_txn``'s own pending writes are
-        visible (read-your-own-writes).  Tables with no live chains pay
-        nothing extra.
+        visible (read-your-own-writes).
         """
-        for ordinal in range(len(self._page_numbers)):
-            frame = self._fetch(ordinal)
-            try:
-                rows = list(frame.payload["slots"])
-            finally:
-                self.pool.unpin(frame)
-            versioned = snapshot is not None and self._versions
-            for slot, row in enumerate(rows):
-                if versioned:
-                    row = self.resolve_visible(
-                        RowId(ordinal, slot), row, snapshot, snapshot_txn
-                    )
-                if row is not None:
-                    yield RowId(ordinal, slot), row
+        return HeapScan(self, snapshot, snapshot_txn)
 
     # ------------------------------------------------------------------ #
     # row versions (snapshot reads; repro.engine.versions coordinates)
@@ -224,43 +272,49 @@ class TableStorage:
         entry = VersionEntry(
             tuple(before) if before is not None else None, txn_id
         )
-        self._versions.setdefault(row_id, []).append(entry)
+        self._versions.setdefault(row_id.page_ordinal, {}).setdefault(
+            row_id.slot, []
+        ).append(entry)
         return entry
+
+    def _chain(self, row_id):
+        chains = self._versions.get(row_id.page_ordinal)
+        return chains.get(row_id.slot) if chains else None
+
+    def _keep_entries(self, ordinal, slot, keep):
+        """Replace one chain by its surviving entries; an emptied chain
+        (and an emptied page) leaves the structure."""
+        chains = self._versions[ordinal]
+        if keep:
+            chains[slot] = keep
+        else:
+            del chains[slot]
+            if not chains:
+                del self._versions[ordinal]
 
     def stamp_version(self, row_id, txn_id, commit_lsn):
         """Commit: stamp ``txn_id``'s pending entries with its commit LSN."""
-        for entry in self._versions.get(row_id, ()):
+        for entry in self._chain(row_id) or ():
             if entry.commit_lsn is None and entry.txn_id == txn_id:
                 entry.commit_lsn = commit_lsn
 
     def discard_version(self, row_id, txn_id):
         """Rollback: drop ``txn_id``'s pending entries on ``row_id``."""
-        chain = self._versions.get(row_id)
+        chain = self._chain(row_id)
         if not chain:
             return
-        keep = [
+        self._keep_entries(row_id.page_ordinal, row_id.slot, [
             e for e in chain
             if e.commit_lsn is not None or e.txn_id != txn_id
-        ]
-        if keep:
-            self._versions[row_id] = keep
-        else:
-            del self._versions[row_id]
+        ])
 
     def resolve_visible(self, row_id, heap_row, snapshot, snapshot_txn=None):
         """The image visible at ``snapshot`` given the current heap image
         (None = empty slot); returns None when the row is invisible."""
-        chain = self._versions.get(row_id)
+        chain = self._chain(row_id)
         if not chain:
             return heap_row
-        for entry in chain:
-            if entry.commit_lsn is None:
-                if entry.txn_id == snapshot_txn:
-                    continue  # read-your-own-writes
-                return entry.before
-            if entry.commit_lsn > snapshot:
-                return entry.before
-        return heap_row
+        return _visible(chain, heap_row, snapshot, snapshot_txn)
 
     def get_visible(self, row_id, snapshot, snapshot_txn=None):
         """Visibility-resolved fetch: the row image at ``snapshot`` or
@@ -278,22 +332,24 @@ class TableStorage:
         or below ``horizon`` (None = no snapshot is open, so every
         committed entry goes).  Returns how many entries were dropped."""
         dropped = 0
-        for row_id in list(self._versions):
-            chain = self._versions[row_id]
-            keep = [
-                e for e in chain
-                if e.commit_lsn is None
-                or (horizon is not None and e.commit_lsn > horizon)
-            ]
-            dropped += len(chain) - len(keep)
-            if keep:
-                self._versions[row_id] = keep
-            else:
-                del self._versions[row_id]
+        for ordinal in list(self._versions):
+            for slot, chain in list(self._versions[ordinal].items()):
+                keep = [
+                    e for e in chain
+                    if e.commit_lsn is None
+                    or (horizon is not None and e.commit_lsn > horizon)
+                ]
+                dropped += len(chain) - len(keep)
+                if len(keep) != len(chain):
+                    self._keep_entries(ordinal, slot, keep)
         return dropped
 
     def version_count(self):
-        return sum(len(chain) for chain in self._versions.values())
+        return sum(
+            len(chain)
+            for chains in self._versions.values()
+            for chain in chains.values()
+        )
 
     def has_versions(self):
         return bool(self._versions)

@@ -7,6 +7,7 @@ from repro import Server, ServerConfig
 from repro.analysis.sanitizers import (
     ClockError,
     GovernorDriftError,
+    PageImageError,
     PinLeakError,
     QuotaAccountingError,
     RecoveryIdempotenceError,
@@ -17,6 +18,7 @@ from repro.analysis.sanitizers import (
     SanitizedGClockPolicy,
     SanitizedMemoryGovernor,
     SanitizedSimClock,
+    SanitizedVolume,
 )
 from repro.buffer import BufferPool, GovernorConfig
 from repro.buffer.frames import Frame, PageKind
@@ -336,6 +338,68 @@ class TestResidentCountSanitizer:
         stale.last_ref_tick = 10**9  # a tick the order does not reflect
         with pytest.raises(ReplacementError):
             conn.execute("SELECT a FROM t")  # never touches u's frames
+
+
+class TestPageImageSanitizer:
+    """The volume's copy shares what it takes for values; the sanitizer
+    walks source and copy after every transfer."""
+
+    PAGE = {"lsn": 1, "slots": [(1, "a"), None], "tail": (2, ["x"])}
+
+    def make_volume(self):
+        return SanitizedVolume(FlashDisk(SimClock(), 10_000))
+
+    def test_clean_copy_passes_and_keeps_the_images_apart(self):
+        volume = self.make_volume()
+        page = {**self.PAGE, "slots": list(self.PAGE["slots"])}
+        volume.write_payload(3, page)
+        page["slots"][1] = (2, "b")
+        assert volume.read_payload(3) == self.PAGE
+
+    @pytest.mark.parametrize("broken_copy, complaint", [
+        (lambda value: value, "share"),        # no copy at all
+        (dict, "share"),                       # one level deep
+        (lambda value: {**value, "lsn": 0}, "differs"),
+    ])
+    def test_broken_copy_is_caught_on_write_and_on_read(
+        self, monkeypatch, broken_copy, complaint
+    ):
+        volume = self.make_volume()
+        volume.write_payload(3, self.PAGE)
+        monkeypatch.setattr(
+            "repro.storage.pagedfile._copy_payload", broken_copy
+        )
+        with pytest.raises(PageImageError) as excinfo:
+            volume.write_payload(4, self.PAGE)
+        assert "write_payload" in str(excinfo.value)
+        assert complaint in str(excinfo.value)
+        with pytest.raises(PageImageError) as excinfo:
+            volume.read_payload(3)
+        assert "read_payload" in str(excinfo.value)
+        assert complaint in str(excinfo.value)
+
+    def test_a_container_under_a_shared_tuple_is_found(self, monkeypatch):
+        """The copy that would be wrong for a checkpoint record: sharing
+        a tuple because tuples are immutable, whatever it holds."""
+        def shares_every_tuple(value):
+            if isinstance(value, dict):
+                return {k: shares_every_tuple(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [shares_every_tuple(item) for item in value]
+            return value
+
+        monkeypatch.setattr(
+            "repro.storage.pagedfile._copy_payload", shares_every_tuple
+        )
+        with pytest.raises(PageImageError):
+            self.make_volume().write_payload(3, self.PAGE)
+
+    def test_the_sanitized_server_builds_it(self):
+        assert isinstance(make_server().volume, SanitizedVolume)
+        plain = Server(
+            ServerConfig(start_buffer_governor=False), sanitize=False
+        )
+        assert type(plain.volume) is Volume
 
 
 def make_sanitized_buffer_governor():

@@ -1,12 +1,13 @@
 """Unit tests for the buffer pool."""
 
-import sys
+import tracemalloc
 
 import pytest
 
 from repro.buffer import BufferPool, PageKind
 from repro.common import SimClock
 from repro.storage import FlashDisk, Volume
+from tests.conftest import count_calls
 
 
 @pytest.fixture
@@ -137,25 +138,6 @@ def test_resident_fraction(env):
     assert pool.resident_fraction(dbfile) <= 0.5 + 1e-9
 
 
-def _count_calls(fn):
-    """Python and builtin calls made by ``fn()`` — a cost measure that
-    reads no clock (a generator counts once per item it yields)."""
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event in ("call", "c_call"):
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        fn()
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 def test_hit_and_resident_fraction_cost_is_independent_of_pool_size():
     """The hit path and the cost model's residency lookup are O(1): the
     same number of calls in a 16-frame and a 2,048-frame pool, both fully
@@ -175,11 +157,52 @@ def test_hit_and_resident_fraction_cost_is_independent_of_pool_size():
             pool.unpin(pool.fetch(dbfile, oldest))
 
         costs[n_pages] = (
-            _count_calls(hit),
-            _count_calls(lambda: pool.resident_fraction(dbfile)),
+            count_calls(hit),
+            count_calls(lambda: pool.resident_fraction(dbfile)),
         )
         assert pool.hits == 1 and pool.resident_fraction(dbfile) == 1.0
     assert costs[16] == costs[2048]
+
+
+def _peak_allocation(fn):
+    """Peak bytes ``fn()`` holds beyond what was live when it started."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+def test_miss_and_eviction_cost_is_independent_of_pool_size():
+    """A miss that evicts makes the same calls and holds the same memory
+    in a 16-frame and a 2,048-frame pool: the policy is handed the live
+    view of the frame table, so nothing is built per victim.  (A set of
+    every frame is one builtin call at any size — the allocation is what
+    shows it.)"""
+    costs = {}
+    for n_pages in (16, 2048):
+        volume = Volume(FlashDisk(SimClock(), 50_000))
+        dbfile = volume.create_file("main.db")
+        pool = BufferPool(volume.create_file("temp"), capacity_pages=n_pages)
+        pages = fill_file(dbfile, pool, n_pages + 1)
+        # Every frame is a candidate, so each sweep stops at its first
+        # frame at either size.
+        for frame in pool._frames.values():
+            frame.score = 0.0
+
+        def miss():
+            absent = next(p for p in pages if not pool.resident(dbfile, p))
+            return lambda: pool.unpin(pool.fetch(dbfile, absent))
+
+        misses, evictions = pool.misses, pool.evictions
+        costs[n_pages] = (count_calls(miss()), _peak_allocation(miss()))
+        assert pool.misses == misses + 2
+        assert pool.evictions == evictions + 2
+    assert costs[16][0] == costs[2048][0]
+    assert costs[2048][1] < costs[16][1] + 16 * 1024
 
 
 def test_miss_accounting(env):

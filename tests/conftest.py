@@ -6,6 +6,8 @@ unless the test opts out with ``@pytest.mark.no_sanitize`` or passes
 ``sanitize=False`` explicitly.
 """
 
+import sys
+
 import pytest
 
 from repro.analysis import sanitizers
@@ -20,6 +22,25 @@ def _sanitizers_on(request):
         yield
     finally:
         sanitizers.set_sanitizers_enabled(previous)
+
+
+def count_calls(fn):
+    """Python and builtin calls made by ``fn()`` — a cost measure that
+    reads no clock (a generator counts once per item it yields)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
 def assert_indexes_match_heap(server):
