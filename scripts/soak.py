@@ -33,7 +33,9 @@ single-node reference replay).
 ``metamorphic`` — seeded query generation (:mod:`repro.testgen`) under
 the TLP and NoREC oracles, a quiescent sweep and a chaos +
 scheduler-burst sweep; between them at least 2,000 generated statements
-per seed must pass with **zero violations**.  A violation's shrunken
+per seed must pass with **zero violations**.  A third sweep makes every
+TLP check a grouped aggregate (``GROUP BY g`` with COUNT / SUM / MIN /
+MAX), recombined group by group.  A violation's shrunken
 ``(seed, schema_seed, statement_index)`` triple plus statement trace is
 an artifact, and the triple replays locally as::
 
@@ -363,10 +365,10 @@ def check_metamorphic(snapshot, floor):
 
 
 #: Per configuration: label, the floor of generated statements that must
-#: pass the oracles (2,000 per seed between them, each counted once — the
-#: byte-identical second run re-checks the same statements) and the
-#: harness knobs (~35% of the statement slots are DML, the rest oracle
-#: checks; the schema varies across configurations).
+#: pass the oracles (2,000 per seed between the first two, each counted
+#: once — the byte-identical second run re-checks the same statements)
+#: and the harness knobs (~35% of the statement slots are DML, the rest
+#: oracle checks; the schema varies across configurations).
 METAMORPHIC = [
     Cell(
         label,
@@ -379,6 +381,9 @@ METAMORPHIC = [
         ("seed %d [chaos+bursts]", 600, dict(
             schema_offset=17, statements=1200,
             chaos=True, scheduler_bursts=True,
+        )),
+        ("seed %d [grouped-tlp]", 600, dict(
+            schema_offset=31, statements=1200, grouped_tlp=True,
         )),
     )
 ]

@@ -7,7 +7,11 @@ index on the grouping columns" (Section 4.3); sort degrades to external
 run merging.
 """
 
+import collections
+import functools
 import heapq
+import itertools
+import operator
 
 from repro.common.errors import ExecutionError
 from repro.exec.batch import Batch, rows_to_batches
@@ -37,6 +41,15 @@ _FOLD_KINDS = {
     "COUNT": _COUNT, "SUM": _TOTAL, "AVG": _TOTAL, "MIN": _MIN, "MAX": _MAX,
 }
 
+#: Rows whose argument values may wait unfolded in a hash group-by: a
+#: bound on pending memory whatever the group count.
+PENDING_ROWS = 4096
+
+#: A batch with more distinct group keys than ``1 / SPARSE_BATCH_KEYS``
+#: of its rows folds row at a time: at a row or two a group, a pending
+#: list per group costs more than the per-row calls it saves.
+SPARSE_BATCH_KEYS = 4
+
 
 class AggState:
     """Partial state of one aggregate; serializable as a plain tuple so
@@ -55,6 +68,11 @@ class AggState:
             _COUNT_STAR if call.name == "COUNT" and call.star
             else _FOLD_KINDS.get(call.name)
         )
+
+    @property
+    def counts_rows(self):
+        """COUNT(*): folding counts the values and reads none of them."""
+        return self._kind == _COUNT_STAR
 
     def accumulate_value(self, value):
         """Fold one argument value in (argument columns are evaluated
@@ -79,6 +97,44 @@ class AggState:
         elif kind == _MAX:
             extreme = self.extreme
             self.extreme = value if extreme is None else max(extreme, value)
+
+    def fold(self, values):
+        """Fold a sequence of argument values in, leaving exactly the
+        state that ``accumulate_value`` over each of them in order
+        leaves: SUM / AVG add left to right (``functools.reduce``, never
+        ``sum()``, whose float summation is compensated from Python
+        3.12), MIN / MAX start from the current extreme and keep the
+        earliest of equal values (``min(1, 1.0)`` is ``1``), DISTINCT
+        keeps a value's first occurrence.  No Python call per value."""
+        kind = self._kind
+        if kind == _COUNT_STAR:
+            self.count += len(values)
+            return
+        if None in values:
+            values = [value for value in values if value is not None]
+        if self.distinct is not None:
+            seen = self.distinct
+            values = [v for v in dict.fromkeys(values) if v not in seen]
+            seen.update(values)
+        if not values:
+            return
+        self.count += len(values)
+        if kind == _TOTAL:
+            total = self.total
+            self.total = (
+                functools.reduce(operator.add, values) if total is None
+                else functools.reduce(operator.add, values, total)
+            )
+        elif kind == _MIN:
+            extreme = self.extreme
+            self.extreme = (
+                min(values) if extreme is None else min(extreme, *values)
+            )
+        elif kind == _MAX:
+            extreme = self.extreme
+            self.extreme = (
+                max(values) if extreme is None else max(extreme, *values)
+            )
 
     def merge_serialized(self, data):
         """Merge a serialized partial state (from a fallback temp row)."""
@@ -165,46 +221,82 @@ class HashGroupByOp(Operator):
         return 1 if self.fallback_engaged else 0
 
     def execute_batches(self, ctx):
-        """Group keys and aggregate arguments vectorize once per batch;
-        group insertion, soft-limit checks and the temp-table fallback
-        run per row in row order, so fallback engagement does not depend
-        on where batch boundaries fall."""
+        """Group keys and aggregate arguments vectorize once per batch.
+        A batch's new groups are created in first-row order, so the
+        soft-limit checks and the row that engages the temp-table
+        fallback are those of a row-at-a-time fold, wherever batch
+        boundaries fall.  Each row's argument values then wait in its
+        group's pending list and are folded a group at a time
+        (:meth:`_fold_pending`); a batch of mostly distinct keys, and
+        every row from the one that engages the fallback, go row at a
+        time (:meth:`_accumulate_rows`)."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._groups = {}
+        self._pending = collections.defaultdict(list)
+        self._pending_rows = 0
         ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         group_bytes = 32 + 24 * len(self.aggregates)
+        # A pending row holds the values of the aggregates that take an
+        # argument: one value bare, several as a tuple; COUNT(*) counts
+        # the rows.
+        arguments = [
+            position for position, call in enumerate(self.aggregates)
+            if not (call.name == "COUNT" and call.star)
+        ]
+        self._single_argument = len(arguments) == 1
         try:
             for batch in self.child.execute_batches(ctx):
-                ctx.charge(batch.count * CPU_HASH_BUILD_BATCH_US)
+                count = batch.count
+                ctx.charge(count * CPU_HASH_BUILD_BATCH_US)
                 key_columns = [
                     evaluate_batch(expr, batch, ctx.params)
                     for expr, __, __t in self.group_keys
                 ]
                 value_columns = [
-                    [None] * batch.count if call.name == "COUNT" and call.star
+                    [None] * count if call.name == "COUNT" and call.star
                     else evaluate_batch(call.args[0], batch, ctx.params)
                     for call in self.aggregates
                 ]
                 # zip() of no columns is empty, not batch.count empties.
-                no_values = [()] * batch.count
-                keys = zip(*key_columns) if key_columns else no_values
+                no_values = [()] * count
+                keys = list(zip(*key_columns)) if key_columns else no_values
                 rows = zip(*value_columns) if value_columns else no_values
-                for key, values in zip(keys, rows):
-                    if self.fallback_engaged:
-                        self._fallback_accumulate(key, values)
+                if self.fallback_engaged:
+                    self._accumulate_rows(keys, rows, group_bytes)
+                    continue
+                distinct = dict.fromkeys(keys)
+                if len(distinct) * SPARSE_BATCH_KEYS > count:
+                    if self._pending_rows:
+                        self._fold_pending()
+                    self._accumulate_rows(keys, rows, group_bytes)
+                    continue
+                groups = self._groups
+                stop = count
+                for key in distinct:
+                    if key in groups:
                         continue
-                    states = self._groups.get(key)
-                    if states is None:
-                        if self._memory.would_exceed_soft(group_bytes):
-                            self._engage_fallback()
-                            self._fallback_accumulate(key, values)
-                            continue
-                        states = [AggState(call) for call in self.aggregates]
-                        self._groups[key] = states
-                        self._memory.add(group_bytes)
-                    for state, value in zip(states, values):
-                        state.accumulate_value(value)
+                    if self._memory.would_exceed_soft(group_bytes):
+                        # This key's first row engages the fallback; the
+                        # rows before it belong to groups that exist.
+                        stop = keys.index(key)
+                        break
+                    groups[key] = list(map(AggState, self.aggregates))
+                    self._memory.add(group_bytes)
+                argument_columns = [value_columns[i] for i in arguments]
+                pending = (
+                    argument_columns[0] if self._single_argument
+                    else zip(*argument_columns) if arguments else no_values
+                )
+                if stop < count:
+                    self._defer(keys[:stop], pending)
+                    self._accumulate_rows(
+                        keys[stop:], itertools.islice(rows, stop, None),
+                        group_bytes,
+                    )
+                else:
+                    self._defer(keys, pending)
+            self._fold_pending()
             self._emitting = True
             yield from rows_to_batches(self._emit(ctx), ctx.batch_rows)
         finally:
@@ -213,10 +305,54 @@ class HashGroupByOp(Operator):
             if self._fallback is not None:
                 self._fallback.free()
 
+    def _accumulate_rows(self, keys, rows, group_bytes):
+        """The row-at-a-time fold: group creation, the soft-limit check
+        and the fallback per row, in row order.  Callers fold pending
+        values first, so no group sees a row ahead of an earlier one."""
+        # Engaging the fallback replaces ``self._groups``; from then on
+        # every row takes the first branch and ``groups`` is not read.
+        groups, memory, aggregates = self._groups, self._memory, self.aggregates
+        for key, values in zip(keys, rows):
+            if self.fallback_engaged:
+                self._fallback_accumulate(key, values)
+                continue
+            states = groups.get(key)
+            if states is None:
+                if memory.would_exceed_soft(group_bytes):
+                    self._engage_fallback()
+                    self._fallback_accumulate(key, values)
+                    continue
+                states = groups[key] = list(map(AggState, aggregates))
+                memory.add(group_bytes)
+            for state, value in zip(states, values):
+                state.accumulate_value(value)
+
+    def _defer(self, keys, pending):
+        """Append each row's pending entry to its group's list (one
+        C-level pass; ``pending`` may run longer than ``keys``), folding
+        once ``PENDING_ROWS`` rows wait."""
+        lists = map(self._pending.__getitem__, keys)
+        collections.deque(map(list.append, lists, pending), maxlen=0)
+        self._pending_rows += len(keys)
+        if self._pending_rows >= PENDING_ROWS:
+            self._fold_pending()
+
+    def _fold_pending(self):
+        """Fold every group's pending rows, a column per aggregate, in
+        row order."""
+        groups, single = self._groups, self._single_argument
+        for key, rows in self._pending.items():
+            columns = iter((rows,) if single else zip(*rows))
+            for state in groups[key]:
+                state.fold(rows if state.counts_rows else next(columns))
+        self._pending.clear()
+        self._pending_rows = 0
+
     # -- fallback ------------------------------------------------------- #
 
     def _engage_fallback(self):
         """Flush in-memory groups to an indexed temporary table."""
+        self._fold_pending()
         self.fallback_engaged = True
         self._ctx.note("group_by_fallback")
         self._fallback = _TempGroupStore(

@@ -8,7 +8,9 @@ Anywhere database, where it can be analyzed."
 """
 
 import collections
-import re
+
+from repro.common.errors import SqlParseError
+from repro.sql.lexer import tokenize
 
 TraceEvent = collections.namedtuple(
     "TraceEvent",
@@ -42,29 +44,36 @@ SystemTraceEvent = collections.namedtuple(
     "SystemTraceEvent", ["kind", "time_us", "detail"]
 )
 
-#: One combined alternation so constants come back in statement order.
-#: (Two sequential passes — strings, then numbers — would reorder mixed
-#: literals: ``a = 5 AND b = 'x'`` must yield ``('5', "'x'")``.)  The
-#: string arm is first so digits inside quotes never match the number arm.
-_LITERAL = re.compile(r"'(?:[^']|'')*'|\b\d+(?:\.\d+)?\b")
-
-
 def normalize_statement(sql):
     """(template, constants): literals replaced by placeholders.
 
     The template is what the client-side-join detector groups by — two
     statements "differing only by some constant value used in a predicate"
-    share a template.  Constants are returned in left-to-right statement
-    order regardless of kind.
+    share a template.  It is read off the lexer's tokens, so a number or
+    string literal becomes ``?`` and nothing else does: not digits inside
+    a quoted identifier or a comment, not half of ``.5`` or ``1e5``.
+    Every other token keeps its source text; comments are dropped and
+    the gaps between tokens become one space.  Constants are the
+    literals' source text in left-to-right statement order.  Text the
+    lexer rejects is its own template, whitespace collapsed.
     """
+    try:
+        tokens = tokenize(sql)
+    except SqlParseError:
+        return " ".join(sql.split()), ()
+    pieces = []
     constants = []
-
-    def keep(match):
-        constants.append(match.group(0))
-        return "?"
-
-    template = _LITERAL.sub(keep, sql)
-    return " ".join(template.split()), tuple(constants)
+    end = 0
+    for token in tokens[:-1]:
+        if pieces and token.position > end:
+            pieces.append(" ")
+        text = sql[token.position:token.end]
+        if token.kind in ("number", "string"):
+            constants.append(text)
+            text = "?"
+        pieces.append(text)
+        end = token.end
+    return "".join(pieces), tuple(constants)
 
 
 class Tracer:

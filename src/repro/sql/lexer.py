@@ -16,6 +16,11 @@ KEYWORDS = {
     "THEN", "ELSE", "END", "COUNT", "SUM", "AVG", "MIN", "MAX",
 }
 
+#: What a number is made of.  ``str.isdigit`` is not it: it admits
+#: superscripts, which ``int()`` rejects.  (A set, not a string: the
+#: empty string is in every string.)
+DIGITS = frozenset("0123456789")
+
 #: Multi-character operators, longest first.
 _OPERATORS = ["<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/",
               "(", ")", ",", ".", "?", ";"]
@@ -24,12 +29,13 @@ _OPERATORS = ["<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/",
 class Token:
     """One lexical token."""
 
-    __slots__ = ("kind", "value", "position")
+    __slots__ = ("kind", "value", "position", "end")
 
-    def __init__(self, kind, value, position):
+    def __init__(self, kind, value, position, end):
         self.kind = kind  # 'keyword' | 'ident' | 'number' | 'string' | 'op' | 'eof'
         self.value = value
-        self.position = position
+        self.position = position  # where the token's text starts ...
+        self.end = end            # ... and where it stops
 
     def matches(self, kind, value=None):
         if self.kind != kind:
@@ -55,14 +61,16 @@ def tokenize(text):
             index = length if newline == -1 else newline + 1
             continue
         if char == "'":
-            value, index = _read_string(text, index)
-            tokens.append(Token("string", value, index))
+            value, end = _read_string(text, index)
+            tokens.append(Token("string", value, index, end))
+            index = end
             continue
-        if char.isdigit() or (
-            char == "." and index + 1 < length and text[index + 1].isdigit()
+        if char in DIGITS or (
+            char == "." and text[index + 1:index + 2] in DIGITS
         ):
-            value, index = _read_number(text, index)
-            tokens.append(Token("number", value, index))
+            value, end = _read_number(text, index)
+            tokens.append(Token("number", value, index, end))
+            index = end
             continue
         if char.isalpha() or char == "_":
             start = index
@@ -71,25 +79,27 @@ def tokenize(text):
             word = text[start:index]
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, start))
+                tokens.append(Token("keyword", upper, start, index))
             else:
-                tokens.append(Token("ident", word, start))
+                tokens.append(Token("ident", word, start, index))
             continue
         if char == '"':
             end = text.find('"', index + 1)
             if end == -1:
                 raise SqlParseError("unterminated quoted identifier", index)
-            tokens.append(Token("ident", text[index + 1 : end], index))
+            tokens.append(Token("ident", text[index + 1 : end], index, end + 1))
             index = end + 1
             continue
         for operator in _OPERATORS:
             if text.startswith(operator, index):
-                tokens.append(Token("op", operator, index))
+                tokens.append(
+                    Token("op", operator, index, index + len(operator))
+                )
                 index += len(operator)
                 break
         else:
             raise SqlParseError("unexpected character %r" % (char,), index)
-    tokens.append(Token("eof", None, length))
+    tokens.append(Token("eof", None, length, length))
     return tokens
 
 
@@ -117,7 +127,7 @@ def _read_number(text, index):
     seen_exp = False
     while index < len(text):
         char = text[index]
-        if char.isdigit():
+        if char in DIGITS:
             index += 1
         elif char == "." and not seen_dot and not seen_exp:
             seen_dot = True
@@ -127,6 +137,11 @@ def _read_number(text, index):
             index += 1
             if index < len(text) and text[index] in "+-":
                 index += 1
+            if index == len(text) or text[index] not in DIGITS:
+                raise SqlParseError(
+                    "exponent without digits in %r" % (text[start:index],),
+                    start,
+                )
         else:
             break
     literal = text[start:index]

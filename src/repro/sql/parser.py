@@ -179,7 +179,13 @@ class _Parser:
                 order_by.append(self._order_item())
         limit = None
         if self._accept_keyword("LIMIT"):
-            limit = self._expect("number").value
+            token = self._expect("number")
+            if not isinstance(token.value, int):
+                raise SqlParseError(
+                    "LIMIT needs an integer, found %r" % (token.value,),
+                    token.position,
+                )
+            limit = token.value
         return ast.SelectStatement(
             items, from_tables, where, group_by, having, order_by, limit, distinct
         )

@@ -86,7 +86,7 @@ class AdversarialHarness:
 
     def __init__(self, seed, schema_seed, statements=120, chaos=False,
                  scheduler_bursts=False, server_config=None,
-                 include_plan_cache=True):
+                 include_plan_cache=True, grouped_tlp=False):
         self.seed = seed
         self.schema_seed = schema_seed
         self.statements = statements
@@ -94,6 +94,10 @@ class AdversarialHarness:
         self.scheduler_bursts = scheduler_bursts
         self.server_config = server_config
         self.include_plan_cache = include_plan_cache
+        #: TLP slots generate grouped aggregates
+        #: (:meth:`QueryGenerator.grouped_tlp_query`) instead of
+        #: :meth:`QueryGenerator.tlp_query`'s shapes.
+        self.grouped_tlp = grouped_tlp
         #: The server of the last :meth:`run`, kept for post-run oracles.
         self.server = None
 
@@ -165,7 +169,10 @@ class AdversarialHarness:
         use_tlp = rng.random() < 0.5
         result.oracle_statements += 1
         if use_tlp:
-            query = queries.tlp_query()
+            query = (
+                queries.grouped_tlp_query() if self.grouped_tlp
+                else queries.tlp_query()
+            )
             oracle = "tlp"
             result.tlp_checks += 1
         else:
@@ -235,7 +242,8 @@ class AdversarialHarness:
 
 
 def replay_triple(seed, schema_seed, statement_index, chaos=False,
-                  scheduler_bursts=False, raise_on_violation=False):
+                  scheduler_bursts=False, raise_on_violation=False,
+                  grouped_tlp=False):
     """Re-run one shrunken triple; returns the violation at that index
     (or ``None`` if the engine now passes).
 
@@ -245,6 +253,7 @@ def replay_triple(seed, schema_seed, statement_index, chaos=False,
     harness = AdversarialHarness(
         seed, schema_seed, statements=statement_index + 1,
         chaos=chaos, scheduler_bursts=scheduler_bursts,
+        grouped_tlp=grouped_tlp,
     )
     result = harness.run(raise_on_violation=False)
     for violation in result.violations:

@@ -148,30 +148,49 @@ def check_tlp(connection, query, overrides=None):
 
 
 def _tlp_aggregate(query, whole, parts):
-    """Recombine single-row aggregate results across the partitions."""
-    whole_row = whole[0]
-    part_rows = [rows[0] for rows in parts]
-    combined = []
-    for position, (func, __) in enumerate(query.agg_funcs):
-        values = [row[position] for row in part_rows]
-        non_null = [v for v in values if v is not None]
-        if func == "COUNT":
-            combined.append(sum(values))
-        elif func == "SUM":
-            combined.append(sum(non_null) if non_null else None)
-        elif func == "MIN":
-            combined.append(min(non_null) if non_null else None)
-        else:  # MAX
-            combined.append(max(non_null) if non_null else None)
-    if tuple(combined) != tuple(whole_row):
-        return {
-            "mode": "aggregate",
-            "sqls": list(query.tlp_sqls()),
-            "whole": repr(tuple(whole_row)),
-            "combined": repr(tuple(combined)),
-            "partitions": [repr(tuple(row)) for row in part_rows],
-        }
+    """Recombine aggregate results across the partitions, group by group.
+
+    A grouped query's rows are keyed by their leading GROUP BY column (a
+    NULL key is a group like any other); a scalar aggregate is one group
+    with the empty key.  Every group of the unpartitioned result must
+    appear in some partition, no partition may hold a group the
+    unpartitioned result lacks, and each group's partition rows must
+    recombine to its unpartitioned row: COUNT by summing, SUM by summing
+    non-NULLs, MIN/MAX by folding.
+    """
+    width = 1 if query.group_by else 0
+    expected = {tuple(row[:width]): tuple(row) for row in whole}
+    partitions = [{tuple(row[:width]): tuple(row) for row in rows}
+                  for rows in parts]
+    extra = [key for part in partitions for key in part
+             if key not in expected]
+    for key, whole_row in list(expected.items()) + [(k, None) for k in extra]:
+        part_rows = [part[key] for part in partitions if key in part]
+        combined = key + tuple(
+            _recombine(func, [row[width + position] for row in part_rows])
+            for position, (func, __) in enumerate(query.agg_funcs)
+        )
+        if not part_rows or whole_row is None or combined != whole_row:
+            return {
+                "mode": "aggregate",
+                "sqls": list(query.tlp_sqls()),
+                "group": repr(key),
+                "whole": repr(whole_row),
+                "combined": repr(combined) if part_rows else None,
+                "partitions": [repr(row) for row in part_rows],
+            }
     return None
+
+
+def _recombine(func, values):
+    non_null = [v for v in values if v is not None]
+    if func == "COUNT":
+        return sum(values)
+    if func == "SUM":
+        return sum(non_null) if non_null else None
+    if func == "MIN":
+        return min(non_null) if non_null else None
+    return max(non_null) if non_null else None
 
 
 # --------------------------------------------------------------------- #

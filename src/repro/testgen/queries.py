@@ -10,7 +10,8 @@ Shapes covered: single-table scans, inner and left joins, nested
 AND/OR/NOT predicates over comparisons, IS NULL, BETWEEN, IN-lists and
 LIKE, non-grouped aggregates (COUNT/SUM/MIN/MAX over INT columns —
 float aggregation is excluded so addition order can never masquerade as
-a bug), DISTINCT projections, GROUP BY/HAVING (NoREC only), and
+a bug), DISTINCT projections, grouped aggregates (TLP recombines them
+group by group; NoREC adds HAVING), and
 ORDER BY with an optional LIMIT whose sort order is total (the primary
 key is always the final tiebreaker), so every plan variant must produce
 the identical row *list*, not just multiset.
@@ -248,6 +249,29 @@ class QueryGenerator:
             )
         return GeneratedQuery(
             "plain", select_list, from_sql, predicate, shape=shape,
+        )
+
+    def grouped_tlp_query(self):
+        """``SELECT g, COUNT(*), SUM(x), MIN(x), MAX(x) ... GROUP BY g``
+        for TLP (``x`` an INT, as in :meth:`tlp_query`): each partition
+        groups on its own and the oracle recombines group by group, so a
+        grouped SUM / MIN / MAX is checked against an answer the group-by
+        did not compute in one pass."""
+        rng = self.rng
+        from_sql, sources, shape = self._from_clause()
+        pool = self._column_pool(sources)
+        predicate = self.predicate(pool)
+        group_ref = rng.choice(pool)[0]
+        argument = rng.choice(self._columns_of(pool, "INT"))
+        agg_funcs = [("COUNT", "*")] + [
+            (func, argument) for func in ("SUM", "MIN", "MAX")
+        ]
+        select_list = ", ".join(
+            [group_ref] + ["%s(%s)" % (func, arg) for func, arg in agg_funcs]
+        )
+        return GeneratedQuery(
+            "aggregate", select_list, from_sql, predicate,
+            agg_funcs=agg_funcs, group_by=group_ref, shape=shape + "+group",
         )
 
     def norec_query(self):

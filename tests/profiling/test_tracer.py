@@ -48,6 +48,29 @@ class TestNormalization:
         assert template == "SELECT a FROM t WHERE name = ? AND id = ?"
         assert constants == ("'agent 007'", "7")
 
+    def test_digits_in_quoted_identifiers_are_not_constants(self):
+        t1, c1 = normalize_statement('SELECT "c 1" FROM t')
+        t2, __ = normalize_statement('SELECT "c 2" FROM t')
+        assert t1 == 'SELECT "c 1" FROM t' and c1 == ()
+        assert t1 != t2
+
+    def test_comments_are_dropped_not_read(self):
+        template, constants = normalize_statement(
+            "SELECT a FROM t -- run 1\nWHERE id = 4"
+        )
+        assert template == "SELECT a FROM t WHERE id = ?"
+        assert constants == ("4",)
+
+    def test_leading_dot_number_is_one_constant(self):
+        template, constants = normalize_statement("SELECT a FROM t WHERE x > .5")
+        assert template == "SELECT a FROM t WHERE x > ?"
+        assert constants == (".5",)
+
+    def test_exponent_is_part_of_the_constant(self):
+        template, constants = normalize_statement("SELECT a FROM t WHERE x < 1e5")
+        assert template == "SELECT a FROM t WHERE x < ?"
+        assert constants == ("1e5",)
+
 
 class TestTracer:
     def make_traced_server(self):

@@ -70,13 +70,18 @@ def test_unknown_lane_is_a_usage_error(capsys):
 
 
 def test_metamorphic_cell_is_deterministic_and_index_consistent():
-    cell = soak.Cell(
-        "seed %d", lambda seed: soak.run_metamorphic(seed, 0, 120),
-        None, None,
-    )
-    first, first_problems = soak.run_cell(cell, 101)
-    second, second_problems = soak.run_cell(cell, 101)
-    assert first["log"] == second["log"]
-    assert first == second
-    assert first["violations"] == [] and first["artifacts"] == {}
-    assert first_problems == second_problems == []
+    for grouped_tlp in (False, True):
+        cell = soak.Cell(
+            "seed %d",
+            lambda seed: soak.run_metamorphic(
+                seed, 0, 120, grouped_tlp=grouped_tlp
+            ),
+            None, None,
+        )
+        first, first_problems = soak.run_cell(cell, 101)
+        second, second_problems = soak.run_cell(cell, 101)
+        assert first["log"] == second["log"]
+        assert first == second
+        assert first["violations"] == [] and first["artifacts"] == {}
+        assert first_problems == second_problems == []
+        assert ("tlp single+group" in first["log"]) == grouped_tlp

@@ -65,3 +65,21 @@ def test_date_literal_parsing():
     assert parse_date_literal("2007-04-15") == datetime.date(2007, 4, 15)
     with pytest.raises(SqlParseError):
         parse_date_literal("not-a-date")
+
+
+def test_literal_tokens_span_their_text():
+    text = "x = 'it''s' + 2.5e-1 - .5"
+    spans = [
+        (token.kind, text[token.position:token.end])
+        for token in tokenize(text)
+    ]
+    assert spans == [
+        ("ident", "x"), ("op", "="), ("string", "'it''s'"), ("op", "+"),
+        ("number", "2.5e-1"), ("op", "-"), ("number", ".5"), ("eof", ""),
+    ]
+
+
+@pytest.mark.parametrize("text", ["1e", "1e+", "1E-x", "²", "1²"])
+def test_malformed_numbers_rejected(text):
+    with pytest.raises(SqlParseError):
+        tokenize(text)

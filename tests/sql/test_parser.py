@@ -309,3 +309,24 @@ class TestErrors:
 
     def test_semicolon_allowed(self):
         parse_statement("SELECT 1;")
+
+    @pytest.mark.parametrize("sql, position", [
+        ("SELECT 1e FROM t", 7),
+        ("SELECT 1e+ FROM t", 7),
+        ("SELECT a FROM t WHERE a = ²", 26),
+        ("SELECT a FROM t LIMIT 1.5", 22),
+        ("SELECT a FROM t LIMIT 2.0", 22),
+    ])
+    def test_malformed_numbers_are_parse_errors_with_a_position(
+            self, sql, position):
+        """An exponent without digits, a superscript digit and a
+        non-integer LIMIT used to surface ``ValueError`` / ``TypeError``
+        from ``float()``, ``int()`` and the LIMIT slice."""
+        with pytest.raises(SqlParseError) as raised:
+            parse_statement(sql)
+        assert raised.value.position == position
+
+    def test_error_at_a_literal_reports_where_it_starts(self):
+        with pytest.raises(SqlParseError) as raised:
+            parse_statement("SELECT a FROM t WHERE 'x' 'y'")
+        assert raised.value.position == 26

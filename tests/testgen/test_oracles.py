@@ -8,7 +8,8 @@ from repro import Server, ServerConfig
 from repro.testgen import (
     QueryGenerator, SchemaGenerator, check_norec, check_tlp, multiset,
 )
-from repro.testgen.oracles import multiset_diff, result_digest
+from repro.testgen.oracles import _tlp_aggregate, multiset_diff, result_digest
+from repro.testgen.queries import GeneratedQuery
 
 SEED = 23
 
@@ -71,3 +72,58 @@ def test_tlp_outcome_digest_is_stable(loaded):
     first = check_tlp(connection, query)
     second = check_tlp(connection, query)
     assert first == second
+
+
+def test_grouped_tlp_clean_on_correct_engine(loaded):
+    connection, schema = loaded
+    generator = QueryGenerator(random.Random("oracle:4"), schema)
+    groups = 0
+    for __ in range(30):
+        query = generator.grouped_tlp_query()
+        assert query.group_by and query.shape.endswith("+group")
+        outcome = check_tlp(connection, query)
+        assert outcome["violation"] is None, outcome["violation"]
+        groups += outcome["rows"]
+    assert groups > 60
+
+
+GROUPED = GeneratedQuery(
+    "aggregate", "a.g, COUNT(*), SUM(a.x), MIN(a.x), MAX(a.x)", "t a", "a.x > 0",
+    agg_funcs=[("COUNT", "*"), ("SUM", "a.x"), ("MIN", "a.x"),
+               ("MAX", "a.x")],
+    group_by="a.g",
+)
+#: ``t(g, x)`` = (1, 2) (1, -1) (None, 5) (2, None): whole, then the
+#: ``x > 0`` / ``NOT`` / ``IS NULL`` partitions, grouped on ``g``.
+WHOLE = [(1, 2, 1, -1, 2), (None, 1, 5, 5, 5), (2, 1, None, None, None)]
+PARTS = [
+    [(1, 1, 2, 2, 2), (None, 1, 5, 5, 5)],
+    [(1, 1, -1, -1, -1)],
+    [(2, 1, None, None, None)],
+]
+
+
+def test_grouped_tlp_recombines_group_by_group():
+    assert _tlp_aggregate(GROUPED, WHOLE, PARTS) is None
+
+
+@pytest.mark.parametrize("plant, group", [
+    # a group's SUM off by one in one partition
+    (lambda whole, parts: parts[0].__setitem__(0, (1, 1, 3, 2, 2)), "(1,)"),
+    # MIN of the NULL-key group wrong in the whole
+    (lambda whole, parts: whole.__setitem__(1, (None, 1, 5, 4, 5)),
+     "(None,)"),
+    # a group no partition found
+    (lambda whole, parts: parts[2].clear(), "(2,)"),
+    # a group the whole lacks
+    (lambda whole, parts: parts[1].append((7, 1, 1, 1, 1)), "(7,)"),
+    # a NULL key folded into another group
+    (lambda whole, parts: parts[0].__setitem__(1, (1, 1, 5, 5, 5)),
+     "(1,)"),
+])
+def test_grouped_tlp_catches_a_planted_violation(plant, group):
+    whole = list(WHOLE)
+    parts = [list(rows) for rows in PARTS]
+    plant(whole, parts)
+    violation = _tlp_aggregate(GROUPED, whole, parts)
+    assert violation is not None and violation["group"] == group
