@@ -10,6 +10,7 @@ end state.
 """
 
 from repro.buffer import BufferGovernor, BufferPool, GovernorConfig, PageKind
+from repro.buffer.governor import GROW, SHRINK
 from repro.common import KiB, MiB, MINUTE, SimClock
 from repro.ossim import OperatingSystem
 from repro.storage import FlashDisk, Volume
@@ -28,8 +29,7 @@ def run_controller(damping_new, deadband_bytes, seedless_noise):
     pool = BufferPool(volume.create_file("temp"), capacity_pages=2048)
     config = GovernorConfig(
         upper_bound_bytes=512 * MiB,
-        damping_new=damping_new,
-        damping_old=1.0 - damping_new,
+        damping=(damping_new, 1.0 - damping_new),
         deadband_bytes=deadband_bytes,
     )
     governor = BufferGovernor(
@@ -38,16 +38,13 @@ def run_controller(damping_new, deadband_bytes, seedless_noise):
         config=config,
     )
     sizes = []
-    resizes = 0
     for minute in range(MINUTES):
         competitor.set_allocation(seedless_noise[minute])
         _generate_misses(pool, volume)
-        before = pool.size_bytes()
         governor.poll_once()
-        if pool.size_bytes() != before:
-            resizes += 1
         sizes.append(pool.size_bytes() / MiB)
         clock.advance(1 * MINUTE)
+    resizes = sum(d.action in (GROW, SHRINK) for d in governor.decisions)
     # Step activity: total absolute change, in MiB.
     travel = sum(abs(b - a) for a, b in zip(sizes, sizes[1:]))
     return sizes, travel, resizes

@@ -58,15 +58,15 @@ def run_experiment():
         competitor.set_allocation(allocation)
         for __ in range(minutes):
             generate_misses(pool, volume)
-            sample = governor.poll_once()
+            decision = governor.poll_once()
             clock.advance(1 * MINUTE)
             series.append((
                 clock.now // MINUTE,
                 allocation // MiB,
-                (sample.working_set or 0) // MiB,
-                sample.free_memory // MiB,
-                sample.new_pool_bytes / MiB,
-                sample.action,
+                (decision.inputs["working_set"] or 0) // MiB,
+                decision.inputs["free_memory"] // MiB,
+                decision.after / MiB,
+                decision.action,
             ))
     return series
 
@@ -80,14 +80,14 @@ def run_ce_experiment():
         competitor.set_allocation(allocation)
         for __ in range(minutes):
             generate_misses(pool, volume)
-            sample = governor.poll_once()
+            decision = governor.poll_once()
             clock.advance(1 * MINUTE)
             series.append((
                 clock.now // MINUTE,
                 allocation // MiB,
-                sample.free_memory // MiB,
-                sample.new_pool_bytes / MiB,
-                sample.action,
+                decision.inputs["free_memory"] // MiB,
+                decision.after / MiB,
+                decision.action,
             ))
     return series
 

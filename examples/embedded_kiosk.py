@@ -59,13 +59,13 @@ def main():
                     % (sale_id, item, 1 + k % 3)
                 )
                 sale_id += 1
-            sample = server.buffer_governor.poll_once()
+            decision = server.buffer_governor.poll_once()
             server.clock.advance(1 * MINUTE)
             print("%6d  %13d  %8.1f  %s" % (
                 server.clock.now // MINUTE,
                 media_app.allocated // MiB,
-                sample.new_pool_bytes / MiB,
-                sample.action,
+                decision.after / MiB,
+                decision.action,
             ))
 
     revenue = conn.execute(

@@ -66,11 +66,11 @@ def main():
                 "SELECT notes FROM visit WHERE id = %d"
                 % ((minute * 5323 + i * 379) % 40_000)
             )
-        sample = server.buffer_governor.poll_once()
+        decision = server.buffer_governor.poll_once()
         server.clock.advance(1 * MINUTE)
         print("%6d  %10d  %8d  %8.1f  %s" % (
-            minute, camera // MiB, sample.free_memory // MiB,
-            sample.new_pool_bytes / MiB, sample.action,
+            minute, camera // MiB, decision.inputs["free_memory"] // MiB,
+            decision.after / MiB, decision.action,
         ))
     conn.close()
 

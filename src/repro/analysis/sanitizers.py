@@ -339,8 +339,8 @@ class SanitizedBufferGovernor(BufferGovernor):
     """
 
     def poll_once(self):
-        sample = super().poll_once()
-        if sample.action in (GROW, SHRINK):
+        decision = super().poll_once()
+        if decision.action in (GROW, SHRINK):
             expected = self.pool.size_bytes() + self._heap_size_fn()
             allocated = self.server_process.allocated
             if allocated != expected:
@@ -348,11 +348,11 @@ class SanitizedBufferGovernor(BufferGovernor):
                     "governor drift after %s: process allocation %d != "
                     "pool %d + heap %d"
                     % (
-                        sample.action, allocated,
+                        decision.action, allocated,
                         self.pool.size_bytes(), self._heap_size_fn(),
                     )
                 )
-        return sample
+        return decision
 
 
 # --------------------------------------------------------------------- #

@@ -14,7 +14,7 @@ buffer pool:
 * growth is gated on buffer misses having occurred since the last poll
   (an idle or fully-resident server gains nothing from growth); shrinking
   is always allowed;
-* resizes are damped: ``0.9 * ideal + 0.1 * current`` (eq. 2);
+* resizes are damped by eq. 2 (:func:`repro.common.control.damped`);
 * polling is nominally one minute, dropping to 20 seconds at startup and
   after significant database growth;
 * on CE-like systems without working-set reporting, the controller falls
@@ -22,56 +22,46 @@ buffer pool:
   only when free memory increases and shrinks under memory pressure.
 """
 
-import collections
 import dataclasses
 
+from repro.common.control import EQ2_WEIGHTS, PollLoop, damped
 from repro.common.errors import IOFaultError
 from repro.common.units import KiB, MiB, MINUTE, SECOND, bytes_to_pages
 from repro.ossim.memory import WorkingSetProbeOutage, WorkingSetUnavailable
 from repro.profiling.metrics import NULL_METRICS
 
-GovernorSample = collections.namedtuple(
-    "GovernorSample",
-    [
-        "time_us",
-        "working_set",
-        "free_memory",
-        "misses",
-        "ideal_bytes",
-        "new_pool_bytes",
-        "action",
-        "interval_us",
-    ],
-)
-
-#: Actions recorded in the sample history.
+#: Decision actions.
 GROW = "grow"
 SHRINK = "shrink"
 HOLD_DEADBAND = "hold-deadband"
 HOLD_NO_MISSES = "hold-no-misses"
 HOLD = "hold"
 
+#: The paper's polling periods: once a minute, every 20 seconds at
+#: startup and after significant database growth.
+POLL_INTERVAL_US = 1 * MINUTE
+FAST_POLL_INTERVAL_US = 20 * SECOND
+#: Free memory left to the operating system.
+OS_RESERVE_BYTES = 5 * MiB
+#: Database growth (fractional, between polls) considered "significant",
+#: which switches the controller into fast polling.
+SIGNIFICANT_GROWTH_FRACTION = 0.25
+
 
 @dataclasses.dataclass
 class GovernorConfig:
     """Tunables, defaulted to the paper's constants."""
 
-    poll_interval_us: int = 1 * MINUTE
-    fast_poll_interval_us: int = 20 * SECOND
     deadband_bytes: int = 64 * KiB
-    os_reserve_bytes: int = 5 * MiB
     lower_bound_bytes: int = 2 * MiB
     upper_bound_bytes: int = 1024 * MiB
-    damping_new: float = 0.9
-    damping_old: float = 0.1
-    #: Database growth (fractional, between polls) considered "significant",
-    #: which switches the controller into fast polling.
-    significant_growth_fraction: float = 0.25
+    #: eq. 2 weights (new ideal, current size).
+    damping: tuple = EQ2_WEIGHTS
     #: Number of fast polls performed at startup.
     startup_fast_polls: int = 5
 
 
-class BufferGovernor:
+class BufferGovernor(PollLoop):
     """Drives :class:`~repro.buffer.pool.BufferPool` sizing from OS inputs."""
 
     def __init__(
@@ -84,15 +74,25 @@ class BufferGovernor:
         heap_size_fn=None,
         config=None,
         metrics=None,
+        decisions=None,
     ):
-        self.clock = clock
+        metrics = metrics or NULL_METRICS
+        super().__init__(
+            clock, "buffer",
+            polls=metrics.counter("governor.polls"),
+            actions={
+                action: metrics.counter("governor.action.%s" % action)
+                for action in (GROW, SHRINK, HOLD_DEADBAND, HOLD_NO_MISSES,
+                               HOLD)
+            },
+            decisions=decisions,
+        )
         self.os = os
         self.server_process = server_process
         self.pool = pool
         self._database_size_fn = database_size_fn
         self._heap_size_fn = heap_size_fn if heap_size_fn is not None else lambda: 0
         self.config = config if config is not None else GovernorConfig()
-        self.history = []
         self._miss_mark = pool.mark()
         self._fast_polls_left = self.config.startup_fast_polls
         self._last_database_size = database_size_fn()
@@ -100,46 +100,19 @@ class BufferGovernor:
         #: Last successful working-set probe, used to ride out injected
         #: probe outages without falling back to the CE control law.
         self._last_working_set = None
-        self._running = False
-        metrics = metrics or NULL_METRICS
-        self._m_polls = metrics.counter("governor.polls")
-        self._m_actions = {
-            action: metrics.counter("governor.action.%s" % action)
-            for action in (GROW, SHRINK, HOLD_DEADBAND, HOLD_NO_MISSES, HOLD)
-        }
         self._m_pool_bytes = metrics.gauge("governor.pool_bytes")
         self._m_ws_outages = metrics.counter("governor.ws_probe_outages")
         self._m_resize_faults = metrics.counter("governor.resize_io_faults")
         self._sync_process_allocation()
 
     # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-
-    def start(self):
-        """Begin periodic polling on the simulated clock."""
-        if self._running:
-            return
-        self._running = True
-        self.clock.call_after(self._next_interval(), self._on_timer)
-
-    def stop(self):
-        """Stop scheduling further polls (pending timers become no-ops)."""
-        self._running = False
-
-    def _on_timer(self):
-        if not self._running:
-            return
-        sample = self.poll_once()
-        self.clock.call_after(sample.interval_us, self._on_timer)
-
-    # ------------------------------------------------------------------ #
     # the control loop body
     # ------------------------------------------------------------------ #
 
     def poll_once(self):
-        """One controller iteration; returns the recorded sample."""
-        config = self.config
+        """One controller iteration; returns its :class:`Decision` (pool
+        bytes before and after, the OS readings, misses, the clamped
+        ideal and the interval to the next poll)."""
         misses = self.pool.misses_since(self._miss_mark)
         self._miss_mark = self.pool.mark()
 
@@ -148,21 +121,17 @@ class BufferGovernor:
         try:
             working_set = self.os.working_set(self.server_process)
             self._last_working_set = working_set
-            ideal = working_set + free - config.os_reserve_bytes
         except WorkingSetUnavailable:
             working_set = None
-            ideal = self._ce_ideal(current, free)
         except WorkingSetProbeOutage:
             # Injected transient outage: ride it out on the last good
             # reading rather than degrading to the CE control law.
             self._m_ws_outages.inc()
             working_set = self._last_working_set
-            if working_set is not None:
-                ideal = working_set + free - config.os_reserve_bytes
-            else:
-                ideal = self._ce_ideal(current, free)
-
-        ideal = self._clamp(ideal)
+        ideal = self._clamp(
+            self._ce_ideal(current, free) if working_set is None
+            else working_set + free - OS_RESERVE_BYTES
+        )
         action, new_size = self._decide(current, ideal, misses)
         if new_size != current:
             try:
@@ -178,26 +147,17 @@ class BufferGovernor:
                 self._m_resize_faults.inc()
             self._sync_process_allocation()
 
-        interval = self._next_interval()
-        sample = GovernorSample(
-            time_us=self.clock.now,
-            working_set=working_set,
-            free_memory=free,
-            misses=misses,
-            ideal_bytes=ideal,
-            new_pool_bytes=self.pool.size_bytes(),
-            action=action,
-            interval_us=interval,
+        decision = self._record(
+            action, current, self.pool.size_bytes(),
+            working_set=working_set, free_memory=free, misses=misses,
+            ideal_bytes=ideal, interval_us=self._next_interval(),
         )
-        self.history.append(sample)
-        self._m_polls.inc()
-        self._m_actions[action].inc()
         self._m_pool_bytes.set(self.pool.size_bytes())
         if self._fast_polls_left > 0:
             self._fast_polls_left -= 1
         self._note_database_growth()
         self._last_free_memory = free
-        return sample
+        return decision
 
     # ------------------------------------------------------------------ #
     # pieces of the control law
@@ -215,8 +175,8 @@ class BufferGovernor:
         delta_free = free - self._last_free_memory
         if delta_free > 0:
             return current + delta_free
-        if free < self.config.os_reserve_bytes:
-            return current - (self.config.os_reserve_bytes - free)
+        if free < OS_RESERVE_BYTES:
+            return current - (OS_RESERVE_BYTES - free)
         return current
 
     def _clamp(self, ideal):
@@ -233,29 +193,29 @@ class BufferGovernor:
         config = self.config
         if abs(ideal - current) < config.deadband_bytes:
             return HOLD_DEADBAND, current
-        damped = int(config.damping_new * ideal + config.damping_old * current)
-        if damped > current:
+        step = damped(ideal, current, config.damping)
+        if step > current:
             if misses == 0:
                 # "If there are no buffer pool misses between polling
                 # times, the buffer pool governor will not permit the
                 # buffer pool to grow."
                 return HOLD_NO_MISSES, current
-            return GROW, damped
-        if damped < current:
+            return GROW, step
+        if step < current:
             # "the buffer pool is always allowed to shrink"
-            return SHRINK, damped
+            return SHRINK, step
         return HOLD, current
 
     def _next_interval(self):
         if self._fast_polls_left > 0:
-            return self.config.fast_poll_interval_us
-        return self.config.poll_interval_us
+            return FAST_POLL_INTERVAL_US
+        return POLL_INTERVAL_US
 
     def _note_database_growth(self):
         size = self._database_size_fn()
         previous = max(1, self._last_database_size)
         if (size - self._last_database_size) / previous >= (
-            self.config.significant_growth_fraction
+            SIGNIFICANT_GROWTH_FRACTION
         ):
             # "the server will decrease its sampling period to 20 seconds
             # ... when the database grows significantly"

@@ -13,6 +13,7 @@ measured per-page cost, and fits a :class:`~repro.dtt.curve.DTTCurve`.
 import collections
 import random
 
+from repro.common.control import Decision, decision_ring
 from repro.common.errors import CalibrationError, IOFaultError, TransientIOError
 from repro.dtt.curve import DTTCurve
 from repro.dtt.model import DTTModel, READ, WRITE
@@ -62,10 +63,17 @@ def calibrate_read_curve(device, bands=DEFAULT_BANDS, samples_per_band=64, seed=
     larger than the device are clamped to the device size (and
     deduplicated), so small devices still produce a valid curve.
     """
+    return _measure_curve(device, "read_page", bands, samples_per_band, seed)
+
+
+def _measure_curve(device, transfer, bands, samples_per_band, seed):
+    """The band sweep shared by read and write calibration; ``transfer``
+    names the device method being timed."""
     if samples_per_band < 1:
         raise CalibrationError("need at least one sample per band")
     if device.size_pages < 1:
         raise CalibrationError("cannot calibrate an empty device")
+    op = getattr(device, transfer)
     rng = random.Random(seed)
     points = []
     seen_bands = set()
@@ -78,9 +86,9 @@ def calibrate_read_curve(device, bands=DEFAULT_BANDS, samples_per_band=64, seed=
         if device.size_pages > band:
             base = rng.randrange(device.size_pages - band)
         total_us = 0.0
-        for _ in range(samples_per_band):
+        for __ in range(samples_per_band):
             page = base + rng.randrange(band)
-            total_us += _measured_io(device.read_page, page)
+            total_us += _measured_io(op, page)
         points.append((band, total_us / samples_per_band))
     if not points:
         raise CalibrationError("no band sizes were measurable on this device")
@@ -126,29 +134,7 @@ def calibrate_write_curve(device, bands=DEFAULT_BANDS, samples_per_band=64,
     Section 6 item "better modeling of write performance on removable
     media".
     """
-    if samples_per_band < 1:
-        raise CalibrationError("need at least one sample per band")
-    if device.size_pages < 1:
-        raise CalibrationError("cannot calibrate an empty device")
-    rng = random.Random(seed)
-    points = []
-    seen_bands = set()
-    for band in sorted(bands):
-        band = min(int(band), device.size_pages)
-        if band < 1 or band in seen_bands:
-            continue
-        seen_bands.add(band)
-        base = 0
-        if device.size_pages > band:
-            base = rng.randrange(device.size_pages - band)
-        total_us = 0.0
-        for __ in range(samples_per_band):
-            page = base + rng.randrange(band)
-            total_us += _measured_io(device.write_page, page)
-        points.append((band, total_us / samples_per_band))
-    if not points:
-        raise CalibrationError("no band sizes were measurable on this device")
-    return DTTCurve(points)
+    return _measure_curve(device, "write_page", bands, samples_per_band, seed)
 
 
 class RetryRecalibrator:
@@ -170,7 +156,7 @@ class RetryRecalibrator:
     """
 
     def __init__(self, server, window=32, threshold=2.0,
-                 samples_per_band=16, metrics=None):
+                 samples_per_band=16, metrics=None, decisions=None):
         self.server = server
         self.window = max(1, int(window))
         self.threshold = float(threshold)
@@ -179,6 +165,9 @@ class RetryRecalibrator:
         self.recalibrations_aborted = 0
         self._recent = collections.deque(maxlen=self.window)
         self._cooldown = 0
+        #: Triggers, as :class:`~repro.common.control.Decision` records
+        #: whose before/after are the catalog's DTT model.
+        self.decisions = decision_ring(decisions)
         metrics = metrics or NULL_METRICS
         self._m_recalibrations = metrics.counter("dtt.recalibrations")
         self._m_aborted = metrics.counter("dtt.recalibrations_aborted")
@@ -192,12 +181,14 @@ class RetryRecalibrator:
             return False
         if len(self._recent) < self.window:
             return False
-        if sum(self._recent) / len(self._recent) < self.threshold:
+        mean_retries = sum(self._recent) / len(self._recent)
+        if mean_retries < self.threshold:
             return False
-        return self._recalibrate()
+        return self._recalibrate(mean_retries)
 
-    def _recalibrate(self):
+    def _recalibrate(self, mean_retries):
         server = self.server
+        before = server.catalog.dtt_model
         self._cooldown = self.window
         self._recent.clear()
         try:
@@ -208,8 +199,16 @@ class RetryRecalibrator:
         except (CalibrationError, IOFaultError):
             # The device is too sick to even measure right now; keep the
             # old model and let the cooldown expire before trying again.
+            model = None
             self.recalibrations_aborted += 1
             self._m_aborted.inc()
+        self.decisions.append(Decision(
+            server.clock.now, "dtt",
+            "recalibrate" if model is not None else "recalibrate-aborted",
+            before, model if model is not None else before,
+            {"mean_retries": mean_retries},
+        ))
+        if model is None:
             return False
         server.catalog.dtt_model = model
         self.recalibrations += 1

@@ -15,6 +15,7 @@ from repro.catalog import (
 )
 from repro.catalog.types import coerce_value
 from repro.common import DEFAULT_PAGE_SIZE, MiB, SimClock
+from repro.common.control import decision_ring
 from repro.common.errors import (
     ExecutionError,
     FaultError,
@@ -22,7 +23,7 @@ from repro.common.errors import (
     SqlTypeError,
     TransactionError,
 )
-from repro.dtt import calibrate_device, default_dtt_model
+from repro.dtt import RetryRecalibrator, calibrate_device, default_dtt_model
 from repro.dtt.model import DTTModel
 from repro.exec import ExecutionContext, Executor, MemoryGovernor
 from repro.exec.expr import evaluate, evaluate_predicate
@@ -89,13 +90,6 @@ class ServerConfig:
     #: Optional :class:`repro.faults.FaultPlan` for deterministic chaos;
     #: ``None`` defers to the ``REPRO_FAULTS=<seed>`` environment default.
     fault_plan: object = None
-    #: Fault-aware DTT recalibration: when the mean injected-fault retry
-    #: count per statement over the last ``window`` statements crosses
-    #: ``threshold``, the server re-runs device calibration so the cost
-    #: model tracks the device as it currently behaves.  Window <= 0
-    #: disables the trigger.
-    dtt_recalibration_window: int = 32
-    dtt_recalibration_threshold: float = 2.0
     #: Optional :class:`repro.storage.log.GroupCommitConfig`; ``None``
     #: uses the adaptive defaults.  Commits always route through the
     #: coordinator — without a scheduler it degenerates to the classic
@@ -210,6 +204,9 @@ class Server:
         #: Server-wide performance counters (paper Section 5's counter
         #: half); every engine component publishes through this registry.
         self.metrics = MetricsRegistry(self.clock)
+        #: Every self-tuning loop's decisions, newest last, in one bounded
+        #: ring (:mod:`repro.common.control`).
+        self.decisions = decision_ring()
         #: Deterministic chaos: an explicit plan wins, else the
         #: ``REPRO_FAULTS`` seed builds one per server (independent,
         #: replayable injection logs).
@@ -278,6 +275,7 @@ class Server:
             metrics=self.metrics,
             scheduler_fn=lambda: self.scheduler,
             sanitize=self.sanitize,
+            decisions=self.decisions,
         )
         from repro.engine.versions import VersionManager
 
@@ -298,6 +296,8 @@ class Server:
             lock_stats_fn=lambda: (
                 self.lock_manager.waits, self.lock_manager.deadlocks
             ),
+            clock=self.clock,
+            decisions=self.decisions,
         )
         #: Deterministic lockset race detector over the designated shared
         #: structures (inert without an armed scheduler session).
@@ -322,6 +322,7 @@ class Server:
             heap_size_fn=lambda: 0,
             config=self.config.governor,
             metrics=self.metrics,
+            decisions=self.decisions,
         )
         #: Hostile memory-grab injector (opt-in: rates.hostile_interval_us
         #: must be positive), competing with the pool for physical memory.
@@ -347,6 +348,7 @@ class Server:
             config=self.config.checkpoint,
             metrics=self.metrics,
             in_recovery_fn=lambda: self._in_recovery,
+            decisions=self.decisions,
         )
         self.metrics.register_probe(
             "server.database_size_bytes", self.database_size_bytes
@@ -360,18 +362,10 @@ class Server:
         self._m_checkpoints = self.metrics.counter("ckpt.checkpoints")
         self._m_ckpt_pages = self.metrics.counter("ckpt.pages_flushed")
         #: Fault-aware DTT recalibration (Section 4.2 meets the chaos
-        #: plan): armed only when both a fault plan and a positive window
-        #: are configured.
-        self.dtt_recalibrator = None
-        if plan is not None and self.config.dtt_recalibration_window > 0:
-            from repro.dtt import RetryRecalibrator
-
-            self.dtt_recalibrator = RetryRecalibrator(
-                self,
-                window=self.config.dtt_recalibration_window,
-                threshold=self.config.dtt_recalibration_threshold,
-                metrics=self.metrics,
-            )
+        #: plan): armed only under a fault plan.
+        self.dtt_recalibrator = RetryRecalibrator(
+            self, metrics=self.metrics, decisions=self.decisions,
+        ) if plan is not None else None
 
     def _new_lock_manager(self):
         """A fresh lock table (construction, and again after a crash:

@@ -14,6 +14,7 @@ Each task (unit of work) gets two quotas:
 import collections
 
 from repro.analysis.races import tap as _race_tap
+from repro.common.control import Decision, decision_ring
 from repro.common.errors import MemoryQuotaExceededError
 from repro.profiling.metrics import NULL_METRICS
 
@@ -218,7 +219,8 @@ class MemoryGovernor:
     COMMIT_BURST_BATCH = 4.0
 
     def __init__(self, pool, max_pool_pages, multiprogramming_level=4,
-                 adaptive=False, metrics=None, lock_stats_fn=None):
+                 adaptive=False, metrics=None, lock_stats_fn=None,
+                 clock=None, decisions=None):
         self.pool = pool
         self.max_pool_pages = int(max_pool_pages)
         self.multiprogramming_level = max(1, int(multiprogramming_level))
@@ -226,26 +228,23 @@ class MemoryGovernor:
         #: ``fn() -> (cumulative lock waits, cumulative deadlocks)``; the
         #: server wires the lock manager's counters.
         self.lock_stats_fn = lock_stats_fn
-        self._lock_waits_seen = 0
-        self._lock_deadlocks_seen = 0
-        # Delta state over the shared metrics registry: operator spills
-        # (``exec.spill_events``) and group-commit traffic
-        # (``wal.group_commit.batch_size`` count/sum).
-        self._spill_events_seen = 0
-        self._wal_commits_seen = 0
-        self._wal_flushes_seen = 0
+        #: Cumulative signal readings at the last adaptation.
+        self._seen = {}
         self._tasks = {}
         self._next_task_id = 0
         self._window_tasks = 0
         self._window_soft_hits = 0
         self._window_peak_concurrency = 0
-        self.mpl_changes = []  # [(completed tasks, old level, new level)]
+        #: Adaptation decisions (:class:`~repro.common.control.Decision`),
+        #: stamped from ``clock`` when one is wired.
+        self._clock = clock
+        self.decisions = decision_ring(decisions)
         #: Statement admission gate consumed by the workload scheduler.
         self._metrics = metrics = metrics or NULL_METRICS
         self.admission = AdmissionQueue(self, metrics=metrics)
         self._m_tasks = metrics.counter("memgov.tasks_completed")
         self._m_soft_hits = metrics.counter("memgov.soft_limit_hits")
-        self._m_mpl_changes = metrics.counter("memgov.mpl_changes")
+        self._m_level_changes = metrics.counter("memgov.mpl_changes")
         metrics.register_probe(
             "memgov.active_tasks", lambda: len(self._tasks)
         )
@@ -294,77 +293,65 @@ class MemoryGovernor:
         flushes carried bursty batches (transactions queueing behind the
         log; more concurrent statements drain the queue).
         """
-        if self._window_tasks == 0:
+        tasks = self._window_tasks
+        if tasks == 0:
             return self.multiprogramming_level
-        hit_rate = self._window_soft_hits / self._window_tasks
-        lock_waits, lock_deadlocks = self._window_lock_pressure()
-        wait_rate = lock_waits / self._window_tasks
-        spill_rate = self._window_spill_events() / self._window_tasks
-        pressured = (
-            lock_deadlocks > 0 or wait_rate > self.LOCK_WAIT_RATE_LIMIT
+        signals = dict(
+            self._window_signals(), tasks=tasks,
+            soft_limit_hits=self._window_soft_hits,
+            peak_concurrency=self._window_peak_concurrency,
         )
+        hit_rate = self._window_soft_hits / tasks
+        flushes = signals["flushes"]
+        commit_burst = signals["commits"] / flushes if flushes > 0 else 0.0
         old_level = self.multiprogramming_level
         if (
             hit_rate > 0.5
-            or spill_rate > self.SPILL_RATE_LIMIT
-            or pressured
+            or signals["spills"] / tasks > self.SPILL_RATE_LIMIT
+            or signals["deadlocks"] > 0
+            or signals["lock_waits"] / tasks > self.LOCK_WAIT_RATE_LIMIT
         ):
-            self.multiprogramming_level = max(self.MIN_MPL, old_level // 2)
-        elif (
-            hit_rate < 0.05
-            and (
-                self._window_peak_concurrency > old_level
-                or self._window_commit_burst() >= self.COMMIT_BURST_BATCH
-            )
+            action, level = "lower", max(self.MIN_MPL, old_level // 2)
+        elif hit_rate < 0.05 and (
+            self._window_peak_concurrency > old_level
+            or commit_burst >= self.COMMIT_BURST_BATCH
         ):
-            self.multiprogramming_level = min(self.MAX_MPL, old_level * 2)
-        if self.multiprogramming_level != old_level:
-            self.mpl_changes.append(
-                (self._window_tasks, old_level, self.multiprogramming_level)
-            )
-            self._m_mpl_changes.inc()
+            action, level = "raise", min(self.MAX_MPL, old_level * 2)
+        else:
+            action, level = "hold", old_level
+        self.decisions.append(Decision(
+            self._clock.now if self._clock is not None else None,
+            "mpl", action, old_level, level, signals,
+        ))
+        if level != old_level:
+            self.multiprogramming_level = level
+            self._m_level_changes.inc()
         self._window_tasks = 0
         self._window_soft_hits = 0
         self._window_peak_concurrency = len(self._tasks)
         return self.multiprogramming_level
 
-    def _window_lock_pressure(self):
-        """Lock waits and deadlocks accrued since the last adaptation
-        (deltas over the cumulative lock-manager counters)."""
-        if self.lock_stats_fn is None:
-            return 0, 0
-        waits, deadlocks = self.lock_stats_fn()
-        window = (
-            waits - self._lock_waits_seen,
-            deadlocks - self._lock_deadlocks_seen,
+    def _window_signals(self):
+        """Lock waits, deadlocks, operator spills, group-commit flushes and
+        the commits they carried since the last adaptation: deltas over
+        the lock manager's counters and the shared registry's
+        ``exec.spill_events`` / ``wal.group_commit.batch_size``.  Every
+        delta is taken on every window, whichever way it decides."""
+        waits, deadlocks = (
+            self.lock_stats_fn() if self.lock_stats_fn is not None else (0, 0)
         )
-        self._lock_waits_seen = waits
-        self._lock_deadlocks_seen = deadlocks
+        batches = self._metric_value("wal.group_commit.batch_size")
+        if not isinstance(batches, dict):
+            batches = {}
+        now = {
+            "lock_waits": waits, "deadlocks": deadlocks,
+            "spills": self._metric_value("exec.spill_events"),
+            "flushes": batches.get("count", 0),
+            "commits": batches.get("sum", 0),
+        }
+        window = {key: now[key] - self._seen.get(key, 0) for key in now}
+        self._seen = now
         return window
-
-    def _window_spill_events(self):
-        """Operator spill events accrued since the last adaptation (delta
-        over the executor's ``exec.spill_events`` counter)."""
-        spills = self._metric_value("exec.spill_events")
-        window = spills - self._spill_events_seen
-        self._spill_events_seen = spills
-        return window
-
-    def _window_commit_burst(self):
-        """Mean commits per group-commit flush over the window (deltas
-        over the ``wal.group_commit.batch_size`` histogram)."""
-        stats = self._metric_value("wal.group_commit.batch_size")
-        if not isinstance(stats, dict):
-            return 0.0
-        flushes = stats.get("count", 0)
-        commits = stats.get("sum", 0)
-        window_flushes = flushes - self._wal_flushes_seen
-        window_commits = commits - self._wal_commits_seen
-        self._wal_flushes_seen = flushes
-        self._wal_commits_seen = commits
-        if window_flushes <= 0:
-            return 0.0
-        return window_commits / window_flushes
 
     def _metric_value(self, name, default=0):
         """A registry value, or ``default`` when the metric (or the whole

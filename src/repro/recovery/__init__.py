@@ -8,11 +8,7 @@ and the crash harness proves committed-exactly semantics at seeded crash
 points (:mod:`repro.recovery.harness`).
 """
 
-from repro.recovery.checkpoint import (
-    CheckpointConfig,
-    CheckpointGovernor,
-    CkptSample,
-)
+from repro.recovery.checkpoint import CheckpointConfig, CheckpointGovernor
 from repro.recovery.harness import (
     CHECKPOINT,
     CrashHarness,
@@ -29,7 +25,6 @@ __all__ = [
     "CHECKPOINT",
     "CheckpointConfig",
     "CheckpointGovernor",
-    "CkptSample",
     "CrashHarness",
     "CrashPoint",
     "CrashReport",

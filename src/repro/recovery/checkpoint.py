@@ -23,33 +23,25 @@ Control law per poll:
 checkpointer — the baseline the E18 benchmark compares against.
 """
 
-import collections
 import dataclasses
 
+from repro.common.control import PollLoop, damped
 from repro.common.errors import IOFaultError
 from repro.common.units import SECOND
 from repro.dtt.model import READ, WRITE
 from repro.profiling.metrics import NULL_METRICS
 from repro.storage.log import RECORDS_PER_PAGE
 
-CkptSample = collections.namedtuple(
-    "CkptSample",
-    [
-        "time_us",
-        "estimate_us",
-        "records_pending",
-        "dirty_pages",
-        "action",
-        "interval_us",
-    ],
-)
-
-#: Actions recorded in the sample history.
+#: Decision actions.
 CKPT_URGENT = "ckpt-urgent"
 CKPT_IDLE = "ckpt-idle"
 CKPT_FIXED = "ckpt-fixed"
 HOLD = "hold"
 HOLD_RECOVERY = "hold-recovery"
+
+#: Sequential band assumed for the restart log scan (log pages are laid
+#: out in extent order).
+LOG_SCAN_BAND_BYTES = 64 * 4096
 
 
 @dataclasses.dataclass
@@ -61,18 +53,12 @@ class CheckpointConfig:
     #: Polling interval bounds; the adaptive law moves inside them.
     min_poll_interval_us: int = 5 * SECOND
     max_poll_interval_us: int = 60 * SECOND
-    #: eq. 2 damping, shared with the buffer governor.
-    damping_new: float = 0.9
-    damping_old: float = 0.1
     #: False = checkpoint on every poll at ``max_poll_interval_us`` (the
     #: fixed-interval baseline for the E18 benchmark).
     adaptive: bool = True
-    #: Sequential band assumed for the restart log scan (log pages are
-    #: laid out in extent order).
-    log_scan_band_bytes: int = 64 * 4096
 
 
-class CheckpointGovernor:
+class CheckpointGovernor(PollLoop):
     """Schedules fuzzy checkpoints against a recovery-time bound.
 
     Wired with callables rather than the server object so tests can
@@ -85,8 +71,18 @@ class CheckpointGovernor:
 
     def __init__(self, clock, log_fn, pool, model, page_size, checkpoint_fn,
                  statements_fn, config=None, metrics=None,
-                 in_recovery_fn=None):
-        self.clock = clock
+                 in_recovery_fn=None, decisions=None):
+        metrics = metrics or NULL_METRICS
+        super().__init__(
+            clock, "checkpoint",
+            polls=metrics.counter("ckpt.polls"),
+            actions={
+                action: metrics.counter("ckpt.action.%s" % action)
+                for action in (CKPT_URGENT, CKPT_IDLE, CKPT_FIXED, HOLD,
+                               HOLD_RECOVERY)
+            },
+            decisions=decisions,
+        )
         self.log_fn = log_fn
         self.pool = pool
         self.model = model
@@ -97,42 +93,12 @@ class CheckpointGovernor:
             in_recovery_fn if in_recovery_fn is not None else lambda: False
         )
         self.config = config if config is not None else CheckpointConfig()
-        self.history = []
         self._interval_us = self.config.max_poll_interval_us
         self._last_estimate_us = 0
         self._last_poll_us = None
         self._last_statements = statements_fn()
-        self._running = False
-        metrics = metrics or NULL_METRICS
-        self._m_polls = metrics.counter("ckpt.polls")
-        self._m_actions = {
-            action: metrics.counter("ckpt.action.%s" % action)
-            for action in (CKPT_URGENT, CKPT_IDLE, CKPT_FIXED, HOLD,
-                           HOLD_RECOVERY)
-        }
         self._m_estimate = metrics.gauge("ckpt.est_recovery_us")
         self._m_io_faults = metrics.counter("ckpt.io_faults")
-
-    # ------------------------------------------------------------------ #
-    # lifecycle (mirrors the buffer governor)
-    # ------------------------------------------------------------------ #
-
-    def start(self):
-        """Begin periodic polling on the simulated clock."""
-        if self._running:
-            return
-        self._running = True
-        self.clock.call_after(self._interval_us, self._on_timer)
-
-    def stop(self):
-        """Stop scheduling further polls (pending timers become no-ops)."""
-        self._running = False
-
-    def _on_timer(self):
-        if not self._running:
-            return
-        sample = self.poll_once()
-        self.clock.call_after(sample.interval_us, self._on_timer)
 
     # ------------------------------------------------------------------ #
     # the control loop body
@@ -152,7 +118,7 @@ class CheckpointGovernor:
         records = max(0, log.records_since_checkpoint())
         log_pages = (records + RECORDS_PER_PAGE - 1) // RECORDS_PER_PAGE
         scan_us = log_pages * self.model.cost_us(
-            READ, self.page_size, self.config.log_scan_band_bytes
+            READ, self.page_size, LOG_SCAN_BAND_BYTES
         )
         replay_us = records * (
             self.model.cost_us(READ, self.page_size, self.page_size)
@@ -164,7 +130,9 @@ class CheckpointGovernor:
         return int(scan_us + replay_us + flush_us)
 
     def poll_once(self):
-        """One controller iteration; returns the recorded sample."""
+        """One controller iteration; returns its :class:`Decision` (the
+        recovery estimate before and after, the pending log records, the
+        dirty pages and the interval to the next poll)."""
         config = self.config
         log = self.log_fn()
         estimate = self.estimate_recovery_us()
@@ -200,23 +168,19 @@ class CheckpointGovernor:
         else:
             estimate_after = estimate
 
-        interval = self._retune_interval(estimate)
-        sample = CkptSample(
-            time_us=self.clock.now,
-            estimate_us=estimate,
-            records_pending=records,
-            dirty_pages=dirty,
-            action=action,
-            interval_us=interval,
+        decision = self._record(
+            action, estimate, estimate_after,
+            records_pending=records, dirty_pages=dirty,
+            interval_us=self._retune_interval(estimate),
         )
-        self.history.append(sample)
-        self._m_polls.inc()
-        self._m_actions[action].inc()
         self._m_estimate.set(estimate_after)
         self._last_estimate_us = estimate_after
         self._last_poll_us = self.clock.now
         self._last_statements = statements
-        return sample
+        return decision
+
+    def _next_interval(self):
+        return self._interval_us
 
     def _retune_interval(self, estimate):
         """Damped interval retargeting from the estimate's slope.
@@ -244,7 +208,5 @@ class CheckpointGovernor:
             max(ideal, config.min_poll_interval_us),
             config.max_poll_interval_us,
         )
-        self._interval_us = int(
-            config.damping_new * ideal + config.damping_old * self._interval_us
-        )
+        self._interval_us = damped(ideal, self._interval_us)
         return self._interval_us

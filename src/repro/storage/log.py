@@ -31,6 +31,7 @@ import dataclasses
 import zlib
 
 from repro.analysis.races import tap as _race_tap
+from repro.common.control import Decision, damped, decision_ring
 from repro.common.errors import IOFaultError, TransactionError
 from repro.profiling.metrics import NULL_METRICS
 
@@ -621,6 +622,14 @@ class TransactionLog:
 # --------------------------------------------------------------------- #
 
 
+#: Mean commit inter-arrival gap at or above which the system counts as
+#: idle: the window collapses toward zero and commits force immediately
+#: (no latency tax on a quiet server).
+IDLE_THRESHOLD_US = 5_000
+#: Inter-arrival gaps remembered for the rate estimate.
+ARRIVAL_HISTORY = 16
+
+
 @dataclasses.dataclass
 class GroupCommitConfig:
     """Tunables for the adaptive group-commit coordinator."""
@@ -631,16 +640,6 @@ class GroupCommitConfig:
     max_window_us: int = 2_000
     #: Flush as soon as this many commits are pending (window or not).
     target_batch: int = 8
-    #: Damping factors for the window retune (the paper's eq. 2 idiom,
-    #: shared with the buffer and checkpoint governors).
-    damping_new: float = 0.9
-    damping_old: float = 0.1
-    #: Mean commit inter-arrival gap at or above which the system counts
-    #: as idle: the window collapses toward zero and commits force
-    #: immediately (no latency tax on a quiet server).
-    idle_threshold_us: int = 5_000
-    #: Inter-arrival gaps remembered for the rate estimate.
-    arrival_history: int = 16
 
 
 class CommitTicket:
@@ -683,7 +682,7 @@ class GroupCommitCoordinator:
     """
 
     def __init__(self, log_fn, clock, config=None, metrics=None,
-                 scheduler_fn=None, sanitize=False):
+                 scheduler_fn=None, sanitize=False, decisions=None):
         self._log_fn = log_fn
         self._clock = clock
         self.config = config if config is not None else GroupCommitConfig()
@@ -696,13 +695,13 @@ class GroupCommitCoordinator:
         #: commit can be lost to a primary failure.
         self.replication = None
         self._pending = []
-        self._arrival_gaps = collections.deque(
-            maxlen=max(2, self.config.arrival_history)
-        )
+        self._arrival_gaps = collections.deque(maxlen=ARRIVAL_HISTORY)
         self._last_arrival_us = None
         #: Current tuned flush window; starts at zero (idle behaviour)
         #: and only widens once arrivals prove the system is bursty.
         self.window_us = 0
+        #: Window changes, as :class:`~repro.common.control.Decision`.
+        self.decisions = decision_ring(decisions)
         self.batches = 0
         self.committed = 0
         metrics = metrics or NULL_METRICS
@@ -830,27 +829,32 @@ class GroupCommitCoordinator:
     # ------------------------------------------------------------------ #
 
     def _observe_arrival(self):
+        """Fold one commit arrival into the gap history and retune."""
         now = self._clock.now
         if self._last_arrival_us is not None:
             self._arrival_gaps.append(now - self._last_arrival_us)
         self._last_arrival_us = now
-        self._retune()
-
-    def _retune(self):
         if not self._arrival_gaps:
             return
         cfg = self.config
         mean_gap = sum(self._arrival_gaps) / len(self._arrival_gaps)
-        if mean_gap >= cfg.idle_threshold_us:
+        if mean_gap >= IDLE_THRESHOLD_US:
             ideal = 0.0
         else:
             ideal = min(
                 float(cfg.max_window_us),
                 mean_gap * max(1, cfg.target_batch - 1),
             )
-        self.window_us = int(
-            cfg.damping_new * ideal + cfg.damping_old * self.window_us
-        )
+        window = damped(ideal, self.window_us)
+        if window != self.window_us:
+            # Recorded only on a change: a steady window costs nothing.
+            self.decisions.append(Decision(
+                now, "group_commit",
+                "widen" if window > self.window_us else "narrow",
+                self.window_us, window,
+                {"mean_gap_us": mean_gap, "ideal_us": ideal},
+            ))
+            self.window_us = window
 
     # ------------------------------------------------------------------ #
     # sanitizer hook

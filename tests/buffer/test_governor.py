@@ -65,15 +65,15 @@ class TestControlLaw:
         current = pool.size_bytes()
         force_misses(pool, volume)
         sample = governor.poll_once()
-        expected = int(0.9 * sample.ideal_bytes + 0.1 * current)
+        expected = int(0.9 * sample.inputs["ideal_bytes"] + 0.1 * current)
         # set_capacity rounds to whole pages.
-        assert sample.new_pool_bytes == pytest.approx(expected, abs=pool.page_size)
+        assert sample.after == pytest.approx(expected, abs=pool.page_size)
 
     def test_growth_gated_without_misses(self):
         clock, os, server, volume, pool, governor = make_env()
         sample = governor.poll_once()
         assert sample.action == HOLD_NO_MISSES
-        assert sample.new_pool_bytes == 4 * MiB
+        assert sample.after == 4 * MiB
 
     def test_shrink_allowed_without_misses(self):
         clock, os, server, volume, pool, governor = make_env(
@@ -152,13 +152,13 @@ class TestPolling:
         clock, os, server, volume, pool, governor = make_env()
         force_misses(pool, volume)
         sample = governor.poll_once()
-        assert sample.interval_us == 20 * SECOND
+        assert sample.inputs["interval_us"] == 20 * SECOND
 
     def test_interval_returns_to_one_minute(self):
         clock, os, server, volume, pool, governor = make_env(startup_fast_polls=2)
         samples = [governor.poll_once() for __ in range(4)]
-        assert samples[0].interval_us == 20 * SECOND
-        assert samples[-1].interval_us == 1 * MINUTE
+        assert samples[0].inputs["interval_us"] == 20 * SECOND
+        assert samples[-1].inputs["interval_us"] == 1 * MINUTE
 
     def test_significant_database_growth_restores_fast_polling(self):
         sizes = {"db": 10 * MiB}
@@ -174,20 +174,34 @@ class TestPolling:
         )
         governor.poll_once()
         governor.poll_once()
-        assert governor.poll_once().interval_us == 1 * MINUTE
+        assert governor.poll_once().inputs["interval_us"] == 1 * MINUTE
         sizes["db"] = 50 * MiB  # grew 5x: significant
         governor.poll_once()
-        assert governor.poll_once().interval_us == 20 * SECOND
+        assert governor.poll_once().inputs["interval_us"] == 20 * SECOND
 
     def test_start_schedules_on_clock(self):
         clock, os, server, volume, pool, governor = make_env()
         governor.start()
-        assert len(governor.history) == 0
+        assert len(governor.decisions) == 0
         clock.advance(21 * SECOND)
-        assert len(governor.history) == 1
+        assert len(governor.decisions) == 1
         governor.stop()
         clock.advance(10 * MINUTE)
-        assert len(governor.history) == 1
+        assert len(governor.decisions) == 1
+
+    def test_stop_then_start_runs_one_poll_chain(self):
+        def polls_in_ten_minutes(restarted):
+            clock, os, server, volume, pool, governor = make_env()
+            governor.start()
+            if restarted:
+                governor.stop()
+                governor.start()
+            clock.advance(10 * MINUTE)
+            return len(governor.decisions)
+
+        # 5 fast polls, then 20 s to the sixth and a minute apart after.
+        assert polls_in_ten_minutes(False) == 14
+        assert polls_in_ten_minutes(True) == 14
 
     def test_process_allocation_tracks_pool(self):
         clock, os, server, volume, pool, governor = make_env()
@@ -205,7 +219,7 @@ class TestCEVariant:
         competitor.allocate(100 * MiB)
         force_misses(pool, volume)
         first = governor.poll_once()  # establishes the free-memory baseline
-        assert first.working_set is None
+        assert first.inputs["working_set"] is None
         force_misses(pool, volume)
         before = pool.size_bytes()
         sample = governor.poll_once()  # free memory unchanged: no growth

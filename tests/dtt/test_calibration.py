@@ -125,3 +125,50 @@ class TestWriteCalibration:
         disk = FlashDisk(SimClock(), 100)
         with pytest.raises(CalibrationError):
             calibrate_write_curve(disk, samples_per_band=0)
+
+
+class TestRetryRecalibrator:
+    """Fault-aware recalibration records every trigger as a decision."""
+
+    def make_server(self):
+        from repro import Server, ServerConfig
+        from repro.faults import FaultPlan
+
+        return Server(ServerConfig(
+            start_buffer_governor=False, fault_plan=FaultPlan(seed=5),
+        ))
+
+    def test_trigger_installs_a_model_and_records_it(self):
+        server = self.make_server()
+        recalibrator = server.dtt_recalibrator
+        before = server.catalog.dtt_model
+        triggered = [recalibrator.observe(3) for __ in range(32)]
+        assert triggered == [False] * 31 + [True]
+        [decision] = server.decisions
+        assert (decision.loop, decision.action) == ("dtt", "recalibrate")
+        assert decision.before is before
+        assert decision.after is server.catalog.dtt_model is not before
+        assert decision.inputs == {"mean_retries": 3.0}
+
+    def test_quiet_statements_record_nothing(self):
+        server = self.make_server()
+        for __ in range(64):
+            assert not server.dtt_recalibrator.observe(1)
+        assert len(server.decisions) == 0
+
+    def test_aborted_calibration_keeps_the_model(self, monkeypatch):
+        from repro.dtt import calibration
+
+        def sick_device(*args, **kwargs):
+            raise CalibrationError("device too sick to measure")
+
+        monkeypatch.setattr(calibration, "calibrate_device", sick_device)
+        server = self.make_server()
+        before = server.catalog.dtt_model
+        for __ in range(32):
+            server.dtt_recalibrator.observe(4)
+        [decision] = server.decisions
+        assert decision.action == "recalibrate-aborted"
+        assert decision.before is decision.after is before
+        assert server.catalog.dtt_model is before
+        assert server.dtt_recalibrator.recalibrations_aborted == 1

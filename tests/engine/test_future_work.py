@@ -208,7 +208,11 @@ class TestAdaptiveMpl:
     def test_changes_recorded(self):
         governor = self.make_governor(mpl=8)
         self.run_window(governor, soft_hits_per_task=3)
-        assert governor.mpl_changes == [(governor.ADAPT_WINDOW, 8, 4)]
+        [decision] = governor.decisions
+        assert (decision.loop, decision.action, decision.before,
+                decision.after) == ("mpl", "lower", 8, 4)
+        assert decision.inputs["tasks"] == governor.ADAPT_WINDOW
+        assert decision.inputs["soft_limit_hits"] == 3 * governor.ADAPT_WINDOW
 
     def test_soft_limit_follows_adapted_level(self):
         governor = self.make_governor(mpl=8)
@@ -361,6 +365,24 @@ class TestWorkloadSignalMpl:
         # A quiet window (no new flushes) must not keep doubling.
         self.run_window(governor, concurrency=2)
         assert governor.multiprogramming_level == 8
+
+    def test_halving_window_consumes_its_commit_burst(self):
+        # The window that halves the level must also consume its commit
+        # traffic: a following window with no commits is quiet, not a
+        # replay of the earlier batches.
+        governor = self.make_governor(mpl=8)
+        histogram = self.metrics.histogram("wal.group_commit.batch_size")
+        for __ in range(8):
+            histogram.observe(6)
+        self.metrics.counter("exec.spill_events").inc(
+            governor.ADAPT_WINDOW
+        )
+        self.run_window(governor)
+        assert governor.multiprogramming_level == 4
+        self.run_window(governor)
+        assert governor.multiprogramming_level == 4
+        assert [d.action for d in governor.decisions] == ["lower", "hold"]
+        assert governor.decisions[-1].inputs["flushes"] == 0
 
     def test_spill_pressure_beats_commit_bursts(self):
         governor = self.make_governor(mpl=8)

@@ -158,19 +158,19 @@ class TestWorkingSetOutage:
         plan = make_plan()
         __, __os, __pr, pool, governor = make_governed_rig(plan)
         healthy = governor.poll_once()
-        assert healthy.working_set is not None
+        assert healthy.inputs["working_set"] is not None
         plan.rates.working_set_outage = 1.0
         outage = governor.poll_once()
         # Rode the outage out on the cached value — same reference input,
         # not the CE fallback's pool-size-based one.
-        assert outage.working_set == governor._last_working_set
+        assert outage.inputs["working_set"] == governor._last_working_set
         assert pool.size_bytes() >= governor.config.lower_bound_bytes
 
     def test_governor_survives_outage_with_no_history(self):
         plan = make_plan(working_set_outage=1.0)
         __, __os, __pr, __pool, governor = make_governed_rig(plan)
         sample = governor.poll_once()  # CE-style fallback, no crash
-        assert sample.working_set is None
+        assert sample.inputs["working_set"] is None
 
 
 class TestHostileProcess:

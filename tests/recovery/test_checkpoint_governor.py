@@ -108,7 +108,7 @@ class TestControlLaw:
         rig.statements += 1  # fixed mode ignores idleness and target
         sample = rig.governor.poll_once()
         assert sample.action == CKPT_FIXED
-        assert sample.interval_us == config.max_poll_interval_us
+        assert sample.inputs["interval_us"] == config.max_poll_interval_us
         idle_sample = rig.governor.poll_once()  # nothing new to protect
         assert idle_sample.action == HOLD
 
@@ -214,6 +214,19 @@ class TestServerIntegration:
         server.clock.advance(5 * SECOND)
         assert server.metrics.value("ckpt.checkpoints") >= 1
         assert server.metrics.value("ckpt.action.ckpt-urgent") >= 1
+        conn.close()
+
+    def test_reconnect_after_last_close_runs_one_poll_chain(self):
+        from repro import Server, ServerConfig
+
+        server = Server(ServerConfig(
+            start_buffer_governor=False, start_checkpoint_governor=True,
+        ))
+        server.connect().close()  # the last close shuts the server down
+        conn = server.connect()
+        server.clock.advance(600 * SECOND)
+        # One poll a minute (the idle interval), not one per chain.
+        assert server.metrics.value("ckpt.polls") == 10
         conn.close()
 
     def test_governor_holds_during_restart_recovery(self):

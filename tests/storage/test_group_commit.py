@@ -161,7 +161,7 @@ class TestWindowTuning:
         rig = Rig()
         rig.coordinator.window_us = 1_500
         for __ in range(8):
-            rig.clock.advance(50_000)  # far beyond idle_threshold_us
+            rig.clock.advance(50_000)  # far beyond IDLE_THRESHOLD_US
             rig.commit_one()
         assert rig.coordinator.window_us == 0
 
@@ -182,11 +182,11 @@ class TestWindowTuning:
         rig.clock.advance(100)
         coordinator._observe_arrival()  # gap 100
         ideal = min(cfg.max_window_us, 100 * (cfg.target_batch - 1))
-        first = int(cfg.damping_new * ideal + cfg.damping_old * 0)
+        first = int(0.9 * ideal + 0.1 * 0)
         assert coordinator.window_us == first
         rig.clock.advance(100)
         coordinator._observe_arrival()
-        second = int(cfg.damping_new * ideal + cfg.damping_old * first)
+        second = int(0.9 * ideal + 0.1 * first)
         assert coordinator.window_us == second
         # Damped: converging toward the ideal, never overshooting it.
         assert first < second < ideal
