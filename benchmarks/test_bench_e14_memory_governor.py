@@ -20,9 +20,11 @@ MPL = 8
 
 
 def run_quota_experiment():
-    volume = Volume(FlashDisk(SimClock(), 100_000))
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 100_000))
     pool = BufferPool(volume.create_file("temp"), capacity_pages=4096)
-    governor = MemoryGovernor(pool, MAX_POOL_PAGES, multiprogramming_level=MPL)
+    governor = MemoryGovernor(pool, MAX_POOL_PAGES, multiprogramming_level=MPL,
+                              clock=clock)
     rows = []
     tasks = []
     for n_requests in (1, 2, 4, 8, 16):
@@ -60,9 +62,11 @@ class _Consumer:
 
 
 def run_reclamation_experiment():
-    volume = Volume(FlashDisk(SimClock(), 100_000))
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 100_000))
     pool = BufferPool(volume.create_file("temp"), capacity_pages=1024)
-    governor = MemoryGovernor(pool, MAX_POOL_PAGES, multiprogramming_level=4)
+    governor = MemoryGovernor(pool, MAX_POOL_PAGES, multiprogramming_level=4,
+                              clock=clock)
     task = governor.begin_task()
     log = []
     # An execution tree: group-by (top) <- hash join <- sort (input side).

@@ -52,10 +52,11 @@ def run_adaptive_mpl_experiment():
     from repro.exec import MemoryGovernor
     from repro.storage import FlashDisk, Volume
 
-    volume = Volume(FlashDisk(SimClock(), 100_000))
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 100_000))
     pool = BufferPool(volume.create_file("temp"), capacity_pages=1024)
     governor = MemoryGovernor(pool, 8192, multiprogramming_level=16,
-                              adaptive=True)
+                              adaptive=True, clock=clock)
     series = []
     # Phase 1: memory-hungry statements constantly hit the soft limit.
     for window in range(3):

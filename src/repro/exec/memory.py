@@ -219,8 +219,8 @@ class MemoryGovernor:
     COMMIT_BURST_BATCH = 4.0
 
     def __init__(self, pool, max_pool_pages, multiprogramming_level=4,
-                 adaptive=False, metrics=None, lock_stats_fn=None,
-                 clock=None, decisions=None):
+                 adaptive=False, metrics=None, lock_stats_fn=None, *,
+                 clock, decisions=None):
         self.pool = pool
         self.max_pool_pages = int(max_pool_pages)
         self.multiprogramming_level = max(1, int(multiprogramming_level))
@@ -236,7 +236,7 @@ class MemoryGovernor:
         self._window_soft_hits = 0
         self._window_peak_concurrency = 0
         #: Adaptation decisions (:class:`~repro.common.control.Decision`),
-        #: stamped from ``clock`` when one is wired.
+        #: stamped from ``clock``.
         self._clock = clock
         self.decisions = decision_ring(decisions)
         #: Statement admission gate consumed by the workload scheduler.
@@ -320,8 +320,7 @@ class MemoryGovernor:
         else:
             action, level = "hold", old_level
         self.decisions.append(Decision(
-            self._clock.now if self._clock is not None else None,
-            "mpl", action, old_level, level, signals,
+            self._clock.now, "mpl", action, old_level, level, signals
         ))
         if level != old_level:
             self.multiprogramming_level = level

@@ -628,6 +628,10 @@ class TransactionLog:
 IDLE_THRESHOLD_US = 5_000
 #: Inter-arrival gaps remembered for the rate estimate.
 ARRIVAL_HISTORY = 16
+#: A window is recorded once this far from the last recorded one, or on
+#: leaving or reaching zero: bursty traffic moves it on most commits, and
+#: a record per move would tax the commit path and flood the shared ring.
+WINDOW_RECORD_BAND_US = 250
 
 
 @dataclasses.dataclass
@@ -700,8 +704,9 @@ class GroupCommitCoordinator:
         #: Current tuned flush window; starts at zero (idle behaviour)
         #: and only widens once arrivals prove the system is bursty.
         self.window_us = 0
-        #: Window changes, as :class:`~repro.common.control.Decision`.
+        #: Window moves past the record band, and the last recorded window.
         self.decisions = decision_ring(decisions)
+        self._recorded_us = 0
         self.batches = 0
         self.committed = 0
         metrics = metrics or NULL_METRICS
@@ -845,16 +850,17 @@ class GroupCommitCoordinator:
                 float(cfg.max_window_us),
                 mean_gap * max(1, cfg.target_batch - 1),
             )
-        window = damped(ideal, self.window_us)
-        if window != self.window_us:
-            # Recorded only on a change: a steady window costs nothing.
+        self.window_us = window = damped(ideal, self.window_us)
+        recorded = self._recorded_us
+        if window != recorded and (
+            not (window and recorded)
+            or abs(window - recorded) >= WINDOW_RECORD_BAND_US
+        ):
             self.decisions.append(Decision(
-                now, "group_commit",
-                "widen" if window > self.window_us else "narrow",
-                self.window_us, window,
-                {"mean_gap_us": mean_gap, "ideal_us": ideal},
+                now, "group_commit", "widen" if window > recorded else "narrow",
+                recorded, window, {"mean_gap_us": mean_gap, "ideal_us": ideal},
             ))
-            self.window_us = window
+            self._recorded_us = window
 
     # ------------------------------------------------------------------ #
     # sanitizer hook

@@ -49,7 +49,8 @@ class _StubPool:
 
 def make_governor(mpl=4):
     return SanitizedMemoryGovernor(
-        _StubPool(), max_pool_pages=100, multiprogramming_level=mpl
+        _StubPool(), max_pool_pages=100, multiprogramming_level=mpl,
+        clock=SimClock(),
     )
 
 

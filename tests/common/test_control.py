@@ -3,6 +3,8 @@ step against the inline expression it replaced, the poll timer's
 lifecycle, the bounded decision ring, and one convergence property per
 damped loop (buffer size, checkpoint interval, group-commit window)."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from repro.profiling.metrics import MetricsRegistry
 from repro.recovery.checkpoint import CheckpointConfig, CheckpointGovernor
 from repro.storage import FlashDisk, GroupCommitCoordinator, TransactionLog
 from repro.storage import Volume
-from repro.storage.log import INSERT
+from repro.storage.log import INSERT, WINDOW_RECORD_BAND_US
 
 
 def reference_eq2(ideal, current, damping_new, damping_old):
@@ -294,14 +296,44 @@ def test_group_commit_window_settles_on_its_ideal(gap_us, start_window):
     )
     assert settled <= 5
     assert all(abs(window - ideal) < 2 for window in windows[settled:])
-    # Every change was recorded, and only changes were.
-    changes = [w for w, v in zip([start_window] + windows, windows) if w != v]
-    assert len(coordinator.decisions) == len(changes)
-    assert all(
-        d.loop == "group_commit"
-        and d.action == ("widen" if d.after > d.before else "narrow")
-        for d in coordinator.decisions
+    assert_window_records_chain(coordinator)
+
+
+def assert_window_records_chain(coordinator):
+    """Each record starts where the last one left off, crosses the band
+    or zero, and the last one is within the band of the live window."""
+    records = list(coordinator.decisions)
+    afters = [d.after for d in records]
+    assert [d.before for d in records] == ([0] + afters)[:len(records)]
+    for d in records:
+        assert d.loop == "group_commit"
+        assert d.action == ("widen" if d.after > d.before else "narrow")
+        assert (0 in (d.before, d.after)
+                or abs(d.after - d.before) >= WINDOW_RECORD_BAND_US)
+    last = records[-1].after if records else 0
+    window = coordinator.window_us
+    assert window == last or (
+        window and last and abs(window - last) < WINDOW_RECORD_BAND_US
     )
+
+
+def test_group_commit_records_band_crossings_not_every_move():
+    # Bursty traffic with jittery gaps moves the window on nearly every
+    # commit; the ring keeps its course in a few records.
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 10_000))
+    log = TransactionLog(volume.create_file("txn.log"))
+    coordinator = GroupCommitCoordinator(log_fn=lambda: log, clock=clock)
+    rng = random.Random(7)
+    moves = 0
+    for __ in range(2000):
+        clock.advance(rng.randint(20, 400))
+        before = coordinator.window_us
+        coordinator._observe_arrival()
+        moves += coordinator.window_us != before
+        assert_window_records_chain(coordinator)
+    assert moves > 1900
+    assert 10 < len(coordinator.decisions) < 200
 
 
 def test_group_commit_records_nothing_while_the_window_holds():

@@ -166,10 +166,11 @@ class TestCrashRecovery:
 
 class TestAdaptiveMpl:
     def make_governor(self, mpl=8, adaptive=True):
-        volume = Volume(FlashDisk(SimClock(), 100_000))
+        clock = SimClock()
+        volume = Volume(FlashDisk(clock, 100_000))
         pool = BufferPool(volume.create_file("temp"), capacity_pages=1024)
         return MemoryGovernor(pool, 8192, multiprogramming_level=mpl,
-                              adaptive=adaptive)
+                              adaptive=adaptive, clock=clock)
 
     def run_window(self, governor, soft_hits_per_task, concurrency=1):
         for __ in range(governor.ADAPT_WINDOW):
@@ -209,8 +210,8 @@ class TestAdaptiveMpl:
         governor = self.make_governor(mpl=8)
         self.run_window(governor, soft_hits_per_task=3)
         [decision] = governor.decisions
-        assert (decision.loop, decision.action, decision.before,
-                decision.after) == ("mpl", "lower", 8, 4)
+        assert (decision.time_us, decision.loop, decision.action,
+                decision.before, decision.after) == (0, "mpl", "lower", 8, 4)
         assert decision.inputs["tasks"] == governor.ADAPT_WINDOW
         assert decision.inputs["soft_limit_hits"] == 3 * governor.ADAPT_WINDOW
 
@@ -232,12 +233,13 @@ class TestLockPressureMpl:
     admitting more only lengthens the queues."""
 
     def make_governor(self, mpl=8):
-        volume = Volume(FlashDisk(SimClock(), 100_000))
+        clock = SimClock()
+        volume = Volume(FlashDisk(clock, 100_000))
         pool = BufferPool(volume.create_file("temp"), capacity_pages=1024)
         self.lock_stats = [0, 0]  # cumulative (waits, deadlocks)
         return MemoryGovernor(
             pool, 8192, multiprogramming_level=mpl, adaptive=True,
-            lock_stats_fn=lambda: tuple(self.lock_stats),
+            lock_stats_fn=lambda: tuple(self.lock_stats), clock=clock,
         )
 
     def run_window(self, governor, concurrency=1):
@@ -295,12 +297,13 @@ class TestWorkloadSignalMpl:
     argue it up (transactions are queueing behind the log)."""
 
     def make_governor(self, mpl=8):
-        volume = Volume(FlashDisk(SimClock(), 100_000))
+        clock = SimClock()
+        volume = Volume(FlashDisk(clock, 100_000))
         pool = BufferPool(volume.create_file("temp"), capacity_pages=1024)
         self.metrics = MetricsRegistry()
         return MemoryGovernor(
             pool, 8192, multiprogramming_level=mpl, adaptive=True,
-            metrics=self.metrics,
+            metrics=self.metrics, clock=clock,
         )
 
     def run_window(self, governor, concurrency=1):

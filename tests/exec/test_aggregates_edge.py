@@ -160,7 +160,8 @@ def _group_by(rows, chunk, aggregates, pool_pages=8, mpl=8):
     volume = Volume(FlashDisk(clock, 100_000))
     temp = volume.create_file("temp")
     pool = BufferPool(temp, capacity_pages=pool_pages)
-    governor = MemoryGovernor(pool, 4096, multiprogramming_level=mpl)
+    governor = MemoryGovernor(pool, 4096, multiprogramming_level=mpl,
+                              clock=clock)
     ctx = ExecutionContext(
         pool, temp, None, clock, governor.begin_task(), batch_rows=chunk
     )

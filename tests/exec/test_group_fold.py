@@ -148,7 +148,8 @@ def run_group_by(operator_class, case):
     volume = Volume(FlashDisk(clock, 100_000))
     temp = volume.create_file("temp")
     pool = BufferPool(temp, capacity_pages=8)
-    governor = MemoryGovernor(pool, 4096, multiprogramming_level=case["mpl"])
+    governor = MemoryGovernor(pool, 4096, multiprogramming_level=case["mpl"],
+                              clock=clock)
     task = governor.begin_task()
     ctx = ExecutionContext(
         pool, temp, None, clock, task, batch_rows=case["batch_rows"]

@@ -275,7 +275,7 @@ def run_join(operator_class, case):
     temp = volume.create_file("temp")
     pool = BufferPool(temp, capacity_pages=8)
     governor = MemoryGovernor(
-        pool, 4096, multiprogramming_level=case["mpl"]
+        pool, 4096, multiprogramming_level=case["mpl"], clock=clock
     )
     task = governor.begin_task()
     trace = []

@@ -11,9 +11,11 @@ from repro.storage import FlashDisk, Volume
 
 @pytest.fixture
 def governor():
-    volume = Volume(FlashDisk(SimClock(), 100_000))
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 100_000))
     pool = BufferPool(volume.create_file("temp"), capacity_pages=400)
-    return MemoryGovernor(pool, max_pool_pages=1000, multiprogramming_level=4)
+    return MemoryGovernor(pool, max_pool_pages=1000, multiprogramming_level=4,
+                          clock=clock)
 
 
 def test_hard_limit_formula(governor):

@@ -21,7 +21,8 @@ def env():
     volume = Volume(FlashDisk(clock, 100_000))
     temp = volume.create_file("temp")
     pool = BufferPool(temp, capacity_pages=64)
-    governor = MemoryGovernor(pool, 1024, multiprogramming_level=4)
+    governor = MemoryGovernor(pool, 1024, multiprogramming_level=4,
+                              clock=clock)
     task = governor.begin_task()
 
     class Ctx:
