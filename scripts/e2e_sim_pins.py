@@ -26,7 +26,7 @@ RUN = ROOT / "benchmarks" / "e2e" / "run.py"
 PINS = {
     "oltp_point": 59.8,
     "join_agg": 8758.333333333334,
-    "mixed_conc": 11227.561224489797,
+    "mixed_conc": 8767.352040816326,
     "replicated": 132.34795321637426,
 }
 

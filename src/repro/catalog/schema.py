@@ -116,10 +116,6 @@ class IndexSchema:
         #: Positions of the key columns in a table row; resolved by
         #: :meth:`Catalog.add_index`, which attaches the index to its table.
         self.key_positions = None
-        #: LSN stamp of the last DML/DDL that touched this index's
-        #: entries (observability; fallback decisions use the narrower
-        #: per-key state below).
-        self.last_dml_lsn = 0
         #: Per-key delete stamps: ``key tuple -> LSN`` of the mutation
         #: that removed the entry.  Only *removals* can blind a snapshot
         #: index scan (an entry inserted after the snapshot is filtered

@@ -733,9 +733,12 @@ class Server:
             else:
                 kind = LOG_UPDATE
                 storage.update(row_id, after)
-            self._index_delete(table, before, row_id)
+            # An overwrite maintains only the indexes whose key changed:
+            # the row id is kept, so an unchanged key's entry stays valid,
+            # and leaving it writes no delete stamp to blind snapshots.
+            self._index_delete(table, before, row_id, after)
         if after is not None:
-            self._index_insert(table, after, row_id)
+            self._index_insert(table, after, row_id, before)
         if mode != LOAD:
             if before is None:
                 self.stats.note_insert(table.name, after)
@@ -763,23 +766,32 @@ class Server:
                     "duplicate key %r in unique index %r" % (key, index.name)
                 )
 
-    def _index_insert(self, table, row, row_id):
+    def _index_insert(self, table, row, row_id, before=None):
+        """Enter ``row`` under ``row_id`` in every index.  An index whose
+        key is kept from ``before`` still holds the entry (the overwrite
+        keeps the row id, and :meth:`_index_delete` left it): it is not
+        touched."""
         for index in self.catalog.indexes_on(table.name):
             if index.virtual:
                 continue
             key = index.key_of(row)
+            if before is not None and key == index.key_of(before):
+                continue
             if index.unique and index.btree.search(key):
                 raise ExecutionError(
                     "duplicate key %r in unique index %r" % (key, index.name)
                 )
             index.btree.insert(key, row_id)
-            self._stamp_index(index)
 
-    def _index_delete(self, table, row, row_id):
+    def _index_delete(self, table, row, row_id, after=None):
+        """Remove ``row``'s entries; an index whose key ``after`` keeps is
+        left alone (see :meth:`_index_insert`)."""
         for index in self.catalog.indexes_on(table.name):
             if index.virtual:
                 continue
             key = index.key_of(row)
+            if after is not None and key == index.key_of(after):
+                continue
             index.btree.delete(key, row_id)
             # Removals are the only mutations that can blind a snapshot
             # index scan, so they are stamped per key: a scan whose
@@ -787,7 +799,6 @@ class Server:
             index.delete_stamps[key] = self.txn_log.peek_next_lsn()
             if len(index.delete_stamps) > 512:
                 self._prune_delete_stamps(index)
-            self._stamp_index(index)
 
     def _prune_delete_stamps(self, index):
         """Drop delete stamps no snapshot can be blinded by: every open
@@ -804,21 +815,13 @@ class Server:
             if lsn > horizon
         }
 
-    def _stamp_index(self, index):
-        """Record that the index's entries changed at the current end of
-        log.  The stamp is taken at mutation time, so it is always <= the
-        mutating transaction's commit LSN: a snapshot at or after the
-        commit trusts the B-tree, an older one falls back to the heap."""
-        index.last_dml_lsn = self.txn_log.peek_next_lsn()
-
     def _stamp_index_rebuilt(self, index):
         """Stamp an index rebuilt from committed state only (CREATE INDEX
         build, REORGANIZE, restart recovery — all run under the DDL drain
         with no writer in flight).  The tree exactly reflects the
         committed horizon, so a snapshot at or after it trusts the
-        B-tree; the mutation-time stamp would sit past the horizon
-        forever when the rebuild itself advances no commit ticket."""
-        index.last_dml_lsn = self.versions.last_commit_lsn
+        B-tree and an older one falls back to the heap; no removal
+        predates the rebuild, so the delete stamps start empty."""
         index.rebuild_lsn = self.versions.last_commit_lsn
         index.delete_stamps = {}
         index.always_fallback = False
@@ -1369,7 +1372,7 @@ class Connection:
                 row_id = table.storage.insert(row, page_lsn=stamp)
                 server._index_insert(table, row, row_id)
             # The rebuild drained all writers and replayed committed rows
-            # only: re-stamp past the per-insert mutation stamps.
+            # only: stamp the committed horizon.
             for index in indexes:
                 if index.virtual:
                     continue

@@ -192,13 +192,17 @@ class IndexScanOp(Operator):
         # The sarg is evaluated once per execution; the fallback test,
         # the tree scan and the snapshot re-check all share these bounds.
         bounds = self._bounds(ctx)
-        if snapshot is not None and self._must_fall_back(snapshot, bounds):
+        cause = None
+        if snapshot is not None:
+            cause = self._fallback_cause(ctx.metrics, snapshot, bounds)
+        if cause is not None:
             # Some key this scan might need was *removed* from the B-tree
             # after this snapshot was taken (or the whole tree postdates
             # it) — no version chain can resurrect a key the scan never
             # visits, so the tree cannot enumerate this snapshot.  Fall
             # back to the exact heap path, keeping the sarg as a filter.
             self.snapshot_fallbacks += 1
+            cause.inc()
             rows = self._snapshot_heap_rows(ctx, storage, bounds)
         else:
             rows = self._index_rows(ctx, storage, snapshot, bounds)
@@ -239,23 +243,28 @@ class IndexScanOp(Operator):
                 if self._key_in_bounds(row, bounds):
                     yield row
 
-    def _must_fall_back(self, snapshot, bounds):
-        """Can the B-tree enumerate this snapshot?  Only *removals* blind
-        an index scan (inserted-after entries are filtered by the
-        visibility re-check above), so the tree is trusted unless a key
-        inside this scan's bounds was deleted after the snapshot — or the
-        whole tree postdates it (rebuild), or it is not maintained at all
-        (replication standby)."""
+    def _fallback_cause(self, metrics, snapshot, bounds):
+        """Why the B-tree cannot enumerate this snapshot — as the counter
+        of that cause — or None if it can.  Only *removals* blind an
+        index scan (inserted-after entries are filtered by the visibility
+        re-check above), so the tree is trusted unless it is not
+        maintained at all (a replication standby), the whole tree
+        postdates the snapshot (a rebuild), or a key inside this scan's
+        bounds was removed after the snapshot."""
         schema = self.index_schema
-        if schema.always_fallback or schema.rebuild_lsn > snapshot:
-            return True
+        if schema.always_fallback:
+            return metrics.counter("exec.snapshot_fallbacks.standby")
+        if schema.rebuild_lsn > snapshot:
+            return metrics.counter("exec.snapshot_fallbacks.rebuilt")
         stamps = schema.delete_stamps
         if not stamps or max(stamps.values()) <= snapshot:
-            return False
-        return any(
+            return None
+        if any(
             lsn > snapshot and self._key_tuple_in_bounds(key, bounds)
             for key, lsn in stamps.items()
-        )
+        ):
+            return metrics.counter("exec.snapshot_fallbacks.removed_key")
+        return None
 
     def _key_in_bounds(self, row, bounds):
         return self._key_tuple_in_bounds(self.index_schema.key_of(row), bounds)

@@ -186,7 +186,7 @@ class RecoveryManager:
             for row_id, row in rows:
                 server._index_insert(table, row, row_id)
             # Rebuilt from recovered committed state: stamp at the
-            # restarted horizon, not the per-insert mutation stamps.
+            # restarted horizon.
             for index in indexes:
                 server._stamp_index_rebuilt(index)
 

@@ -17,6 +17,8 @@ from repro.common.errors import ExecutionError
 #: (tag, value) pairs so mixed NULL/value comparisons stay well-defined.
 _NULL_TAG = 0
 _VALUE_TAG = 1
+#: Never stored: ends a prefix probe's run (see :meth:`BTree.prefix_scan`).
+_PAST_TAG = 2
 
 
 def encode_key(values):
@@ -124,25 +126,31 @@ class BTree:
 
     def prefix_scan(self, values):
         """Yield ``(decoded_key, row_id)`` for keys whose leading columns
-        equal ``values`` (equality probe on a composite index prefix)."""
+        equal ``values`` (equality probe on a composite index prefix).
+
+        Each leaf's matching run is found by bisection and copied while
+        the frame is pinned; the next leaf is fetched only when the run
+        reaches the end of this one."""
         prefix = encode_key(values)
-        n = len(prefix)
+        # Sorts after every key that starts with ``prefix`` and before
+        # every greater key: its tag outranks both element tags.
+        past = prefix + ((_PAST_TAG,),)
         page_no = self._descend_to_leaf(prefix)
         while page_no is not None:
             frame = self._read(page_no)
             try:
                 node = frame.payload
-                keys = list(node["keys"])
-                value_lists = [list(v) for v in node["values"]]
-                next_page = node["next"]
+                keys = node["keys"]
+                low = bisect.bisect_left(keys, prefix)
+                high = bisect.bisect_left(keys, past, low)
+                run = [
+                    (keys[i], list(node["values"][i]))
+                    for i in range(low, high)
+                ]
+                next_page = node["next"] if high == len(keys) else None
             finally:
                 self.pool.unpin(frame)
-            for key, row_ids in zip(keys, value_lists):
-                head = key[:n]
-                if head < prefix:
-                    continue
-                if head > prefix:
-                    return
+            for key, row_ids in run:
                 decoded = decode_key(key)
                 for row_id in row_ids:
                     yield decoded, row_id

@@ -326,3 +326,59 @@ class TestNarrowSnapshotFallback:
         before = counter.value
         assert reader.execute("SELECT v FROM t WHERE id = 5").rows == []
         assert counter.value == before
+
+
+def fallbacks_by_cause(server):
+    return {
+        cause: server.metrics.counter(
+            "exec.snapshot_fallbacks." + cause
+        ).value
+        for cause in ("standby", "rebuilt", "removed_key")
+    }
+
+
+class TestFallbackCauses:
+    """Each heap fallback is counted under its cause, beside the
+    ``exec.adaptive_fallbacks`` total."""
+
+    def test_removed_key_in_bounds(self):
+        server = make_server()
+        writer = seed_table(server)
+        reader = server.connect()
+        writer.begin()
+        writer.execute("DELETE FROM t WHERE id = 5")
+        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(0,)]
+        writer.rollback()
+        assert fallbacks_by_cause(server) == {
+            "standby": 0, "rebuilt": 0, "removed_key": 1,
+        }
+
+    def test_tree_rebuilt_past_an_open_snapshot(self):
+        server = make_server()
+        writer = seed_table(server)
+        reader = server.connect()
+        cursor = reader.open_cursor("SELECT v FROM t WHERE id = 5")
+        writer.execute("INSERT INTO t VALUES (100, 1)")  # autocommit
+        writer.execute("REORGANIZE TABLE t")
+        # The cursor's snapshot predates the rebuilt tree.
+        assert cursor.fetchall() == [(0,)]
+        cursor.close()
+        assert fallbacks_by_cause(server) == {
+            "standby": 0, "rebuilt": 1, "removed_key": 0,
+        }
+
+    def test_open_non_key_update_takes_no_fallback(self):
+        server = make_server()
+        writer = seed_table(server)
+        reader = server.connect()
+        writer.begin()
+        writer.execute("UPDATE t SET v = 99 WHERE id = 5")
+        # The pk entry of 5 was never removed: the tree serves the
+        # snapshot and the version chain supplies the before-image.
+        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(0,)]
+        writer.commit()
+        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(99,)]
+        assert server.catalog.index("pk_t").delete_stamps == {}
+        assert fallbacks_by_cause(server) == {
+            "standby": 0, "rebuilt": 0, "removed_key": 0,
+        }

@@ -57,13 +57,17 @@ class TestShipping:
         conn.execute("UPDATE t SET v = 5 WHERE id = 5")
         cluster.sync()
         replica = cluster.replicas[0]
-        counter = replica.server.metrics.counter("exec.adaptive_fallbacks")
+        metrics = replica.server.metrics
+        counter = metrics.counter("exec.adaptive_fallbacks")
         before = counter.value
         # Sargable point query: the plan picks the pk index, but standby
         # B-trees are never maintained by heap-only redo — the scan must
         # take the exact heap path.
         assert replica_rows(replica, "SELECT v FROM t WHERE id = 5") == [(5,)]
         assert counter.value == before + 1
+        assert metrics.counter("exec.snapshot_fallbacks.standby").value == 1
+        assert metrics.counter("exec.snapshot_fallbacks.rebuilt").value == 0
+        assert metrics.counter("exec.snapshot_fallbacks.removed_key").value == 0
 
     def test_latency_delays_visibility_not_durability(self):
         cluster = make_cluster(

@@ -161,6 +161,91 @@ class TestStats:
         assert make_tree().clustering_fraction() == 1.0
 
 
+def reference_prefix_scan(tree, values):
+    """The prefix probe ``BTree.prefix_scan`` replaced: copy the whole
+    leaf, then compare every key's head with the prefix from the start."""
+    prefix = encode_key(values)
+    n = len(prefix)
+    page_no = tree._descend_to_leaf(prefix)
+    while page_no is not None:
+        frame = tree._read(page_no)
+        try:
+            node = frame.payload
+            keys = list(node["keys"])
+            value_lists = [list(v) for v in node["values"]]
+            next_page = node["next"]
+        finally:
+            tree.pool.unpin(frame)
+        for key, row_ids in zip(keys, value_lists):
+            head = key[:n]
+            if head < prefix:
+                continue
+            if head > prefix:
+                return
+            decoded = decode_key(key)
+            for row_id in row_ids:
+                yield decoded, row_id
+        page_no = next_page
+
+
+_COLUMN = st.one_of(st.none(), st.integers(min_value=0, max_value=4))
+
+
+def _probe_world(entries, removed, late, probe, pause, scan):
+    """Build a small-pool tree, run one probe with ``scan`` — inserting
+    ``late`` entries after ``pause`` results — and return everything the
+    clock and the pool can see."""
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 200_000))
+    pool = BufferPool(volume.create_file("temp"), capacity_pages=6)
+    tree = BTree(volume.create_file("idx"), pool, fanout=4)
+    for slot, key in enumerate(entries):
+        tree.insert(key, RowId(slot // 8, slot % 8))
+    for slot in sorted(removed):
+        if slot < len(entries):
+            tree.delete(entries[slot], RowId(slot // 8, slot % 8))
+    fetches = []
+    fetch = pool.fetch
+
+    def traced_fetch(file, page_no, kind):
+        fetches.append((page_no, clock.now))
+        return fetch(file, page_no, kind)
+
+    pool.fetch = traced_fetch
+    out = []
+    for position, entry in enumerate(scan(tree, probe)):
+        out.append((entry, clock.now))
+        if position + 1 == pause:
+            for slot, key in enumerate(late):
+                tree.insert(key, RowId(100, slot))
+    return out, fetches, (pool.hits, pool.misses, pool.evictions), clock.now
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(st.tuples(_COLUMN, _COLUMN), max_size=90),
+    removed=st.sets(st.integers(min_value=0, max_value=89), max_size=60),
+    late=st.lists(st.tuples(_COLUMN, _COLUMN), max_size=12),
+    probe=st.one_of(
+        st.tuples(_COLUMN), st.tuples(_COLUMN, _COLUMN),
+        st.tuples(st.integers(min_value=-1, max_value=5)),
+    ),
+    pause=st.integers(min_value=0, max_value=6),
+)
+def test_prefix_scan_is_the_whole_leaf_scan(entries, removed, late, probe,
+                                            pause):
+    """Same entries in the same order, and the same page fetches at the
+    same simulated times: duplicates, NULLs, emptied leaves, a pool
+    that evicts, and entries inserted while the probe is suspended."""
+    new = _probe_world(
+        entries, removed, late, probe, pause, BTree.prefix_scan
+    )
+    old = _probe_world(
+        entries, removed, late, probe, pause, reference_prefix_scan
+    )
+    assert new == old
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=-1000, max_value=1000), max_size=150))
 def test_property_inserted_keys_always_found(keys):
