@@ -65,14 +65,6 @@ def _rightmost_name(node):
     return None
 
 
-def _enclosing_statement(node):
-    """Climb parent links to the nearest statement node."""
-    current = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = getattr(current, "parent", None)
-    return current
-
-
 def _next_sibling(stmt):
     """The statement following ``stmt`` in its enclosing body, or None."""
     parent = getattr(stmt, "parent", None)

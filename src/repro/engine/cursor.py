@@ -16,8 +16,7 @@ reproducing the fiber model's concurrency without OS threads.
 
 from repro.buffer import Heap
 from repro.common.errors import ExecutionError
-from repro.exec.instrument import ExecStatsCollector
-from repro.sql import Binder, ast, parse_statement
+from repro.sql import ast, parse_statement
 
 
 class Cursor:
@@ -28,20 +27,14 @@ class Cursor:
         statement = parse_statement(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise ExecutionError("cursors are for SELECT statements")
-        self._binder = Binder(server.catalog)
-        block = self._binder.bind(statement)
-        optimizer = server.make_optimizer()
-        self._result = optimizer.optimize_select(block)
         self._server = server
-        self.exec_stats = ExecStatsCollector()
         # The cursor's snapshot stays open across fetches: every batch
         # reads the same commit-LSN image, however long the application
         # waits between FETCH requests.
-        self._ctx, executor = server.open_execution(
-            optimizer, self._binder, params,
-            snapshot=server.config.snapshot_reads,
-            snapshot_txn=connection._txn_id, exec_stats=self.exec_stats,
+        block, self._result, self._ctx, executor = connection._open_query(
+            statement, params, snapshot=server.config.snapshot_reads,
         )
+        self.exec_stats = executor.exec_stats
         server.metrics.counter("cursors.opened").inc()
         self._rows = executor.run(self._result, self._ctx)
         #: Cursor state lives in a heap, per Section 2.1; it is unlocked

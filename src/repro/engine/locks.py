@@ -431,10 +431,6 @@ class LockManager:
     # introspection
     # ------------------------------------------------------------------ #
 
-    def held_by(self, txn_id):
-        """Row locks held by ``txn_id`` (table locks not counted)."""
-        return len(self._held.get(txn_id, []))
-
     def guard_tokens(self, txn_id):
         """Lockset tokens for the race sanitizer: every row and table
         lock ``txn_id`` currently holds."""

@@ -27,7 +27,6 @@ from repro.dtt import RetryRecalibrator, calibrate_device, default_dtt_model
 from repro.dtt.model import DTTModel
 from repro.exec import ExecutionContext, Executor, MemoryGovernor
 from repro.exec.expr import evaluate, evaluate_predicate
-from repro.exec.instrument import ExecStatsCollector
 from repro.faults import FaultyDisk, HostileProcess, plan_from_env
 from repro.faults.plan import CKPT_CRASH, LOG_TORN_TAIL
 from repro.optimizer import (
@@ -595,14 +594,16 @@ class Server:
             use_indexes=use_indexes,
         )
 
-    def open_execution(self, optimizer, binder, params, snapshot=False,
-                       snapshot_txn=None, exec_stats=None):
+    def open_execution(self, plan_block_fn, binder, params, snapshot=False,
+                       snapshot_txn=None):
         """``(ctx, executor)`` for running one optimized block.
 
         Admits a memory-governor task, then (``snapshot=True``) opens the
         commit-LSN snapshot the statement reads — in that order: admission
         may park the session, and the snapshot must not predate the wait.
-        Pair with :meth:`close_execution`.
+        ``plan_block_fn`` is the charged optimize stage, which the executor
+        re-runs for recursive-union blocks.  Pair with
+        :meth:`close_execution`.
         """
         task = self.memory_governor.begin_task()
         ctx = ExecutionContext(
@@ -613,10 +614,11 @@ class Server:
             snapshot_lsn=self.versions.open_snapshot() if snapshot else None,
             snapshot_txn=snapshot_txn,
         )
+        max_tasks = self.catalog.options.get("max_query_tasks", 1)
         executor = Executor(
-            plan_block_fn=optimizer.optimize_select,
+            plan_block_fn=plan_block_fn,
             bind_recursive_arm_fn=binder.bind_recursive_arm,
-            exec_stats=exec_stats,
+            max_tasks=max_tasks if isinstance(max_tasks, int) else 1,
         )
         return ctx, executor
 
@@ -1008,28 +1010,28 @@ class Connection:
 
     # -- SELECT ------------------------------------------------------------ #
 
-    def _execute_select(self, statement, params, use_plan_cache_key=None,
-                        procedure_params=None, overrides=None,
-                        sql_text=None):
+    def _open_query(self, statement, params, snapshot=False, cache_key=None,
+                    procedure_params=None, use_indexes=True):
+        """Bind, optimize and open one query block: the one path a SELECT,
+        a CALL body, a cursor and an INSERT…SELECT source take (an
+        INSERT's block is its source).
+
+        Returns ``(bound, result, ctx, executor)``; the caller pulls
+        ``executor.run(result, ctx)`` and pairs the open with
+        :meth:`Server.close_execution`.  ``cache_key`` routes the
+        optimization through the connection's plan cache.
+        """
         server = self.server
         binder = Binder(server.catalog, procedure_params=procedure_params)
-        block = binder.bind(statement)
-        optimizer = server.make_optimizer(
-            use_indexes=not (overrides is not None
-                             and overrides.force_heap_scan)
+        bound = binder.bind(statement)
+        block = (
+            bound.select_block
+            if isinstance(statement, ast.InsertStatement) else bound
         )
-        if (
-            use_plan_cache_key is None
-            and overrides is not None
-            and overrides.use_plan_cache
-            and sql_text is not None
-        ):
-            # Per-statement plan-cache opt-in: a plain SELECT trains,
-            # caches, and verifies exactly like a procedure statement.
-            use_plan_cache_key = "sql:%s" % sql_text
+        optimizer = server.make_optimizer(use_indexes=use_indexes)
 
-        def optimize():
-            result = optimizer.optimize_select(block)
+        def optimize(query_block):
+            result = optimizer.optimize_select(query_block)
             if result.stats is not None:
                 # Optimization is work too: "optimization must therefore
                 # be cheap" — its effort shows up on the clock so the plan
@@ -1039,67 +1041,71 @@ class Connection:
                 )
             return result
 
-        if use_plan_cache_key is not None:
-            result = self.plan_cache.execute_plan_for(
-                use_plan_cache_key, optimize, plan_signature
-            )
+        if cache_key is None:
+            result = optimize(block)
         else:
-            result = optimize()
-        self.last_plan = result
+            result = self.plan_cache.execute_plan_for(
+                cache_key, lambda: optimize(block), plan_signature
+            )
+        ctx, executor = server.open_execution(
+            optimize, binder, params, snapshot=snapshot,
+            snapshot_txn=self._txn_id,
+        )
+        return bound, result, ctx, executor
+
+    def _execute_select(self, statement, params, cache_key=None,
+                        procedure_params=None, overrides=None,
+                        sql_text=None):
+        server = self.server
+        if (
+            cache_key is None
+            and overrides is not None
+            and overrides.use_plan_cache
+            and sql_text is not None
+        ):
+            # Per-statement plan-cache opt-in: a plain SELECT trains,
+            # caches, and verifies exactly like a procedure statement.
+            cache_key = "sql:%s" % sql_text
         # Read-only statements take no locks: they run against a
         # commit-LSN snapshot, so they never queue behind writers (own
         # uncommitted writes stay visible via snapshot_txn).
-        snapshot_enabled = server.config.snapshot_reads
+        snapshot = server.config.snapshot_reads
         if overrides is not None and overrides.snapshot_reads is not None:
-            snapshot_enabled = bool(overrides.snapshot_reads)
-        collector = ExecStatsCollector()
-        ctx, executor = server.open_execution(
-            optimizer, binder, params, snapshot=snapshot_enabled,
-            snapshot_txn=self._txn_id, exec_stats=collector,
+            snapshot = bool(overrides.snapshot_reads)
+        block, result, ctx, executor = self._open_query(
+            statement, params, snapshot=snapshot, cache_key=cache_key,
+            procedure_params=procedure_params,
+            use_indexes=not (overrides is not None
+                             and overrides.force_heap_scan),
         )
+        self.last_plan = result
         try:
-            rows = None
-            max_tasks = server.catalog.options.get("max_query_tasks", 1)
-            if (
-                isinstance(max_tasks, int) and max_tasks > 1
-                and result.recursive_cte is None
-            ):
-                # Section 4.4: eligible hash-join cores run their build
-                # and probe phases on the FCFS worker pipeline.
-                from repro.exec.parallel_exec import execute_parallel
-
-                rows, pipeline_stats = execute_parallel(
-                    result.plan, executor, ctx, max_tasks
-                )
-                if pipeline_stats is not None:
-                    ctx.notes["parallel_workers"] = max_tasks
-                    ctx.notes["parallel_wall_us"] = int(
-                        pipeline_stats.wall_clock_us
-                    )
-            if rows is None:
-                rows = list(executor.run(result, ctx))
+            rows = list(executor.run(result, ctx))
         finally:
             server.close_execution(ctx)
         return Result(
             rows, block.output_columns(), result, ctx.notes, len(rows),
-            exec_stats=collector,
+            exec_stats=executor.exec_stats,
         )
 
     # -- DML ------------------------------------------------------------------ #
 
     def _execute_insert(self, statement, params):
         server = self.server
-        binder = Binder(server.catalog)
-        bound = binder.bind(statement)
-        table = bound.table
-        rows = []
-        if bound.rows is not None:
-            for row_exprs in bound.rows:
-                values = [evaluate(expr, {}, params) for expr in row_exprs]
-                rows.append(values)
+        if statement.rows is not None:
+            bound = Binder(server.catalog).bind(statement)
+            rows = [
+                [evaluate(expr, {}, params) for expr in row_exprs]
+                for row_exprs in bound.rows
+            ]
         else:
-            select_result = self._run_block(bound.select_block, binder, params)
-            rows = [list(row) for row in select_result]
+            # The source reads the latest heap, not a snapshot.
+            bound, result, ctx, executor = self._open_query(statement, params)
+            try:
+                rows = [list(row) for row in executor.run(result, ctx)]
+            finally:
+                server.close_execution(ctx)
+        table = bound.table
         with self._autocommit() as txn_id:
             for values in rows:
                 full_row = [None] * len(table.columns)
@@ -1186,16 +1192,6 @@ class Connection:
         ):
             return row
         return None
-
-    def _run_block(self, block, binder, params):
-        server = self.server
-        optimizer = server.make_optimizer()
-        result = optimizer.optimize_select(block)
-        ctx, executor = server.open_execution(optimizer, binder, params)
-        try:
-            return list(executor.run(result, ctx))
-        finally:
-            server.close_execution(ctx)
 
     # -- DDL ------------------------------------------------------------------ #
 
@@ -1401,7 +1397,7 @@ class Connection:
             cache_key = None  # NoREC variant: fresh optimization
         return self._execute_select(
             body_statement, body_params,
-            use_plan_cache_key=cache_key,
+            cache_key=cache_key,
             procedure_params=procedure.parameters,
             overrides=overrides,
         )

@@ -615,11 +615,17 @@ class SortOp(Operator):
             for env in current:
                 yield env
             return
+
+        def tagged(envs, index):
+            # Equal keys merge in run order, so the run index must be
+            # bound per stream: the environments themselves do not order.
+            return ((key_of(env), index, env) for env in envs)
+
         streams = [
-            ((key_of(env), index, env) for env in self._read_run(run))
+            tagged(self._read_run(run), index)
             for index, run in enumerate(runs)
         ]
-        streams.append((key_of(env), len(runs), env) for env in current)
+        streams.append(tagged(current, len(runs)))
         for __, __i, env in heapq.merge(*streams):
             ctx.charge(CPU_ROW_BATCH_US)
             yield env

@@ -10,6 +10,7 @@ from repro.exec.aggregates import (
     ProjectOp,
     SortOp,
 )
+from repro.exec.instrument import ExecStatsCollector, InstrumentedOp
 from repro.exec.operators import (
     DerivedScanOp,
     FilterOp,
@@ -22,6 +23,7 @@ from repro.exec.operators import (
     SeqScanOp,
     SingleRowOp,
 )
+from repro.exec.parallel_exec import execute_parallel
 from repro.optimizer import plans as p
 from repro.profiling.metrics import NULL_METRICS
 
@@ -117,23 +119,37 @@ class Executor:
     """
 
     def __init__(self, plan_block_fn=None, bind_recursive_arm_fn=None,
-                 exec_stats=None):
+                 max_tasks=1):
         self.plan_block_fn = plan_block_fn
         self.bind_recursive_arm_fn = bind_recursive_arm_fn
-        #: Optional :class:`~repro.exec.instrument.ExecStatsCollector`;
-        #: when set, every built operator is wrapped so EXPLAIN ANALYZE
-        #: has per-operator actuals.
-        self.exec_stats = exec_stats
+        #: Every built operator is wrapped so EXPLAIN ANALYZE has
+        #: per-operator actuals and the registry its spill counts.
+        self.exec_stats = ExecStatsCollector()
+        #: The ``max_query_tasks`` option: above 1, an eligible hash-join
+        #: core runs on the parallel worker pipeline (Section 4.4).
+        self.max_tasks = max_tasks
+        #: ``id(plan node)`` -> an operator replaying rows already
+        #: computed for that node (the parallel path's join core).
+        self.materialized = {}
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
 
     def run(self, result, ctx):
-        """Execute an OptimizerResult for a SELECT; yields result tuples."""
+        """Execute an OptimizerResult for a SELECT; yields result tuples.
+
+        Under ``max_tasks > 1`` an eligible hash-join core runs its build
+        and probe phases on the FCFS worker pipeline; other shapes run
+        serially."""
         ctx.metrics.counter("exec.queries").inc()
         if result.recursive_cte is not None:
             self._materialize_cte(result.recursive_cte, ctx)
+        elif self.max_tasks > 1:
+            rows = execute_parallel(result.plan, self, ctx, self.max_tasks)
+            if rows is not None:
+                yield from rows
+                return
         yield from self.rows(self.build(result.plan, depth=0), ctx)
 
     @staticmethod
@@ -174,13 +190,11 @@ class Executor:
     # ------------------------------------------------------------------ #
 
     def build(self, plan, depth=0):
-        """Build (and, when collecting stats, instrument) one plan node."""
-        operator = self._build_operator(plan, depth)
-        if self.exec_stats is not None:
-            from repro.exec.instrument import InstrumentedOp
-
-            return InstrumentedOp(operator, self.exec_stats.stats_for(plan))
-        return operator
+        """Build and instrument one plan node."""
+        operator = self.materialized.get(id(plan))
+        if operator is None:
+            operator = self._build_operator(plan, depth)
+        return InstrumentedOp(operator, self.exec_stats.stats_for(plan))
 
     def _build_operator(self, plan, depth):
         if isinstance(plan, p.SeqScanPlan):

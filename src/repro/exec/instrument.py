@@ -44,18 +44,6 @@ class OperatorStats:
         self.spill_events = 0
         self.adaptive_events = 0
 
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "executions": self.executions,
-            "rows_out": self.rows_out,
-            "batches": self.batches,
-            "elapsed_us": self.elapsed_us,
-            "pages_touched": self.pages_touched,
-            "spill_events": self.spill_events,
-            "adaptive_events": self.adaptive_events,
-        }
-
 
 class InstrumentedOp(Operator):
     """Transparent wrapper recording an operator's runtime behaviour.

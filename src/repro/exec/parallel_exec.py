@@ -37,15 +37,13 @@ def parallelizable_join_core(plan):
     Walks down through the serial wrapper nodes (project, group by,
     having, sort, distinct, limit, filter); accepts a left-deep chain of
     INNER hash joins whose right children and leftmost leaf are base-table
-    scans.  Returns (wrapper chain top-down, join chain bottom-up, leaf).
+    scans.  Returns (join chain bottom-up, leaf).
     """
-    wrappers = []
     node = plan
     while isinstance(node, (
         p.ProjectPlan, p.HashGroupByPlan, p.HavingPlan, p.SortPlan,
         p.HashDistinctPlan, p.LimitPlan, p.FilterPlan,
     )):
-        wrappers.append(node)
         node = node.children[0]
     joins = []
     while isinstance(node, p.HashJoinPlan):
@@ -62,7 +60,7 @@ def parallelizable_join_core(plan):
     if not isinstance(node, (p.SeqScanPlan, p.IndexScanPlan)):
         return None
     joins.reverse()  # bottom-up: first join applies to the leaf scan
-    return wrappers, joins, node
+    return joins, node
 
 
 class _MaterializedRows(Operator):
@@ -76,15 +74,13 @@ class _MaterializedRows(Operator):
 
 
 def execute_parallel(plan, executor, ctx, n_workers):
-    """Run ``plan`` with its join core parallelized; returns (rows, stats).
-
-    Returns (None, None) when the plan shape is not eligible — the caller
-    falls back to the serial path.
-    """
+    """Run ``plan`` with its join core parallelized; returns its rows, or
+    None when the plan shape is not eligible (the caller runs it
+    serially)."""
     core = parallelizable_join_core(plan)
     if core is None or n_workers < 2:
-        return None, None
-    wrappers, joins, leaf = core
+        return None
+    joins, leaf = core
     ctx.metrics.counter("exec.parallel_queries").inc()
     ctx.metrics.gauge("exec.parallel_workers").set(n_workers)
 
@@ -107,12 +103,16 @@ def execute_parallel(plan, executor, ctx, n_workers):
         probe_us=CPU_HASH_PROBE_BATCH_US,
     )
     output, stats = pipeline.run(n_workers=n_workers, ctx=ctx)
+    ctx.notes["parallel_workers"] = n_workers
+    ctx.notes["parallel_wall_us"] = int(stats.wall_clock_us)
 
     # 3. Flatten the pipeline's nested (probe, build) tuples back into
-    #    environment rows and run the serial remainder of the plan.
-    joined_envs = [_flatten_env(item) for item in output]
-    serial_top = _rebuild_serial(wrappers, executor, joined_envs)
-    return list(executor.rows(serial_top, ctx)), stats
+    #    environment rows; the executor builds the serial remainder of
+    #    the plan with the join core's node replaying them.
+    executor.materialized[id(joins[-1])] = _MaterializedRows(
+        [_flatten_env(item) for item in output]
+    )
+    return executor.rows(executor.build(plan, depth=0), ctx)
 
 
 def _make_stage(join, build_envs, params):
@@ -142,42 +142,3 @@ def _flatten_env(item):
     merged = dict(_flatten_env(left))
     merged.update(_flatten_env(right))
     return merged
-
-
-def _rebuild_serial(wrappers, executor, joined_envs):
-    """Re-hang the serial wrapper chain over the materialized join rows."""
-    operator = _MaterializedRows(joined_envs)
-    for wrapper in reversed(wrappers):
-        operator = _build_wrapper(wrapper, operator)
-    return operator
-
-
-def _build_wrapper(wrapper, child_operator):
-    from repro.exec.aggregates import (
-        HashDistinctOp, HashGroupByOp, HavingOp, LimitOp, ProjectOp, SortOp,
-    )
-    from repro.exec.operators import FilterOp
-
-    if isinstance(wrapper, p.ProjectPlan):
-        return ProjectOp(child_operator, wrapper.items)
-    if isinstance(wrapper, p.HashGroupByPlan):
-        operator = HashGroupByOp(
-            child_operator, wrapper.group_keys, wrapper.aggregates
-        )
-        operator.depth = 0
-        return operator
-    if isinstance(wrapper, p.HavingPlan):
-        return HavingOp(child_operator, wrapper.conjunct_exprs)
-    if isinstance(wrapper, p.SortPlan):
-        operator = SortOp(child_operator, wrapper.sort_keys)
-        operator.depth = 0
-        return operator
-    if isinstance(wrapper, p.HashDistinctPlan):
-        operator = HashDistinctOp(child_operator)
-        operator.depth = 0
-        return operator
-    if isinstance(wrapper, p.LimitPlan):
-        return LimitOp(child_operator, wrapper.limit)
-    if isinstance(wrapper, p.FilterPlan):
-        return FilterOp(child_operator, wrapper.conjuncts)
-    raise AssertionError("unexpected wrapper %r" % (type(wrapper).__name__,))

@@ -120,16 +120,6 @@ class OperatingSystem:
         self._processes.append(process)
         return process
 
-    def adopt(self, process):
-        """Register an externally constructed :class:`Process`.
-
-        Lets injectors (and tests) build specialised process objects and
-        still have them count against physical memory.
-        """
-        if process not in self._processes:
-            self._processes.append(process)
-        return process
-
     def processes(self):
         """Snapshot list of processes (for diagnostics)."""
         return list(self._processes)

@@ -56,10 +56,6 @@ class SimNetwork:
         self.links.append(link)
         return link
 
-    def partitioned_links(self):
-        now = self.clock.now
-        return [link for link in self.links if link.partitioned_until > now]
-
 
 class NetworkLink:
     """One direction of primary→replica frame shipping."""

@@ -184,9 +184,6 @@ class ColumnHistogram:
         """Record the table's current row count (from the manager)."""
         self.table_total_hint = float(n_rows)
 
-    def nonnull_count(self):
-        return self.total_count() - self.null_count
-
     def density(self):
         """Average selectivity of one non-singleton value.
 

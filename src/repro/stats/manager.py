@@ -186,10 +186,3 @@ class StatisticsManager:
     def note_update(self, table_name, old_row, new_row):
         self.note_delete(table_name, old_row)
         self.note_insert(table_name, new_row)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-
-    def tracked_columns(self):
-        return list(self._columns.keys())

@@ -198,11 +198,6 @@ class TransactionLog:
         opened from a checkpoint)."""
         return list(self._records)
 
-    def records_from(self, lsn):
-        """Loaded records with ``record.lsn >= lsn``, in LSN order."""
-        start = max(0, lsn - self._base_lsn)
-        return self._records[start:]
-
     # ------------------------------------------------------------------ #
     # appends
     # ------------------------------------------------------------------ #

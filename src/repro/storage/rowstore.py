@@ -170,9 +170,6 @@ class TableStorage:
     def size_bytes(self):
         return self.page_count * self.pool.page_size
 
-    def page_numbers(self):
-        return list(self._page_numbers)
-
     # ------------------------------------------------------------------ #
     # mutations
     # ------------------------------------------------------------------ #

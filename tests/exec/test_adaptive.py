@@ -229,6 +229,22 @@ class TestSortSpill:
         assert answers[0] == answers[1]
         assert answers[0] == sorted(answers[0])
 
+    def test_equal_keys_across_spilled_runs(self):
+        """Keys tie across spilled runs: the merge orders them by run,
+        exactly as the in-memory sort orders equal keys."""
+        answers = []
+        for server in (make_server(pool_pages=2048, mpl=2),
+                       make_server(pool_pages=128, mpl=16)):
+            conn = server.connect()
+            conn.execute("CREATE TABLE t (k INT, v INT)")
+            server.load_table("t", [((i * 7919) % 200, i) for i in range(2000)])
+            result = conn.execute("SELECT k, v FROM t ORDER BY k")
+            answers.append(result.rows)
+            sort = result.exec_stats.lookup(result.plan_result.plan.child)
+            spilled_runs = sort.spill_events
+        assert spilled_runs >= 2
+        assert answers[0] == answers[1]
+
 
 class TestMemoryGovernorIntegration:
     def test_concurrent_tasks_shrink_hard_limit(self):

@@ -4,6 +4,9 @@
 import pytest
 
 from repro import Server, ServerConfig
+from repro.buffer import GovernorConfig
+from repro.common import MiB
+from repro.optimizer import plans as p
 
 
 @pytest.fixture
@@ -104,3 +107,44 @@ class TestEngineParallelism:
             if i % 100 < 10 and (i % 500) % 4 == 1
         )
         assert serial.rows == [(expected,)]
+
+    def test_explain_analyze_reports_the_serial_part(self, conn):
+        conn.execute("SET OPTION max_query_tasks = 4")
+        result = conn.execute(
+            "SELECT c.region, COUNT(*) FROM customer c "
+            "JOIN orders o ON o.cust_id = c.id GROUP BY c.region "
+            "ORDER BY c.region"
+        )
+        assert result.notes.get("parallel_workers") == 4
+        actual = {}
+        for node in result.plan_result.plan.walk():
+            if isinstance(node, (p.ProjectPlan, p.SortPlan,
+                                 p.HashGroupByPlan)):
+                actual[type(node)] = result.exec_stats.lookup(node).rows_out
+        assert actual == {p.ProjectPlan: 4, p.SortPlan: 4, p.HashGroupByPlan: 4}
+        rendered = result.explain(analyze=True)
+        for line in rendered.splitlines():
+            if line.lstrip().startswith(("Project", "Sort", "HashGroupBy")):
+                assert "[actual rows=4 " in line, rendered
+
+    def test_group_by_fallback_counts_a_spill(self):
+        server = Server(ServerConfig(
+            start_buffer_governor=False, initial_pool_pages=128,
+            multiprogramming_level=16,
+            governor=GovernorConfig(upper_bound_bytes=64 * MiB),
+        ))
+        connection = server.connect()
+        connection.execute("CREATE TABLE a (id INT PRIMARY KEY, g INT)")
+        connection.execute("CREATE TABLE b (id INT PRIMARY KEY, w INT)")
+        server.load_table("a", [(i, i % 600) for i in range(1200)])
+        server.load_table("b", [(i, i % 7) for i in range(1200)])
+        connection.execute("SET OPTION max_query_tasks = 4")
+        before = server.metrics.snapshot().get("exec.spill_events", 0)
+        result = connection.execute(
+            "SELECT a.g, COUNT(*) FROM a JOIN b ON b.id = a.id GROUP BY a.g"
+        )
+        assert result.notes.get("parallel_workers") == 4
+        assert result.notes.get("group_by_fallback") == 1
+        assert len(result.rows) == 600
+        after = server.metrics.snapshot().get("exec.spill_events", 0)
+        assert after == before + 1
