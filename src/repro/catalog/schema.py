@@ -116,23 +116,6 @@ class IndexSchema:
         #: Positions of the key columns in a table row; resolved by
         #: :meth:`Catalog.add_index`, which attaches the index to its table.
         self.key_positions = None
-        #: Per-key delete stamps: ``key tuple -> LSN`` of the mutation
-        #: that removed the entry.  Only *removals* can blind a snapshot
-        #: index scan (an entry inserted after the snapshot is filtered
-        #: by the visibility check; an entry deleted after it is simply
-        #: gone from the tree), so only keys stamped here — and only when
-        #: the stamp postdates the snapshot and the key falls inside the
-        #: scan's bounds — force the heap fallback.  Pruned against the
-        #: oldest open snapshot by the engine.
-        self.delete_stamps = {}
-        #: LSN horizon of the last full rebuild (CREATE INDEX, restart
-        #: recovery, REORGANIZE): the whole tree reflects this committed
-        #: horizon, so snapshots older than it cannot use the index.
-        self.rebuild_lsn = 0
-        #: Standby mode (replication): the tree is not maintained at all
-        #: while shipped WAL is applied heap-only; every snapshot scan
-        #: falls back until promotion rebuilds the index.
-        self.always_fallback = False
 
     def key_of(self, row):
         """The index key of one table row."""

@@ -281,6 +281,9 @@ class Server:
         self.lock_manager = self._new_lock_manager()
         #: Row-version snapshots for lock-free reads (MVCC-lite).
         self.versions = VersionManager(metrics=self.metrics)
+        #: A replication standby: its B-trees are never maintained (apply
+        #: is heap-only redo), so its plans use no index until promotion.
+        self.standby = False
         governor_cls = (
             sanitizers.SanitizedMemoryGovernor if self.sanitize
             else MemoryGovernor
@@ -591,7 +594,7 @@ class Server:
             quota=quota,
             metrics=self.metrics,
             effort_factor=effort,
-            use_indexes=use_indexes,
+            use_indexes=use_indexes and not self.standby,
         )
 
     def open_execution(self, plan_block_fn, binder, params, snapshot=False,
@@ -736,8 +739,7 @@ class Server:
                 kind = LOG_UPDATE
                 storage.update(row_id, after)
             # An overwrite maintains only the indexes whose key changed:
-            # the row id is kept, so an unchanged key's entry stays valid,
-            # and leaving it writes no delete stamp to blind snapshots.
+            # the row id is kept, so an unchanged key's entry stays valid.
             self._index_delete(table, before, row_id, after)
         if after is not None:
             self._index_insert(table, after, row_id, before)
@@ -795,38 +797,6 @@ class Server:
             if after is not None and key == index.key_of(after):
                 continue
             index.btree.delete(key, row_id)
-            # Removals are the only mutations that can blind a snapshot
-            # index scan, so they are stamped per key: a scan whose
-            # bounds miss every stamped key keeps the exact index path.
-            index.delete_stamps[key] = self.txn_log.peek_next_lsn()
-            if len(index.delete_stamps) > 512:
-                self._prune_delete_stamps(index)
-
-    def _prune_delete_stamps(self, index):
-        """Drop delete stamps no snapshot can be blinded by: every open
-        snapshot (and every future one) sits at or above the horizon, so
-        a stamp at or below it can never postdate a snapshot again."""
-        horizon = self.versions.oldest_snapshot()
-        if horizon is None:
-            horizon = self.versions.last_commit_lsn
-        else:
-            horizon = min(horizon, self.versions.last_commit_lsn)
-        index.delete_stamps = {
-            key: lsn
-            for key, lsn in index.delete_stamps.items()
-            if lsn > horizon
-        }
-
-    def _stamp_index_rebuilt(self, index):
-        """Stamp an index rebuilt from committed state only (CREATE INDEX
-        build, REORGANIZE, restart recovery — all run under the DDL drain
-        with no writer in flight).  The tree exactly reflects the
-        committed horizon, so a snapshot at or after it trusts the
-        B-tree and an older one falls back to the heap; no removal
-        predates the rebuild, so the delete stamps start empty."""
-        index.rebuild_lsn = self.versions.last_commit_lsn
-        index.delete_stamps = {}
-        index.always_fallback = False
 
 
 class Connection:
@@ -1283,7 +1253,6 @@ class Connection:
                     % (key, index_name)
                 )
             index.btree.insert(key, row_id)
-        server._stamp_index_rebuilt(index)
         return index
 
     def _execute_drop_table(self, statement):
@@ -1367,12 +1336,6 @@ class Connection:
             for row in rows:
                 row_id = table.storage.insert(row, page_lsn=stamp)
                 server._index_insert(table, row, row_id)
-            # The rebuild drained all writers and replayed committed rows
-            # only: stamp the committed horizon.
-            for index in indexes:
-                if index.virtual:
-                    continue
-                server._stamp_index_rebuilt(index)
             old_file.truncate()
             server.checkpoint()
         return Result(notes={
@@ -1443,13 +1406,19 @@ class Connection:
         server = self.server
         txn_log = server.txn_log
         txn_id = self._txn_id
+        # Logged row id -> the slot an undone DELETE re-inserted that row
+        # into: the row's older records must follow it there.
+        moved = {}
         for record in txn_log.undo_chain(txn_id):
             # The inverse of a change is the change with its images
             # swapped (an undone DELETE re-inserts into a fresh slot).
-            server.apply_change(
-                txn_id, server.catalog.table(record.table), record.row_id,
+            row_id = server.apply_change(
+                txn_id, server.catalog.table(record.table),
+                moved.get(record.row_id, record.row_id),
                 record.after, record.before, UNDO,
             )
+            if record.after is None:
+                moved[record.row_id] = row_id
         txn_log.rollback(txn_id)
         # Undo restored the committed heap images, so the before-image
         # chains must forget this transaction before its locks go.

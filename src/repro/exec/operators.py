@@ -180,116 +180,27 @@ class IndexScanOp(Operator):
         self.index_schema = index_schema
         self.sarg = sarg
         self.residual = residual_conjuncts
-        self.snapshot_fallbacks = 0
-
-    def adaptive_event_count(self):
-        return self.snapshot_fallbacks
 
     def execute_batches(self, ctx):
-        storage = self.quantifier.schema.storage
         qid = self.quantifier.id
-        snapshot = ctx.snapshot_lsn
-        # The sarg is evaluated once per execution; the fallback test,
-        # the tree scan and the snapshot re-check all share these bounds.
+        # The sarg is evaluated once per execution; the tree scan and the
+        # snapshot re-check share these bounds.
         bounds = self._bounds(ctx)
-        cause = None
-        if snapshot is not None:
-            cause = self._fallback_cause(ctx.metrics, snapshot, bounds)
-        if cause is not None:
-            # Some key this scan might need was *removed* from the B-tree
-            # after this snapshot was taken (or the whole tree postdates
-            # it) — no version chain can resurrect a key the scan never
-            # visits, so the tree cannot enumerate this snapshot.  Fall
-            # back to the exact heap path, keeping the sarg as a filter.
-            self.snapshot_fallbacks += 1
-            cause.inc()
-            rows = self._snapshot_heap_rows(ctx, storage, bounds)
+        btree = self.index_schema.btree
+        if "eq" in self.sarg:
+            entries = btree.prefix_scan(bounds[0])
         else:
-            rows = self._index_rows(ctx, storage, snapshot, bounds)
+            entries = btree.range_scan(*bounds)
+        rows = index_rows(
+            ctx, self.quantifier.schema.storage, self.index_schema, entries,
+            bounds, INDEX_NODE_US / 4.0 + CPU_ROW_US,
+        )
         for chunk in _chunks(rows, ctx.batch_rows):
             batch = _filter(
                 Batch.from_rows(qid, chunk), self.residual, ctx.params
             )
             if batch.count:
                 yield batch
-
-    def _index_rows(self, ctx, storage, snapshot, bounds):
-        btree = self.index_schema.btree
-        if "eq" in self.sarg:
-            entries = btree.prefix_scan(bounds[0])
-        else:
-            entries = btree.range_scan(*bounds)
-        for __, row_id in entries:
-            ctx.charge(INDEX_NODE_US / 4.0 + CPU_ROW_US)
-            if snapshot is None:
-                yield storage.get(row_id)
-                continue
-            # Snapshot read: the index reflects the *latest* keys, so the
-            # resolved image may be older than the entry that led here —
-            # re-verify the sarg against the image itself and skip rows
-            # whose slot was not visible at the snapshot.
-            row = storage.get_visible(row_id, snapshot, ctx.snapshot_txn)
-            if row is not None and self._key_in_bounds(row, bounds):
-                yield row
-
-    def _snapshot_heap_rows(self, ctx, storage, bounds):
-        for __, rows in storage.scan(
-            snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-        ).pages():
-            for row in rows:
-                if row is None:
-                    continue
-                ctx.charge(CPU_ROW_US)
-                if self._key_in_bounds(row, bounds):
-                    yield row
-
-    def _fallback_cause(self, metrics, snapshot, bounds):
-        """Why the B-tree cannot enumerate this snapshot — as the counter
-        of that cause — or None if it can.  Only *removals* blind an
-        index scan (inserted-after entries are filtered by the visibility
-        re-check above), so the tree is trusted unless it is not
-        maintained at all (a replication standby), the whole tree
-        postdates the snapshot (a rebuild), or a key inside this scan's
-        bounds was removed after the snapshot."""
-        schema = self.index_schema
-        if schema.always_fallback:
-            return metrics.counter("exec.snapshot_fallbacks.standby")
-        if schema.rebuild_lsn > snapshot:
-            return metrics.counter("exec.snapshot_fallbacks.rebuilt")
-        stamps = schema.delete_stamps
-        if not stamps or max(stamps.values()) <= snapshot:
-            return None
-        if any(
-            lsn > snapshot and self._key_tuple_in_bounds(key, bounds)
-            for key, lsn in stamps.items()
-        ):
-            return metrics.counter("exec.snapshot_fallbacks.removed_key")
-        return None
-
-    def _key_in_bounds(self, row, bounds):
-        return self._key_tuple_in_bounds(self.index_schema.key_of(row), bounds)
-
-    @staticmethod
-    def _key_tuple_in_bounds(key, bounds):
-        low, high, low_inc, high_inc = bounds
-        if low is not None or high is not None:
-            # SQL comparison with NULL is unknown: a NULL key (or a NULL
-            # bound, e.g. ``col = NULL``) can never satisfy a sarg.
-            if any(value is None for value in key):
-                return False
-        if low is not None:
-            if any(value is None for value in low):
-                return False
-            prefix = key[: len(low)]
-            if prefix < low or (prefix == low and not low_inc):
-                return False
-        if high is not None:
-            if any(value is None for value in high):
-                return False
-            prefix = key[: len(high)]
-            if prefix > high or (prefix == high and not high_inc):
-                return False
-        return True
 
     def _bounds(self, ctx):
         if "eq" in self.sarg:
@@ -305,6 +216,61 @@ class IndexScanOp(Operator):
         if "high" in self.sarg:
             high = (evaluate(self.sarg["high"], {}, ctx.params),)
         return low, high, low_inc, high_inc
+
+
+def index_rows(ctx, storage, index, entries, bounds, entry_us):
+    """The rows an index read returns: the one path from tree entries
+    ``(key, row_id)`` to table rows, charging ``entry_us`` per entry.
+
+    Without a snapshot each entry's latest heap row is the answer.  At a
+    snapshot the tree holds the *latest* keys, so each entry resolves to
+    its visible image and is kept only if that image's key is still
+    inside ``bounds``; the rows the tree can no longer lead to — their
+    entry removed or re-keyed after the snapshot — are exactly the rows
+    whose visible image comes from the version chain and whose entry
+    this read did not visit, and those follow, in bounds, at
+    ``CPU_ROW_US`` each.  Purge keeps their chains while the snapshot is
+    open.
+    """
+    snapshot = ctx.snapshot_lsn
+    if snapshot is None:
+        for __, row_id in entries:
+            ctx.charge(entry_us)
+            yield storage.get(row_id)
+        return
+    txn = ctx.snapshot_txn
+    visited = set()
+    for __, row_id in entries:
+        ctx.charge(entry_us)
+        visited.add(row_id)
+        row = storage.get_visible(row_id, snapshot, txn)
+        if row is not None and key_in_bounds(index.key_of(row), bounds):
+            yield row
+    for row_id, row in storage.superseded(snapshot, txn):
+        if row_id not in visited and key_in_bounds(index.key_of(row), bounds):
+            ctx.charge(CPU_ROW_US)
+            yield row
+
+
+def key_in_bounds(key, bounds):
+    """Whether an index ``key`` satisfies ``(low, high, low_inc,
+    high_inc)``; a bound shorter than the key constrains its prefix."""
+    low, high, low_inc, high_inc = bounds
+    # SQL comparison with NULL is unknown: a NULL in the compared prefix
+    # (or in a bound, e.g. ``col = NULL``) can never satisfy a sarg.
+    if low is not None:
+        prefix = key[: len(low)]
+        if any(value is None for value in prefix + low):
+            return False
+        if prefix < low or (prefix == low and not low_inc):
+            return False
+    if high is not None:
+        prefix = key[: len(high)]
+        if any(value is None for value in prefix + high):
+            return False
+        if prefix > high or (prefix == high and not high_inc):
+            return False
+    return True
 
 
 class DerivedScanOp(Operator):
@@ -473,7 +439,6 @@ class IndexNLJoinOp(Operator):
         """Probe for one outer environment (shared with the hash join's
         alternate-strategy switch)."""
         btree = self.index_schema.btree
-        storage = self.quantifier.schema.storage
         qid = self.quantifier.id
         values = tuple(
             evaluate(expr, left_env, ctx.params) for expr in self.probe_keys
@@ -481,9 +446,11 @@ class IndexNLJoinOp(Operator):
         ctx.charge(btree.height * INDEX_NODE_US)
         matched = False
         if all(value is not None for value in values):
-            for __, row_id in btree.prefix_scan(values):
-                ctx.charge(CPU_ROW_US)
-                row = storage.get(row_id)
+            for row in index_rows(
+                ctx, self.quantifier.schema.storage, self.index_schema,
+                btree.prefix_scan(values), (values, values, True, True),
+                CPU_ROW_US,
+            ):
                 merged = {**left_env, qid: row}
                 keep = all(
                     evaluate_predicate(c.expr, merged, ctx.params)

@@ -185,10 +185,6 @@ class RecoveryManager:
                 report.indexes_rebuilt += 1
             for row_id, row in rows:
                 server._index_insert(table, row, row_id)
-            # Rebuilt from recovered committed state: stamp at the
-            # restarted horizon.
-            for index in indexes:
-                server._stamp_index_rebuilt(index)
 
     def _bump_txn_ids(self, records):
         """New transactions must not collide with any logged id."""

@@ -25,14 +25,13 @@ own; instead it:
   committed prefix, rolls back in-flight losers with compensation
   records appended past the dead primary's tail, and rebuilds indexes.
 
-Standby indexes are never maintained during apply (redo is heap-only);
-they are marked ``always_fallback`` so index scans on the replica route
-through the snapshot heap-scan fallback until promotion's rebuild
-re-stamps them trustworthy.
+Standby indexes are never maintained during apply (redo is heap-only),
+so a standby server plans no index access at all — no index scan, no
+index nested-loops join, no hash-join alternate — until promotion's
+restart rebuilds its B-trees.
 """
 
 import collections
-import zlib
 
 from repro.common.errors import ReproError
 from repro.storage.log import (
@@ -45,6 +44,8 @@ from repro.storage.log import (
     ROLLBACK,
     UPDATE,
     LogRecord,
+    master_image,
+    page_for_lsn,
 )
 
 _Inflight = collections.namedtuple("_Inflight", ["arrival_us", "frame"])
@@ -52,17 +53,6 @@ _Inflight = collections.namedtuple("_Inflight", ["arrival_us", "frame"])
 
 class ReplicationProtocolError(ReproError):
     """A frame arrived out of order — the link contract was violated."""
-
-
-def _master_image(ckpt_begin_lsn, ckpt_page):
-    return {
-        "kind": "master",
-        "ckpt_begin_lsn": ckpt_begin_lsn,
-        "ckpt_page": ckpt_page,
-        "checksum": zlib.crc32(
-            repr((ckpt_begin_lsn, ckpt_page)).encode("utf-8")
-        ),
-    }
 
 
 class Replica:
@@ -118,11 +108,10 @@ class Replica:
         return self._conn.execute(sql)
 
     def enter_standby(self):
-        """Mark every index untrustworthy for the standby's lifetime:
-        apply is heap-only redo, so the B-trees go stale with the first
-        shipped DML and stay stale until promotion rebuilds them."""
-        for index in self.server.catalog.indexes():
-            index.always_fallback = True
+        """Plan without indexes for the standby's lifetime: apply is
+        heap-only redo, so the B-trees go stale with the first shipped
+        DML and stay stale until promotion rebuilds them."""
+        self.server.standby = True
 
     # ------------------------------------------------------------------ #
     # receive (durable) and apply (deferred to arrival)
@@ -138,7 +127,7 @@ class Replica:
         log_file = self.server.log_file
         if log_file.page_count == 0:
             page_no = log_file.allocate_page()
-            log_file.write(page_no, _master_image(-1, -1))
+            log_file.write(page_no, master_image(-1, -1))
         while log_file.page_count <= frame.page_no:
             log_file.allocate_page()
         log_file.write(frame.page_no, frame.payload)
@@ -254,23 +243,14 @@ class Replica:
                 chosen = begin_lsn
                 break
         if chosen is not None:
-            page_no = self._page_for_lsn(chosen)
+            page_no = page_for_lsn(self._page_index, chosen)
             if page_no is not None:
                 self.server.log_file.write(
-                    0, _master_image(chosen, page_no)
+                    0, master_image(chosen, page_no)
                 )
         self.checkpoints += 1
         self._m_ckpts.inc()
         return flushed
-
-    def _page_for_lsn(self, lsn):
-        found = None
-        for page_no, first_lsn in self._page_index:
-            if first_lsn <= lsn:
-                found = page_no
-            else:
-                break
-        return found
 
     # ------------------------------------------------------------------ #
     # promotion and damage injection
@@ -283,6 +263,7 @@ class Replica:
         server = self.server
         server.crash(tear_tail=False)
         report = server.restart()
+        server.standby = False
         self.promoted = True
         self.applied_lsn = server.txn_log.durable_lsn
         # Union, not replace: a replica checkpoint may have moved the

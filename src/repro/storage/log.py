@@ -88,6 +88,31 @@ def _frame_page(first_lsn, records):
     }
 
 
+def master_image(ckpt_begin_lsn, ckpt_page):
+    """The master record, log page 0: the checkpoint restart's scan
+    starts from and the data page holding it (``-1, -1``: none yet)."""
+    return {
+        "kind": "master",
+        "ckpt_begin_lsn": ckpt_begin_lsn,
+        "ckpt_page": ckpt_page,
+        "checksum": zlib.crc32(
+            repr((ckpt_begin_lsn, ckpt_page)).encode("utf-8")
+        ),
+    }
+
+
+def page_for_lsn(page_index, lsn):
+    """The data page holding ``lsn``, given ``(page_no, first_lsn)``
+    pairs in LSN order; None when ``lsn`` precedes them all."""
+    found = None
+    for page_no, first_lsn in page_index:
+        if first_lsn <= lsn:
+            found = page_no
+        else:
+            break
+    return found
+
+
 def _validate_page(payload, expected_first_lsn):
     """Whether ``payload`` is a well-formed log page continuing the scan.
 
@@ -303,28 +328,11 @@ class TransactionLog:
         return self.checkpoint_end(begin)
 
     def _write_master(self, ckpt_begin_lsn):
-        ckpt_page = self._page_for_lsn(ckpt_begin_lsn)
+        ckpt_page = page_for_lsn(self._page_index, ckpt_begin_lsn)
         if ckpt_page is None:
             return
         self._ensure_master_page()
-        self._write_log_page(0, {
-            "kind": "master",
-            "ckpt_begin_lsn": ckpt_begin_lsn,
-            "ckpt_page": ckpt_page,
-            "checksum": zlib.crc32(
-                repr((ckpt_begin_lsn, ckpt_page)).encode("utf-8")
-            ),
-        })
-
-    def _page_for_lsn(self, lsn):
-        """The durable data page holding ``lsn``, or None."""
-        found = None
-        for page_no, first_lsn in self._page_index:
-            if first_lsn <= lsn:
-                found = page_no
-            else:
-                break
-        return found
+        self._write_log_page(0, master_image(ckpt_begin_lsn, ckpt_page))
 
     # ------------------------------------------------------------------ #
     # internals
@@ -347,12 +355,7 @@ class TransactionLog:
     def _ensure_master_page(self):
         if self._file.page_count == 0:
             page_no = self._file.allocate_page()
-            self._file.write(page_no, {
-                "kind": "master",
-                "ckpt_begin_lsn": -1,
-                "ckpt_page": -1,
-                "checksum": zlib.crc32(repr((-1, -1)).encode("utf-8")),
-            })
+            self._file.write(page_no, master_image(-1, -1))
 
     def _allocate_data_page(self):
         """Next data page number: reuse the slots past a torn tail before
@@ -457,12 +460,9 @@ class TransactionLog:
             master = log_file.read(0)
             if (
                 isinstance(master, dict)
-                and master.get("kind") == "master"
                 and master.get("ckpt_page", -1) >= 1
-                and master.get("checksum") == zlib.crc32(
-                    repr(
-                        (master.get("ckpt_begin_lsn"), master.get("ckpt_page"))
-                    ).encode("utf-8")
+                and master == master_image(
+                    master.get("ckpt_begin_lsn"), master["ckpt_page"]
                 )
             ):
                 start_page, master_lsn = master["ckpt_page"], master["ckpt_begin_lsn"]

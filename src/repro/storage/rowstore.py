@@ -75,6 +75,10 @@ class VersionEntry:
         )
 
 
+#: Stands in for the heap image in :meth:`TableStorage.superseded`.
+_HEAP = object()
+
+
 def _visible(chain, heap_row, snapshot, snapshot_txn):
     """The image of a row with version ``chain`` visible at ``snapshot``
     given its current heap image; None when the row is invisible."""
@@ -323,6 +327,19 @@ class TableStorage:
         finally:
             self.pool.unpin(frame)
         return self.resolve_visible(row_id, heap_row, snapshot, snapshot_txn)
+
+    def superseded(self, snapshot, snapshot_txn=None):
+        """``(row_id, image)`` for every row whose image visible at
+        ``snapshot`` comes from its version chain, not from the heap —
+        read off the chains alone, with no page fetch.  A list, so its
+        consumer may yield while writers grow or prune the chains."""
+        found = []
+        for ordinal, chains in self._versions.items():
+            for slot, chain in chains.items():
+                image = _visible(chain, _HEAP, snapshot, snapshot_txn)
+                if image is not None and image is not _HEAP:
+                    found.append((RowId(ordinal, slot), image))
+        return found
 
     def purge_versions(self, horizon):
         """Drop entries no open snapshot can need: committed entries at

@@ -6,6 +6,7 @@ unless the test opts out with ``@pytest.mark.no_sanitize`` or passes
 ``sanitize=False`` explicitly.
 """
 
+import collections
 import sys
 
 import pytest
@@ -41,6 +42,23 @@ def count_calls(fn):
     finally:
         sys.setprofile(previous)
     return calls
+
+
+def pages_fetched(server, fn):
+    """``fn()``'s result and the pages it fetched through the buffer
+    pool, counted per file name (``table:t``, ``index:pk_t``, ...)."""
+    fetched = collections.Counter()
+    fetch = server.pool.fetch
+
+    def counting(file, page_no, *args):
+        fetched[file.name] += 1
+        return fetch(file, page_no, *args)
+
+    server.pool.fetch = counting
+    try:
+        return fn(), fetched
+    finally:
+        server.pool.fetch = fetch
 
 
 def assert_indexes_match_heap(server):

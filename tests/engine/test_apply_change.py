@@ -123,3 +123,25 @@ def test_load_notes_no_versions_and_no_per_row_statistics(monkeypatch):
     assert server.stats.histogram("t", 0).total_count() == pytest.approx(50)
     assert_indexes_match_heap(server)
     conn.close()
+
+
+def test_rollback_follows_a_row_its_undo_moved():
+    """An undone DELETE re-inserts into the first free slot, which can be
+    the slot an older record of the same transaction names for another
+    row: the older records follow the row to where the undo put it."""
+    server = Server(ServerConfig(start_buffer_governor=False))
+    conn = server.connect()
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+    server.load_table("t", [(i, i) for i in range(4)])
+    conn.begin()
+    conn.execute("INSERT INTO t VALUES (4, 4)")  # slot 4
+    conn.execute("DELETE FROM t WHERE id = 0")  # frees slot 0
+    conn.execute("DELETE FROM t WHERE id = 4")  # frees slot 4
+    conn.execute("INSERT INTO t VALUES (0, 9)")  # slot 0 again
+    # Undo re-inserts 4 at slot 0 and 0 at slot 4; undoing the INSERT of
+    # 4 must then delete slot 0, not the restored row 0 at slot 4.
+    conn.rollback()
+    assert_indexes_match_heap(server)
+    assert sorted(conn.execute("SELECT id, v FROM t").rows) == [
+        (i, i) for i in range(4)
+    ]

@@ -2,18 +2,20 @@
 
 ``Server.apply_change`` leaves an index entry alone when an UPDATE (or
 the undo of one) keeps that index's key: the row id is kept, so the entry
-is still right, and no delete stamp is written to send snapshot index
-scans down the heap fallback.  The apply it replaced — every entry of
-every index deleted and re-inserted on every UPDATE — is kept here as the
-reference.  Both run the same hypothesis-generated interleavings of
-INSERT, UPDATE (keeping or changing the key of a unique, a non-unique
-duplicate-key and a composite index), DELETE, COMMIT, ROLLBACK, open and
-released snapshots and crashes, and after every step:
+is still right.  The apply it replaced — every entry of every index
+deleted and re-inserted on every UPDATE — is kept here as the reference.
+Both run the same hypothesis-generated interleavings of INSERT, UPDATE
+(keeping or changing the key of a unique, a non-unique duplicate-key and
+a composite index), DELETE, COMMIT, ROLLBACK, open and released
+snapshots and crashes, and after every step:
 
 * index ≡ heap;
-* every index scan, at every open snapshot and at the writer's own view,
-  returns the snapshot heap scan's rows as a multiset — and the same rows
-  under both applies, with no more fallbacks than the reference took;
+* every index read — an ``IndexScanOp`` and, for each equality probe, an
+  ``IndexNLJoinOp.probe`` — at every open snapshot and at the writer's
+  own view returns the snapshot heap scan's rows inside the sarg as a
+  multiset, and the same rows under both applies.  The heap scan and the
+  sarg test below are the reference: the index side reads the tree,
+  re-checked, plus the version chains (``exec.operators.index_rows``);
 * a crash followed by restart leaves exactly the committed rows, equal
   under both applies.
 """
@@ -28,10 +30,11 @@ from repro import Server, ServerConfig
 from repro.common.errors import ExecutionError, ReproError
 from repro.engine import WorkloadScheduler
 from repro.exec.executor import ExecutionContext
-from repro.exec.operators import IndexScanOp
+from repro.exec.operators import IndexNLJoinOp, IndexScanOp
 from repro.recovery import check_indexes_match_heap
 from repro.sql import ast
 from repro.sql.binder import Quantifier
+from tests.conftest import pages_fetched
 
 # --------------------------------------------------------------------- #
 # the reference: delete and re-insert every entry on every overwrite
@@ -56,9 +59,6 @@ def reference_index_delete(self, table, row, row_id, after=None):
             continue
         key = index.key_of(row)
         index.btree.delete(key, row_id)
-        index.delete_stamps[key] = self.txn_log.peek_next_lsn()
-        if len(index.delete_stamps) > 512:
-            self._prune_delete_stamps(index)
 
 
 def use_reference_apply(server):
@@ -159,28 +159,40 @@ class World:
     def storage(self):
         return self.server.catalog.table("t").storage
 
-    def index_scan(self, index_name, sarg, snapshot, txn):
-        """Run one IndexScanOp at ``(snapshot, txn)``: its rows, its
-        fallbacks, and the heap scan's rows inside the same bounds."""
+    def index_reads(self, index_name, sarg, snapshot, txn):
+        """What each index read returns at ``(snapshot, txn)`` — an
+        ``IndexScanOp``, and an ``IndexNLJoinOp.probe`` for an equality
+        sarg — and the heap scan's rows inside the sarg."""
         server = self.server
         table = server.catalog.table("t")
+        index = server.catalog.index(index_name)
         quantifier = Quantifier(0, "t", Quantifier.BASE)
         quantifier.schema = table
-        op = IndexScanOp(quantifier, server.catalog.index(index_name), sarg, [])
-        ctx = ExecutionContext(
-            server.pool, server.temp_file, server.stats, server.clock, None,
-            metrics=server.metrics, snapshot_lsn=snapshot, snapshot_txn=txn,
-        )
-        rows = collections.Counter(
-            row for batch in op.execute_batches(ctx)
+
+        def context():
+            return ExecutionContext(
+                server.pool, server.temp_file, server.stats, server.clock,
+                None, metrics=server.metrics, snapshot_lsn=snapshot,
+                snapshot_txn=txn,
+            )
+
+        scan = IndexScanOp(quantifier, index, sarg, [])
+        reads = [collections.Counter(
+            row for batch in scan.execute_batches(context())
             for row in zip(*batch.columns)
-        )
-        bounds = op._bounds(ctx)
+        )]
+        if "eq" in sarg:
+            join = IndexNLJoinOp(
+                None, quantifier, index, sarg["eq"], Quantifier.INNER, [], [],
+            )
+            reads.append(collections.Counter(
+                env[quantifier.id] for env in join.probe(context(), {})
+            ))
         heap = collections.Counter(
             row for __, row in table.storage.scan(snapshot, txn)
-            if op._key_in_bounds(row, bounds)
+            if in_sarg(index.key_of(row), sarg)
         )
-        return rows, heap, op.snapshot_fallbacks
+        return reads, heap
 
     def check(self, probes):
         """Index ≡ heap, and every probe equals the heap at every open
@@ -195,21 +207,37 @@ class World:
         try:
             for snapshot, txn in views:
                 for index_name, sarg in probes:
-                    rows, heap, fallbacks = self.index_scan(
+                    reads, heap = self.index_reads(
                         index_name, sarg, snapshot, txn
                     )
-                    assert rows == heap, (index_name, sarg, snapshot, txn)
-                    seen.append((rows, fallbacks))
+                    for rows in reads:
+                        assert rows == heap, (index_name, sarg, snapshot, txn)
+                    seen.append(heap)
         finally:
             versions.close_snapshot(fresh)
         return seen
+
+
+def in_sarg(key, sarg):
+    """The reference sarg test: equality on a key prefix, or the pk's
+    half-open range; a NULL in the compared prefix never qualifies."""
+    if "eq" in sarg:
+        values = tuple(literal.value for literal in sarg["eq"])
+        prefix = key[: len(values)]
+        return None not in prefix + values and prefix == values
+    if "low" in sarg:
+        return (
+            key[0] is not None
+            and sarg["low"].value <= key[0] < sarg["high"].value
+        )
+    return True
 
 
 def eq(*values):
     return {"eq": [ast.Literal(value) for value in values]}
 
 
-#: Whole-index scans: every stamped key is in their bounds.
+#: Whole-index scans: every removed key is in their bounds.
 FULL_SCANS = [(name, {}) for name in INDEXES]
 
 SMALL = st.integers(min_value=0, max_value=2)
@@ -262,15 +290,7 @@ def test_kept_key_apply_equals_the_reference(steps, probes):
     new, old = World(reference=False), World(reference=True)
     for op in steps + [("crash",)]:
         assert new.step(op) == old.step(op), op
-        new_seen, old_seen = new.check(probes), old.check(probes)
-        assert [rows for rows, __ in new_seen] == [
-            rows for rows, __ in old_seen
-        ]
-        # Leaving kept keys alone can only remove fallbacks.
-        assert all(
-            fallbacks <= old_fallbacks
-            for (__, fallbacks), (__, old_fallbacks) in zip(new_seen, old_seen)
-        )
+        assert new.check(probes) == old.check(probes)
 
 
 def test_kept_key_touches_only_the_changed_index():
@@ -282,13 +302,10 @@ def test_kept_key_touches_only_the_changed_index():
     world.step(("sql", "UPDATE t SET b = 1 WHERE id = 0"))  # (0, 0) -> (0, 1)
     after = {name: list(tree.range_scan()) for name, tree in trees.items()}
     # Only ix_ab moved its entry; every other index is entry-for-entry
-    # what it was, and only ix_ab carries a delete stamp.
+    # what it was.
     assert [name for name in INDEXES if before[name] != after[name]] == [
         "ix_ab"
     ]
-    assert {
-        name: list(index.delete_stamps) for name, index in indexes.items()
-    } == {"pk_t": [], "ux_u": [], "ix_a": [], "ix_ab": [(0, 0)]}
 
 
 def test_unique_index_keeps_its_entry_through_update_and_rollback():
@@ -298,7 +315,6 @@ def test_unique_index_keeps_its_entry_through_update_and_rollback():
     assert world.step(("sql", "UPDATE t SET v = 5 WHERE u = 1")) == 1
     writer.rollback()
     check_indexes_match_heap(world.server)
-    assert world.server.catalog.index("ux_u").delete_stamps == {}
     # The kept entry still guards uniqueness.
     assert world.step(("sql", "INSERT INTO t VALUES (9, 1, 0, 0, 0)")) == (
         "ExecutionError"
@@ -314,14 +330,26 @@ HOT = (1, 2, 3)
 
 def scheduled_point_reads(reference):
     """Two writers bump ``v`` on hot rows in two-row transactions while
-    two readers run point SELECTs on the same rows; returns the
-    fallbacks taken, every value read and the final table."""
+    two readers run point SELECTs on the same rows; returns how often a
+    read met an open UPDATE, the pages fetched per file, every value read
+    and the final table."""
     server = Server(ServerConfig(start_buffer_governor=False))
     if reference:
         use_reference_apply(server)
     setup = server.connect()
     setup.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     server.load_table("t", [(i, 0) for i in range(32)])
+    storage = server.catalog.table("t").storage
+    get_visible = storage.get_visible
+    met = []
+
+    def noting_get_visible(row_id, snapshot, snapshot_txn=None):
+        chain = storage._chain(row_id) or ()
+        if any(entry.commit_lsn is None for entry in chain):
+            met.append(row_id)
+        return get_visible(row_id, snapshot, snapshot_txn)
+
+    storage.get_visible = noting_get_visible
     scheduler = WorkloadScheduler(server, seed=3, switch_rate=0.9)
     reads = []
 
@@ -352,21 +380,25 @@ def scheduled_point_reads(reference):
     scheduler.add_session("w1", writer(1))
     scheduler.add_session("r0", reader("r0"))
     scheduler.add_session("r1", reader("r1"))
-    report = scheduler.run()
+    report, pages = pages_fetched(server, scheduler.run)
     assert report["statement_errors"] == 0
+    assert server.metrics.counter("exec.adaptive_fallbacks").value == 0
     final = setup.execute("SELECT id, v FROM t WHERE id <= 3").rows
-    fallbacks = server.metrics.counter("exec.adaptive_fallbacks").value
-    return fallbacks, reads, final
+    return len(met), pages, reads, final
 
 
 def test_point_reads_meeting_open_non_key_updates_never_fall_back():
-    fallbacks, reads, final = scheduled_point_reads(reference=False)
-    old_fallbacks, old_reads, old_final = scheduled_point_reads(
+    met, pages, reads, final = scheduled_point_reads(reference=False)
+    old_met, old_pages, old_reads, old_final = scheduled_point_reads(
         reference=True
     )
-    assert fallbacks == 0
-    # The schedule is not vacuous: under the reference apply the same
-    # readers met open UPDATEs' delete stamps this many times.
-    assert old_fallbacks == 34
+    # The schedule is not vacuous: this many reads met an open UPDATE of
+    # their row, and each resolved the before-image through the tree
+    # entry, under either apply.
+    assert met == old_met == 34
     assert reads == old_reads and len(reads) == 36
     assert final == old_final == [(0, 0), (1, 8), (2, 8), (3, 8)]
+    # The same table pages; the kept key spares the pk tree's delete
+    # and re-insert on every UPDATE.
+    assert pages["table:t"] == old_pages["table:t"]
+    assert pages["index:pk_t"] < old_pages["index:pk_t"]

@@ -11,6 +11,7 @@ writer never blocks them.
 from repro import Server, ServerConfig
 from repro.engine import WorkloadScheduler
 from repro.engine.scheduler import DONE, YIELD_STATEMENT
+from tests.conftest import pages_fetched
 
 
 def make_server(**kwargs):
@@ -208,24 +209,40 @@ class TestSnapshotConsistencyUnderScheduler:
         assert set(sums) == {200}
 
 
-class TestIndexScanSnapshotFallback:
-    """Index entries are mutated in place at DML time, so an index scan
-    whose snapshot predates the index's last DML stamp cannot trust the
-    B-tree: entries removed after the snapshot are simply gone.  The
-    scan must fall back to the versioned heap path."""
+def point_read(server, connection, key):
+    """A point SELECT's rows and the pages it fetched, per file."""
+    return pages_fetched(server, lambda: connection.execute(
+        "SELECT v FROM t WHERE id = %d" % key
+    ).rows)
 
-    def test_uncommitted_delete_stays_visible_via_fallback(self):
+
+def quiet_point_read(server, connection, key):
+    """:func:`point_read` with no writer in flight, after a first read
+    has paid the optimizer's one-time page reads."""
+    point_read(server, connection, key)
+    return point_read(server, connection, key)
+
+
+class TestIndexScanSnapshotFallback:
+    """Index entries are mutated in place at DML time, so an entry removed
+    after a snapshot is gone from the B-tree.  The index scan reads such
+    rows off their version chains: the answer is the snapshot's, and no
+    table page is read beyond the ones the tree leads to — a removed key
+    costs no versioned heap scan."""
+
+    def test_open_delete_stays_visible(self):
         server = make_server()
         writer = seed_table(server)
         reader = server.connect()
-        before = server.metrics.counter("exec.adaptive_fallbacks").value
+        quiet_rows, quiet_pages = quiet_point_read(server, reader, 5)
         writer.begin()
         writer.execute("DELETE FROM t WHERE id = 5")
-        # The pk_t entry for 5 is already gone; only the heap fallback
-        # can resolve the before-image.
-        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(0,)]
-        after = server.metrics.counter("exec.adaptive_fallbacks").value
-        assert after == before + 1
+        rows, pages = point_read(server, reader, 5)
+        assert rows == quiet_rows == [(0,)]
+        # The same tree walk, and the before-image comes from the chain:
+        # the table page the quiet read fetched is not read at all.
+        assert quiet_pages["table:t"] == 1
+        assert pages == {"index:pk_t": quiet_pages["index:pk_t"]}
         writer.rollback()
         assert value(reader, 5) == 0
 
@@ -234,11 +251,9 @@ class TestIndexScanSnapshotFallback:
         writer = seed_table(server)
         reader = server.connect()
         writer.execute("DELETE FROM t WHERE id = 5")  # autocommit
-        before = server.metrics.counter("exec.adaptive_fallbacks").value
-        # Snapshot horizon >= index stamp: the exact index path is safe.
-        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == []
-        after = server.metrics.counter("exec.adaptive_fallbacks").value
-        assert after == before
+        rows, pages = point_read(server, reader, 5)
+        assert rows == []
+        assert set(pages) == {"index:pk_t"}
 
     def test_cursor_spanning_a_committed_delete_sees_the_row(self):
         server = make_server(initial_pool_pages=64)
@@ -258,25 +273,21 @@ class TestIndexScanSnapshotFallback:
 
 
 class TestNarrowSnapshotFallback:
-    """Delete stamps are kept per key, so DML on keys outside a scan's
-    bounds no longer forces the heap fallback (the previous whole-index
-    stamp penalized every concurrent index scan on the table)."""
+    """A removal concerns only the scans whose bounds held the removed
+    key: every other index scan reads exactly the pages it reads with no
+    writer in flight."""
 
     def test_unrelated_key_delete_keeps_the_index_path(self):
         server = make_server()
         writer = seed_table(server)
         reader = server.connect()
-        counter = server.metrics.counter("exec.adaptive_fallbacks")
+        quiet = quiet_point_read(server, reader, 7)
         writer.begin()
         writer.execute("DELETE FROM t WHERE id = 5")
-        before = counter.value
-        # The scan's bounds (id = 7) miss the stamped key (5,): the
-        # B-tree is still exact for this snapshot.
-        assert reader.execute("SELECT v FROM t WHERE id = 7").rows == [(0,)]
-        assert counter.value == before
-        # ...while the stamped key itself still needs the fallback.
-        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(0,)]
-        assert counter.value == before + 1
+        assert point_read(server, reader, 7) == quiet
+        # ...while the removed key itself comes off its chain.
+        rows, pages = point_read(server, reader, 5)
+        assert rows == [(0,)] and "table:t" not in pages
         writer.rollback()
 
     def test_unrelated_range_keeps_the_index_path(self):
@@ -285,73 +296,74 @@ class TestNarrowSnapshotFallback:
         writer.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
         server.load_table("big", [(i, i) for i in range(100)])
         reader = server.connect()
-        counter = server.metrics.counter("exec.adaptive_fallbacks")
+
+        def read():
+            return [
+                r[0] for r in
+                reader.execute("SELECT id FROM big WHERE id >= 95").rows
+            ]
+
+        pages_fetched(server, read)
+        quiet = pages_fetched(server, read)
         writer.begin()
         writer.execute("DELETE FROM big WHERE id = 10")
-        before = counter.value
-        rows = reader.execute("SELECT id FROM big WHERE id >= 95").rows
-        assert [r[0] for r in rows] == [95, 96, 97, 98, 99]
-        assert counter.value == before
+        assert pages_fetched(server, read) == quiet
+        assert quiet[0] == [95, 96, 97, 98, 99]
         writer.rollback()
 
     def test_insert_after_snapshot_never_falls_back(self):
-        # Inserted-after entries are filtered by the visibility re-check
-        # on the trusted path; only removals can blind an index scan.
+        # An entry inserted after the snapshot leads to a row whose
+        # visible image is "absent": the re-check drops it.
         server = make_server()
         writer = seed_table(server)
         reader = server.connect()
-        counter = server.metrics.counter("exec.adaptive_fallbacks")
         writer.begin()
         writer.execute("INSERT INTO t VALUES (100, 1)")
-        before = counter.value
-        assert reader.execute("SELECT v FROM t WHERE id = 100").rows == []
-        assert counter.value == before
+        rows, pages = point_read(server, reader, 100)
+        assert rows == []
+        assert pages["table:t"] == 1
         writer.commit()
         assert reader.execute("SELECT v FROM t WHERE id = 100").rows == [(1,)]
 
-    def test_rebuild_resets_the_per_key_state(self):
+    def test_reorganized_tree_serves_snapshots(self):
         server = make_server()
         writer = seed_table(server)
         writer.execute("DELETE FROM t WHERE id = 5")  # autocommit
-        index = server.catalog.index("pk_t")
-        assert index.delete_stamps  # stamped by the delete
         writer.execute("REORGANIZE TABLE t")
-        # The rebuilt tree reflects the committed horizon exactly: stamps
-        # are gone and the rebuild horizon gates older snapshots instead.
-        assert index.delete_stamps == {}
-        assert index.rebuild_lsn == server.versions.last_commit_lsn
-        assert index.always_fallback is False
+        # The rebuilt tree reflects the committed rows exactly, and a
+        # fresh snapshot reads it like any other.
         reader = server.connect()
-        counter = server.metrics.counter("exec.adaptive_fallbacks")
-        before = counter.value
-        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == []
-        assert counter.value == before
-
-
-def fallbacks_by_cause(server):
-    return {
-        cause: server.metrics.counter(
-            "exec.snapshot_fallbacks." + cause
-        ).value
-        for cause in ("standby", "rebuilt", "removed_key")
-    }
+        assert point_read(server, reader, 5)[0] == []
+        rows, pages = point_read(server, reader, 6)
+        assert rows == [(0,)]
+        assert [n for f, n in pages.items() if f.startswith("table:")] == [1]
 
 
 class TestFallbackCauses:
-    """Each heap fallback is counted under its cause, beside the
-    ``exec.adaptive_fallbacks`` total."""
+    """The situations the versioned heap scan used to be taken for — a
+    key removed inside the scan's bounds, a tree rebuilt past an open
+    snapshot, an UPDATE that keeps the key — each answered by the tree,
+    re-checked, plus the version chains.  (A standby plans no index at
+    all: ``tests/replication/test_cluster.py``.)"""
 
     def test_removed_key_in_bounds(self):
         server = make_server()
-        writer = seed_table(server)
+        writer = server.connect()
+        writer.execute("CREATE TABLE big (id INT PRIMARY KEY, v INT)")
+        server.load_table("big", [(i, 0) for i in range(200)])
         reader = server.connect()
+        sql = "SELECT id, v FROM big WHERE id BETWEEN 40 AND 43"
+        assert "IndexScan" in reader.execute(sql).explain()
         writer.begin()
-        writer.execute("DELETE FROM t WHERE id = 5")
-        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(0,)]
+        writer.execute("DELETE FROM big WHERE id = 41")
+        writer.execute("UPDATE big SET id = 600 WHERE id = 42")  # out
+        writer.execute("DELETE FROM big WHERE id = 40")
+        writer.execute("UPDATE big SET id = 40, v = 3 WHERE id = 3")  # in
+        assert sorted(reader.execute(sql).rows) == [
+            (40, 0), (41, 0), (42, 0), (43, 0),
+        ]
+        assert sorted(writer.execute(sql).rows) == [(40, 3), (43, 0)]
         writer.rollback()
-        assert fallbacks_by_cause(server) == {
-            "standby": 0, "rebuilt": 0, "removed_key": 1,
-        }
 
     def test_tree_rebuilt_past_an_open_snapshot(self):
         server = make_server()
@@ -363,22 +375,16 @@ class TestFallbackCauses:
         # The cursor's snapshot predates the rebuilt tree.
         assert cursor.fetchall() == [(0,)]
         cursor.close()
-        assert fallbacks_by_cause(server) == {
-            "standby": 0, "rebuilt": 1, "removed_key": 0,
-        }
 
     def test_open_non_key_update_takes_no_fallback(self):
         server = make_server()
         writer = seed_table(server)
         reader = server.connect()
+        quiet = quiet_point_read(server, reader, 5)
         writer.begin()
         writer.execute("UPDATE t SET v = 99 WHERE id = 5")
-        # The pk entry of 5 was never removed: the tree serves the
-        # snapshot and the version chain supplies the before-image.
-        assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(0,)]
+        # The pk entry of 5 was never removed: the tree leads to the row
+        # and its version chain supplies the before-image.
+        assert point_read(server, reader, 5) == quiet
         writer.commit()
         assert reader.execute("SELECT v FROM t WHERE id = 5").rows == [(99,)]
-        assert server.catalog.index("pk_t").delete_stamps == {}
-        assert fallbacks_by_cause(server) == {
-            "standby": 0, "rebuilt": 0, "removed_key": 0,
-        }

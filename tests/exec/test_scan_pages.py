@@ -23,8 +23,7 @@ from itertools import islice
 import pytest
 
 from repro import Server, ServerConfig
-from repro.exec.operators import IndexScanOp, SeqScanOp
-from repro.optimizer.costmodel import CPU_ROW_US
+from repro.exec.operators import SeqScanOp
 from repro.storage.rowstore import RowId, TableStorage
 
 ROWS = 2000
@@ -83,27 +82,15 @@ def reference_execute_batches(self, ctx):
             self._send_feedback(ctx, storage, counters)
 
 
-def reference_snapshot_heap_rows(self, ctx, storage, bounds):
-    for __, row in reference_scan(
-        storage, snapshot=ctx.snapshot_lsn, snapshot_txn=ctx.snapshot_txn
-    ):
-        ctx.charge(CPU_ROW_US)
-        if self._key_in_bounds(row, bounds):
-            yield row
-
-
 # --------------------------------------------------------------------- #
 # one world, built the same way every time
 # --------------------------------------------------------------------- #
 
 SEQ_SQL = "SELECT id, v, pad FROM t WHERE v >= 10 AND pad LIKE 'p%'"
-#: An index lookup of a key deleted (and committed) past the cursor's
-#: snapshot, which sends the scan down the heap fallback.
-FALLBACK_SQL = "SELECT id, v FROM t WHERE id = %d"
 
 
 class World:
-    """A table with holes and chains, two open cursors over it, and a
+    """A table with holes and chains, an open cursor over it, and a
     trace of everything a scan does that the clock can see."""
 
     def __init__(self, seed, batch_rows, monkeypatch, reference):
@@ -169,20 +156,12 @@ class World:
             monkeypatch.setattr(
                 SeqScanOp, "execute_batches", reference_execute_batches
             )
-            monkeypatch.setattr(
-                IndexScanOp, "_snapshot_heap_rows",
-                reference_snapshot_heap_rows,
-            )
             monkeypatch.setattr(TableStorage, "scan", reference_scan)
         self._tap(monkeypatch, clock)
-        self.cursors = [
-            reader.open_cursor(SEQ_SQL),
-            reader.open_cursor(FALLBACK_SQL % committed_later[-1]),
-        ]
-        for cursor in self.cursors:
-            cursor._ctx.batch_rows = batch_rows
+        self.cursor = reader.open_cursor(SEQ_SQL)
+        self.cursor._ctx.batch_rows = batch_rows
 
-        # Past the cursors' snapshot: committed, then left uncommitted.
+        # Past the cursor's snapshot: committed, then left uncommitted.
         write(setup, committed_later, ROWS + 3)
         foreign = server.connect()
         foreign.begin()
@@ -204,7 +183,6 @@ class World:
         trace = self.trace
         execute_batches = SeqScanOp.execute_batches
         send_feedback = SeqScanOp._send_feedback
-        heap_rows = IndexScanOp._snapshot_heap_rows
 
         def traced_batches(op, ctx):
             for batch in execute_batches(op, ctx):
@@ -218,33 +196,21 @@ class World:
             trace.append(("feedback", [list(pair) for pair in counters]))
             return send_feedback(op, ctx, storage, counters)
 
-        def traced_fallback(op, ctx, storage, bounds):
-            trace.append(("fallback", clock.now))
-            for row in heap_rows(op, ctx, storage, bounds):
-                trace.append(("fallback-row", clock.now, row))
-                yield row
-
         monkeypatch.setattr(SeqScanOp, "execute_batches", traced_batches)
-        monkeypatch.setattr(
-            IndexScanOp, "_snapshot_heap_rows", traced_fallback
-        )
         monkeypatch.setattr(SeqScanOp, "_send_feedback", traced_feedback)
 
     def run(self):
-        """Everything observable about the two scans."""
+        """Everything observable about the scan."""
         server = self.server
-        results = []
-        for cursor in self.cursors:
-            # Fetch in uneven pieces: the scan is suspended mid-batch
-            # and mid-page between FETCH requests.
-            rows = cursor.fetchmany(5)
-            rows += cursor.fetchall()
-            results.append(rows)
-            self.trace.append(("done", server.clock.now))
+        # Fetch in uneven pieces: the scan is suspended mid-batch and
+        # mid-page between FETCH requests.
+        rows = self.cursor.fetchmany(5)
+        rows += self.cursor.fetchall()
+        self.trace.append(("done", server.clock.now))
         ids = list(self.storage.scan())
         pool = server.pool
         return {
-            "results": results,
+            "rows": rows,
             "trace": self.trace,
             "scan": [(rid.page_ordinal, rid.slot, row) for rid, row in ids],
             "clock": server.clock.now,
@@ -262,18 +228,18 @@ def observe(seed, batch_rows, reference):
 def test_pages_and_rows_agree_on_batches_clock_and_feedback(seed, batch_rows):
     new = observe(seed, batch_rows, reference=False)
     old = observe(seed, batch_rows, reference=True)
-    assert new["results"] == old["results"]
+    assert new["rows"] == old["rows"]
     assert new["trace"] == old["trace"]
     assert new == old
 
 
 def test_the_worlds_hold_what_the_docstring_says():
-    """The differential is not vacuous: both scans ran, evicted, met
-    every kind of chain and an emptied page, and the fallback fired."""
+    """The differential is not vacuous: the scan ran, evicted, and met
+    every kind of chain and an emptied page."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         world = World(11, 7, monkeypatch, reference=False)
         storage, rpp = world.storage, world.rows_per_page
-        snapshot = world.cursors[0]._ctx.snapshot_lsn
+        snapshot = world.cursor._ctx.snapshot_lsn
         chains = [
             entry
             for slots in storage._versions.values()
@@ -294,21 +260,16 @@ def test_the_worlds_hold_what_the_docstring_says():
             slot is None for slot in
             next(islice(storage.scan().pages(), 3, None))[1]
         )
-        txn = world.cursors[0]._ctx.snapshot_txn
+        txn = world.cursor._ctx.snapshot_txn
         visible = sum(1 for __ in reference_scan(storage, snapshot, txn))
         evictions = world.server.pool.evictions
         observed = world.run()
-    trace =observed["trace"]
+    trace = observed["trace"]
     assert {event[0] for event in trace} == {
-        "read", "miss", "batch", "feedback", "fallback", "fallback-row",
-        "done",
+        "read", "miss", "batch", "feedback", "done",
     }
     assert observed["pool"][2] > evictions
-    seq_rows, fallback_rows = observed["results"]
-    assert len(seq_rows) > 3 * rpp
-    assert [row[0] for row in fallback_rows] == [
-        event[2][0] for event in trace if event[0] == "fallback-row"
-    ] and len(fallback_rows) == 1  # deleted later, visible at the snapshot
+    assert len(observed["rows"]) > 3 * rpp
     scanned = [e[1][0][0] for e in trace if e[0] == "feedback"]
     assert scanned == [visible]  # the first conjunct saw every row
 
@@ -317,8 +278,8 @@ def test_scan_is_the_page_iterator_a_row_at_a_time():
     with pytest.MonkeyPatch.context() as monkeypatch:
         world = World(12, 256, monkeypatch, reference=False)
         storage = world.storage
-        snapshot = world.cursors[0]._ctx.snapshot_lsn
-        txn = world.cursors[0]._ctx.snapshot_txn
+        snapshot = world.cursor._ctx.snapshot_lsn
+        txn = world.cursor._ctx.snapshot_txn
         got = [
             (rid.page_ordinal, rid.slot, row)
             for rid, row in storage.scan(snapshot, txn)

@@ -8,6 +8,7 @@ stream, and the replicas are inspected directly.
 from repro.engine.server import ServerConfig
 from repro.faults.plan import FaultPlan, FaultRates
 from repro.replication import ReplicatedCluster, ReplicationConfig
+from tests.conftest import pages_fetched
 
 SCHEMA = ["CREATE TABLE t (id INT PRIMARY KEY, v INT)"]
 ROWS = [(i, i * 10) for i in range(10)]
@@ -51,23 +52,42 @@ class TestShipping:
         assert replica.applied_lsn == replica.received_lsn
         assert replica.lag_lsn() == 0
 
-    def test_standby_index_scans_route_through_the_heap_fallback(self):
+    def test_standby_plans_no_index_and_matches_the_primary(self):
+        """A standby's B-trees are never maintained by heap-only redo, so
+        its plans use none: no index scan, no index-NL join and no
+        hash-join alternate, which would probe the empty ``i_k``."""
         cluster = make_cluster()
+        cluster.execute_schema([
+            "CREATE TABLE o (id INT PRIMARY KEY, k INT)",
+            "CREATE TABLE i (id INT PRIMARY KEY, k INT, v INT)",
+            "CREATE INDEX i_k ON i (k)",
+        ])
+        cluster.load_table("o", [(n, n) for n in range(3)])
+        cluster.load_table("i", [(n, n % 500, n) for n in range(4000)])
         conn = cluster.connect()
         conn.execute("UPDATE t SET v = 5 WHERE id = 5")
+        conn.execute("DELETE FROM i WHERE id = 500")
         cluster.sync()
         replica = cluster.replicas[0]
-        metrics = replica.server.metrics
-        counter = metrics.counter("exec.adaptive_fallbacks")
-        before = counter.value
-        # Sargable point query: the plan picks the pk index, but standby
-        # B-trees are never maintained by heap-only redo — the scan must
-        # take the exact heap path.
-        assert replica_rows(replica, "SELECT v FROM t WHERE id = 5") == [(5,)]
-        assert counter.value == before + 1
-        assert metrics.counter("exec.snapshot_fallbacks.standby").value == 1
-        assert metrics.counter("exec.snapshot_fallbacks.rebuilt").value == 0
-        assert metrics.counter("exec.snapshot_fallbacks.removed_key").value == 0
+        standby = replica.server.connect()
+        for sql in (
+            "SELECT o.id, i.v FROM o, i WHERE o.k = i.k",
+            "SELECT i.id, i.v FROM i WHERE i.k IN (SELECT o.k FROM o)",
+            "SELECT v FROM t WHERE id = 5",
+            "SELECT v FROM i WHERE id = 77",
+        ):
+            primary = sorted(conn.execute(sql).rows)
+            assert primary, sql
+            result = standby.execute(sql)
+            assert sorted(result.rows) == primary, sql
+            assert "Index" not in result.explain(), sql
+            assert "alt=" not in result.explain(), sql
+        assert len(primary) == 1
+        # Promotion rebuilds the trees and plans with them again.
+        promoted = cluster.fail_over()
+        assert promoted is replica and not replica.server.standby
+        after = replica.server.connect().execute("SELECT v FROM t WHERE id = 5")
+        assert after.rows == [(5,)] and "IndexScan" in after.explain()
 
     def test_latency_delays_visibility_not_durability(self):
         cluster = make_cluster(
@@ -134,16 +154,19 @@ class TestArchiveAndRestore:
         conn.execute("DELETE FROM t WHERE id = 4")
         cluster.sync()
         promoted = cluster.fail_over()
-        index = promoted.server.catalog.index("pk_t")
-        # Restart recovery rebuilt the tree from committed state: the
-        # standby's blanket fallback flag is gone and fresh snapshots use
-        # the exact index path again.
-        assert index.always_fallback is False
-        assert index.delete_stamps == {}
-        counter = promoted.server.metrics.counter("exec.adaptive_fallbacks")
-        before = counter.value
-        assert replica_rows(promoted, "SELECT v FROM t WHERE id = 5") == [(50,)]
-        assert counter.value == before
+        # Restart recovery rebuilt the tree from committed state, and the
+        # promoted node plans with it again: a point read walks the tree
+        # to the one table page holding the row.
+        assert promoted.server.standby is False
+        conn = promoted.server.connect()
+        sql = "SELECT v FROM t WHERE id = %d"
+        rows, pages = pages_fetched(
+            promoted.server, lambda: conn.execute(sql % 5).rows
+        )
+        assert rows == [(50,)]
+        assert pages["table:t"] == 1 and pages["index:pk_t"] >= 1
+        assert conn.execute(sql % 4).rows == []
+        assert "IndexScan" in conn.execute(sql % 4).explain()
 
     def test_two_replicas_promote_the_max_applied(self):
         cluster = make_cluster(n_replicas=2)
