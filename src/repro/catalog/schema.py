@@ -238,6 +238,3 @@ class Catalog:
 
     def has_procedure(self, name):
         return name in self._procedures
-
-    def procedures(self):
-        return list(self._procedures.values())

@@ -16,27 +16,29 @@ reproducing the fiber model's concurrency without OS threads.
 
 from repro.buffer import Heap
 from repro.common.errors import ExecutionError
-from repro.sql import ast, parse_statement
+from repro.sql import ast
 
 
 class Cursor:
-    """An open, incrementally-fetched query."""
+    """An open, incrementally-fetched query (``statement`` is the parsed
+    ``sql``; :meth:`Connection.open_cursor` opens one)."""
 
-    def __init__(self, connection, sql, params=None):
+    def __init__(self, connection, statement, sql, params=None):
         server = connection.server
-        statement = parse_statement(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise ExecutionError("cursors are for SELECT statements")
         self._server = server
         # The cursor's snapshot stays open across fetches: every batch
         # reads the same commit-LSN image, however long the application
         # waits between FETCH requests.
-        block, self._result, self._ctx, executor = connection._open_query(
+        block, self.plan_result, self._ctx, executor = connection._open_query(
             statement, params, snapshot=server.config.snapshot_reads,
         )
         self.exec_stats = executor.exec_stats
+        #: Executor notes (spills, fallbacks, faults survived at open).
+        self.notes = self._ctx.notes
         server.metrics.counter("cursors.opened").inc()
-        self._rows = executor.run(self._result, self._ctx)
+        self._rows = executor.run(self.plan_result, self._ctx)
         #: Cursor state lives in a heap, per Section 2.1; it is unlocked
         #: whenever the cursor is suspended between fetches.
         self.heap = Heap(server.pool, name="cursor-heap")
@@ -97,8 +99,8 @@ class Cursor:
         """The cursor's plan; with ``analyze=True``, annotated with the
         per-operator actuals accumulated by the fetches so far."""
         if analyze:
-            return self.exec_stats.render(self._result.plan)
-        return self._result.explain()
+            return self.exec_stats.render(self.plan_result.plan)
+        return self.plan_result.explain()
 
     def close(self):
         if self._closed:

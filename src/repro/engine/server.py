@@ -35,6 +35,7 @@ from repro.optimizer import (
     PlanCache,
 )
 from repro.optimizer.costmodel import OPTIMIZER_NODE_US
+from repro.optimizer.optimizer import DEFAULT_EFFORT_FACTOR, DEFAULT_QUOTA
 from repro.optimizer.plancache import plan_signature
 from repro.ossim import OperatingSystem
 from repro.profiling.metrics import MetricsRegistry
@@ -54,8 +55,11 @@ from repro.storage.rowstore import TableStorage
 #: the caller has already made unnecessary.  Arguments internal callers
 #: pass a constant to, not settings.
 FORWARD = "forward"  #: DML and synchronization: every step runs
-UNDO = "undo"        #: runtime rollback: locks held, images versioned
+UNDO = "undo"        #: rollback, live or restart: no check or lock
 LOAD = "load"        #: bulk load: no lock, version or per-row statistics
+
+#: Pages on the simulated database device.
+DISK_PAGES = 1_000_000
 
 
 @dataclasses.dataclass
@@ -63,16 +67,9 @@ class ServerConfig:
     """Server tunables (every default is the paper's where one exists)."""
 
     page_size: int = DEFAULT_PAGE_SIZE
-    disk_pages: int = 1_000_000
     total_memory: int = 256 * MiB
     initial_pool_pages: int = 1024           # 4 MiB
     multiprogramming_level: int = 4
-    optimizer_quota: int = 5000
-    #: Cost-proportional optimizer effort cap: the enumerator stops once
-    #: its simulated search time exceeds this multiple of the incumbent
-    #: plan's estimated cost (Section 4.1 — optimization effort should be
-    #: commensurate with the query's cost).  ``None`` disables the cap.
-    optimizer_effort_factor: float = 16.0
     governor: GovernorConfig = dataclasses.field(default_factory=GovernorConfig)
     checkpoint: CheckpointConfig = dataclasses.field(
         default_factory=CheckpointConfig
@@ -227,7 +224,7 @@ class Server:
         self.process = self.os.spawn("dbserver")
         if disk is None:
             disk = ModelBackedDisk(
-                self.clock, self.config.disk_pages, default_dtt_model(
+                self.clock, DISK_PAGES, default_dtt_model(
                     self.config.page_size
                 ),
                 page_size=self.config.page_size,
@@ -496,7 +493,8 @@ class Server:
             tear_tail = plan is not None and plan.should(
                 LOG_TORN_TAIL, plan.rates.torn_tail
             )
-        if tear_tail and self.txn_log.tear_inflight_page():
+        if tear_tail:
+            self.txn_log.tear_inflight_page()
             if plan is not None:
                 plan.record(LOG_TORN_TAIL, "in-flight log page torn at crash")
         self.txn_log = TransactionLog.open(
@@ -575,18 +573,16 @@ class Server:
         # "The initial quota can be specified within the application, if
         # desired, allowing fine-grained tuning of the optimization effort
         # spent on each statement."
-        quota = self.catalog.options.get(
-            "optimizer_quota", self.config.optimizer_quota
-        )
+        quota = self.catalog.options.get("optimizer_quota", DEFAULT_QUOTA)
         if not isinstance(quota, int) or quota < 1:
-            quota = self.config.optimizer_quota
+            quota = DEFAULT_QUOTA
         effort = self.catalog.options.get(
-            "optimizer_effort_factor", self.config.optimizer_effort_factor
+            "optimizer_effort_factor", DEFAULT_EFFORT_FACTOR
         )
         if isinstance(effort, (int, float)) and effort <= 0:
             effort = None  # SET OPTION optimizer_effort_factor = 0: cap off
         elif not isinstance(effort, (int, float)):
-            effort = self.config.optimizer_effort_factor
+            effort = DEFAULT_EFFORT_FACTOR
         return Optimizer(
             self.catalog,
             self._make_estimator(),
@@ -756,6 +752,48 @@ class Server:
         )
         return row_id
 
+    def rollback(self, txn_id):
+        """Undo ``txn_id``'s changes newest first and end it; returns how
+        many records were undone.  The one undo path: a live ROLLBACK and
+        restart recovery's losers both run it.
+
+        The inverse of a change is the change with its images swapped,
+        applied by :meth:`apply_change` — so it reverses the change's
+        index and statistics maintenance too, and is logged: restart redo
+        replays these compensation records like any other history.
+        """
+        chain = self.txn_log.undo_chain(txn_id)
+        # Logged row id -> the slot an undone DELETE re-inserted that row
+        # into: the row's older records must follow it there.
+        moved = {}
+        for record in chain:
+            row_id = self.apply_change(
+                txn_id, self.catalog.table(record.table),
+                moved.get(record.row_id, record.row_id),
+                record.after, record.before, UNDO,
+            )
+            if record.after is None:
+                moved[record.row_id] = row_id
+        self.txn_log.rollback(txn_id)
+        # Undo restored the committed heap images, so the before-image
+        # chains must forget this transaction before its locks go.
+        self.versions.rollback(txn_id)
+        self.lock_manager.release_all(txn_id)
+        return len(chain)
+
+    def reset_indexes(self, table):
+        """Discard, truncate and re-create every tree on ``table``, empty;
+        returns how many.  Restart and REORGANIZE refill them."""
+        reset = 0
+        for index in self.catalog.indexes_on(table.name):
+            if index.virtual:
+                continue
+            self.pool.discard(index.btree.file)
+            index.btree.file.truncate()
+            index.btree = BTree(index.btree.file, self.pool, name=index.name)
+            reset += 1
+        return reset
+
     def _index_check_unique(self, table, row, before=None):
         """Raise if ``row`` would violate a unique index.  A key kept
         from ``before`` cannot newly collide and is not searched."""
@@ -835,15 +873,31 @@ class Connection:
         """Open an incrementally-fetched cursor over a SELECT.
 
         Between FETCH calls the cursor's heap is unlocked, so the buffer
-        pool may steal its pages (paper Section 2.1).
+        pool may steal its pages (paper Section 2.1).  The open is one
+        statement, counted and traced like :meth:`execute`.
         """
         from repro.engine.cursor import Cursor
 
-        if self._closed:
-            raise ExecutionError("connection is closed")
-        return Cursor(self, sql, params)
+        with self._statement(sql) as statement:
+            cursor = Cursor(self, statement.tree, sql, params)
+            statement.result = Result(
+                plan_result=cursor.plan_result, notes=cursor.notes
+            )
+        return cursor
 
     def execute(self, sql, params=None, overrides=None):
+        with self._statement(sql) as statement:
+            statement.result = self._execute(
+                statement.tree, sql, params, overrides
+            )
+        return statement.result
+
+    @contextlib.contextmanager
+    def _statement(self, sql):
+        """One client statement's bookkeeping, shared by :meth:`execute`
+        and :meth:`open_cursor`: parse and count it, time it, note the
+        faults it survived, trace it (failures too) and check its pins.
+        Yields a :class:`_Statement`; the body stores its Result there."""
         if self._closed:
             raise ExecutionError("connection is closed")
         server = self.server
@@ -854,20 +908,22 @@ class Connection:
         plan = server.fault_plan
         injected_before = plan.injected if plan is not None else 0
         retries_before = plan.retries if plan is not None else 0
-        result = None
+        statement = _Statement()
         error = None
         try:
-            result = self._execute(sql, params, overrides)
+            statement.tree = parse_statement(sql)
+            server.statements_executed += 1
+            server._m_statements.inc()
+            yield statement
             if plan is not None:
                 # Surface what this statement survived: retried or
                 # absorbed injections show up in EXPLAIN ANALYZE.
                 injected = plan.injected - injected_before
                 retries = plan.retries - retries_before
                 if injected or retries:
-                    result.notes["faults"] = {
+                    statement.result.notes["faults"] = {
                         "injected": injected, "retries": retries,
                     }
-            return result
         except FaultError as exc:
             # An injected fault exhausted its retry budget: only this
             # statement dies; the server and every other connection
@@ -888,6 +944,7 @@ class Connection:
             elapsed_us = server.clock.now - start_us
             server._m_elapsed.observe(elapsed_us)
             if tracer is not None:
+                result = statement.result
                 if result is not None:
                     rows = (
                         result.rowcount if result.rowcount
@@ -927,10 +984,7 @@ class Connection:
                 # mid-statement — its pins are legitimate.)
                 server.pool.assert_no_pins("statement end")
 
-    def _execute(self, sql, params=None, overrides=None):
-        statement = parse_statement(sql)
-        self.server.statements_executed += 1
-        self.server._m_statements.inc()
+    def _execute(self, statement, sql, params=None, overrides=None):
         if isinstance(statement, ast.SelectStatement):
             return self._execute_select(
                 statement, params, overrides=overrides, sql_text=sql
@@ -1320,14 +1374,7 @@ class Connection:
                 "table:%s#reorg" % (table.name,)
             )
             table.storage = TableStorage(table, new_file, server.pool)
-            for index in indexes:
-                if index.virtual:
-                    continue
-                server.pool.discard(index.btree.file)
-                index.btree.file.truncate()
-                index.btree = BTree(
-                    index.btree.file, server.pool, name=index.name
-                )
+            server.reset_indexes(table)
             # The rewrite is unlogged: stamp the fresh pages with the last
             # already-assigned LSN so restart redo skips every record that
             # predates the reorganization, then checkpoint so the new file
@@ -1394,36 +1441,10 @@ class Connection:
         self._txn_id = None
 
     def rollback(self):
-        """Undo this transaction's changes, logging each undo.
-
-        Compensation records (CLR-lite) make runtime rollback replayable:
-        restart recovery redoes *all* history — including these inverse
-        changes — so a crash after the rollback reproduces the rolled-back
-        state without re-undoing anything.
-        """
+        """Undo this transaction's changes (:meth:`Server.rollback`)."""
         if self._txn_id is None:
             raise TransactionError("no active transaction")
-        server = self.server
-        txn_log = server.txn_log
-        txn_id = self._txn_id
-        # Logged row id -> the slot an undone DELETE re-inserted that row
-        # into: the row's older records must follow it there.
-        moved = {}
-        for record in txn_log.undo_chain(txn_id):
-            # The inverse of a change is the change with its images
-            # swapped (an undone DELETE re-inserts into a fresh slot).
-            row_id = server.apply_change(
-                txn_id, server.catalog.table(record.table),
-                moved.get(record.row_id, record.row_id),
-                record.after, record.before, UNDO,
-            )
-            if record.after is None:
-                moved[record.row_id] = row_id
-        txn_log.rollback(txn_id)
-        # Undo restored the committed heap images, so the before-image
-        # chains must forget this transaction before its locks go.
-        server.versions.rollback(txn_id)
-        server.lock_manager.release_all(txn_id)
+        self.server.rollback(self._txn_id)
         self._txn_id = None
 
     @contextlib.contextmanager
@@ -1450,6 +1471,16 @@ class Connection:
             # the log, so autocommit semantics demand it unwind.
             self.rollback()
             raise
+
+
+class _Statement:
+    """A client statement in flight: its parse tree, then its Result."""
+
+    __slots__ = ("tree", "result")
+
+    def __init__(self):
+        self.tree = None
+        self.result = None
 
 
 def _procedure_body_sql(create_sql):

@@ -177,12 +177,6 @@ class AggState:
             return self.total / self.count
         return self.extreme
 
-    def estimated_bytes(self):
-        base = 48
-        if self.distinct is not None:
-            base += 16 * len(self.distinct)
-        return base
-
 
 class HashGroupByOp(Operator):
     """Hash aggregation with the indexed-temp-table low-memory fallback."""

@@ -284,8 +284,7 @@ class DerivedScanOp(Operator):
     def execute_batches(self, ctx):
         qid = self.quantifier.id
         for batch in self.sub_operator.execute_batches(ctx):
-            for __ in range(batch.count):
-                ctx.charge(CPU_ROW_US)
+            ctx.charge_rows(batch.count, CPU_ROW_US)
             batch = _filter(
                 batch.as_quantifier(qid), self.conjuncts, ctx.params
             )
@@ -313,8 +312,7 @@ class ProcedureScanOp(Operator):
         body_ctx = ctx.with_params(body_params)
         for batch in self.body_operator.execute_batches(body_ctx):
             cardinality += batch.count
-            for __ in range(batch.count):
-                ctx.charge(CPU_ROW_US)
+            ctx.charge_rows(batch.count, CPU_ROW_US)
             yield batch.as_quantifier(qid)
         if ctx.stats is not None:
             ctx.stats.procedure_stats(procedure.name).record(
@@ -337,8 +335,7 @@ class RecursiveRefScanOp(Operator):
             )
         qid = self.quantifier.id
         for chunk in _chunks(rows, ctx.batch_rows):
-            for __ in chunk:
-                ctx.charge(CPU_ROW_US)
+            ctx.charge_rows(len(chunk), CPU_ROW_US)
             yield Batch.from_rows(qid, chunk)
 
 

@@ -34,7 +34,6 @@ from repro.optimizer.plans import (
     PlanNode,
     ProcedureScanPlan,
     ProjectPlan,
-    RecursiveUnionPlan,
     SeqScanPlan,
     SortPlan,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "HashDistinctPlan",
     "SortPlan",
     "LimitPlan",
-    "RecursiveUnionPlan",
     "ProcedureScanPlan",
     "SelectivityEstimator",
     "CostModel",

@@ -159,10 +159,6 @@ class JoinEnumerator:
             )
         return self._best_steps, self.stats
 
-    @property
-    def best_cost(self):
-        return self._best_cost
-
     # ------------------------------------------------------------------ #
     # depth-first search
     # ------------------------------------------------------------------ #

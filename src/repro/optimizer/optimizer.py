@@ -8,7 +8,6 @@ procedures go through the plan cache (:mod:`repro.optimizer.plancache`).
 
 import math
 
-from repro.common.errors import OptimizerError
 from repro.optimizer.costmodel import CostModel, CPU_ROW_US
 from repro.optimizer.enumeration import (
     JoinEnumerator,
@@ -35,17 +34,16 @@ from repro.optimizer.plans import (
 )
 from repro.profiling.metrics import NULL_METRICS
 from repro.sql import ast
-from repro.sql.binder import (
-    BoundDelete,
-    BoundInsert,
-    BoundUpdate,
-    Quantifier,
-    QueryBlock,
-)
+from repro.sql.binder import Quantifier
 
 #: Default visit quota for the governor ("the initial quota can be
 #: specified within the application, if desired").
 DEFAULT_QUOTA = 5000
+#: Default cost-proportional effort cap: the enumerator stops once its
+#: simulated search time exceeds this multiple of the incumbent plan's
+#: estimated cost (Section 4.1 — optimization effort should be
+#: commensurate with the query's cost).
+DEFAULT_EFFORT_FACTOR = 16.0
 
 
 class OptimizerResult:
@@ -77,7 +75,6 @@ class Optimizer:
         self.quota = quota
         self.governor_mode = governor_mode
         self.effort_factor = effort_factor
-        self.last_stats = None
         self.metrics = metrics or NULL_METRICS
         #: When False every SELECT access path falls back to heap scans:
         #: no sargable index options, no index-NL probes, no hash-join
@@ -89,23 +86,10 @@ class Optimizer:
     # entry points
     # ------------------------------------------------------------------ #
 
-    def optimize(self, bound):
-        """Optimize any bound statement."""
-        if isinstance(bound, QueryBlock):
-            return self.optimize_select(bound)
-        if isinstance(bound, BoundInsert):
-            return OptimizerResult(None, bypassed=True)
-        if isinstance(bound, BoundUpdate):
-            return self.optimize_simple_dml(bound)
-        if isinstance(bound, BoundDelete):
-            return self.optimize_simple_dml(bound)
-        raise OptimizerError("cannot optimize %r" % (type(bound).__name__,))
-
     def optimize_select(self, block, quota=None):
         """Full cost-based optimization of a query block."""
         recursive_cte = block.with_recursive
         plan, cost, stats = self._optimize_block(block, quota)
-        self.last_stats = stats
         self.metrics.counter("optimizer.optimizations").inc()
         if stats is not None:
             self.metrics.counter("optimizer.nodes_visited").inc(

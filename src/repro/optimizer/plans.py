@@ -310,20 +310,3 @@ class LimitPlan(PlanNode):
     def describe(self):
         return "Limit(%d)" % (self.limit,)
 
-
-class RecursiveUnionPlan(PlanNode):
-    """Adaptive RECURSIVE UNION (Section 4.3): base plan plus a recursive
-    arm re-planned/re-run per iteration against the working table."""
-
-    def __init__(self, cte, base_plan):
-        super().__init__()
-        self.cte = cte
-        self.base_plan = base_plan
-        self.body_plan = None  # attached to the consuming block's plan
-
-    @property
-    def children(self):
-        return [self.base_plan]
-
-    def describe(self):
-        return "RecursiveUnion(%s)" % (self.cte.name,)

@@ -18,23 +18,27 @@ present and no loser's are.  The passes follow ARIES in miniature:
     (:meth:`~repro.storage.rowstore.TableStorage.redo_apply`), so pages
     that were flushed before the crash are never double-applied.
 
-**undo**
-    Losers are rolled back newest-first from their before-images.  Each
-    undo write is itself logged as a compensation record before the
-    loser's ROLLBACK, so a crash *during* recovery just re-runs redo over
-    the compensations.  Loser slots cannot have been reused by winners:
-    the locks guarding them died with the process, still held.
+**rebuild**
+    Indexes are volatile casualties of the crash: each table's heap
+    metadata is rescanned and its trees are rebuilt from the rows.
 
-Indexes are volatile casualties of the crash; they are rebuilt from the
-recovered heaps.  Recovery work is priced on the simulated clock by the
-devices themselves, which is what lets the checkpoint governor compare
-its recovery-time *estimate* against measured restarts.
+**undo**
+    Each loser, in ascending id order, is rolled back by
+    :meth:`~repro.engine.server.Server.rollback` — the code a live
+    ROLLBACK runs — so undo maintains the indexes and statistics and logs
+    each undo as a compensation record; a crash *during* recovery redoes
+    the compensations and undoes them along with the rest of the chain.
+    Row locks kept the losers' rows disjoint, and died held with the
+    process, so no winner touched them.
+
+Recovery work is priced on the simulated clock by the devices
+themselves, which is what lets the checkpoint governor compare its
+recovery-time *estimate* against measured restarts.
 """
 
 import dataclasses
 
 from repro.analysis import sanitizers
-from repro.storage.btree import BTree
 from repro.storage.log import (
     DELETE as LOG_DELETE,
     INSERT as LOG_INSERT,
@@ -43,14 +47,6 @@ from repro.storage.log import (
 )
 
 _CHANGE_KINDS = (LOG_INSERT, LOG_UPDATE, LOG_DELETE)
-
-#: Inverse record shapes for undo compensation logging:
-#: kind -> (compensation kind, before from, after from).
-_INVERSE = {
-    LOG_INSERT: LOG_DELETE,
-    LOG_DELETE: LOG_INSERT,
-    LOG_UPDATE: LOG_UPDATE,
-}
 
 
 @dataclasses.dataclass
@@ -93,8 +89,10 @@ class RecoveryManager:
         self._redo(records, report)
         if server.sanitize:
             self._assert_redo_idempotent(records)
-        self._undo(records, losers, report)
         self._rebuild(report)
+        for txn_id in sorted(losers):
+            report.undo_records += server.rollback(txn_id)
+            report.losers_aborted += 1
         self._bump_txn_ids(records)
         server.checkpoint()
 
@@ -139,30 +137,6 @@ class RecoveryManager:
             if catalog.table(record.table).storage.redo_apply(record):
                 report.redo_applied += 1
 
-    def _undo(self, records, losers, report):
-        server = self.server
-        log = server.txn_log
-        loser_changes = [
-            record for record in records
-            if record.txn_id in losers and record.kind in _CHANGE_KINDS
-        ]
-        for record in reversed(loser_changes):
-            if not server.catalog.has_table(record.table):
-                continue
-            storage = server.catalog.table(record.table).storage
-            lsn = log.peek_next_lsn()
-            storage.undo_apply(record, lsn)
-            log.log_change(
-                record.txn_id, _INVERSE[record.kind], record.table,
-                record.row_id, before=record.after, after=record.before,
-            )
-            report.undo_records += 1
-        for txn_id in sorted(losers):
-            log.rollback(txn_id)
-            report.losers_aborted += 1
-        if losers:
-            log.force()
-
     def _rebuild(self, report):
         """Rescan heap metadata and rebuild every index from the rows."""
         server = self.server
@@ -171,18 +145,7 @@ class RecoveryManager:
                 continue
             rows = table.storage.rescan_metadata()
             report.tables_rebuilt += 1
-            indexes = [
-                index
-                for index in server.catalog.indexes_on(table.name)
-                if not index.virtual and index.btree is not None
-            ]
-            for index in indexes:
-                server.pool.discard(index.btree.file)
-                index.btree.file.truncate()
-                index.btree = BTree(
-                    index.btree.file, server.pool, name=index.name
-                )
-                report.indexes_rebuilt += 1
+            report.indexes_rebuilt += server.reset_indexes(table)
             for row_id, row in rows:
                 server._index_insert(table, row, row_id)
 

@@ -46,6 +46,7 @@ from repro.storage.log import (
     LogRecord,
     master_image,
     page_for_lsn,
+    tear_page,
 )
 
 _Inflight = collections.namedtuple("_Inflight", ["arrival_us", "frame"])
@@ -277,17 +278,9 @@ class Replica:
         """Corrupt the last mirrored log page, as a receive interrupted by
         this replica's own death would: copy-on-write into this node's
         volume only (the frame object is shared with the primary)."""
-        if not self._page_index:
-            return False
-        page_no, __ = self._page_index[-1]
-        log_file = self.server.log_file
-        image = log_file.volume.peek_payload(log_file.global_page(page_no))
-        if not isinstance(image, dict):
-            return False
-        torn = dict(image)
-        torn["checksum"] = torn.get("checksum", 0) ^ 0x5A5A5A5A
-        log_file.volume._store[log_file.global_page(page_no)] = torn
-        return True
+        return bool(self._page_index) and tear_page(
+            self.server.log_file, self._page_index[-1][0]
+        )
 
     # ------------------------------------------------------------------ #
     # observability

@@ -14,7 +14,7 @@ clock.  Three device families are provided:
 """
 
 from repro.storage.disk import Disk, FlashDisk, ModelBackedDisk, RotationalDisk
-from repro.storage.pagedfile import PageAddress, PagedFile, Volume
+from repro.storage.pagedfile import PagedFile, Volume
 from repro.storage.log import (
     CommitTicket,
     GroupCommitConfig,
@@ -30,7 +30,6 @@ __all__ = [
     "ModelBackedDisk",
     "Volume",
     "PagedFile",
-    "PageAddress",
     "TransactionLog",
     "LogRecord",
     "GroupCommitConfig",

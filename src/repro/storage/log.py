@@ -113,6 +113,26 @@ def page_for_lsn(page_index, lsn):
     return found
 
 
+def tear_page(log_file, page_no, image=None):
+    """Store a torn copy of log page ``page_no``, as a write a crash
+    interrupted leaves it: ``image`` (by default the page's stored image)
+    with its checksum flipped, so :meth:`TransactionLog.open` drops the
+    page.  Writes the volume's payload store directly — no device time,
+    the damage happens *during* the crash — and never mutates the image,
+    which a replica may share with its primary.  Returns False when there
+    is no page image to tear.
+    """
+    key = log_file.global_page(page_no)
+    if image is None:
+        image = log_file.volume.peek_payload(key)
+    if not isinstance(image, dict):
+        return False
+    torn = dict(image)
+    torn["checksum"] = torn.get("checksum", 0) ^ 0x5A5A5A5A
+    log_file.volume._store[key] = torn
+    return True
+
+
 def _validate_page(payload, expected_first_lsn):
     """Whether ``payload`` is a well-formed log page continuing the scan.
 
@@ -242,29 +262,14 @@ class TransactionLog:
         self._crash_point(CRASH_APPEND)
         return self._append(txn_id, kind, table, row_id, before, after)
 
-    def commit(self, txn_id):
-        """Append COMMIT and force the log tail to disk.
-
-        The transaction only counts as committed once the force
-        succeeds; a failed force leaves it active so the commit can be
-        retried (a later COMMIT record for the same transaction is
-        harmless to recovery).
-
-        Group commit decomposes this into :meth:`append_commit` →
-        ``force`` (one shared force per batch) → :meth:`finish_commit`;
-        this method keeps the one-transaction path, with an identical
-        crash-site sequence.
-        """
-        record = self.append_commit(txn_id)
-        self.force()
-        self.finish_commit(txn_id)
-        return record
-
     def append_commit(self, txn_id):
         """First half of a commit: the COMMIT record enters the tail.
 
         The transaction is *not* yet committed — its record is volatile
-        until a force covers it and :meth:`finish_commit` runs.
+        until a force covers it and :meth:`finish_commit` runs.  The one
+        commit path, :meth:`GroupCommitCoordinator.commit`, runs both
+        halves around a (possibly shared) force; a failed force leaves
+        the transaction active, so the commit can be retried.
         """
         if txn_id not in self._active:
             raise TransactionError("transaction %r is not active" % (txn_id,))
@@ -321,11 +326,6 @@ class TransactionLog:
         self._pending_ckpt_begin = None
         self._write_master(begin_record.lsn)
         return record
-
-    def checkpoint(self):
-        """Convenience: an empty fuzzy checkpoint (no snapshots)."""
-        begin = self.checkpoint_begin((), {})
-        return self.checkpoint_end(begin)
 
     def _write_master(self, ckpt_begin_lsn):
         ckpt_page = page_for_lsn(self._page_index, ckpt_begin_lsn)
@@ -537,48 +537,16 @@ class TransactionLog:
         Log pages are written once and never rewritten, so the only page
         a crash can tear is the one being written at the instant of
         death — and its records were, by definition, never acknowledged
-        durable.  The next free data-page slot receives an image with a
-        bad checksum (the write never completed); :meth:`open` drops it
-        and the slot is reused.  Mutates the volume's payload store
-        directly (no device time — the damage happened *during* the
-        crash).
+        durable.  The next free data-page slot receives that page torn
+        (:func:`tear_page`); :meth:`open` drops it and the slot is reused.
         """
-        first = self._durable_lsn + 1
-        chunk = self._records[
-            first - self._base_lsn : first - self._base_lsn + RECORDS_PER_PAGE
-        ]
-        image = _frame_page(
-            first, [tuple(record) for record in chunk] or [("inflight",)]
-        )
-        image["checksum"] ^= 0x5A5A5A5A
+        first = self._durable_lsn + 1 - self._base_lsn
+        chunk = self._records[first : first + RECORDS_PER_PAGE]
         self._ensure_master_page()
-        page_no = self._allocate_data_page()
-        self._file.volume._store[self._file.global_page(page_no)] = image
-        return True
-
-    def tear_last_page(self):
-        """Corrupt the last durable data page, as a lying device (write
-        acknowledged before it was stable) would: drop its final record
-        but keep the stale checksum.
-
-        Mutates the volume's payload store directly (no device time — the
-        damage happened *during* the crash).  :meth:`open` will detect
-        and drop the page.
-        """
-        if not self._page_index:
-            return False
-        page_no, first_lsn = self._page_index[-1]
-        store = self._file.volume
-        image = store.peek_payload(self._file.global_page(page_no))
-        if not isinstance(image, dict):
-            return False
-        torn = dict(image)
-        if len(torn.get("records", [])) > 1:
-            torn["records"] = torn["records"][:-1]  # checksum now stale
-        else:
-            torn["checksum"] = torn.get("checksum", 0) ^ 0x5A5A5A5A
-        store._store[self._file.global_page(page_no)] = torn
-        return True
+        tear_page(self._file, self._allocate_data_page(), _frame_page(
+            first + self._base_lsn,
+            [tuple(record) for record in chunk] or [("inflight",)],
+        ))
 
     # ------------------------------------------------------------------ #
     # recovery support
@@ -604,12 +572,6 @@ class TransactionLog:
             if record.kind in (INSERT, DELETE, UPDATE)
             and record.txn_id in committed
         ]
-
-    def simulate_crash(self):
-        """Drop every record past the durable LSN, as a crash would."""
-        self._records = self._records[: self._durable_lsn + 1 - self._base_lsn]
-        self._next_lsn = self._base_lsn + len(self._records)
-        self._active.clear()
 
 
 # --------------------------------------------------------------------- #

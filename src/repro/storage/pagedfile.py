@@ -8,8 +8,6 @@ model.  Page *contents* are arbitrary Python payloads held by the volume;
 the devices only charge time, they do not store bytes.
 """
 
-import collections
-
 from repro.common.errors import IOFaultError, ReproError, TransientIOError
 
 #: Pages per extent.  Small enough that tiny files stay compact, large
@@ -22,8 +20,6 @@ EXTENT_PAGES = 64
 #: per-plan budgets) — the wrapper-free case never retries anyway.
 IO_RETRY_LIMIT = 5
 IO_RETRY_BACKOFF_US = 100
-
-PageAddress = collections.namedtuple("PageAddress", ["file_id", "page_no"])
 
 
 def _is_value(items):
@@ -247,11 +243,6 @@ class PagedFile:
     def write(self, page_no, payload):
         """Write a page payload (charges device time)."""
         self.volume.write_payload(self.global_page(page_no), payload)
-
-    def address(self, page_no):
-        """The :class:`PageAddress` of a file-local page."""
-        self._check(page_no)
-        return PageAddress(self.file_id, page_no)
 
     def _check(self, page_no):
         if not 0 <= page_no < self._page_count:

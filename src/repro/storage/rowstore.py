@@ -24,7 +24,6 @@ process at a crash, which is sound because no snapshot survives one.
 from repro.buffer.frames import PageKind
 from repro.common.errors import ExecutionError
 from repro.storage.log import DELETE as LOG_DELETE
-from repro.storage.log import INSERT as LOG_INSERT
 
 
 class RowId:
@@ -369,7 +368,7 @@ class TableStorage:
         return bool(self._versions)
 
     # ------------------------------------------------------------------ #
-    # restart recovery (physical REDO/UNDO, repro.recovery.restart)
+    # restart recovery (physical REDO, repro.recovery.restart)
     # ------------------------------------------------------------------ #
 
     def reattach_after_crash(self):
@@ -418,23 +417,6 @@ class TableStorage:
         finally:
             self.pool.unpin(frame, dirty=True)
         return True
-
-    def undo_apply(self, record, lsn):
-        """Revert one loser-transaction record via its before-image.
-
-        Undo writes are blind slot writes (idempotent by construction)
-        stamped with the compensation record's LSN.
-        """
-        frame = self._fetch(record.row_id.page_ordinal)
-        try:
-            page = self._materialize(frame)
-            if record.kind == LOG_INSERT:
-                page["slots"][record.row_id.slot] = None
-            else:  # UPDATE and DELETE restore the before-image
-                page["slots"][record.row_id.slot] = tuple(record.before)
-            page["lsn"] = lsn
-        finally:
-            self.pool.unpin(frame, dirty=True)
 
     def rescan_metadata(self):
         """Rebuild ``row_count`` and the free-slot list from page images

@@ -1,7 +1,10 @@
-"""Guard against an eleventh copy of the write sequence (DESIGN.md §9):
-the calls that make up a logical row change appear only inside
-``Server.apply_change`` — plus the physical path's two callers, restart
-undo (compensation logging) and replica apply (version note)."""
+"""Guard against another copy of the write or undo sequence (DESIGN.md
+§9): the calls that make up a logical row change appear only inside
+``Server.apply_change``, and a transaction's undo chain is read only by
+``Server.rollback`` — the one undo path a live ROLLBACK and restart
+recovery share.  The one exemption is replica apply's version note:
+redo places rows at their logged row ids, so it cannot go through
+``apply_change``."""
 
 import ast
 import pathlib
@@ -10,10 +13,11 @@ import repro
 
 #: guarded method -> the only functions under src/ that may call it.
 ALLOWED = {
-    "log_change": {"Server.apply_change", "RecoveryManager._undo"},
+    "log_change": {"Server.apply_change"},
     "stamp_page": {"Server.apply_change"},
     "_index_delete": {"Server.apply_change"},
     "note_write": {"Server.apply_change", "Replica._apply_frame"},
+    "undo_chain": {"Server.rollback"},
 }
 
 

@@ -6,6 +6,7 @@ from repro import Server, ServerConfig
 from repro.buffer import PageKind
 from repro.common.errors import ExecutionError
 from repro.engine import FiberScheduler
+from repro.profiling import Tracer
 
 
 @pytest.fixture
@@ -57,6 +58,30 @@ class TestCursor:
     def test_non_select_rejected(self, conn):
         with pytest.raises(ExecutionError):
             conn.open_cursor("DELETE FROM t")
+
+    def test_cursor_is_counted_and_traced_like_execute(self, conn):
+        """Application Profiling (paper §5) and the checkpoint governor's
+        idleness test see a cursor workload: opening one is a statement."""
+        server = conn.server
+        server.tracer = tracer = Tracer()
+        sql = "SELECT id FROM t WHERE id < 10"
+        moved = []
+        for run in (
+            lambda: conn.execute(sql),
+            lambda: conn.open_cursor(sql).close(),
+        ):
+            executed = server.metrics.value("statements.executed")
+            events = len(tracer.events)
+            run()
+            moved.append((
+                server.metrics.value("statements.executed") - executed,
+                len(tracer.events) - events,
+            ))
+        assert moved == [(1, 1), (1, 1)]
+        first, second = tracer.events
+        assert second.sql == sql
+        assert second.plan_signature == first.plan_signature
+        assert second.error is None
 
     def test_cursor_counts_as_active_request(self, conn):
         governor = conn.server.memory_governor

@@ -17,7 +17,12 @@ from repro.recovery.checkpoint import (
     CheckpointConfig,
     CheckpointGovernor,
 )
-from repro.storage import FlashDisk, TransactionLog, Volume
+from repro.storage import (
+    FlashDisk,
+    GroupCommitCoordinator,
+    TransactionLog,
+    Volume,
+)
 from repro.storage.log import INSERT
 
 
@@ -29,6 +34,9 @@ class Rig:
         self.volume = Volume(FlashDisk(self.clock, 50_000))
         self.pool = BufferPool(self.volume.create_file("temp"), 64)
         self.log = TransactionLog(self.volume.create_file("txn.log"))
+        self.group_commit = GroupCommitCoordinator(
+            lambda: self.log, self.clock
+        )
         self.metrics = MetricsRegistry(self.clock)
         self.statements = 0
         self.checkpoints_taken = 0
@@ -62,7 +70,7 @@ class Rig:
         self.log.begin(txn_id)
         for row in range(records):
             self.log.log_change(txn_id, INSERT, "t", row, after=(row,))
-        self.log.commit(txn_id)
+        self.group_commit.commit(txn_id)
 
 
 class TestControlLaw:

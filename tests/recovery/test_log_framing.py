@@ -6,8 +6,13 @@ from repro.common import SimClock
 from repro.common.errors import IOFaultError
 from repro.faults import FaultPlan
 from repro.faults.plan import LOG_FORCE_ERROR, FaultRates
-from repro.storage import FlashDisk, TransactionLog, Volume
-from repro.storage.log import INSERT, RECORDS_PER_PAGE
+from repro.storage import (
+    FlashDisk,
+    GroupCommitCoordinator,
+    TransactionLog,
+    Volume,
+)
+from repro.storage.log import INSERT, RECORDS_PER_PAGE, tear_page
 
 
 @pytest.fixture
@@ -25,7 +30,17 @@ def _fill(log, txn_id, rows, commit=True):
     for row in range(rows):
         log.log_change(txn_id, INSERT, "t", row, after=(txn_id, row))
     if commit:
-        log.commit(txn_id)
+        _commit(log, txn_id)
+
+
+def _commit(log, txn_id):
+    """Commit through the one commit path; with no scheduler the
+    coordinator forces the log inline."""
+    GroupCommitCoordinator(lambda: log, SimClock()).commit(txn_id)
+
+
+def _tear_last_page(log_file):
+    return tear_page(log_file, log_file.page_count - 1)
 
 
 class TestFraming:
@@ -71,7 +86,7 @@ class TestTornTail:
         log = TransactionLog(log_file)
         _fill(log, 1, 3)
         _fill(log, 2, 3)
-        assert log.tear_last_page()
+        assert _tear_last_page(log_file)
 
         reopened = TransactionLog.open(log_file)
         assert reopened.torn_pages_dropped >= 1
@@ -84,7 +99,7 @@ class TestTornTail:
         log = TransactionLog(log_file)
         _fill(log, 1, 3)
         _fill(log, 2, 3)
-        log.tear_last_page()
+        _tear_last_page(log_file)
         pages_before = log_file.page_count
 
         reopened = TransactionLog.open(log_file)
@@ -100,7 +115,7 @@ class TestTornTail:
         log = TransactionLog(log_file)
         _fill(log, 1, 3)
         _fill(log, 2, 3)
-        log.tear_last_page()
+        _tear_last_page(log_file)
         reopened = TransactionLog.open(log_file)
         resume_lsn = reopened.peek_next_lsn()
         assert resume_lsn == reopened.durable_lsn + 1
@@ -115,7 +130,7 @@ class TestMasterRecord:
     def test_open_scans_from_last_complete_checkpoint(self, log_file):
         log = TransactionLog(log_file)
         _fill(log, 1, 40)
-        log.checkpoint()
+        log.checkpoint_end(log.checkpoint_begin((), {}))
         _fill(log, 2, 5)
 
         reopened = TransactionLog.open(log_file)
@@ -128,7 +143,7 @@ class TestMasterRecord:
     def test_full_scan_loads_everything(self, log_file):
         log = TransactionLog(log_file)
         _fill(log, 1, 40)
-        log.checkpoint()
+        log.checkpoint_end(log.checkpoint_begin((), {}))
         _fill(log, 2, 5)
 
         full = TransactionLog.open(log_file, full_scan=True)
@@ -144,7 +159,7 @@ class TestForceFaults:
         log.begin(1)
         log.log_change(1, INSERT, "t", 0, after=(1,))
         with pytest.raises(IOFaultError):
-            log.commit(1)
+            _commit(log, 1)
         # The failed commit leaves the transaction active and retryable.
         assert 1 in log.active_txns()
         assert 1 not in log.committed_txns()

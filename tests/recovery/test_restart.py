@@ -38,6 +38,31 @@ class TestRestart:
         assert report.undo_records == 2
         assert _rows(conn) == [(1, "a"), (2, "b")]
 
+    def test_undone_loser_leaves_no_trace_in_the_histograms(
+        self, server, conn
+    ):
+        """Restart undoes a loser the way ROLLBACK does, so the column
+        statistics its changes moved are moved back (paper §3.2)."""
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        conn.execute("CREATE INDEX iv ON t (v)")
+        server.load_table("t", [(i, i % 50) for i in range(1000)])
+        conn.execute("BEGIN")
+        for i in range(1000, 1200):
+            conn.execute("INSERT INTO t VALUES (?, ?)", params=[i, 7])
+        conn.execute("UPDATE t SET v = 99 WHERE id = 3")
+        conn.execute("DELETE FROM t WHERE id = 4")
+        server.txn_log.force()
+        server.crash(tear_tail=False)
+        report = server.restart()
+        conn._txn_id = None
+        assert report.losers_aborted == 1
+        assert report.undo_records == 202
+        assert server.catalog.table("t").row_count == 1000
+        assert server.stats.histogram("t", 1).total_count() == 1000
+        assert_indexes_match_heap(server)
+        assert _rows(conn, "SELECT v FROM t WHERE id = 3") == [(3,)]
+        assert _rows(conn, "SELECT v FROM t WHERE id = 4") == [(4,)]
+
     def test_unforced_loser_costs_no_undo(self, server, conn):
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(10))")
         conn.execute("INSERT INTO t VALUES (1, 'a')")

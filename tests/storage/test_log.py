@@ -4,14 +4,29 @@ import pytest
 
 from repro.common import SimClock
 from repro.common.errors import TransactionError
-from repro.storage import FlashDisk, TransactionLog, Volume
+from repro.storage import (
+    FlashDisk,
+    GroupCommitCoordinator,
+    TransactionLog,
+    Volume,
+)
 from repro.storage.log import COMMIT, DELETE, INSERT, UPDATE
 
 
 @pytest.fixture
-def log():
-    volume = Volume(FlashDisk(SimClock(), 10_000))
-    return TransactionLog(volume.create_file("txn.log"))
+def log_file():
+    return Volume(FlashDisk(SimClock(), 10_000)).create_file("txn.log")
+
+
+@pytest.fixture
+def log(log_file):
+    return TransactionLog(log_file)
+
+
+def _commit(log, txn_id):
+    """Commit through the one commit path; with no scheduler the
+    coordinator forces the log inline."""
+    return GroupCommitCoordinator(lambda: log, SimClock()).commit(txn_id)
 
 
 def test_begin_assigns_lsn(log):
@@ -40,14 +55,15 @@ def test_unknown_change_kind_rejected(log):
 def test_commit_forces_log(log):
     log.begin(1)
     log.log_change(1, INSERT, "t", 1, after=(1, "a"))
-    record = log.commit(1)
-    assert record.kind == COMMIT
-    assert log.durable_lsn == record.lsn
+    ticket = _commit(log, 1)
+    assert log.loaded_records()[ticket.lsn].kind == COMMIT
+    assert log.durable_lsn == ticket.lsn
+    assert log.committed_txns() == {1}
 
 
 def test_commit_without_begin_rejected(log):
     with pytest.raises(TransactionError):
-        log.commit(5)
+        _commit(log, 5)
 
 
 def test_rollback_marks_inactive(log):
@@ -69,7 +85,7 @@ def test_undo_chain_reverse_order(log):
 def test_redo_only_committed_and_durable(log):
     log.begin(1)
     log.log_change(1, INSERT, "t", 1, after=(1,))
-    log.commit(1)
+    _commit(log, 1)
     log.begin(2)
     log.log_change(2, INSERT, "t", 2, after=(2,))
     # txn 2 never commits.
@@ -77,16 +93,16 @@ def test_redo_only_committed_and_durable(log):
     assert [record.txn_id for record in redo] == [1]
 
 
-def test_crash_discards_undurable_tail(log):
+def test_crash_discards_undurable_tail(log, log_file):
     log.begin(1)
     log.log_change(1, INSERT, "t", 1, after=(1,))
-    log.commit(1)
+    _commit(log, 1)
     durable_count = log.record_count()
     log.begin(2)
     log.log_change(2, INSERT, "t", 2, after=(2,))
-    log.simulate_crash()
-    assert log.record_count() == durable_count
-    assert log.redo_records()[-1].txn_id == 1
+    reopened = TransactionLog.open(log_file)  # what a crash leaves
+    assert reopened.record_count() == durable_count
+    assert reopened.redo_records()[-1].txn_id == 1
 
 
 def test_force_writes_pages(log):
@@ -101,7 +117,7 @@ def test_force_writes_pages(log):
 def test_checkpoint_forces(log):
     log.begin(1)
     log.log_change(1, INSERT, "t", 1, after=(1,))
-    record = log.checkpoint()
+    record = log.checkpoint_end(log.checkpoint_begin((), {}))
     assert record.kind == "CKPT_END"
     assert log.durable_lsn == record.lsn
 
