@@ -2,8 +2,11 @@
 
 Every experiment (one file per paper figure/claim, see DESIGN.md §3)
 prints the series the paper reports; run with ``pytest benchmarks/
---benchmark-only -s`` to see the tables.  Results are also attached to
-the pytest-benchmark ``extra_info`` so they land in the JSON output.
+--benchmark-only -s`` to see the tables.  Every printed table is
+compared with its section of ``benchmarks/pins.txt`` (see ``pins.py``);
+``--update-pins`` rewrites those sections instead.  Results are also
+attached to the pytest-benchmark ``extra_info`` so they land in the JSON
+output.
 """
 
 import pytest
@@ -12,10 +15,32 @@ from repro import Server, ServerConfig
 from repro.buffer import GovernorConfig
 from repro.common import MiB
 
+import pins
+
 #: Servers built by :func:`make_server` during the current test, newest
 #: last; the autouse fixture below exports the last one's metrics
 #: snapshot into the benchmark's ``extra_info``.
 _SERVERS = []
+
+#: The pinned tables of this session, set up by ``pytest_configure``.
+_PINS = None
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        pins.UPDATE_FLAG, action="store_true",
+        help="rewrite the benchmarks/pins.txt sections of the tables "
+             "printed in this run instead of comparing them",
+    )
+
+
+def pytest_configure(config):
+    global _PINS
+    _PINS = pins.Pins(update=config.getoption(pins.UPDATE_FLAG))
+
+
+def pytest_sessionfinish(session):
+    _PINS.save()
 
 
 def make_server(pool_pages=2048, mpl=4, total_memory=256 * MiB,
@@ -31,6 +56,12 @@ def make_server(pool_pages=2048, mpl=4, total_memory=256 * MiB,
     server = Server(config)
     _SERVERS.append(server)
     return server
+
+
+@pytest.fixture(autouse=True)
+def _fault_free(monkeypatch):
+    """Experiments run fault-free whatever the caller's ``REPRO_FAULTS``."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +93,7 @@ def _attach_metrics_snapshot(request):
 
 
 def print_table(title, headers, rows):
-    """Render one experiment table to stdout."""
+    """Render one experiment table to stdout, then check it against its pin."""
     print()
     print("=" * 72)
     print(title)
@@ -76,6 +107,7 @@ def print_table(title, headers, rows):
     for row in rows:
         print("  ".join(_fmt(cell).ljust(w) for cell, w in zip(row, widths)))
     print()
+    _PINS.check(title, headers, rows)
 
 
 def _fmt(value):
@@ -94,20 +126,3 @@ def once(benchmark):
 
     return runner
 
-
-@pytest.fixture
-def median_of(benchmark):
-    """Run the experiment body over several warm rounds; report the median.
-
-    For microsecond-scale rig experiments a single cold round is mostly
-    interpreter warm-up noise; the bench gate compares wall medians, so
-    these need warm, multi-round medians to be stable run-over-run.  The
-    experiment body must build fresh state each call.
-    """
-
-    def runner(fn, *args, rounds=15, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=rounds, iterations=1,
-                                  warmup_rounds=3)
-
-    return runner

@@ -78,8 +78,8 @@ def run_reclamation_experiment():
     return log
 
 
-def test_e14_quota_formulas(median_of):
-    rows = median_of(run_quota_experiment)
+def test_e14_quota_formulas(once):
+    rows = once(run_quota_experiment)
     print_table(
         "E14: memory governor quotas (max pool %d pages, MPL %d)"
         % (MAX_POOL_PAGES, MPL),
@@ -97,8 +97,8 @@ def test_e14_quota_formulas(median_of):
     assert rows[-3][3] == 4096 // MPL
 
 
-def test_e14_top_down_reclamation(median_of):
-    log = median_of(run_reclamation_experiment)
+def test_e14_top_down_reclamation(once):
+    log = once(run_reclamation_experiment)
     print_table(
         "E14b: reclamation order when the soft limit is breached",
         ["asked to relinquish (in order)"],
