@@ -20,7 +20,11 @@ show; these sanitizers check the invariants only execution can reach:
 * **page images** — :class:`SanitizedVolume` re-checks, a row at a time,
   what the volume's copy decides a page at a time: after every page
   read and write the durable image equals the frame's payload and shares
-  no dict, list or set with it.
+  no dict, list or set with it;
+* **shared bound forms** — every hit of the server's prepared-statement
+  cache (:mod:`repro.engine.statements`) re-takes the structural
+  fingerprint of the cached parse tree and bound form and compares it
+  with the one taken when the entry was cached (:class:`BoundFormError`).
 
 Enable them with ``Server(sanitize=True)``, the ``REPRO_SANITIZE``
 environment variable, or :func:`set_sanitizers_enabled` (the pytest
@@ -90,6 +94,11 @@ class SchedulerInvariantError(SanitizerError):
 
 class GroupCommitInvariantError(SanitizerError):
     """A commit was acknowledged before its LSN was durable."""
+
+
+class BoundFormError(SanitizerError):
+    """A cached statement's parse tree or bound form was written after
+    it was cached (only the binder may write a bound form)."""
 
 
 class PageImageError(SanitizerError):

@@ -66,6 +66,11 @@ class TableSchema:
                     "primary key column %r missing from table %r"
                     % (key_column, name)
                 )
+        #: ``(name, type_name)`` per column, shared by every quantifier
+        #: bound over this table.
+        self.column_types = tuple(
+            (column.name, column.type_name) for column in self.columns
+        )
         #: Set by the engine: the TableStorage backing this table.
         self.storage = None
         #: Set by the stats manager: per-column statistics holders.
@@ -161,6 +166,10 @@ class Catalog:
         self.options = {}
         #: The DTT model used by the cost model; set by the engine.
         self.dtt_model = None
+        #: Bumped by every mutator below: a parse tree bound, or a plan
+        #: optimized, at an older generation may name schema objects that
+        #: are gone (the engine's statement and plan caches key on it).
+        self.generation = 0
 
     # -- tables ---------------------------------------------------------- #
 
@@ -168,6 +177,7 @@ class Catalog:
         if schema.name in self._tables:
             raise CatalogError("table %r already exists" % (schema.name,))
         self._tables[schema.name] = schema
+        self.generation += 1
         return schema
 
     def table(self, name):
@@ -186,6 +196,7 @@ class Catalog:
             index.name for index in self._indexes.values() if index.table_name == name
         ]:
             del self._indexes[index_name]
+        self.generation += 1
 
     def tables(self):
         return list(self._tables.values())
@@ -200,6 +211,7 @@ class Catalog:
             table.column_index(name) for name in schema.column_names
         )
         self._indexes[schema.name] = schema
+        self.generation += 1
         return schema
 
     def index(self, name):
@@ -211,6 +223,7 @@ class Catalog:
     def drop_index(self, name):
         self.index(name)
         del self._indexes[name]
+        self.generation += 1
 
     def indexes_on(self, table_name):
         return [
@@ -228,6 +241,7 @@ class Catalog:
         if schema.name in self._procedures:
             raise CatalogError("procedure %r already exists" % (schema.name,))
         self._procedures[schema.name] = schema
+        self.generation += 1
         return schema
 
     def procedure(self, name):

@@ -20,19 +20,19 @@ from repro.sql import ast
 
 
 class Cursor:
-    """An open, incrementally-fetched query (``statement`` is the parsed
+    """An open, incrementally-fetched query (``prepared`` is the prepared
     ``sql``; :meth:`Connection.open_cursor` opens one)."""
 
-    def __init__(self, connection, statement, sql, params=None):
+    def __init__(self, connection, prepared, sql, params=None):
         server = connection.server
-        if not isinstance(statement, ast.SelectStatement):
+        if not isinstance(prepared.tree, ast.SelectStatement):
             raise ExecutionError("cursors are for SELECT statements")
         self._server = server
         # The cursor's snapshot stays open across fetches: every batch
         # reads the same commit-LSN image, however long the application
         # waits between FETCH requests.
         block, self.plan_result, self._ctx, executor = connection._open_query(
-            statement, params, snapshot=server.config.snapshot_reads,
+            prepared, params, snapshot=server.config.snapshot_reads,
         )
         self.exec_stats = executor.exec_stats
         #: Executor notes (spills, fallbacks, faults survived at open).

@@ -25,6 +25,7 @@ from repro.common.errors import (
 )
 from repro.dtt import RetryRecalibrator, calibrate_device, default_dtt_model
 from repro.dtt.model import DTTModel
+from repro.engine.statements import StatementCache
 from repro.exec import ExecutionContext, Executor, MemoryGovernor
 from repro.exec.expr import evaluate, evaluate_predicate
 from repro.faults import FaultyDisk, HostileProcess, plan_from_env
@@ -41,7 +42,7 @@ from repro.ossim import OperatingSystem
 from repro.profiling.metrics import MetricsRegistry
 from repro.recovery.checkpoint import CheckpointConfig, CheckpointGovernor
 from repro.recovery.restart import RecoveryManager
-from repro.sql import Binder, ast, parse_statement
+from repro.sql import ast
 from repro.stats import StatisticsManager
 from repro.storage import ModelBackedDisk, TransactionLog, Volume
 from repro.storage.btree import BTree
@@ -250,6 +251,11 @@ class Server:
         self.pool.attach_metrics(self.metrics)
         self.catalog = Catalog()
         self.catalog.dtt_model = default_dtt_model(self.config.page_size)
+        #: Parse trees and bound forms of recent statement texts, keyed
+        #: on the catalog's generation.
+        self.statements = StatementCache(
+            self.catalog, self.metrics, sanitize=self.sanitize
+        )
         self.stats = StatisticsManager(self.catalog)
         self.txn_log = TransactionLog(
             self.log_file, metrics=self.metrics, fault_plan=plan
@@ -616,7 +622,9 @@ class Server:
         max_tasks = self.catalog.options.get("max_query_tasks", 1)
         executor = Executor(
             plan_block_fn=plan_block_fn,
-            bind_recursive_arm_fn=binder.bind_recursive_arm,
+            bind_recursive_arm_fn=(
+                binder.bind_recursive_arm if binder is not None else None
+            ),
             max_tasks=max_tasks if isinstance(max_tasks, int) else 1,
         )
         return ctx, executor
@@ -879,7 +887,7 @@ class Connection:
         from repro.engine.cursor import Cursor
 
         with self._statement(sql) as statement:
-            cursor = Cursor(self, statement.tree, sql, params)
+            cursor = Cursor(self, statement.prepared, sql, params)
             statement.result = Result(
                 plan_result=cursor.plan_result, notes=cursor.notes
             )
@@ -888,14 +896,14 @@ class Connection:
     def execute(self, sql, params=None, overrides=None):
         with self._statement(sql) as statement:
             statement.result = self._execute(
-                statement.tree, sql, params, overrides
+                statement.prepared, sql, params, overrides
             )
         return statement.result
 
     @contextlib.contextmanager
     def _statement(self, sql):
         """One client statement's bookkeeping, shared by :meth:`execute`
-        and :meth:`open_cursor`: parse and count it, time it, note the
+        and :meth:`open_cursor`: prepare and count it, time it, note the
         faults it survived, trace it (failures too) and check its pins.
         Yields a :class:`_Statement`; the body stores its Result there."""
         if self._closed:
@@ -911,7 +919,7 @@ class Connection:
         statement = _Statement()
         error = None
         try:
-            statement.tree = parse_statement(sql)
+            statement.prepared = server.statements.prepare(sql)
             server.statements_executed += 1
             server._m_statements.inc()
             yield statement
@@ -984,15 +992,16 @@ class Connection:
                 # mid-statement — its pins are legitimate.)
                 server.pool.assert_no_pins("statement end")
 
-    def _execute(self, statement, sql, params=None, overrides=None):
+    def _execute(self, prepared, sql, params=None, overrides=None):
+        statement = prepared.tree
         if isinstance(statement, ast.SelectStatement):
             return self._execute_select(
-                statement, params, overrides=overrides, sql_text=sql
+                prepared, params, overrides=overrides, sql_text=sql
             )
         if isinstance(statement, ast.InsertStatement):
-            return self._execute_insert(statement, params)
+            return self._execute_insert(prepared, params)
         if isinstance(statement, (ast.UpdateStatement, ast.DeleteStatement)):
-            return self._execute_searched_dml(statement, params)
+            return self._execute_searched_dml(prepared, params)
         if isinstance(statement, ast.CreateTableStatement):
             return self._execute_create_table(statement)
         if isinstance(statement, ast.CreateIndexStatement):
@@ -1034,11 +1043,11 @@ class Connection:
 
     # -- SELECT ------------------------------------------------------------ #
 
-    def _open_query(self, statement, params, snapshot=False, cache_key=None,
-                    procedure_params=None, use_indexes=True):
-        """Bind, optimize and open one query block: the one path a SELECT,
-        a CALL body, a cursor and an INSERT…SELECT source take (an
-        INSERT's block is its source).
+    def _open_query(self, prepared, params, snapshot=False, cache_key=None,
+                    use_indexes=True):
+        """Optimize and open one prepared query block: the one path a
+        SELECT, a CALL body, a cursor and an INSERT…SELECT source take
+        (an INSERT's block is its source).
 
         Returns ``(bound, result, ctx, executor)``; the caller pulls
         ``executor.run(result, ctx)`` and pairs the open with
@@ -1046,11 +1055,10 @@ class Connection:
         optimization through the connection's plan cache.
         """
         server = self.server
-        binder = Binder(server.catalog, procedure_params=procedure_params)
-        bound = binder.bind(statement)
+        bound = prepared.bound
         block = (
             bound.select_block
-            if isinstance(statement, ast.InsertStatement) else bound
+            if isinstance(prepared.tree, ast.InsertStatement) else bound
         )
         optimizer = server.make_optimizer(use_indexes=use_indexes)
 
@@ -1069,17 +1077,17 @@ class Connection:
             result = optimize(block)
         else:
             result = self.plan_cache.execute_plan_for(
-                cache_key, lambda: optimize(block), plan_signature
+                cache_key, lambda: optimize(block), plan_signature,
+                server.catalog.generation,
             )
         ctx, executor = server.open_execution(
-            optimize, binder, params, snapshot=snapshot,
+            optimize, prepared.binder, params, snapshot=snapshot,
             snapshot_txn=self._txn_id,
         )
         return bound, result, ctx, executor
 
-    def _execute_select(self, statement, params, cache_key=None,
-                        procedure_params=None, overrides=None,
-                        sql_text=None):
+    def _execute_select(self, prepared, params, cache_key=None,
+                        overrides=None, sql_text=None):
         server = self.server
         if (
             cache_key is None
@@ -1097,8 +1105,7 @@ class Connection:
         if overrides is not None and overrides.snapshot_reads is not None:
             snapshot = bool(overrides.snapshot_reads)
         block, result, ctx, executor = self._open_query(
-            statement, params, snapshot=snapshot, cache_key=cache_key,
-            procedure_params=procedure_params,
+            prepared, params, snapshot=snapshot, cache_key=cache_key,
             use_indexes=not (overrides is not None
                              and overrides.force_heap_scan),
         )
@@ -1114,17 +1121,17 @@ class Connection:
 
     # -- DML ------------------------------------------------------------------ #
 
-    def _execute_insert(self, statement, params):
+    def _execute_insert(self, prepared, params):
         server = self.server
-        if statement.rows is not None:
-            bound = Binder(server.catalog).bind(statement)
+        if prepared.tree.rows is not None:
+            bound = prepared.bound
             rows = [
                 [evaluate(expr, {}, params) for expr in row_exprs]
                 for row_exprs in bound.rows
             ]
         else:
             # The source reads the latest heap, not a snapshot.
-            bound, result, ctx, executor = self._open_query(statement, params)
+            bound, result, ctx, executor = self._open_query(prepared, params)
             try:
                 rows = [list(row) for row in executor.run(result, ctx)]
             finally:
@@ -1139,15 +1146,15 @@ class Connection:
                 server.apply_change(txn_id, table, None, None, coerced)
         return Result(rowcount=len(rows))
 
-    def _execute_searched_dml(self, statement, params):
+    def _execute_searched_dml(self, prepared, params):
         """UPDATE and DELETE — a DELETE is an UPDATE to no row."""
         server = self.server
-        bound = Binder(server.catalog).bind(statement)
+        bound = prepared.bound
         table = bound.table
         result = server.make_optimizer().optimize_simple_dml(bound)
         self.last_plan = result
         targets = self._collect_dml_targets(bound, result, params)
-        is_update = isinstance(statement, ast.UpdateStatement)
+        is_update = isinstance(prepared.tree, ast.UpdateStatement)
         changed = 0
         with self._autocommit() as txn_id:
             for row_id, __ in targets:
@@ -1399,17 +1406,16 @@ class Connection:
         procedure = server.catalog.procedure(statement.name)
         args = [evaluate(expr, {}, params) for expr in statement.args]
         body_params = dict(zip(procedure.parameters, args))
-        body_statement = parse_statement(procedure.body_sql)
-        if not isinstance(body_statement, ast.SelectStatement):
+        body = server.statements.prepare(
+            procedure.body_sql, procedure.parameters
+        )
+        if not isinstance(body.tree, ast.SelectStatement):
             raise ExecutionError("procedure body must be a SELECT")
         cache_key = "proc:%s" % statement.name
         if overrides is not None and overrides.use_plan_cache is False:
             cache_key = None  # NoREC variant: fresh optimization
         return self._execute_select(
-            body_statement, body_params,
-            cache_key=cache_key,
-            procedure_params=procedure.parameters,
-            overrides=overrides,
+            body, body_params, cache_key=cache_key, overrides=overrides,
         )
 
     # ------------------------------------------------------------------ #
@@ -1474,12 +1480,12 @@ class Connection:
 
 
 class _Statement:
-    """A client statement in flight: its parse tree, then its Result."""
+    """A client statement in flight: its prepared form, then its Result."""
 
-    __slots__ = ("tree", "result")
+    __slots__ = ("prepared", "result")
 
     def __init__(self):
-        self.tree = None
+        self.prepared = None
         self.result = None
 
 

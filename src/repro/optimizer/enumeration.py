@@ -452,6 +452,8 @@ class QuantifierInfo:
         #: [(index_schema, sarg, cost, rows)] sargable options at level 1.
         self.index_access_options = []
         self.local_conjuncts = []
+        #: The estimated selectivity of each of ``local_conjuncts``.
+        self.local_selectivities = []
         #: Single-quantifier WHERE conjuncts on a null-supplied (LEFT)
         #: quantifier: they must filter *after* the outer join, never
         #: inside its scan, or NULL-extended rows survive wrongly.

@@ -177,11 +177,15 @@ class Optimizer:
             info.local_conjuncts = []
         else:
             info.local_conjuncts = single_refs
+        # Each conjunct is estimated once per optimization; the index
+        # options below re-multiply these values in the same order.
+        info.local_selectivities = [
+            self.estimator.conjunct_selectivity(conjunct, quantifier)
+            for conjunct in info.local_conjuncts
+        ]
         local_selectivity = 1.0
-        for conjunct in info.local_conjuncts:
-            local_selectivity *= self.estimator.local_selectivity(
-                conjunct.expr, quantifier
-            )
+        for selectivity in info.local_selectivities:
+            local_selectivity *= selectivity
         if quantifier.kind == Quantifier.BASE:
             self._base_info(quantifier, info, local_selectivity)
         elif quantifier.kind == Quantifier.PROCEDURE:
@@ -249,18 +253,14 @@ class Optimizer:
         table = quantifier.schema
         leading_index = table.column_index(index_schema.column_names[0])
         sarg = None
-        sarg_conjunct = None
-        for conjunct in info.local_conjuncts:
+        for position, conjunct in enumerate(info.local_conjuncts):
             sarg = sarg_for(conjunct.column, leading_index)
             if sarg is not None:
-                sarg_conjunct = conjunct
                 break
         if sarg is None:
             return None
-        selectivity = self.estimator.local_selectivity(
-            sarg_conjunct.expr, quantifier
-        )
-        matching = max(1.0, info.base_rows * selectivity)
+        selectivities = info.local_selectivities
+        matching = max(1.0, info.base_rows * selectivities[position])
         btree = index_schema.btree
         cost = self.cost_model.index_scan(
             btree.height,
@@ -272,11 +272,9 @@ class Optimizer:
             n_residual_predicates=max(0, len(info.local_conjuncts) - 1),
         )
         residual_selectivity = 1.0
-        for conjunct in info.local_conjuncts:
-            if conjunct is not sarg_conjunct:
-                residual_selectivity *= self.estimator.local_selectivity(
-                    conjunct.expr, quantifier
-                )
+        for other, selectivity in enumerate(selectivities):
+            if other != position:
+                residual_selectivity *= selectivity
         rows = max(1.0, matching * residual_selectivity)
         return (index_schema, sarg, cost, rows)
 

@@ -30,7 +30,7 @@ MAX_CACHED_PLANS = 64
 class _Entry:
     __slots__ = (
         "signatures", "plan", "result", "trained", "uses_since_cache",
-        "verifications", "invalidations",
+        "verifications", "invalidations", "generation",
     )
 
     def __init__(self):
@@ -41,6 +41,8 @@ class _Entry:
         self.uses_since_cache = 0
         self.verifications = 0
         self.invalidations = 0
+        #: The catalog generation ``result`` was optimized at.
+        self.generation = None
 
 
 class PlanCache:
@@ -79,14 +81,17 @@ class PlanCache:
             return False
         return uses >= 4 and (uses & (uses - 1)) == 0
 
-    def execute_plan_for(self, statement_key, optimize_fn, signature_fn):
+    def execute_plan_for(self, statement_key, optimize_fn, signature_fn,
+                         generation=None):
         """The cache protocol: returns an OptimizerResult.
 
         ``optimize_fn()`` runs a full optimization; ``signature_fn(result)``
         produces a comparable plan signature.  During training, every call
         optimizes; once ``training_period`` successive optimizations agree,
         the plan is cached and reused, re-verified at use counts from the
-        decaying logarithmic schedule.
+        decaying logarithmic schedule — and at the first use after the
+        catalog ``generation`` moved, since DDL may have dropped a table or
+        index the cached plan reads.
         """
         entry = self._entries.get(statement_key)
         if entry is None:
@@ -98,12 +103,16 @@ class PlanCache:
 
         if entry.trained:
             entry.uses_since_cache += 1
-            if self._due_for_verification(entry.uses_since_cache):
+            if (
+                entry.generation != generation
+                or self._due_for_verification(entry.uses_since_cache)
+            ):
                 # Periodic freshness check: re-optimize and compare.
                 self._count("verifications")
                 entry.verifications += 1
                 self._count("optimizations")
                 result = optimize_fn()
+                entry.generation = generation
                 signature = signature_fn(result)
                 if signature != entry.signatures[-1]:
                     # Stale: drop back into training with the new plan.
@@ -122,6 +131,7 @@ class PlanCache:
         # Training: optimize and compare with prior plans.
         self._count("optimizations")
         result = optimize_fn()
+        entry.generation = generation
         signature = signature_fn(result)
         entry.signatures.append(signature)
         entry.result = result

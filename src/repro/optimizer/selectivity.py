@@ -58,17 +58,38 @@ class SelectivityEstimator:
         predicate = column_predicate(expr, quantifier.id)
         if predicate is None:
             return _unrecognised_default(expr)
+        return self._predicate_selectivity(predicate, quantifier)
+
+    def conjunct_selectivity(self, conjunct, quantifier):
+        """``local_selectivity(conjunct.expr, quantifier)`` for a conjunct
+        on ``quantifier`` alone, reading the shape the binder already
+        recognised (``Conjunct.column``)."""
+        if conjunct.column is None:
+            return self.local_selectivity(conjunct.expr, quantifier)
+        return self._predicate_selectivity(conjunct.column, quantifier)
+
+    def _predicate_selectivity(self, predicate, quantifier):
         # Operand policy: literals and ``-literal`` fold to values; a
         # parameter (or any other expression) is an unknown constant.
         values = [static_value(operand) for operand in predicate.operands]
         column = predicate.column
         kind = predicate.kind
-        if kind == CMP and predicate.op == "=":
-            return self._equality(quantifier, column, values[0])
-        if kind == CMP and predicate.op == "<>":
-            return max(0.0, 1.0 - self._eq_estimate(quantifier, column, values[0]))
+        # The histogram's total, taken once for the whole estimate.
         histogram = self._histogram(quantifier, column.column_index)
-        if histogram is not None and histogram.total_count() <= 0:
+        total = histogram.total_count() if histogram is not None else 0.0
+        if kind == CMP and predicate.op == "=":
+            return self._equality(
+                quantifier, column, values[0], histogram, total
+            )
+        if kind == CMP and predicate.op == "<>":
+            return max(0.0, 1.0 - _eq_estimate(histogram, total, values[0]))
+        if kind == IN:
+            fraction = min(1.0, sum(
+                (_eq_estimate(histogram, total, value) for value in values),
+                0.0,
+            ))
+            return max(0.0, 1.0 - fraction) if predicate.negated else fraction
+        if histogram is not None and total <= 0:
             histogram = None  # nothing observed yet
         if kind == NULL:
             if histogram is not None:
@@ -77,12 +98,7 @@ class SelectivityEstimator:
                 # NOT NULL columns never match IS NULL.
                 fraction = DEFAULT_EQ if self._nullable(quantifier, column) else 0.0
             return (1.0 - fraction) if predicate.negated else fraction
-        if kind == IN:
-            fraction = min(1.0, sum(
-                (self._eq_estimate(quantifier, column, value) for value in values),
-                0.0,
-            ))
-        elif kind == LIKE:
+        if kind == LIKE:
             if not isinstance(values[0], str):
                 return DEFAULT_LIKE
             fraction = self._like(quantifier, column, histogram, values[0])
@@ -92,7 +108,7 @@ class SelectivityEstimator:
             fraction = histogram.estimate_range(*range_bounds(predicate, values))
         return max(0.0, 1.0 - fraction) if predicate.negated else fraction
 
-    def _equality(self, quantifier, column, value):
+    def _equality(self, quantifier, column, value, histogram, total):
         """``column = value``: string statistics, then the histogram,
         then the distinct-key count of an index led by the column."""
         if value is not NO_VALUE:
@@ -101,20 +117,11 @@ class SelectivityEstimator:
             )
             if string_estimate is not None:
                 return string_estimate
-            histogram = self._histogram(quantifier, column.column_index)
-            if histogram is None or histogram.total_count() <= 0:
+            if histogram is None or total <= 0:
                 index_estimate = self._index_eq(quantifier, column.column_index)
                 if index_estimate is not None:
                     return index_estimate
-        return self._eq_estimate(quantifier, column, value)
-
-    def _eq_estimate(self, quantifier, column, value):
-        histogram = self._histogram(quantifier, column.column_index)
-        if value is NO_VALUE:
-            return histogram.density() if histogram is not None else DEFAULT_EQ
-        if histogram is not None and histogram.total_count() > 0:
-            return histogram.estimate_eq(value)
-        return DEFAULT_EQ
+        return _eq_estimate(histogram, total, value)
 
     def _like(self, quantifier, column, histogram, pattern):
         fraction = None
@@ -243,6 +250,15 @@ def _unrecognised_default(expr):
     if kind == IN:
         return min(1.0, DEFAULT_EQ * max(1, len(expr.items)))
     return _UNRECOGNISED.get(kind, DEFAULT_GENERIC)
+
+
+def _eq_estimate(histogram, total, value):
+    """``column = value`` from the histogram whose total is ``total``."""
+    if value is NO_VALUE:
+        return histogram.density(total) if histogram is not None else DEFAULT_EQ
+    if histogram is not None and total > 0:
+        return histogram.estimate_eq(value, total)
+    return DEFAULT_EQ
 
 
 def _like_prefix(pattern):

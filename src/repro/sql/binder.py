@@ -27,6 +27,10 @@ from repro.sql.predicates import column_predicate
 #: Pseudo-environment key for post-aggregation rows.
 GROUP_ENV = "__group__"
 
+#: The empty quantifier-id set every quantifier starts with (one object:
+#: a cached bound form keeps its quantifiers).
+_NO_QIDS = frozenset()
+
 
 class GroupRef(ast.Expression):
     """A reference into the post-aggregation row (group keys + aggregates)."""
@@ -66,8 +70,9 @@ class Quantifier:
         self.cte_name = None        # for RECURSIVE_REF
         self.columns = []           # [(name, type_name)]
         #: Quantifier ids that must be placed before this one in any
-        #: left-deep strategy (outer-join / semi-join dependencies).
-        self.required_predecessors = set()
+        #: left-deep strategy (outer-join / semi-join dependencies).  A
+        #: frozenset the binder grows by rebinding (``|=``).
+        self.required_predecessors = _NO_QIDS
         #: Conjuncts evaluated as this quantifier's join condition
         #: (outer/semi/anti joins keep their ON predicates attached).
         self.on_conjuncts = []
@@ -267,6 +272,13 @@ class Binder:
         self._next_qid += 1
         return qid
 
+    @property
+    def binds_recursive_arms(self):
+        """Whether the statement bound so far has a recursive CTE, whose
+        arm :meth:`bind_recursive_arm` re-binds at run time (drawing
+        quantifier ids from this binder's counter)."""
+        return bool(self._cte_frames)
+
     # ------------------------------------------------------------------ #
     # statements
     # ------------------------------------------------------------------ #
@@ -456,9 +468,7 @@ class Binder:
     def _new_base_quantifier(self, table, alias, block):
         quantifier = Quantifier(self._new_qid(), alias, Quantifier.BASE)
         quantifier.schema = table
-        quantifier.columns = [
-            (column.name, column.type_name) for column in table.columns
-        ]
+        quantifier.columns = table.column_types
         block.quantifiers.append(quantifier)
         return quantifier
 
@@ -821,6 +831,46 @@ def _collect_aggregates(expr, out):
         return
     for child in expr.children():
         _collect_aggregates(child, out)
+
+
+#: Modules whose objects make up a parse tree and its bound form; an
+#: object of any other class (a table schema, a procedure) is referenced,
+#: not owned, and is fingerprinted by identity.
+_BOUND_MODULES = frozenset((ast.__name__, __name__, column_predicate.__module__))
+
+
+def bound_fingerprint(value):
+    """A structural snapshot of a parse tree or bound form: every
+    attribute of every node reachable from ``value``, in a fixed walk
+    order, with referenced schema objects by identity.  Two snapshots of
+    one form are equal unless something wrote into it in between."""
+    seen = {}
+
+    def walk(item):
+        if item is None or isinstance(item, (str, int, float)):
+            return item
+        if isinstance(item, (list, tuple)):
+            return (type(item).__name__,) + tuple(walk(v) for v in item)
+        if isinstance(item, (set, frozenset)):
+            return ("set", frozenset(walk(v) for v in item))
+        if isinstance(item, dict):
+            return ("dict",) + tuple(
+                (walk(k), walk(v)) for k, v in item.items()
+            )
+        if type(item).__module__ not in _BOUND_MODULES:
+            return ("ref", type(item).__name__, id(item))
+        if id(item) in seen:
+            return ("seen", seen[id(item)])
+        seen[id(item)] = len(seen)
+        names = (
+            sorted(vars(item)) if hasattr(item, "__dict__")
+            else type(item).__slots__
+        )
+        return (type(item).__name__,) + tuple(
+            (name, walk(getattr(item, name))) for name in names
+        )
+
+    return walk(value)
 
 
 def expr_signature(expr):

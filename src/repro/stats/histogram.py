@@ -184,15 +184,17 @@ class ColumnHistogram:
         """Record the table's current row count (from the manager)."""
         self.table_total_hint = float(n_rows)
 
-    def density(self):
+    def density(self, total=None):
         """Average selectivity of one non-singleton value.
 
         For a *compressed* histogram (entirely singleton buckets) there are
         no non-singleton values; the density of an average singleton is
         returned instead, so equality estimates on unknown comparands
-        (e.g. host parameters) stay sensible.
+        (e.g. host parameters) stay sensible.  ``total`` is
+        :meth:`total_count`, when the caller has it already.
         """
-        total = self.total_count()
+        if total is None:
+            total = self.total_count()
         if total <= 0:
             return 0.0
         bucket_mass = sum(bucket.count for bucket in self._buckets)
@@ -210,9 +212,11 @@ class ColumnHistogram:
     # estimation
     # ------------------------------------------------------------------ #
 
-    def estimate_eq(self, value):
-        """Selectivity of ``column = value``."""
-        total = self.total_count()
+    def estimate_eq(self, value, total=None):
+        """Selectivity of ``column = value`` (``total`` as for
+        :meth:`density`)."""
+        if total is None:
+            total = self.total_count()
         if total <= 0:
             return 0.0
         if value is None:
@@ -222,7 +226,7 @@ class ColumnHistogram:
             return self._singletons[hashed][1] / total
         if not self._within_buckets(hashed):
             return 0.0
-        return self.density()
+        return self.density(total)
 
     def estimate_null(self):
         total = self.total_count()

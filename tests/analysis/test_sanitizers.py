@@ -5,6 +5,7 @@ import pytest
 
 from repro import Server, ServerConfig
 from repro.analysis.sanitizers import (
+    BoundFormError,
     ClockError,
     GovernorDriftError,
     PageImageError,
@@ -25,6 +26,7 @@ from repro.buffer.frames import Frame, PageKind
 from repro.buffer.replacement import GClockPolicy
 from repro.common import MiB, SimClock
 from repro.common.errors import MemoryQuotaExceededError
+from repro.exec.operators import SeqScanOp
 from repro.exec.spill import WorkMemory
 from repro.ossim import OperatingSystem
 from repro.storage import FlashDisk, Volume
@@ -480,6 +482,41 @@ class TestRecoveryIdempotenceSanitizer:
         with pytest.raises(RecoveryIdempotenceError) as excinfo:
             server.restart()
         assert "redo is not idempotent" in str(excinfo.value)
+
+
+class TestBoundFormSanitizer:
+    SELECT = "SELECT a FROM t WHERE b = 3"
+
+    def _server(self):
+        server = make_server()
+        conn = server.connect()
+        conn.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+        conn.execute("INSERT INTO t VALUES (1, 3), (2, 4)")
+        return server, conn
+
+    def test_clean_hits_pass(self):
+        server, conn = self._server()
+        for __ in range(3):
+            assert conn.execute(self.SELECT).rows == [(1,)]
+        assert server.metrics.snapshot()["statements.cache_hits"] == 2
+
+    def test_operator_writing_a_conjunct_detected(self, monkeypatch):
+        """Plant an operator that writes into the shared bound form (it
+        "caches" its predicate reading on the conjunct): the next
+        execution of the same text must trip the sanitizer."""
+        server, conn = self._server()
+        build = SeqScanOp.__init__
+
+        def writing(self, quantifier, conjuncts):
+            build(self, quantifier, conjuncts)
+            for conjunct in conjuncts:
+                conjunct.column = None
+
+        monkeypatch.setattr(SeqScanOp, "__init__", writing)
+        conn.execute(self.SELECT)
+        with pytest.raises(BoundFormError) as excinfo:
+            conn.execute(self.SELECT)
+        assert self.SELECT in str(excinfo.value)
 
 
 class TestEnablement:

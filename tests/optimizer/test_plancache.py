@@ -1,5 +1,6 @@
 """Unit tests for the plan cache (training period + decaying verification)."""
 
+from repro import Server, ServerConfig
 from repro.optimizer import PlanCache
 from repro.optimizer.plancache import plan_signature
 
@@ -71,6 +72,54 @@ def test_stale_plan_detected_on_verify():
     assert cache.invalidations == 1
     # After invalidation the new plan is served.
     assert results[-1].signature == "B"
+
+
+def test_catalog_generation_change_verifies_at_next_use():
+    cache = PlanCache(training_period=2, verify_schedule=(100,))
+    optimize, state = make_optimizer(["A", "A", "A", "B"])
+    for __ in range(4):
+        cache.execute_plan_for("q1", optimize, sig, 1)
+    assert state["i"] == 2  # trained at generation 1, then hits
+    fresh = cache.execute_plan_for("q1", optimize, sig, 2)
+    assert state["i"] == 3 and cache.verifications == 1
+    assert fresh.signature == "A"  # the fresh result is adopted
+    cache.execute_plan_for("q1", optimize, sig, 2)
+    assert state["i"] == 3  # verified at this generation: a hit again
+    cache.execute_plan_for("q1", optimize, sig, 3)
+    assert cache.invalidations == 1  # the new plan shape re-trains
+
+
+def _procedure_server():
+    server = Server(ServerConfig(start_buffer_governor=False))
+    conn = server.connect()
+    conn.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+    conn.execute("CREATE INDEX tb ON t (b)")
+    for i in range(300):
+        conn.execute("INSERT INTO t VALUES (%d, %d)" % (i, i % 10))
+    conn.execute(
+        "CREATE PROCEDURE p(x) AS SELECT COUNT(*) FROM t WHERE b = x"
+    )
+    for __ in range(12):
+        assert conn.execute("CALL p(3)").rows == [(30,)]
+    assert conn.plan_cache.is_cached("proc:p")
+    return conn
+
+
+def test_dropped_index_is_not_read_by_a_cached_plan():
+    conn = _procedure_server()
+    conn.execute("DROP INDEX tb")
+    for i in range(100):
+        conn.execute("INSERT INTO t VALUES (%d, 3)" % (1000 + i,))
+    assert conn.execute("CALL p(3)").rows == [(130,)]
+
+
+def test_recreated_table_is_not_read_through_the_old_heap():
+    conn = _procedure_server()
+    conn.execute("DROP TABLE t")
+    conn.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+    for i in range(20):
+        conn.execute("INSERT INTO t VALUES (%d, 3)" % (i,))
+    assert conn.execute("CALL p(3)").rows == [(20,)]
 
 
 def test_verification_continues_past_schedule_end():
