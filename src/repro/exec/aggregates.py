@@ -14,8 +14,9 @@ import itertools
 import operator
 
 from repro.common.errors import ExecutionError
-from repro.exec.batch import Batch, rows_to_batches
+from repro.exec.batch import Batch, env_of, rows_to_batches
 from repro.exec.expr import (
+    NUMBERS,
     evaluate,
     evaluate_batch,
     evaluate_predicate_batch,
@@ -89,6 +90,8 @@ class AggState:
             self.distinct.add(value)
         self.count += 1
         if kind == _TOTAL:
+            if type(value) not in NUMBERS:
+                self._not_a_number(value)
             total = self.total
             self.total = value if total is None else total + value
         elif kind == _MIN:
@@ -121,10 +124,20 @@ class AggState:
         self.count += len(values)
         if kind == _TOTAL:
             total = self.total
-            self.total = (
-                functools.reduce(operator.add, values) if total is None
-                else functools.reduce(operator.add, values, total)
-            )
+            try:
+                total = (
+                    functools.reduce(operator.add, values) if total is None
+                    else functools.reduce(operator.add, values, total)
+                )
+            except TypeError:
+                total = None
+            # Over SQL values only numbers add up to a number ('a' + 'b'
+            # is a str); a sum that is not one names a value that is not.
+            if type(total) not in NUMBERS:
+                self._not_a_number(next(
+                    value for value in values if type(value) not in NUMBERS
+                ))
+            self.total = total
         elif kind == _MIN:
             extreme = self.extreme
             self.extreme = (
@@ -135,6 +148,11 @@ class AggState:
             self.extreme = (
                 max(values) if extreme is None else max(extreme, *values)
             )
+
+    def _not_a_number(self, value):
+        raise ExecutionError(
+            "cannot %s %r values" % (self.call.name, type(value).__name__)
+        )
 
     def merge_serialized(self, data):
         """Merge a serialized partial state (from a fallback temp row)."""
@@ -239,6 +257,11 @@ class HashGroupByOp(Operator):
             if not (call.name == "COUNT" and call.star)
         ]
         self._single_argument = len(arguments) == 1
+        # One group key: groups are keyed by the value itself, a 1-tuple
+        # only where a key leaves the dict (emit, temp table).  A dict
+        # treats ``x`` and ``(x,)`` alike: 1, 1.0 and True collide, NaN
+        # matches by identity, insertion order is kept.
+        self._single_key = len(self.group_keys) == 1
         try:
             for batch in self.child.execute_batches(ctx):
                 count = batch.count
@@ -254,7 +277,10 @@ class HashGroupByOp(Operator):
                 ]
                 # zip() of no columns is empty, not batch.count empties.
                 no_values = [()] * count
-                keys = list(zip(*key_columns)) if key_columns else no_values
+                if self._single_key:
+                    keys = key_columns[0]
+                else:
+                    keys = list(zip(*key_columns)) if key_columns else no_values
                 rows = zip(*value_columns) if value_columns else no_values
                 if self.fallback_engaged:
                     self._accumulate_rows(keys, rows, group_bytes)
@@ -353,13 +379,16 @@ class HashGroupByOp(Operator):
             self._ctx, len(self.group_keys), len(self.aggregates)
         )
         for key, states in self._groups.items():
-            self._fallback.insert(key, [s.serialize() for s in states])
+            self._fallback.insert(
+                self._key_tuple(key), [s.serialize() for s in states]
+            )
             self.fallback_rows_written += 1
         self._groups = {}
         self._memory.release_all()
 
     def _fallback_accumulate(self, key, values):
         """Fold one row's argument values into its temp-table group."""
+        key = self._key_tuple(key)
         states = [AggState(call) for call in self.aggregates]
         for state, value in zip(states, values):
             state.accumulate_value(value)
@@ -371,6 +400,10 @@ class HashGroupByOp(Operator):
         else:
             self._fallback.insert(key, [s.serialize() for s in states])
             self.fallback_rows_written += 1
+
+    def _key_tuple(self, key):
+        """A group key as the tuple the temp table and the output hold."""
+        return (key,) if self._single_key else key
 
     # -- output ------------------------------------------------------------ #
 
@@ -390,7 +423,10 @@ class HashGroupByOp(Operator):
             for key, states in self._groups.items():
                 emitted = True
                 ctx.charge(CPU_ROW_BATCH_US)
-                yield {GROUP_ENV: key + tuple(s.finalize() for s in states)}
+                yield {
+                    GROUP_ENV: self._key_tuple(key)
+                    + tuple(s.finalize() for s in states)
+                }
         if not emitted and not self.group_keys:
             # Scalar aggregation over zero rows yields one row.
             states = [AggState(call) for call in self.aggregates]
@@ -501,7 +537,7 @@ class HashDistinctOp(Operator):
                 if batch.count == 0:
                     continue
                 ctx.charge(batch.count * CPU_HASH_BUILD_BATCH_US)
-                keys = list(zip(*batch.columns))
+                keys = batch.flat_rows()
                 mask = [False] * batch.count
                 for position, key in enumerate(keys):
                     if key in self._seen:
@@ -541,7 +577,17 @@ class HashDistinctOp(Operator):
 
 
 class SortOp(Operator):
-    """External merge sort under the memory quota."""
+    """External merge sort under the memory quota.
+
+    Batches in and out.  Each absorbed row is one *entry*, ``(sort key
+    values..., flat row, shape)``: the keys are evaluated a batch at a
+    time and no environment dict is built.  The per-row memory check and
+    run-spill decision stay per row, so the spilled runs do not depend on
+    where batch boundaries fall.  A run is sorted by C-level keys, one
+    stable pass per sort key, last key first (:meth:`_sort`).  Without a
+    spilled run the sorted entries leave as full batches; with runs, the
+    runs hold environments and merge row by row as they always have.
+    """
 
     ROW_BYTES = 80
 
@@ -575,9 +621,6 @@ class SortOp(Operator):
         return self.runs_spilled
 
     def execute_batches(self, ctx):
-        """Batched transport in and out; run-spilling decisions stay
-        per row, so the spilled runs do not depend on where batch
-        boundaries fall."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._current = []
@@ -586,43 +629,86 @@ class SortOp(Operator):
         try:
             for batch in self.child.execute_batches(ctx):
                 ctx.charge(batch.count * CPU_SORT_FACTOR_BATCH_US * 4)
-                for env in batch.rows():
-                    self._absorb(env)
+                rows = batch.flat_rows()
+                if not rows:
+                    continue
+                key_columns = [
+                    evaluate_batch(expr, batch, ctx.params)
+                    for expr, __ in self.sort_keys
+                ]
+                shape = (batch.layout, len(rows[0]))
+                for entry in zip(*key_columns, rows, itertools.repeat(shape)):
+                    self._absorb(entry)
             self._merging = True
-            yield from rows_to_batches(self._merge_emit(ctx), ctx.batch_rows)
+            if self._runs:
+                yield from rows_to_batches(
+                    self._merge_emit(ctx), ctx.batch_rows
+                )
+            else:
+                yield from self._emit_sorted(ctx)
         finally:
             ctx.task.unregister_consumer(self)
             self._memory.release_all()
 
-    def _absorb(self, env):
+    def _absorb(self, entry):
         if self._memory.would_exceed_soft(self.ROW_BYTES) and self._current:
             self._flush_current_run()
-        self._current.append(env)
+        self._current.append(entry)
         self._memory.add(self.ROW_BYTES)
+
+    def _sort(self, entries):
+        """Sort ``entries`` in place: ascending keys NULL first,
+        descending keys NULL last, ties in arrival order — the order the
+        merge's :class:`_OrderedValue` keys give."""
+        for position in reversed(range(len(self.sort_keys))):
+            key = operator.itemgetter(position)
+            if None in map(key, entries):
+                key = _null_first(position)
+            entries.sort(key=key, reverse=not self.sort_keys[position][1])
+
+    def _emit_sorted(self, ctx):
+        """The one in-memory run, sorted, as full batches; a change of
+        row shape ends a batch early, as :class:`BatchBuilder` does."""
+        current = self._current
+        self._sort(current)
+        row_of = operator.itemgetter(len(self.sort_keys))
+        size = ctx.batch_rows
+        for (layout, width), entries in itertools.groupby(
+            current, key=operator.itemgetter(-1)
+        ):
+            rows = list(map(row_of, entries))
+            for start in range(0, len(rows), size):
+                chunk = rows[start:start + size]
+                if layout is None:
+                    yield Batch.from_tuples(chunk, width)
+                else:
+                    yield Batch.from_flat_rows(layout, chunk)
 
     def _merge_emit(self, ctx):
         key_of = self._key_function(ctx)
         current = self._current
-        current.sort(key=key_of)
-        runs = self._runs
-        if not runs:
-            for env in current:
-                yield env
-            return
+        self._sort(current)
 
         def tagged(envs, index):
             # Equal keys merge in run order, so the run index must be
             # bound per stream: the environments themselves do not order.
             return ((key_of(env), index, env) for env in envs)
 
+        runs = self._runs
         streams = [
             tagged(self._read_run(run), index)
             for index, run in enumerate(runs)
         ]
-        streams.append(tagged(current, len(runs)))
+        streams.append(tagged(map(self._env, current), len(runs)))
         for __, __i, env in heapq.merge(*streams):
             ctx.charge(CPU_ROW_BATCH_US)
             yield env
+
+    def _env(self, entry):
+        """An entry's row as the environment (or tuple) it arrived as."""
+        layout = entry[-1][0]
+        row = entry[-2]
+        return row if layout is None else env_of(layout, row)
 
     def _flush_current_run(self):
         """Spill the rows buffered so far as one sorted run.
@@ -635,15 +721,15 @@ class SortOp(Operator):
         del self._current[:]
         self._memory.release_all()
 
-    def _spill_run(self, ctx, rows):
-        rows.sort(key=self._key_function(ctx))
+    def _spill_run(self, ctx, entries):
+        self._sort(entries)
         run = SpillFile(
             ctx.temp_file, 80, ctx.pool.page_size,
             fault_plan=getattr(ctx, "fault_plan", None),
             yield_hook=getattr(ctx, "yield_hook", None),
         )
-        for env in rows:
-            run.append(env)
+        for entry in entries:
+            run.append(self._env(entry))
         run.finish_writing()
         return run
 
@@ -662,6 +748,16 @@ class SortOp(Operator):
             )
 
         return key_of
+
+
+def _null_first(position):
+    """A sort key for entry ``position`` that puts NULL before values."""
+
+    def key(entry):
+        value = entry[position]
+        return (value is not None, value)
+
+    return key
 
 
 class _OrderedValue:

@@ -1,11 +1,15 @@
 """Column-major batches, the unit every operator produces.
 
-A batch stores rows column-major: one flat list of columns, with a
-*layout* mapping each environment key (quantifier id, or ``GROUP_ENV``)
-to its column span.  Vectorized code reads whole columns with zero
-per-row dict lookups; code that works a row at a time (nested-loop join
-emission, spill files, sort runs) unpacks with :meth:`Batch.rows` /
-:meth:`Batch.env_at` and re-packs with :func:`rows_to_batches`.
+A batch is read column-major: one flat list of columns, with a *layout*
+mapping each environment key (quantifier id, or ``GROUP_ENV``) to its
+column span.  A column is built when something first reads it: a scan's
+batch keeps its row tuples and a hash join's keeps its pieces until a
+consumer asks for a column (:meth:`Batch.column`), the row tuples
+(:meth:`Batch.flat_rows`) or environments (:meth:`Batch.rows` /
+:meth:`Batch.env_at`), and builds only that.  Vectorized code reads
+whole columns with zero per-row dict lookups; code that works a row at
+a time (nested-loop join emission, spill files) unpacks with
+:meth:`Batch.rows` and re-packs with :func:`rows_to_batches`.
 :func:`batches_to_rows` is the boundary above the operator tree, where
 result tuples leave the engine.
 
@@ -13,6 +17,9 @@ Two row shapes flow through the engine and both are supported: dict
 environments (``{qid: row_tuple}``) below Project, and plain tuples from
 Project upward (``layout is None``).
 """
+
+from itertools import chain, compress
+from operator import itemgetter
 
 #: Rows per batch.  Large enough to amortize interpreter overhead,
 #: small enough that a batch never dominates an operator's memory.
@@ -50,16 +57,29 @@ class Batch:
 
     ``layout`` is a tuple of ``(key, offset, width)`` triples: the rows'
     environment dicts all had exactly these keys, and key ``k``'s column
-    ``i`` lives in ``columns[offset + i]``.  ``layout is None`` means the
-    rows are plain tuples of ``len(columns)`` values (post-Project).
+    ``i`` is flat column ``offset + i``.  ``layout is None`` means the
+    rows are plain tuples (post-Project).
+
+    A column is built when something first reads it (late
+    materialisation).  A batch holds, besides the columns built so far,
+    at most one source of the others: its rows as flat value tuples
+    (:meth:`from_rows`, the scans' form), or a *source* object with
+    ``column(position)`` and ``flat_rows()`` (the hash join's pieces).
+    Every reader goes through :meth:`column`, :meth:`flat_rows`,
+    :meth:`rows` or :meth:`env_at`, which build only what they return;
+    :attr:`columns` builds them all.  A column is None only while the
+    row tuples or the source can still build it.
     """
 
-    __slots__ = ("layout", "columns", "count")
+    __slots__ = ("layout", "count", "_columns", "_rows", "_source")
 
-    def __init__(self, layout, columns, count):
+    def __init__(self, layout, columns, count, rows=None, source=None):
         self.layout = layout
-        self.columns = columns
         self.count = count
+        #: One entry per flat column: the list, or None until built.
+        self._columns = columns
+        self._rows = rows
+        self._source = source
 
     # -- construction --------------------------------------------------- #
 
@@ -69,28 +89,41 @@ class Batch:
         layout = layout_of(
             [(key, len(row)) for key, row in envs[0].items()]
         )
-        columns = [
-            [env[key][index] for env in envs]
-            for key, __, width in layout
-            for index in range(width)
-        ]
-        return cls(layout, columns, len(envs))
+        if len(layout) == 1:
+            key = layout[0][0]
+            rows = [env[key] for env in envs]
+        else:
+            keys = [key for key, __, __w in layout]
+            rows = [
+                tuple(chain.from_iterable(map(env.__getitem__, keys)))
+                for env in envs
+            ]
+        return cls.from_flat_rows(layout, rows)
 
     @classmethod
     def from_tuples(cls, rows, width):
         """Pack plain result tuples (the post-Project shape)."""
-        if width:
-            columns = [[row[i] for row in rows] for i in range(width)]
-        else:
-            columns = []
-        return cls(None, columns, len(rows))
+        return cls(None, [None] * width, len(rows), rows=rows)
 
     @classmethod
     def from_rows(cls, key, rows):
         """Pack a non-empty list of same-width row tuples as the rows of
-        one environment key (a scan's quantifier)."""
-        columns = [list(column) for column in zip(*rows)]
-        return cls(((key, 0, len(columns)),), columns, len(rows))
+        one environment key (a scan's quantifier).  The list is kept, not
+        copied: its producer must not change it afterwards."""
+        width = len(rows[0])
+        return cls(((key, 0, width),), [None] * width, len(rows), rows=rows)
+
+    @classmethod
+    def from_flat_rows(cls, layout, rows):
+        """Wrap flat value tuples laid out under ``layout`` (kept, not
+        copied)."""
+        width = sum(width for __, __o, width in layout)
+        return cls(layout, [None] * width, len(rows), rows=rows)
+
+    @classmethod
+    def from_source(cls, layout, width, count, source):
+        """A batch whose ``width`` columns ``source`` builds on demand."""
+        return cls(layout, [None] * width, count, source=source)
 
     @classmethod
     def from_columns(cls, layout, columns, count):
@@ -99,10 +132,23 @@ class Batch:
 
     def as_quantifier(self, key):
         """This tuple-shaped batch's columns as the rows of environment
-        key ``key`` (a sub-plan's output seen through its quantifier)."""
-        return Batch(((key, 0, len(self.columns)),), self.columns, self.count)
+        key ``key`` (a sub-plan's output seen through its quantifier).
+        The two batches share their columns: one builds, both see it."""
+        return Batch(
+            ((key, 0, len(self._columns)),), self._columns, self.count,
+            self._rows, self._source,
+        )
 
     # -- columnar access ------------------------------------------------ #
+
+    @property
+    def columns(self):
+        """Every column, built: what a reader of all of them sees."""
+        columns = self._columns
+        for position, column in enumerate(columns):
+            if column is None:
+                self._build_column(position)
+        return columns
 
     def column(self, key, index):
         """The column list for environment key ``key``, position ``index``.
@@ -116,48 +162,88 @@ class Batch:
                 if index >= width:
                     # ``evaluate`` raises IndexError from the row tuple.
                     raise IndexError("column index out of range")
-                return self.columns[offset + index]
+                column = self._columns[offset + index]
+                if column is None:
+                    column = self._build_column(offset + index)
+                return column
         return None
+
+    def _build_column(self, position):
+        rows = self._rows
+        if rows is not None:
+            column = list(map(itemgetter(position), rows))
+        else:
+            column = self._source.column(position)
+        self._columns[position] = column
+        return column
 
     # -- row access ----------------------------------------------------- #
 
+    def flat_rows(self):
+        """Each row's values as one flat tuple in layout order, as a
+        list (read-only: it may be the producer's own)."""
+        rows = self._rows
+        if rows is None:
+            if self._source is not None:
+                rows = self._source.flat_rows()
+                self._source = None
+            elif self._columns:
+                rows = list(zip(*self._columns))
+            else:
+                rows = [()] * self.count
+            self._rows = rows
+        return rows
+
     def rows(self):
         """Unpack into environment dicts (or result tuples), in order."""
-        if self.layout is None:
-            yield from zip(*self.columns) if self.columns else (
-                () for __ in range(self.count)
-            )
-            return
-        for index in range(self.count):
-            yield self.env_at(index)
+        layout = self.layout
+        if layout is None:
+            yield from self.flat_rows()
+        elif len(layout) == 1:
+            key = layout[0][0]
+            for row in self.flat_rows():
+                yield {key: row}
+        else:
+            for row in self.flat_rows():
+                yield env_of(layout, row)
 
     def env_at(self, index):
         """Materialize row ``index`` as an environment dict."""
-        columns = self.columns
-        return {
-            key: tuple(
-                columns[offset + i][index] for i in range(width)
-            )
-            for key, offset, width in self.layout
-        }
+        return env_of(self.layout, self.flat_rows()[index])
 
     # -- transformations ------------------------------------------------ #
 
     def take(self, mask):
-        """Rows where ``mask`` is true, as a new batch (same layout)."""
+        """Rows where ``mask`` is true, as a new batch (same layout).
+        Row tuples are compressed once; columns not built yet stay so."""
+        if self._source is not None:
+            self.flat_rows()
         columns = [
-            [value for value, keep in zip(column, mask) if keep]
-            for column in self.columns
+            None if column is None else list(compress(column, mask))
+            for column in self._columns
         ]
-        count = columns[0].__len__() if columns else sum(
+        rows = self._rows
+        if rows is not None:
+            rows = list(compress(rows, mask))
+            return Batch(self.layout, columns, len(rows), rows=rows)
+        count = len(columns[0]) if columns else sum(
             1 for keep in mask if keep
         )
         return Batch(self.layout, columns, count)
 
     def slice(self, start, stop):
-        columns = [column[start:stop] for column in self.columns]
+        if self._source is not None:
+            self.flat_rows()
+        columns = [
+            None if column is None else column[start:stop]
+            for column in self._columns
+        ]
         count = max(0, min(stop, self.count) - start)
-        return Batch(self.layout, columns, count)
+        rows = self._rows
+        return Batch(
+            self.layout, columns, count,
+            None if rows is None else rows[start:stop],
+        )
 
 
 class BatchBuilder:

@@ -6,6 +6,7 @@ comparisons involving NULL yield ``None`` (unknown), AND/OR follow Kleene
 logic, and predicates treat unknown as not-satisfied.
 """
 
+import operator
 import re
 
 from repro.common.errors import ExecutionError
@@ -41,7 +42,7 @@ def evaluate(expr, env, params=None):
             value = evaluate(expr.operand, env, params)
             return None if value is None else (not _truthy(value))
         value = evaluate(expr.operand, env, params)
-        return None if value is None else -value
+        return None if value is None else _negate(value)
     if isinstance(expr, ast.IsNull):
         value = evaluate(expr.operand, env, params)
         result = value is None
@@ -71,6 +72,43 @@ def evaluate_predicate(expr, env, params=None):
 
 def _truthy(value):
     return value is not None and value is not False and value != 0
+
+
+#: The Python types of the values arithmetic takes: INT, DOUBLE, BOOLEAN.
+NUMBERS = frozenset((int, float, bool))
+
+#: The operators the NULL-free batch kernels compute with one C-level
+#: ``map`` (``/`` checks for zero and ``||`` converts, row by row).
+_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _operate(op, left, right):
+    """``left op right`` for non-NULL operands of a binary operator that
+    is neither a comparison nor AND / OR."""
+    if op == "||":
+        return str(left) + str(right)
+    if op not in ("+", "-", "*", "/"):
+        raise ExecutionError("unknown operator %r" % (op,))
+    if type(left) not in NUMBERS or type(right) not in NUMBERS:
+        raise ExecutionError(
+            "cannot apply %s to %r and %r"
+            % (op, type(left).__name__, type(right).__name__)
+        )
+    if op == "/":
+        if right == 0:
+            raise ExecutionError("division by zero")
+        return left / right
+    return _ARITHMETIC[op](left, right)
+
+
+def _negate(value):
+    if type(value) not in NUMBERS:
+        raise ExecutionError("cannot negate %r" % (type(value).__name__,))
+    return -value
 
 
 def _parameter_value(expr, params):
@@ -119,19 +157,7 @@ def _binary(expr, env, params):
         return _compare(op, left, right)
     if left is None or right is None:
         return None
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise ExecutionError("division by zero")
-        return left / right
-    if op == "||":
-        return str(left) + str(right)
-    raise ExecutionError("unknown operator %r" % (op,))
+    return _operate(op, left, right)
 
 
 def _compare(op, left, right):
@@ -193,7 +219,7 @@ def _between(expr, env, params):
     high = evaluate(expr.high, env, params)
     if value is None or low is None or high is None:
         return None
-    result = low <= value <= high
+    result = _compare("<=", low, value) and _compare("<=", value, high)
     return (not result) if expr.negated else result
 
 
@@ -260,7 +286,7 @@ def evaluate_batch(expr, batch, params=None):
                 for value in evaluate_batch(expr.operand, batch, params)
             ]
         return [
-            None if value is None else -value
+            None if value is None else _negate(value)
             for value in evaluate_batch(expr.operand, batch, params)
         ]
     if isinstance(expr, ast.IsNull):
@@ -282,8 +308,12 @@ def evaluate_batch(expr, batch, params=None):
 
 
 def evaluate_predicate_batch(expr, batch, params=None):
-    """Filter mask over a batch: unknown (NULL) counts as false."""
-    return [_truthy(value) for value in evaluate_batch(expr, batch, params)]
+    """Filter mask over a batch: unknown (NULL) counts as false.  Every
+    entry is a bool (``_truthy`` inlined)."""
+    return [
+        value is not None and value is not False and value != 0
+        for value in evaluate_batch(expr, batch, params)
+    ]
 
 
 def _rowwise_batch(expr, batch, params):
@@ -354,30 +384,46 @@ def _binary_batch(expr, batch, params):
         ]
     lefts = evaluate_batch(expr.left, batch, params)
     rights = evaluate_batch(expr.right, batch, params)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
+    # The kernels compute a whole batch with one C-level map; anything
+    # they cannot answer exactly goes to the row loop, which raises the
+    # typed error.  A comparison needs operands with no NULL and falls
+    # back on a TypeError (``1 < 'a'``).  Arithmetic falls back on a
+    # TypeError (a NULL, ``1 + 'a'``) or a result that is not a number:
+    # over SQL values, only numbers make numbers (``'a' * 2`` is a str,
+    # ``date - date`` a timedelta).
+    kernel = _COMPARISONS.get(op)
+    if kernel is not None:
+        if not (
+            _has_null(expr.left, lefts) or _has_null(expr.right, rights)
+        ):
+            try:
+                return list(map(kernel, lefts, rights))
+            except TypeError:
+                pass
         return [
             None if left is None or right is None else _compare(op, left, right)
             for left, right in zip(lefts, rights)
         ]
-    out = []
-    for left, right in zip(lefts, rights):
-        if left is None or right is None:
-            out.append(None)
-        elif op == "+":
-            out.append(left + right)
-        elif op == "-":
-            out.append(left - right)
-        elif op == "*":
-            out.append(left * right)
-        elif op == "/":
-            if right == 0:
-                raise ExecutionError("division by zero")
-            out.append(left / right)
-        elif op == "||":
-            out.append(str(left) + str(right))
+    kernel = _ARITHMETIC.get(op)
+    if kernel is not None:
+        try:
+            out = list(map(kernel, lefts, rights))
+        except TypeError:
+            pass
         else:
-            raise ExecutionError("unknown operator %r" % (op,))
-    return out
+            if NUMBERS.issuperset(map(type, out)):
+                return out
+    return [
+        None if left is None or right is None else _operate(op, left, right)
+        for left, right in zip(lefts, rights)
+    ]
+
+
+def _has_null(expr, values):
+    """Whether ``values``, ``expr``'s batch column, holds a NULL."""
+    if isinstance(expr, ast.Literal):
+        return expr.value is None
+    return None in values
 
 
 def _like_batch(expr, batch, params):
@@ -404,7 +450,7 @@ def _between_batch(expr, batch, params):
         if value is None or low is None or high is None:
             out.append(None)
             continue
-        result = low <= value <= high
+        result = _compare("<=", low, value) and _compare("<=", value, high)
         out.append((not result) if negated else result)
     return out
 

@@ -1,6 +1,6 @@
 """Scan and join operators."""
 
-from itertools import islice
+from itertools import compress, islice
 
 from repro.common.errors import ExecutionError
 from repro.common.hashing import hash_for_types, stable_hash
@@ -126,7 +126,7 @@ class SeqScanOp(Operator):
                 break
             counters[index][0] += batch.count
             mask = evaluate_predicate_batch(conjunct.expr, batch, ctx.params)
-            matched = sum(1 for keep in mask if keep)
+            matched = mask.count(True)
             counters[index][1] += matched
             if matched != batch.count:
                 batch = batch.take(mask)
@@ -516,9 +516,10 @@ class HashJoinOp(Operator):
             (quantifier.id, max(1, len(quantifier.columns)))
             for quantifier in right_quantifiers
         )
-        self._null_values = (None,) * sum(
+        #: The one build "row" an unmatched LEFT row joins to.
+        self._null_candidates = [(None,) * sum(
             width for __, __o, width in self._null_layout
-        )
+        )]
         # observability
         self.partitions_evicted = 0
         self.switched_to_alternate = False
@@ -638,7 +639,7 @@ class HashJoinOp(Operator):
                 self._row_bytes, env_row_bytes(batch.env_at(0))
             )
             self.build_row_count += batch.count
-            for key, row in zip(zip(*key_columns), zip(*batch.columns)):
+            for key, row in zip(zip(*key_columns), batch.flat_rows()):
                 index = (
                     stable_hash(key) if None in key else hash_key(key)
                 ) % HASH_PARTITIONS
@@ -688,12 +689,19 @@ class HashJoinOp(Operator):
                 yield from spill.read_all()
 
     def _probe(self, ctx):
-        """Vectorized probe-key columns and column-major emission; spill
+        """Vectorized probe-key columns and piece-wise emission; spill
         routing is per row."""
         hash_key = self._hash_key
         partitions = self._partitions
         probe_spills = [None] * HASH_PARTITIONS
         out = _JoinOutput(ctx, CPU_ROW_BATCH_US)
+        size = out.batch_rows
+        # A matched row of an INNER or LEFT join without a residual is
+        # buffered right here, as one piece — no Python call per probe
+        # row; every other row goes through ``_join_row``.
+        plain = not self.residual and self.join_type in (
+            Quantifier.INNER, Quantifier.LEFT
+        )
         for batch in self.left.execute_batches(ctx):
             ctx.charge(batch.count * CPU_HASH_PROBE_BATCH_US)
             key_columns = [
@@ -701,7 +709,8 @@ class HashJoinOp(Operator):
                 for expr in self.probe_keys
             ]
             layout = batch.layout
-            for key, row in zip(zip(*key_columns), zip(*batch.columns)):
+            shape = (layout, self._right_layout)
+            for key, row in zip(zip(*key_columns), batch.flat_rows()):
                 null_key = None in key
                 index = (
                     stable_hash(key) if null_key else hash_key(key)
@@ -717,9 +726,17 @@ class HashJoinOp(Operator):
                     probe_spills[index].append((key, layout, row))
                     self.probe_rows_spilled += 1
                     continue
-                self._join_row(
-                    out, layout, row, None if null_key else table.get(key)
-                )
+                candidates = None if null_key else table.get(key)
+                if plain and candidates and out.shape == shape:
+                    # ``_JoinOutput.add`` for a row of the buffered shape.
+                    count = len(candidates)
+                    out.pieces.append((row, candidates, 0, count))
+                    out.count += count
+                    out.owed += count
+                    if out.count >= size:
+                        out.cut()
+                else:
+                    self._join_row(out, layout, row, candidates)
                 if out.ready:
                     yield from out.drain()
             out.settle()
@@ -761,32 +778,45 @@ class HashJoinOp(Operator):
                 or self._any_match(left_layout, row, candidates)
             )
             if matched == (self.join_type == Quantifier.SEMI):
-                out.add(left_layout, (), zip(row), 1, owes=False)
+                out.add(left_layout, (), row, None, owes=False)
             return
         if candidates:
-            count = len(candidates)
-            columns = [[value] * count for value in row]
-            columns.extend(zip(*candidates))
             if self.residual:
-                survivors = _filter(
-                    Batch(
-                        concat_layouts(left_layout, self._right_layout),
-                        columns, count,
-                    ),
-                    self.residual, self._ctx.params,
-                )
-                columns, count = survivors.columns, survivors.count
-            if count:
+                candidates = self._survivors(out, left_layout, row, candidates)
+            if candidates:
                 out.add(
-                    left_layout, self._right_layout, columns, count,
+                    left_layout, self._right_layout, row, candidates,
                     owes=True,
                 )
                 return
         if self.join_type == Quantifier.LEFT:
             out.add(
-                left_layout, self._null_layout,
-                zip(row + self._null_values), 1, owes=False,
+                left_layout, self._null_layout, row, self._null_candidates,
+                owes=False,
             )
+
+    def _survivors(self, out, left_layout, row, candidates):
+        """The candidates that satisfy every residual conjunct, evaluated
+        over the one piece ``row`` x ``candidates``; conjunct *i* sees
+        only the survivors of conjuncts < *i*, as in :func:`_filter`."""
+        layout = concat_layouts(left_layout, self._right_layout)
+        width = len(row) + len(candidates[0])
+        params = self._ctx.params
+        batch = None
+        for conjunct in self.residual:
+            if batch is None:
+                count = len(candidates)
+                batch = Batch.from_source(
+                    layout, width, count,
+                    out.piece_source([(row, candidates, 0, count)], len(row)),
+                )
+            mask = evaluate_predicate_batch(conjunct.expr, batch, params)
+            if not all(mask):
+                candidates = list(compress(candidates, mask))
+                if not candidates:
+                    break
+                batch = None
+        return candidates
 
     def _any_match(self, left_layout, row, candidates):
         """Does some candidate satisfy the residual?  Semi and anti joins
@@ -806,12 +836,18 @@ class HashJoinOp(Operator):
 
 
 class _JoinOutput:
-    """Column-major output buffer of one hash-join probe.
+    """Output buffer of one hash-join probe, kept as *pieces*.
 
-    Whole match lists go in (:meth:`add`) and batches of exactly
-    ``ctx.batch_rows`` rows come out (:meth:`drain`), a change of row
-    shape flushing early — the batches :class:`BatchBuilder` packs from
-    the same rows one at a time.
+    A piece ``(row, candidates, start, stop)`` is one probe row (flat
+    values) joined to ``candidates[start:stop]``, the build rows under its
+    key (``candidates`` is None for a semi / anti row, which carries no
+    build side).  Whole match lists go in (:meth:`add`) and batches of
+    exactly ``ctx.batch_rows`` rows come out (:meth:`drain`), a change of
+    row shape flushing early — the batches :class:`BatchBuilder` packs
+    from the same rows one at a time.  An output column is gathered from
+    the pieces only when a consumer reads it (:class:`_Pieces`); the build
+    lists a piece points at are never changed after the build, so a
+    partition evicted after the yield still gathers the same values.
 
     The per-row emit charge is applied per batch under one rule: wherever
     anything else can read or advance the clock — a yield to the
@@ -828,18 +864,24 @@ class _JoinOutput:
         self.row_cost = row_cost
         self.shape = None  # (left layout, right layout) of buffered rows
         self.layout = None
-        self.columns = []
+        self.left_width = 0
+        self.width = 0
+        self.pieces = []
         self.count = 0
         #: Buffered rows whose emit charge is not on the clock yet.
         self.owed = 0
         #: Completed batches: ``(batch, rows to charge before its yield)``.
         self.ready = []
+        #: ``id(candidates)`` -> (candidates, their columns): each build
+        #: list is transposed once, when a batch first reads its side.
+        self._transposed = {}
 
-    def add(self, left_layout, right_layout, columns, count, owes):
-        """Buffer ``count`` rows given as one value sequence per output
-        column.  ``owes``: whether they carry the emit charge (matched
-        INNER / LEFT rows do; NULL-extended and semi / anti rows never
-        did)."""
+    def add(self, left_layout, right_layout, row, candidates, owes):
+        """Buffer probe row ``row`` joined to the build rows
+        ``candidates`` (None: the probe row alone).  ``owes``: whether
+        they carry the emit charge (matched INNER / LEFT rows do;
+        NULL-extended and semi / anti rows never did)."""
+        count = 1 if candidates is None else len(candidates)
         owed = count if owes else 0
         if (left_layout, right_layout) != self.shape:
             if self.count:
@@ -851,31 +893,56 @@ class _JoinOutput:
                 owed -= lead
             self.shape = (left_layout, right_layout)
             self.layout = concat_layouts(left_layout, right_layout)
-            self.columns = [list(values) for values in columns]
-        else:
-            for column, values in zip(self.columns, columns):
-                column.extend(values)
+            self.left_width = len(row)
+            self.width = sum(width for __, __o, width in self.layout)
+        self.pieces.append((row, candidates, 0, count))
         self.count += count
         self.owed += owed
+        if self.count >= self.batch_rows:
+            self.cut()
+
+    def cut(self):
+        """Move every full batch of buffered rows to ``ready``."""
         size = self.batch_rows
-        if self.count >= size:
-            # The buffer was short of a batch before this call, so the
-            # rows beyond each cut are this call's rows: all of them owe.
-            start = 0
-            while self.count - start >= size:
-                beyond = self.count - start - size
-                self.ready.append((
-                    Batch(
-                        self.layout,
-                        [c[start:start + size] for c in self.columns],
-                        size,
-                    ),
-                    self.owed - beyond,
-                ))
-                self.owed = beyond
-                start += size
-            self.columns = [column[start:] for column in self.columns]
-            self.count -= start
+        while self.count >= size:
+            # The buffer was short of a batch before the last piece came
+            # in, so the rows beyond each cut are that piece's: all owe.
+            beyond = self.count - size
+            self.ready.append((self._cut(size), self.owed - beyond))
+            self.owed = beyond
+
+    def _cut(self, size):
+        """The first ``size`` buffered rows as a batch, splitting the
+        piece the cut falls in."""
+        pieces = self.pieces
+        taken, need = 0, size
+        for __, __c, start, stop in pieces:
+            if stop - start >= need:
+                break
+            need -= stop - start
+            taken += 1
+        # The cut falls in piece ``taken``: its first ``need`` rows go.
+        row, candidates, start, stop = pieces[taken]
+        cut = pieces[:taken]
+        cut.append((row, candidates, start, start + need))
+        if start + need == stop:
+            taken += 1
+        else:
+            pieces[taken] = (row, candidates, start + need, stop)
+        del pieces[:taken]
+        self.count -= size
+        return self._batch(cut, size)
+
+    def _batch(self, pieces, count):
+        return Batch.from_source(
+            self.layout, self.width, count,
+            self.piece_source(pieces, self.left_width),
+        )
+
+    def piece_source(self, pieces, left_width):
+        """A column source over ``pieces`` whose probe rows are
+        ``left_width`` values wide."""
+        return _Pieces(pieces, left_width, self._transposed)
 
     def drain(self):
         """Yield the completed batches, each one's outstanding rows
@@ -893,10 +960,50 @@ class _JoinOutput:
 
     def take_all(self):
         """The buffered rows as one batch; the buffer is left empty."""
-        batch = Batch(self.layout, self.columns, self.count)
-        self.columns = [[] for __ in self.columns]
+        batch = self._batch(self.pieces, self.count)
+        self.pieces = []
         self.count = 0
         return batch
+
+
+class _Pieces:
+    """The column source of a join output batch: probe-side columns
+    repeat each piece's probe value, build-side columns are slices of the
+    pieces' transposed build lists."""
+
+    __slots__ = ("pieces", "left_width", "transposed")
+
+    def __init__(self, pieces, left_width, transposed):
+        self.pieces = pieces
+        self.left_width = left_width
+        #: The join's ``id(candidates) -> (candidates, columns)`` cache.
+        self.transposed = transposed
+
+    def column(self, position):
+        out = []
+        if position < self.left_width:
+            for row, __, start, stop in self.pieces:
+                out += [row[position]] * (stop - start)
+            return out
+        position -= self.left_width
+        transposed = self.transposed
+        for __, candidates, start, stop in self.pieces:
+            entry = transposed.get(id(candidates))
+            if entry is None:
+                entry = transposed[id(candidates)] = (
+                    candidates, list(map(list, zip(*candidates))),
+                )
+            out += entry[1][position][start:stop]
+        return out
+
+    def flat_rows(self):
+        out = []
+        for row, candidates, start, stop in self.pieces:
+            if candidates is None:
+                out.append(row)
+            else:
+                out += map(row.__add__, candidates[start:stop])
+        return out
 
 
 # --------------------------------------------------------------------- #

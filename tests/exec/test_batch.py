@@ -10,6 +10,8 @@ computed in plain Python.
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Server, ServerConfig
 from repro.common.errors import ExecutionError, SpillWriteError
@@ -17,6 +19,7 @@ from repro.exec.batch import (
     Batch,
     BatchBuilder,
     batches_to_rows,
+    layout_of,
     rows_to_batches,
 )
 from repro.faults import FaultPlan, FaultRates
@@ -90,6 +93,87 @@ class TestBatchUnit:
         rows = [{0: (1,)}, {0: (2,)}, (3, 4), (5, 6), {1: (7, 8)}]
         out = list(batches_to_rows(rows_to_batches(iter(rows), 3)))
         assert out == rows
+
+
+# --------------------------------------------------------------------- #
+# row-backed batches build a column on first read: they must read as the
+# column-backed batch of the same rows does
+# --------------------------------------------------------------------- #
+
+VALUES = st.one_of(st.none(), st.integers(-2, 2), st.sampled_from(["a", "b"]))
+
+
+@st.composite
+def batch_pairs(draw):
+    """``(eager, lazy)``: one set of rows as built columns and as row
+    tuples whose columns are built when read."""
+    widths = draw(st.one_of(
+        st.none(), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    ))
+    width = 2 if widths is None else sum(widths)
+    count = draw(st.integers(0, 9))
+    rows = [
+        tuple(draw(st.lists(VALUES, min_size=width, max_size=width)))
+        for __ in range(count)
+    ]
+    columns = [[row[i] for row in rows] for i in range(width)]
+    if widths is None:
+        return Batch(None, columns, count), Batch.from_tuples(rows, width)
+    layout = layout_of(list(zip([3, 1, 4], widths)))
+    return (
+        Batch(layout, columns, count), Batch.from_flat_rows(layout, rows)
+    )
+
+
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("take"), st.lists(st.booleans(), min_size=9,
+                                         max_size=9)),
+    st.tuples(st.just("slice"), st.integers(0, 10), st.integers(0, 10)),
+    st.tuples(st.just("column"), st.integers(0, 8)),
+    st.tuples(st.just("rows")),
+    st.tuples(st.just("flat_rows")),
+    st.tuples(st.just("env_at"), st.integers(0, 8)),
+    st.tuples(st.just("as_quantifier"), st.sampled_from([2, 5])),
+), max_size=8)
+
+
+def observe(batch, operation):
+    """``(what the operation showed, the batch to go on with)``."""
+    name = operation[0]
+    if name == "take":
+        batch = batch.take(operation[1][:batch.count])
+    elif name == "slice":
+        batch = batch.slice(operation[1], operation[2])
+    elif name == "as_quantifier" and batch.layout is None:
+        batch = batch.as_quantifier(operation[1])
+    elif name == "column" and batch.layout is not None:
+        position = operation[1] % sum(w for __, __o, w in batch.layout)
+        for key, offset, width in batch.layout:
+            if offset <= position < offset + width:
+                return list(batch.column(key, position - offset)), batch
+    elif name == "rows":
+        return list(batch.rows()), batch
+    elif name == "flat_rows":
+        return list(batch.flat_rows()), batch
+    elif name == "env_at" and batch.layout is not None and batch.count:
+        return batch.env_at(operation[1] % batch.count), batch
+    return None, batch
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_pairs(), OPERATIONS)
+def test_row_backed_batches_read_as_built_columns(pair, operations):
+    """Through any sequence of take / slice / as_quantifier, every read —
+    one column, the rows, the flat rows, one environment — and the
+    count, layout and full columns agree."""
+    eager, lazy = pair
+    for operation in operations:
+        seen_eager, eager = observe(eager, operation)
+        seen_lazy, lazy = observe(lazy, operation)
+        assert seen_lazy == seen_eager
+        assert (lazy.count, lazy.layout) == (eager.count, eager.layout)
+    assert lazy.columns == eager.columns
+    assert list(lazy.rows()) == list(eager.rows())
 
 
 class TestEmptyBatches:

@@ -1,5 +1,7 @@
 """Unit tests for expression evaluation (three-valued logic, LIKE, etc.)."""
 
+import re
+
 import pytest
 
 from repro.common.errors import ExecutionError
@@ -192,3 +194,54 @@ class TestScalarFunctions:
     def test_unknown_function(self):
         with pytest.raises(ExecutionError):
             evaluate(ast.FunctionCall("FROB", [lit(1)]), {})
+
+
+class TestVarcharOperands:
+    """Arithmetic takes numbers: a VARCHAR operand is a typed statement
+    error naming the operator and the types, in the row evaluator, the
+    batch evaluator and SUM / AVG alike — never a builtins ``TypeError``
+    or a string answer (``'a' * 2`` was ``'aa'``, ``SUM`` concatenated)."""
+
+    @pytest.fixture
+    def conn(self):
+        from repro import Server, ServerConfig
+
+        server = Server(ServerConfig(start_buffer_governor=False))
+        conn = server.connect()
+        conn.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, name VARCHAR(10), d DOUBLE)"
+        )
+        conn.execute("INSERT INTO t VALUES (1, 'a', 1.5), (2, 'b', NULL)")
+        return conn
+
+    @pytest.mark.parametrize("sql, message", [
+        ("SELECT name + 1 FROM t", "cannot apply + to 'str' and 'int'"),
+        ("SELECT name * 2 FROM t", "cannot apply * to 'str' and 'int'"),
+        ("SELECT 1 - name FROM t", "cannot apply - to 'int' and 'str'"),
+        ("SELECT name / 2 FROM t", "cannot apply / to 'str' and 'int'"),
+        ("SELECT -name FROM t", "cannot negate 'str'"),
+        ("SELECT id FROM t WHERE name BETWEEN 1 AND 2",
+         "cannot compare 'int' with 'str'"),
+        ("SELECT SUM(name) FROM t", "cannot SUM 'str' values"),
+        ("SELECT AVG(name) FROM t", "cannot AVG 'str' values"),
+        ("SELECT id, SUM(name) FROM t GROUP BY id", "cannot SUM 'str' values"),
+    ])
+    def test_statement_raises_a_typed_error(self, conn, sql, message):
+        with pytest.raises(ExecutionError, match=re.escape(message)):
+            conn.execute(sql)
+
+    def test_numbers_and_concatenation_still_compute(self, conn):
+        assert conn.execute(
+            "SELECT id, d * 2, -d, name || 1 FROM t ORDER BY id"
+        ).rows == [(1, 3.0, -1.5, "a1"), (2, None, None, "b1")]
+        assert conn.execute("SELECT SUM(d), AVG(id) FROM t").rows == [
+            (1.5, 1.5)
+        ]
+
+    def test_row_evaluator_names_the_operator(self):
+        with pytest.raises(ExecutionError, match="cannot apply"):
+            evaluate(ast.BinaryOp("+", lit("a"), lit("b")), {})
+        with pytest.raises(ExecutionError, match="cannot negate"):
+            evaluate(ast.UnaryOp("-", lit("a")), {})
+        with pytest.raises(ExecutionError, match="cannot compare"):
+            evaluate(ast.Between(lit("a"), lit(1), lit(2), False), {})

@@ -4,12 +4,16 @@ For generated expression trees over generated batches (NULLs in every
 column, INT / DOUBLE / VARCHAR values) the vectorized evaluator returns,
 row for row, exactly what the scalar evaluator returns for that row's
 environment — and raises iff the scalar evaluator raises on some row,
-with an error type one of those rows raises.
+with an error type one of those rows raises.  The batches come both
+column-backed and row-backed (columns built on first read), and the
+trees include arithmetic, negation and BETWEEN over VARCHAR operands,
+which both evaluators must refuse with an ``ExecutionError``.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import ExecutionError
 from repro.exec.batch import Batch
 from repro.exec.expr import (
     evaluate,
@@ -34,6 +38,8 @@ def batches(draw):
         draw(st.lists(values, min_size=count, max_size=count))
         for values in (ints, doubles, strings, ints)
     ]
+    if draw(st.booleans()):
+        return Batch.from_flat_rows(LAYOUT, list(zip(*columns)))
     return Batch.from_columns(LAYOUT, columns, count)
 
 
@@ -82,7 +88,22 @@ numeric_exprs = st.recursive(
 )
 
 COMPARISONS = ["=", "<>", "<", "<=", ">", ">="]
+ARITHMETIC = ["+", "-", "*", "/"]
 negated = st.booleans()
+
+#: Arithmetic and negation with a VARCHAR operand: a typed error on
+#: every row where no operand is NULL (``'a' * 2`` used to be ``'aa'``).
+mistyped_exprs = st.one_of(
+    st.builds(
+        ast.BinaryOp, st.sampled_from(ARITHMETIC), string_exprs,
+        st.one_of(numeric_exprs, string_exprs),
+    ),
+    st.builds(
+        ast.BinaryOp, st.sampled_from(ARITHMETIC), numeric_exprs,
+        string_exprs,
+    ),
+    st.builds(ast.UnaryOp, st.just("-"), string_exprs),
+)
 
 boolean_exprs = st.recursive(
     st.one_of(
@@ -95,6 +116,11 @@ boolean_exprs = st.recursive(
         ),
         st.builds(
             ast.Between, numeric_exprs, numeric_exprs, numeric_exprs, negated
+        ),
+        # A VARCHAR against INT bounds cannot compare.
+        st.builds(
+            ast.Between, st.one_of(numeric_exprs, string_exprs),
+            st.one_of(numeric_exprs, string_exprs), numeric_exprs, negated,
         ),
         st.builds(
             ast.InList, numeric_exprs,
@@ -120,7 +146,9 @@ boolean_exprs = st.recursive(
     max_leaves=4,
 )
 
-expressions = st.one_of(numeric_exprs, string_exprs, boolean_exprs)
+expressions = st.one_of(
+    numeric_exprs, string_exprs, boolean_exprs, mistyped_exprs
+)
 
 
 def typed(values):
@@ -136,6 +164,8 @@ def check_matches_rows(scalar, vectorized, expr, batch):
             expected.append(scalar(expr, env))
         except Exception as error:  # noqa: BLE001 — any type, compared below
             row_errors.add(type(error))
+    # Every failure these trees can hit is a typed statement error.
+    assert all(issubclass(error, ExecutionError) for error in row_errors)
     try:
         actual = vectorized(expr, batch)
     except Exception as error:  # noqa: BLE001

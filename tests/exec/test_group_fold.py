@@ -53,6 +53,9 @@ class RowAtATimeGroupByOp(HashGroupByOp):
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._groups = {}
+        # Keyed by tuples whatever the key count: the inherited fallback
+        # and emit helpers then take the keys as they are.
+        self._single_key = False
         ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         group_bytes = 32 + 24 * len(self.aggregates)
         try:
@@ -378,6 +381,39 @@ def test_soft_limit_trips_mid_batch_on_the_deferred_path():
     assert result == run_group_by(RowAtATimeGroupByOp, case)
     assert result[1] and result[2] == 60  # fallback engaged, 60 groups
     assert calls[:2] == [("defer", 26), ("rows", 230)]
+
+
+NAN = float("nan")
+#: One group key, keyed by the value: ``1``, ``1.0`` and ``True`` are one
+#: group named by the first seen, one NaN object is one group (a dict
+#: matches it by identity) and a second NaN another, NULL is one group.
+ODD_KEYS = [1, 1.0, True, NAN, None, float("nan"), NAN, True, None, 1.0]
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("batch_rows", [1, 4, 256])
+def test_one_key_groups_by_value(batch_rows, fallback):
+    """Keyed by the bare value, the one-key group-by makes the groups the
+    tuple-keyed row fold makes.  With ``fallback``, 30 int groups come
+    first and the 27th fills the one-page soft limit — mid-batch at 256
+    rows a batch — so the odd keys go to the temp table as 1-tuples."""
+    keys = ODD_KEYS * 3
+    if fallback:
+        keys = list(range(100, 130)) + keys
+    case = {
+        "grouped": True, "batch_rows": batch_rows, "mpl": 8,
+        "relinquish_before": (), "aggregates": FIVE_AGGREGATES,
+        "rows": [(key, i, i / 2, 1) for i, key in enumerate(keys)],
+    }
+    result = run_group_by(HashGroupByOp, case)
+    assert result == run_group_by(RowAtATimeGroupByOp, case)
+    assert result[1] == fallback
+    if not fallback:
+        emitted = [row for step in result[0] if step[0] == "yield"
+                   for row in step[4]]
+        assert [row.split(",")[0] for row in emitted] == [
+            "(1", "(nan", "(None", "(nan"
+        ]
 
 
 def test_relinquish_between_batches_folds_pending_rows_first():

@@ -1,0 +1,272 @@
+"""The batch-at-a-time sort against the row path it replaced.
+
+``RowPathSortOp`` below is ``SortOp`` as it stood before it took whole
+batches: an environment dict per absorbed row, one
+``_OrderedValue.__lt__`` call per comparison, and ``BatchBuilder`` fed a
+row at a time.  It lives here as the reference (as the row-at-a-time
+join does in ``test_hash_join_columnar.py``): the engine's operator must
+produce the same batches, show the same clock at every pull and every
+yield, and write the same spilled runs as this one.
+"""
+
+import heapq
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.buffer import BufferPool
+from repro.common import SimClock
+from repro.common.errors import ExecutionError
+from repro.exec import MemoryGovernor, aggregates as aggregates_module
+from repro.exec.aggregates import SortOp, _OrderedValue
+from repro.exec.batch import Batch, rows_to_batches
+from repro.exec.executor import ExecutionContext
+from repro.exec.expr import evaluate
+from repro.exec.operators import Operator
+from repro.exec.spill import WorkMemory
+from repro.optimizer.costmodel import CPU_ROW_BATCH_US, CPU_SORT_FACTOR_BATCH_US
+from repro.sql import ast
+from repro.storage import FlashDisk, Volume
+
+
+# --------------------------------------------------------------------- #
+# the reference: the row-at-a-time sort
+# --------------------------------------------------------------------- #
+
+class RowPathSortOp(SortOp):
+    """Environments in, ``_OrderedValue`` keys, ``BatchBuilder`` out."""
+
+    def execute_batches(self, ctx):
+        self._ctx = ctx
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._current = []
+        self._runs = []
+        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
+        try:
+            for batch in self.child.execute_batches(ctx):
+                ctx.charge(batch.count * CPU_SORT_FACTOR_BATCH_US * 4)
+                for env in batch.rows():
+                    self._absorb(env)
+            self._merging = True
+            yield from rows_to_batches(self._merge_emit(ctx), ctx.batch_rows)
+        finally:
+            ctx.task.unregister_consumer(self)
+            self._memory.release_all()
+
+    def _merge_emit(self, ctx):
+        key_of = self._key_function(ctx)
+        current = self._current
+        current.sort(key=key_of)
+        runs = self._runs
+        if not runs:
+            for env in current:
+                yield env
+            return
+
+        def tagged(envs, index):
+            return ((key_of(env), index, env) for env in envs)
+
+        streams = [
+            tagged(self._read_run(run), index)
+            for index, run in enumerate(runs)
+        ]
+        streams.append(tagged(current, len(runs)))
+        for __, __i, env in heapq.merge(*streams):
+            ctx.charge(CPU_ROW_BATCH_US)
+            yield env
+
+    def _spill_run(self, ctx, rows):
+        rows.sort(key=self._key_function(ctx))
+        run = aggregates_module.SpillFile(
+            ctx.temp_file, 80, ctx.pool.page_size,
+            yield_hook=getattr(ctx, "yield_hook", None),
+        )
+        for env in rows:
+            run.append(env)
+        run.finish_writing()
+        return run
+
+    def _key_function(self, ctx):
+        keys = self.sort_keys
+        params = ctx.params
+
+        def key_of(env):
+            return tuple(
+                _OrderedValue(evaluate(expr, env, params), ascending)
+                for expr, ascending in keys
+            )
+
+        return key_of
+
+
+# --------------------------------------------------------------------- #
+# a rig that shows both operators the same world
+# --------------------------------------------------------------------- #
+
+QID, EXTRA_QID = 1, 7
+
+
+def column(index):
+    ref = ast.ColumnRef(None, "c%d" % index)
+    ref.quantifier_id, ref.column_index, ref.type_name = QID, index, "INT"
+    return ref
+
+
+#: Sort key expressions over ``(a INT, b INT-or-DOUBLE, s VARCHAR)``; the
+#: last divides by a column that can be 0, so it can raise.
+KEYS = [
+    column(0),
+    column(1),
+    column(2),
+    ast.BinaryOp("+", column(0), column(1)),
+    ast.BinaryOp("/", ast.Literal(6), column(0)),
+]
+
+
+class StubChild(Operator):
+    """Yields prepared batches; each pull records the clock as the sort
+    left it, then moves it.  Before the pulls named in
+    ``relinquish_before`` the memory governor asks the sort to give its
+    memory back."""
+
+    def __init__(self, batches, trace, relinquish_before):
+        self.batches, self.trace = batches, trace
+        self.relinquish_before = relinquish_before
+        self.owner = None
+
+    def execute_batches(self, ctx):
+        for number, batch in enumerate(self.batches):
+            if number in self.relinquish_before:
+                freed = self.owner.relinquish_memory()
+                self.trace.append(("relinquished", freed, ctx.clock.now))
+            self.trace.append(("pull", ctx.clock.now, ctx._fraction))
+            ctx.clock.advance(3)
+            ctx.charge(0.3)
+            yield batch
+        self.trace.append(("end", ctx.clock.now, ctx._fraction))
+
+
+def batches_of(rows, size, extra_every):
+    """``rows`` as row-backed batches of ``size``; every
+    ``extra_every``-th batch carries a second quantifier, so the input
+    changes shape."""
+    batches = []
+    for number, start in enumerate(range(0, len(rows), size)):
+        chunk = rows[start:start + size]
+        if extra_every and number % extra_every == 0:
+            batches.append(Batch.from_flat_rows(
+                ((QID, 0, 3), (EXTRA_QID, 3, 1)),
+                [row + (number,) for row in chunk],
+            ))
+        else:
+            batches.append(Batch.from_rows(QID, chunk))
+    return batches
+
+
+def run_sort(operator_class, case):
+    """Everything one operator lets the rest of the engine observe."""
+    clock = SimClock()
+    volume = Volume(FlashDisk(clock, 100_000, page_size=512))
+    temp = volume.create_file("temp")
+    pool = BufferPool(temp, capacity_pages=8)
+    governor = MemoryGovernor(
+        pool, 4096, multiprogramming_level=case["mpl"], clock=clock
+    )
+    task = governor.begin_task()
+    trace = []
+    ctx = ExecutionContext(
+        pool, temp, None, clock, task, batch_rows=case["batch_rows"],
+        yield_hook=lambda: trace.append(
+            ("spill-write", clock.now, ctx._fraction)
+        ),
+    )
+    runs = []
+
+    class RecordingSpillFile(aggregates_module.SpillFile):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.written = []
+            runs.append(self.written)
+
+        def append(self, row):
+            self.written.append(row)
+            super().append(row)
+
+    child = StubChild(
+        batches_of(case["rows"], case["chunk"], case["extra_every"]),
+        trace, case["relinquish_before"],
+    )
+    sort = operator_class(
+        child, [(KEYS[index], ascending) for index, ascending in case["keys"]]
+    )
+    child.owner = sort
+    try:
+        with mock.patch.object(
+            aggregates_module, "SpillFile", RecordingSpillFile
+        ):
+            for batch in sort.execute_batches(ctx):
+                trace.append((
+                    "yield", clock.now, ctx._fraction, batch.count,
+                    batch.layout, list(batch.rows()),
+                ))
+    except ExecutionError as error:
+        return ("raised", type(error))
+    return (
+        trace, runs, sort.runs_spilled, clock.now, ctx._fraction,
+        task.used_pages, volume.disk.reads, volume.disk.writes,
+    )
+
+
+VALUES = st.one_of(st.none(), st.integers(-2, 2))
+#: ``1`` and ``1.0`` and ``True`` tie: which comes first is arrival order.
+MIXED = st.one_of(st.none(), st.sampled_from([0, 1, 1.0, True, 2, 0.5]))
+STRINGS = st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b"]))
+
+
+@st.composite
+def sort_cases(draw):
+    n_rows = draw(st.integers(0, 150))
+    return {
+        "rows": [
+            (draw(VALUES), draw(MIXED), draw(STRINGS))
+            for __ in range(n_rows)
+        ],
+        "keys": draw(st.lists(
+            st.tuples(st.integers(0, len(KEYS) - 1), st.booleans()),
+            min_size=1, max_size=3,
+        )),
+        "chunk": draw(st.integers(1, 40)),
+        "extra_every": draw(st.sampled_from([0, 0, 2, 3])),
+        "batch_rows": draw(st.sampled_from([1, 3, 7, 256])),
+        # 8 pool pages of 512 bytes / mpl, 80 bytes a row: 6 to 51 rows
+        # a run.
+        "mpl": draw(st.sampled_from([1, 2, 8])),
+        "relinquish_before": draw(st.sampled_from([(), (), (1,), (2, 3)])),
+    }
+
+
+@settings(
+    max_examples=300, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(sort_cases())
+def test_batched_sort_equals_the_row_path(case):
+    """Same batches (count, layout, rows, in order), the same clock and
+    carried fraction at every pull, spill write and yield, the same
+    spilled runs row for row, and the same error type when a key
+    raises — over ties, NULLs, DESC keys, several keys, shape changes,
+    soft-limit spills and governor reclaims."""
+    assert run_sort(SortOp, case) == run_sort(RowPathSortOp, case)
+
+
+def test_desc_puts_null_last_and_keeps_ties_in_arrival_order():
+    rows = [(1, None, "x"), (2, 1, "y"), (3, 1.0, "z"), (4, None, "w")]
+    case = {
+        "rows": rows, "keys": [(1, False)], "chunk": 4, "extra_every": 0,
+        "batch_rows": 256, "mpl": 1, "relinquish_before": (),
+    }
+    result = run_sort(SortOp, case)
+    assert result == run_sort(RowPathSortOp, case)
+    yielded = [step for step in result[0] if step[0] == "yield"]
+    assert [env[QID][0] for env in yielded[0][5]] == [2, 3, 1, 4]
