@@ -1,7 +1,7 @@
 """Adaptive query execution (paper Sections 4.3–4.4).
 
-Volcano-style iterators over environment rows, with the paper's adaptive
-behaviours:
+Volcano-style iterators over column-major batches, with the paper's
+adaptive behaviours:
 
 * a **memory governor** enforcing the hard limit (¾·max-pool / active
   requests, eq. 4) and soft limit (pool / multiprogramming level, eq. 5),
@@ -20,7 +20,7 @@ behaviours:
   work sharing and graceful thread reduction (Section 4.4).
 """
 
-from repro.exec.batch import Batch, BatchBuilder, batches_to_rows, rows_to_batches
+from repro.exec.batch import Batch, pack
 from repro.exec.expr import (
     evaluate,
     evaluate_batch,
@@ -36,9 +36,7 @@ __all__ = [
     "evaluate_predicate",
     "evaluate_predicate_batch",
     "Batch",
-    "BatchBuilder",
-    "batches_to_rows",
-    "rows_to_batches",
+    "pack",
     "AdmissionQueue",
     "MemoryGovernor",
     "Task",

@@ -14,10 +14,9 @@ import itertools
 import operator
 
 from repro.common.errors import ExecutionError
-from repro.exec.batch import Batch, env_of, rows_to_batches
+from repro.exec.batch import Batch, pack
 from repro.exec.expr import (
     NUMBERS,
-    evaluate,
     evaluate_batch,
     evaluate_predicate_batch,
 )
@@ -318,7 +317,7 @@ class HashGroupByOp(Operator):
                     self._defer(keys, pending)
             self._fold_pending()
             self._emitting = True
-            yield from rows_to_batches(self._emit(ctx), ctx.batch_rows)
+            yield from pack(self._emit(ctx), ctx.batch_rows)
         finally:
             ctx.task.unregister_consumer(self)
             self._memory.release_all()
@@ -408,8 +407,12 @@ class HashGroupByOp(Operator):
     # -- output ------------------------------------------------------------ #
 
     def _emit(self, ctx):
+        """``(layout, key + finals)`` per group, under ``GROUP_ENV``."""
         from repro.sql.binder import GROUP_ENV
 
+        layout = (
+            (GROUP_ENV, 0, len(self.group_keys) + len(self.aggregates)),
+        )
         emitted = False
         if self.fallback_engaged:
             for key, serialized in self._fallback.scan():
@@ -418,19 +421,18 @@ class HashGroupByOp(Operator):
                     state.merge_serialized(partial)
                 emitted = True
                 ctx.charge(CPU_ROW_BATCH_US)
-                yield {GROUP_ENV: key + tuple(s.finalize() for s in states)}
+                yield layout, key + tuple(s.finalize() for s in states)
         else:
             for key, states in self._groups.items():
                 emitted = True
                 ctx.charge(CPU_ROW_BATCH_US)
-                yield {
-                    GROUP_ENV: self._key_tuple(key)
-                    + tuple(s.finalize() for s in states)
-                }
+                yield layout, (
+                    self._key_tuple(key) + tuple(s.finalize() for s in states)
+                )
         if not emitted and not self.group_keys:
             # Scalar aggregation over zero rows yields one row.
             states = [AggState(call) for call in self.aggregates]
-            yield {GROUP_ENV: tuple(s.finalize() for s in states)}
+            yield layout, tuple(s.finalize() for s in states)
 
 
 class _TempGroupStore:
@@ -580,13 +582,14 @@ class SortOp(Operator):
     """External merge sort under the memory quota.
 
     Batches in and out.  Each absorbed row is one *entry*, ``(sort key
-    values..., flat row, shape)``: the keys are evaluated a batch at a
+    values..., flat row, layout)``: the keys are evaluated a batch at a
     time and no environment dict is built.  The per-row memory check and
     run-spill decision stay per row, so the spilled runs do not depend on
     where batch boundaries fall.  A run is sorted by C-level keys, one
-    stable pass per sort key, last key first (:meth:`_sort`).  Without a
-    spilled run the sorted entries leave as full batches; with runs, the
-    runs hold environments and merge row by row as they always have.
+    stable pass per sort key, last key first (:meth:`_sort`).  A spilled
+    run holds the same entries; the merge compares their stored key
+    values through :class:`_OrderedValue`.  Sorted or merged, the
+    entries leave through :func:`~repro.exec.batch.pack`.
     """
 
     ROW_BYTES = 80
@@ -636,16 +639,15 @@ class SortOp(Operator):
                     evaluate_batch(expr, batch, ctx.params)
                     for expr, __ in self.sort_keys
                 ]
-                shape = (batch.layout, len(rows[0]))
-                for entry in zip(*key_columns, rows, itertools.repeat(shape)):
+                layouts = itertools.repeat(batch.layout)
+                for entry in zip(*key_columns, rows, layouts):
                     self._absorb(entry)
             self._merging = True
-            if self._runs:
-                yield from rows_to_batches(
-                    self._merge_emit(ctx), ctx.batch_rows
-                )
-            else:
-                yield from self._emit_sorted(ctx)
+            self._sort(self._current)
+            entries = self._merged(ctx) if self._runs else self._current
+            yield from pack(
+                ((entry[-1], entry[-2]) for entry in entries), ctx.batch_rows
+            )
         finally:
             ctx.task.unregister_consumer(self)
             self._memory.release_all()
@@ -666,49 +668,30 @@ class SortOp(Operator):
                 key = _null_first(position)
             entries.sort(key=key, reverse=not self.sort_keys[position][1])
 
-    def _emit_sorted(self, ctx):
-        """The one in-memory run, sorted, as full batches; a change of
-        row shape ends a batch early, as :class:`BatchBuilder` does."""
-        current = self._current
-        self._sort(current)
-        row_of = operator.itemgetter(len(self.sort_keys))
-        size = ctx.batch_rows
-        for (layout, width), entries in itertools.groupby(
-            current, key=operator.itemgetter(-1)
-        ):
-            rows = list(map(row_of, entries))
-            for start in range(0, len(rows), size):
-                chunk = rows[start:start + size]
-                if layout is None:
-                    yield Batch.from_tuples(chunk, width)
-                else:
-                    yield Batch.from_flat_rows(layout, chunk)
+    def _merged(self, ctx):
+        """The spilled runs and the sorted in-memory entries, merged."""
+        directions = [ascending for __, ascending in self.sort_keys]
+        n_keys = len(directions)
 
-    def _merge_emit(self, ctx):
-        key_of = self._key_function(ctx)
-        current = self._current
-        self._sort(current)
-
-        def tagged(envs, index):
+        def tagged(entries, index):
             # Equal keys merge in run order, so the run index must be
-            # bound per stream: the environments themselves do not order.
-            return ((key_of(env), index, env) for env in envs)
+            # bound per stream: the entries themselves need not order.
+            return (
+                (
+                    tuple(map(_OrderedValue, entry[:n_keys], directions)),
+                    index, entry,
+                )
+                for entry in entries
+            )
 
         runs = self._runs
         streams = [
-            tagged(self._read_run(run), index)
-            for index, run in enumerate(runs)
+            tagged(run.read_all(), index) for index, run in enumerate(runs)
         ]
-        streams.append(tagged(map(self._env, current), len(runs)))
-        for __, __i, env in heapq.merge(*streams):
+        streams.append(tagged(self._current, len(runs)))
+        for __, __i, entry in heapq.merge(*streams):
             ctx.charge(CPU_ROW_BATCH_US)
-            yield env
-
-    def _env(self, entry):
-        """An entry's row as the environment (or tuple) it arrived as."""
-        layout = entry[-1][0]
-        row = entry[-2]
-        return row if layout is None else env_of(layout, row)
+            yield entry
 
     def _flush_current_run(self):
         """Spill the rows buffered so far as one sorted run.
@@ -729,25 +712,9 @@ class SortOp(Operator):
             yield_hook=getattr(ctx, "yield_hook", None),
         )
         for entry in entries:
-            run.append(self._env(entry))
+            run.append(entry)
         run.finish_writing()
         return run
-
-    @staticmethod
-    def _read_run(run):
-        yield from run.read_all()
-
-    def _key_function(self, ctx):
-        keys = self.sort_keys
-        params = ctx.params
-
-        def key_of(env):
-            return tuple(
-                _OrderedValue(evaluate(expr, env, params), ascending)
-                for expr, ascending in keys
-            )
-
-        return key_of
 
 
 def _null_first(position):

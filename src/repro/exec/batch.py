@@ -1,24 +1,22 @@
 """Column-major batches, the unit every operator produces.
 
-A batch is read column-major: one flat list of columns, with a *layout*
-mapping each environment key (quantifier id, or ``GROUP_ENV``) to its
-column span.  A column is built when something first reads it: a scan's
-batch keeps its row tuples and a hash join's keeps its pieces until a
-consumer asks for a column (:meth:`Batch.column`), the row tuples
-(:meth:`Batch.flat_rows`) or environments (:meth:`Batch.rows` /
-:meth:`Batch.env_at`), and builds only that.  Vectorized code reads
-whole columns with zero per-row dict lookups; code that works a row at
-a time (nested-loop join emission, spill files) unpacks with
-:meth:`Batch.rows` and re-packs with :func:`rows_to_batches`.
-:func:`batches_to_rows` is the boundary above the operator tree, where
-result tuples leave the engine.
+One row shape flows through the operator tree: a flat value tuple under
+its batch's *layout*, which maps each environment key (quantifier id, or
+``GROUP_ENV``) to its span of the tuple — or, from Project upward, a
+plain result tuple (``layout is None``).  An environment dict
+(:func:`env_of`) is built only to hand one row to ``evaluate``, the
+reference semantics, and never leaves the function that built it.
 
-Two row shapes flow through the engine and both are supported: dict
-environments (``{qid: row_tuple}``) below Project, and plain tuples from
-Project upward (``layout is None``).
+A batch is read column-major: a column is built when something first
+reads it.  A scan's batch keeps its row tuples and a hash join's keeps
+its pieces until a consumer asks for a column (:meth:`Batch.column`) or
+the row tuples (:meth:`Batch.flat_rows`), and builds only that.  Code
+that produces rows one at a time (nested-loop joins, group and merge
+emission) hands ``(layout, flat_row)`` pairs to :func:`pack`.
 """
 
-from itertools import chain, compress
+from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 
 #: Rows per batch.  Large enough to amortize interpreter overhead,
@@ -37,8 +35,9 @@ def layout_of(shape):
     return tuple(layout)
 
 
+@lru_cache(maxsize=256)
 def concat_layouts(left, right):
-    """The layout of ``{**left_env, **right_env}`` rows."""
+    """The layout of a ``left`` row followed by a ``right`` row."""
     return layout_of(
         [(key, width) for key, __, width in left]
         + [(key, width) for key, __, width in right]
@@ -53,20 +52,20 @@ def env_of(layout, values):
 
 
 class Batch:
-    """A column-major slab of rows sharing one environment layout.
+    """A column-major slab of rows sharing one layout.
 
-    ``layout`` is a tuple of ``(key, offset, width)`` triples: the rows'
-    environment dicts all had exactly these keys, and key ``k``'s column
-    ``i`` is flat column ``offset + i``.  ``layout is None`` means the
-    rows are plain tuples (post-Project).
+    ``layout`` is a tuple of ``(key, offset, width)`` triples: every row
+    is one flat value tuple, and key ``k``'s column ``i`` is flat column
+    ``offset + i``.  ``layout is None`` means the rows are plain tuples
+    (post-Project).
 
     A column is built when something first reads it (late
     materialisation).  A batch holds, besides the columns built so far,
     at most one source of the others: its rows as flat value tuples
     (:meth:`from_rows`, the scans' form), or a *source* object with
     ``column(position)`` and ``flat_rows()`` (the hash join's pieces).
-    Every reader goes through :meth:`column`, :meth:`flat_rows`,
-    :meth:`rows` or :meth:`env_at`, which build only what they return;
+    Every reader goes through :meth:`column` or :meth:`flat_rows`,
+    which build only what they return;
     :attr:`columns` builds them all.  A column is None only while the
     row tuples or the source can still build it.
     """
@@ -82,23 +81,6 @@ class Batch:
         self._source = source
 
     # -- construction --------------------------------------------------- #
-
-    @classmethod
-    def from_envs(cls, envs):
-        """Pack environment dicts (all sharing one key/width shape)."""
-        layout = layout_of(
-            [(key, len(row)) for key, row in envs[0].items()]
-        )
-        if len(layout) == 1:
-            key = layout[0][0]
-            rows = [env[key] for env in envs]
-        else:
-            keys = [key for key, __, __w in layout]
-            rows = [
-                tuple(chain.from_iterable(map(env.__getitem__, keys)))
-                for env in envs
-            ]
-        return cls.from_flat_rows(layout, rows)
 
     @classmethod
     def from_tuples(cls, rows, width):
@@ -194,23 +176,6 @@ class Batch:
             self._rows = rows
         return rows
 
-    def rows(self):
-        """Unpack into environment dicts (or result tuples), in order."""
-        layout = self.layout
-        if layout is None:
-            yield from self.flat_rows()
-        elif len(layout) == 1:
-            key = layout[0][0]
-            for row in self.flat_rows():
-                yield {key: row}
-        else:
-            for row in self.flat_rows():
-                yield env_of(layout, row)
-
-    def env_at(self, index):
-        """Materialize row ``index`` as an environment dict."""
-        return env_of(self.layout, self.flat_rows()[index])
-
     # -- transformations ------------------------------------------------ #
 
     def take(self, mask):
@@ -246,75 +211,33 @@ class Batch:
         )
 
 
-class BatchBuilder:
-    """Accumulates rows (dict or tuple shape) into full batches.
+def pack(rows, batch_rows=DEFAULT_BATCH_ROWS):
+    """Pack a stream of ``(layout, flat_row)`` pairs into batches.
 
-    Consecutive rows sharing a layout signature pack together; a shape
-    change or a full buffer flushes.  Usage::
-
-        builder = BatchBuilder(ctx.batch_rows)
-        for row in ...:
-            batch = builder.add(row)
-            if batch is not None:
-                yield batch
-        tail = builder.finish()
-        if tail is not None:
-            yield tail
+    Consecutive rows of one shape — the same layout, or the same width
+    when ``layout is None`` — pack together; a batch ends at
+    ``batch_rows`` rows or at a change of shape.  A full batch is yielded
+    before the next pair is pulled, and a shape change is seen only once
+    the first row of the new shape has been pulled: per-batch charges
+    downstream depend on exactly these boundaries.
     """
-
-    __slots__ = ("batch_rows", "_rows", "_signature")
-
-    def __init__(self, batch_rows=DEFAULT_BATCH_ROWS):
-        self.batch_rows = batch_rows
-        self._rows = []
-        self._signature = None
-
-    def add(self, row):
-        """Buffer one row; returns a completed batch or None."""
-        if isinstance(row, dict):
-            signature = tuple(
-                (key, len(value)) for key, value in row.items()
-            )
-        else:
-            signature = len(row)
-        flushed = None
-        if self._rows and signature != self._signature:
-            flushed = self._flush()
-        self._signature = signature
-        self._rows.append(row)
-        if len(self._rows) >= self.batch_rows:
-            # A shape change and a full buffer cannot coincide: the shape
-            # flush above emptied the buffer first.
-            return self._flush()
-        return flushed
-
-    def finish(self):
-        """Flush whatever remains; returns a batch or None."""
-        if not self._rows:
-            return None
-        return self._flush()
-
-    def _flush(self):
-        rows = self._rows
-        self._rows = []
-        if isinstance(self._signature, int):
-            return Batch.from_tuples(rows, self._signature)
-        return Batch.from_envs(rows)
+    buffer, shape = [], None
+    for layout, row in rows:
+        if (layout, len(row)) != shape:
+            if buffer:
+                yield _packed(shape, buffer)
+                buffer = []
+            shape = (layout, len(row))
+        buffer.append(row)
+        if len(buffer) >= batch_rows:
+            yield _packed(shape, buffer)
+            buffer = []
+    if buffer:
+        yield _packed(shape, buffer)
 
 
-def rows_to_batches(rows, batch_rows=DEFAULT_BATCH_ROWS):
-    """Pack a row stream (dicts or tuples) into batches."""
-    builder = BatchBuilder(batch_rows)
-    for row in rows:
-        batch = builder.add(row)
-        if batch is not None:
-            yield batch
-    tail = builder.finish()
-    if tail is not None:
-        yield tail
-
-
-def batches_to_rows(batches):
-    """Unpack a batch stream into its rows."""
-    for batch in batches:
-        yield from batch.rows()
+def _packed(shape, rows):
+    layout, width = shape
+    if layout is None:
+        return Batch.from_tuples(rows, width)
+    return Batch.from_flat_rows(layout, rows)

@@ -1,7 +1,7 @@
 """Plan interpretation: plan trees -> operator trees -> row streams."""
 
 from repro.common.errors import ExecutionError
-from repro.exec.batch import DEFAULT_BATCH_ROWS, batches_to_rows
+from repro.exec.batch import DEFAULT_BATCH_ROWS
 from repro.exec.aggregates import (
     HashDistinctOp,
     HashGroupByOp,
@@ -154,10 +154,10 @@ class Executor:
 
     @staticmethod
     def rows(operator, ctx):
-        """The one batch -> row boundary: an operator tree's output as
-        rows (result tuples from a whole plan, environments from a
-        sub-tree the parallel pipeline materializes)."""
-        return batches_to_rows(operator.execute_batches(ctx))
+        """The one batch -> row boundary: a plan's output, whose top
+        batches Project made plain tuples, as result rows."""
+        for batch in operator.execute_batches(ctx):
+            yield from batch.flat_rows()
 
     def _materialize_cte(self, cte, ctx):
         base_result = self.plan_block_fn(cte.base_block)

@@ -10,6 +10,7 @@ import operator
 import re
 
 from repro.common.errors import ExecutionError
+from repro.exec.batch import env_of
 from repro.sql import ast
 from repro.sql.binder import GROUP_ENV, GroupRef
 
@@ -321,9 +322,10 @@ def _rowwise_batch(expr, batch, params):
         raise ExecutionError(
             "cannot evaluate %r over tuple rows" % (type(expr).__name__,)
         )
+    layout = batch.layout
     return [
-        evaluate(expr, batch.env_at(index), params)
-        for index in range(batch.count)
+        evaluate(expr, env_of(layout, row), params)
+        for row in batch.flat_rows()
     ]
 
 

@@ -9,7 +9,7 @@ from repro.exec.batch import (
     concat_layouts,
     env_of,
     layout_of,
-    rows_to_batches,
+    pack,
 )
 from repro.exec.expr import (
     evaluate,
@@ -21,7 +21,7 @@ from repro.exec.spill import (
     SpillFile,
     SpillableBuffer,
     WorkMemory,
-    env_row_bytes,
+    row_bytes,
 )
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
@@ -50,9 +50,9 @@ HASH_PARTITIONS = 8
 
 class Operator:
     """Base class.  One protocol: ``execute_batches(ctx)`` yields
-    column-major :class:`~repro.exec.batch.Batch` slabs — environment
-    layouts below Project, plain tuples (``layout is None``) from Project
-    upward.  Rows exist only above the tree, at :meth:`Executor.rows`.
+    column-major :class:`~repro.exec.batch.Batch` slabs — flat rows under
+    a layout below Project, plain tuples (``layout is None``) from Project
+    upward.  Result rows leave the tree only at :meth:`Executor.rows`.
     """
 
     def execute_batches(self, ctx):
@@ -362,8 +362,8 @@ class NLJoinOp(Operator):
         self.right = right
         self.join_type = join_type
         self.conjuncts = conjuncts
-        #: Quantifiers supplied by the right child (for NULL extension).
-        self.right_quantifiers = right_quantifiers
+        #: What an unmatched LEFT row is extended with.
+        self._null_layout, self._null_row = null_side(right_quantifiers)
         #: Whether the materialized inner input overflowed to the temp file.
         self.inner_spilled = False
 
@@ -374,41 +374,51 @@ class NLJoinOp(Operator):
         inner = SpillableBuffer(ctx)
         try:
             for batch in self.right.execute_batches(ctx):
-                for env in batch.rows():
-                    inner.append(env)
+                layout = batch.layout
+                for row in batch.flat_rows():
+                    inner.append((layout, row))
             inner.seal()
             self.inner_spilled = inner.spilled
-            yield from rows_to_batches(
-                self._joined(ctx, inner), ctx.batch_rows
-            )
+            yield from pack(self._joined(ctx, inner), ctx.batch_rows)
         finally:
             inner.free()
 
     def _joined(self, ctx, inner):
+        """``(layout, row)`` per output row; an environment is built per
+        pair only to evaluate the join predicates."""
+        conjuncts, join_type = self.conjuncts, self.join_type
+        pair_us = CPU_ROW_US + len(conjuncts) * CPU_PREDICATE_US
         for batch in self.left.execute_batches(ctx):
-            for left_env in batch.rows():
+            left_layout = batch.layout
+            for left_row in batch.flat_rows():
+                left_env = env_of(left_layout, left_row)
                 matched = False
-                for right_env in inner.scan():
-                    ctx.charge(
-                        CPU_ROW_US + len(self.conjuncts) * CPU_PREDICATE_US
+                for right_layout, right_row in inner.scan():
+                    ctx.charge(pair_us)
+                    if conjuncts:
+                        merged = {**left_env, **env_of(right_layout, right_row)}
+                        if not all(
+                            evaluate_predicate(c.expr, merged, ctx.params)
+                            for c in conjuncts
+                        ):
+                            continue
+                    matched = True
+                    if join_type == Quantifier.SEMI:
+                        yield left_layout, left_row
+                        break
+                    if join_type == Quantifier.ANTI:
+                        break
+                    yield join_rows(
+                        left_layout, left_row, right_layout, right_row
                     )
-                    merged = {**left_env, **right_env}
-                    if all(
-                        evaluate_predicate(c.expr, merged, ctx.params)
-                        for c in self.conjuncts
-                    ):
-                        matched = True
-                        if self.join_type == Quantifier.SEMI:
-                            yield left_env
-                            break
-                        if self.join_type == Quantifier.ANTI:
-                            break
-                        yield merged
                 if not matched:
-                    if self.join_type == Quantifier.ANTI:
-                        yield left_env
-                    elif self.join_type == Quantifier.LEFT:
-                        yield null_extend(left_env, self.right_quantifiers)
+                    if join_type == Quantifier.ANTI:
+                        yield left_layout, left_row
+                    elif join_type == Quantifier.LEFT:
+                        yield join_rows(
+                            left_layout, left_row,
+                            self._null_layout, self._null_row,
+                        )
 
 
 class IndexNLJoinOp(Operator):
@@ -423,22 +433,28 @@ class IndexNLJoinOp(Operator):
         self.join_type = join_type
         self.conjuncts = conjuncts
         self.local_conjuncts = local_conjuncts
+        #: Local conjuncts first, then the join's.
+        self._predicates = list(local_conjuncts) + list(conjuncts)
+        self._null_layout, self._null_row = null_side([quantifier])
 
     def execute_batches(self, ctx):
-        return rows_to_batches(self._joined(ctx), ctx.batch_rows)
+        return pack(self._joined(ctx), ctx.batch_rows)
 
     def _joined(self, ctx):
         for batch in self.left.execute_batches(ctx):
-            for left_env in batch.rows():
-                yield from self.probe(ctx, left_env)
+            layout = batch.layout
+            for row in batch.flat_rows():
+                yield from self.probe(ctx, layout, row)
 
-    def probe(self, ctx, left_env):
-        """Probe for one outer environment (shared with the hash join's
-        alternate-strategy switch)."""
+    def probe(self, ctx, left_layout, left_row):
+        """``(layout, row)`` per output row for one outer row (shared
+        with the hash join's alternate-strategy switch)."""
         btree = self.index_schema.btree
         qid = self.quantifier.id
+        params = ctx.params
+        left_env = env_of(left_layout, left_row)
         values = tuple(
-            evaluate(expr, left_env, ctx.params) for expr in self.probe_keys
+            evaluate(expr, left_env, params) for expr in self.probe_keys
         )
         ctx.charge(btree.height * INDEX_NODE_US)
         matched = False
@@ -448,28 +464,29 @@ class IndexNLJoinOp(Operator):
                 btree.prefix_scan(values), (values, values, True, True),
                 CPU_ROW_US,
             ):
-                merged = {**left_env, qid: row}
-                keep = all(
-                    evaluate_predicate(c.expr, merged, ctx.params)
-                    for c in self.local_conjuncts
-                ) and all(
-                    evaluate_predicate(c.expr, merged, ctx.params)
-                    for c in self.conjuncts
-                )
-                if not keep:
-                    continue
+                if self._predicates:
+                    merged = {**left_env, qid: row}
+                    if not all(
+                        evaluate_predicate(c.expr, merged, params)
+                        for c in self._predicates
+                    ):
+                        continue
                 matched = True
                 if self.join_type == Quantifier.SEMI:
-                    yield left_env
+                    yield left_layout, left_row
                     return
                 if self.join_type == Quantifier.ANTI:
                     break
-                yield merged
+                yield join_rows(
+                    left_layout, left_row, ((qid, 0, len(row)),), row
+                )
         if not matched:
             if self.join_type == Quantifier.ANTI:
-                yield left_env
+                yield left_layout, left_row
             elif self.join_type == Quantifier.LEFT:
-                yield null_extend(left_env, [self.quantifier])
+                yield join_rows(
+                    left_layout, left_row, self._null_layout, self._null_row
+                )
 
 
 class HashJoinOp(Operator):
@@ -511,15 +528,10 @@ class HashJoinOp(Operator):
             getattr(expr, "type_name", None)
             for expr in list(build_keys) + list(probe_keys)
         )
-        #: What :func:`null_extend` appends to an unmatched LEFT row.
-        self._null_layout = layout_of(
-            (quantifier.id, max(1, len(quantifier.columns)))
-            for quantifier in right_quantifiers
-        )
-        #: The one build "row" an unmatched LEFT row joins to.
-        self._null_candidates = [(None,) * sum(
-            width for __, __o, width in self._null_layout
-        )]
+        #: What an unmatched LEFT row is extended with: the one build
+        #: "row" it joins to.
+        self._null_layout, null_row = null_side(right_quantifiers)
+        self._null_candidates = [null_row]
         # observability
         self.partitions_evicted = 0
         self.switched_to_alternate = False
@@ -606,9 +618,7 @@ class HashJoinOp(Operator):
             ):
                 self.switched_to_alternate = True
                 ctx.note("hash_join_switched")
-                yield from rows_to_batches(
-                    self._execute_alternate(ctx), ctx.batch_rows
-                )
+                yield from pack(self._execute_alternate(ctx), ctx.batch_rows)
                 return
             yield from self._probe(ctx)
         finally:
@@ -636,7 +646,7 @@ class HashJoinOp(Operator):
                 self._right_layout = batch.layout
             # Every row of a batch has the batch's shape: one sizes all.
             self._row_bytes = max(
-                self._row_bytes, env_row_bytes(batch.env_at(0))
+                self._row_bytes, row_bytes(len(batch.flat_rows()[0]))
             )
             self.build_row_count += batch.count
             for key, row in zip(zip(*key_columns), batch.flat_rows()):
@@ -672,10 +682,10 @@ class HashJoinOp(Operator):
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                yield from self.alternate.probe(ctx, env_of(layout, row))
+                yield from self.alternate.probe(ctx, layout, row)
         else:
             for __, row in self._all_build_rows():
-                yield from self.alternate.probe(ctx, env_of(layout, row))
+                yield from self.alternate.probe(ctx, layout, row)
 
     def _all_build_rows(self):
         for partition in self._partitions:
@@ -843,8 +853,8 @@ class _JoinOutput:
     key (``candidates`` is None for a semi / anti row, which carries no
     build side).  Whole match lists go in (:meth:`add`) and batches of
     exactly ``ctx.batch_rows`` rows come out (:meth:`drain`), a change of
-    row shape flushing early — the batches :class:`BatchBuilder` packs
-    from the same rows one at a time.  An output column is gathered from
+    row shape flushing early — the batches :func:`~repro.exec.batch.pack`
+    makes of the same rows handed over one at a time.  An output column is gathered from
     the pieces only when a consumer reads it (:class:`_Pieces`); the build
     lists a piece points at are never changed after the build, so a
     partition evicted after the yield still gathers the same values.
@@ -885,8 +895,9 @@ class _JoinOutput:
         owed = count if owes else 0
         if (left_layout, right_layout) != self.shape:
             if self.count:
-                # BatchBuilder saw a shape change only once it was handed
-                # the first row of the new shape — by then charged.
+                # A row-at-a-time packer sees a shape change only once it
+                # is handed the first row of the new shape — by then
+                # charged.
                 lead = 1 if owes else 0
                 self.ready.append((self.take_all(), self.owed + lead))
                 self.owed = 0
@@ -1057,12 +1068,19 @@ def _filter(batch, conjuncts, params):
     return batch
 
 
-def null_extend(env, quantifiers):
-    """Left-outer NULL extension for the null-supplied side."""
-    extended = dict(env)
-    for quantifier in quantifiers:
-        extended[quantifier.id] = (None,) * max(1, len(quantifier.columns))
-    return extended
+def join_rows(left_layout, left_row, right_layout, right_row):
+    """``(layout, row)`` of a left row joined to a right row."""
+    return concat_layouts(left_layout, right_layout), left_row + right_row
+
+
+def null_side(quantifiers):
+    """``(layout, row)`` of the NULLs a left-outer join appends for the
+    null-supplied ``quantifiers``."""
+    layout = layout_of(
+        (quantifier.id, max(1, len(quantifier.columns)))
+        for quantifier in quantifiers
+    )
+    return layout, (None,) * sum(width for __, __o, width in layout)
 
 
 def classify_predicate(predicate, params):

@@ -18,7 +18,7 @@ Division of labour:
   serially on the joined rows.
 """
 
-from repro.exec.batch import rows_to_batches
+from repro.exec.batch import Batch, concat_layouts, env_of
 from repro.exec.expr import evaluate
 from repro.exec.operators import Operator
 from repro.exec.parallel import JoinStage, ParallelPipeline
@@ -63,14 +63,18 @@ def parallelizable_join_core(plan):
     return joins, node
 
 
-class _MaterializedRows(Operator):
-    """Feeds pre-computed environment rows into the serial operator tree."""
+class _Replay(Operator):
+    """Replays the join core's rows, computed by the pipeline, as
+    batches."""
 
-    def __init__(self, rows):
+    def __init__(self, layout, rows):
+        self.layout = layout
         self.rows = rows
 
     def execute_batches(self, ctx):
-        return rows_to_batches(self.rows, ctx.batch_rows)
+        rows, size = self.rows, ctx.batch_rows
+        for start in range(0, len(rows), size):
+            yield Batch.from_flat_rows(self.layout, rows[start:start + size])
 
 
 def execute_parallel(plan, executor, ctx, n_workers):
@@ -86,13 +90,14 @@ def execute_parallel(plan, executor, ctx, n_workers):
 
     # 1. Materialize the leaf (probe) input and every build input through
     #    the ordinary scan operators: scan I/O stays serial and sequential.
-    probe_rows = list(executor.rows(executor.build(leaf, depth=1), ctx))
+    layout, probe_rows = _materialize(executor, leaf, ctx)
     stages = []
-    for join in joins:
-        build_rows = list(
-            executor.rows(executor.build(join.right, depth=1), ctx)
-        )
-        stages.append(_make_stage(join, build_rows, ctx.params))
+    for depth, join in enumerate(joins):
+        build_layout, build_rows = _materialize(executor, join.right, ctx)
+        stages.append(_make_stage(
+            join, layout, depth, build_layout, build_rows, ctx.params
+        ))
+        layout = concat_layouts(layout, build_layout)
 
     # 2. Parallel build + probe via the FCFS worker pipeline.  Workers
     #    fetch whole batches FCFS: the per-morsel fetch and probe
@@ -106,39 +111,48 @@ def execute_parallel(plan, executor, ctx, n_workers):
     ctx.notes["parallel_workers"] = n_workers
     ctx.notes["parallel_wall_us"] = int(stats.wall_clock_us)
 
-    # 3. Flatten the pipeline's nested (probe, build) tuples back into
-    #    environment rows; the executor builds the serial remainder of
-    #    the plan with the join core's node replaying them.
-    executor.materialized[id(joins[-1])] = _MaterializedRows(
-        [_flatten_env(item) for item in output]
+    # 3. Flatten the pipeline's nested (probe, build) pairs into flat
+    #    rows; the executor builds the serial remainder of the plan with
+    #    the join core's node replaying them.
+    executor.materialized[id(joins[-1])] = _Replay(
+        layout, [_flatten(item, len(joins)) for item in output]
     )
     return executor.rows(executor.build(plan, depth=0), ctx)
 
 
-def _make_stage(join, build_envs, params):
+def _materialize(executor, plan, ctx):
+    """``(layout, flat rows)`` of a scan plan's output; a scan's batches
+    share one layout (``()`` stands in when there are none)."""
+    batches = list(executor.build(plan, depth=1).execute_batches(ctx))
+    layout = batches[0].layout if batches else ()
+    return layout, [row for batch in batches for row in batch.flat_rows()]
+
+
+def _make_stage(join, probe_layout, depth, build_layout, build_rows, params):
+    """The pipeline stage of ``join``, whose probe items are nested
+    ``depth`` joins deep and flatten to rows under ``probe_layout``."""
     build_keys = join.build_keys
     probe_keys = join.probe_keys
 
-    def build_key(env):
+    def build_key(row):
+        env = env_of(build_layout, row)
         return tuple(evaluate(expr, env, params) for expr in build_keys)
 
     def probe_key(item):
-        return tuple(
-            evaluate(expr, _flatten_env(item), params) for expr in probe_keys
-        )
+        env = env_of(probe_layout, _flatten(item, depth))
+        return tuple(evaluate(expr, env, params) for expr in probe_keys)
 
     return JoinStage(
-        build_envs, build_key, probe_key,
+        build_rows, build_key, probe_key,
         row_fetch_us=CPU_ROW_BATCH_US,
         build_us=CPU_HASH_BUILD_BATCH_US,
     )
 
 
-def _flatten_env(item):
-    """Merge the pipeline's nested ((env, env), env) tuples into one env."""
-    if isinstance(item, dict):
+def _flatten(item, depth):
+    """The flat row of a pipeline item ``depth`` joins deep: the probe
+    row, then each join's build row (``((probe, build), build)``...)."""
+    if depth == 0:
         return item
     left, right = item
-    merged = dict(_flatten_env(left))
-    merged.update(_flatten_env(right))
-    return merged
+    return _flatten(left, depth - 1) + right

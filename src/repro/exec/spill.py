@@ -14,15 +14,9 @@ VALUE_BYTES = 16
 ROW_OVERHEAD_BYTES = 32
 
 
-def env_row_bytes(env):
-    """Estimated bytes of one environment row."""
-    total = ROW_OVERHEAD_BYTES
-    for row in env.values():
-        try:
-            total += VALUE_BYTES * len(row)
-        except TypeError:
-            total += VALUE_BYTES
-    return total
+def row_bytes(width):
+    """Estimated bytes of one row of ``width`` values."""
+    return ROW_OVERHEAD_BYTES + VALUE_BYTES * width
 
 
 class WorkMemory:

@@ -497,20 +497,39 @@ class Binder:
         block.conjuncts.append(Conjunct(bound, _collect_refs(bound)))
 
     def _unnest_in(self, expr, block, scope):
-        """``x [NOT] IN (SELECT y ...)`` becomes a semi/anti quantifier."""
+        """``x [NOT] IN (SELECT y ...)`` becomes a semi/anti quantifier.
+
+        The anti join keeps a row when no subquery row matches it, but
+        ``x NOT IN (...)`` is unknown — the row goes — when ``x`` is NULL
+        or the subquery yields a NULL, unless it yields no row at all.
+        So when either side can be NULL, a NULL on either side matches:
+        the condition is ``x = y OR x IS NULL OR y IS NULL``.  When
+        neither can, it stays the equi conjunct a hash join can take.
+        """
         operand = self._bind_expr(expr.operand, scope, block)
         sub_block = self.bind_select(expr.subquery, scope)
         if len(sub_block.select_items) != 1:
             raise SqlTypeError("IN subquery must produce exactly one column")
+        output = sub_block.select_items[0][0]
         join_type = Quantifier.ANTI if expr.negated else Quantifier.SEMI
         quantifier = self._add_subquery_quantifier(block, sub_block, join_type)
         self._lift_correlation(quantifier, sub_block, block)
-        # Join condition: operand = subquery output column 0.
-        column = ast.ColumnRef(quantifier.alias, quantifier.columns[0][0])
-        column.quantifier_id = quantifier.id
-        column.column_index = 0
-        column.type_name = quantifier.columns[0][1]
-        condition = ast.BinaryOp("=", operand, column)
+
+        def column():
+            """The subquery's output column 0, read through ``quantifier``."""
+            ref = ast.ColumnRef(quantifier.alias, quantifier.columns[0][0])
+            ref.quantifier_id = quantifier.id
+            ref.column_index = 0
+            ref.type_name = quantifier.columns[0][1]
+            return ref
+
+        condition = ast.BinaryOp("=", operand, column())
+        if expr.negated and (
+            _can_be_null(operand, block) or _can_be_null(output, sub_block)
+        ):
+            condition = ast.BinaryOp("OR", ast.BinaryOp(
+                "OR", condition, ast.IsNull(operand),
+            ), ast.IsNull(column()))
         quantifier.on_conjuncts.append(Conjunct(condition, _collect_refs(condition)))
         quantifier.required_predecessors |= _collect_refs(operand)
 
@@ -812,6 +831,22 @@ def _split_and(expr):
 
 def _split_and_bound(expr):
     return _split_and(expr)
+
+
+def _can_be_null(expr, block):
+    """False only for a column of one of ``block``'s inner-joined base
+    tables that is declared NOT NULL."""
+    if not (isinstance(expr, ast.ColumnRef) and expr.bound):
+        return True
+    try:
+        quantifier = block.quantifier(expr.quantifier_id)
+    except KeyError:
+        return True
+    return (
+        quantifier.kind != Quantifier.BASE
+        or quantifier.join_type != Quantifier.INNER
+        or quantifier.schema.columns[expr.column_index].nullable
+    )
 
 
 def _collect_refs(expr, refs=None):

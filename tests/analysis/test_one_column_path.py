@@ -3,9 +3,9 @@ reads only a few of (DESIGN.md §7, "A column is built when something
 first reads it"): under ``repro/exec/``, outside ``batch.py``, the
 functions that read a batch's ``.columns`` — which builds them all —
 are exactly the list below.  Everything else reads through
-``Batch.column`` (one column), ``flat_rows`` (the row tuples),
-``rows`` or ``env_at``.  A ``.columns`` read off ``self``, a
-quantifier or a schema is not a batch's and is not counted."""
+``Batch.column`` (one column) or ``flat_rows`` (the row tuples).  A
+``.columns`` read off ``self``, a quantifier or a schema is not a
+batch's and is not counted."""
 
 import ast
 import pathlib

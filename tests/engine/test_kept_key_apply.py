@@ -186,7 +186,7 @@ class World:
                 None, quantifier, index, sarg["eq"], Quantifier.INNER, [], [],
             )
             reads.append(collections.Counter(
-                env[quantifier.id] for env in join.probe(context(), {})
+                row for __, row in join.probe(context(), (), ())
             ))
         heap = collections.Counter(
             row for __, row in table.storage.scan(snapshot, txn)

@@ -13,6 +13,7 @@ from repro.exec.operators import Operator
 from repro.sql import ast
 from repro.sql.binder import GROUP_ENV
 from repro.storage import FlashDisk, Volume
+from tests.exec.env_reference import env_rows
 
 
 @pytest.fixture
@@ -171,7 +172,7 @@ def _group_by(rows, chunk, aggregates, pool_pages=8, mpl=8):
     result = [
         env[GROUP_ENV]
         for batch in operator.execute_batches(ctx)
-        for env in batch.rows()
+        for env in env_rows(batch)
     ]
     return operator, result, clock
 

@@ -15,15 +15,10 @@ from hypothesis import strategies as st
 
 from repro import Server, ServerConfig
 from repro.common.errors import ExecutionError, SpillWriteError
-from repro.exec.batch import (
-    Batch,
-    BatchBuilder,
-    batches_to_rows,
-    layout_of,
-    rows_to_batches,
-)
+from repro.exec.batch import Batch, env_of, layout_of, pack
 from repro.faults import FaultPlan, FaultRates
 from tests.conftest import pages_fetched
+from tests.exec.env_reference import env_rows, rows_to_batches
 
 
 def make_server(**kwargs):
@@ -49,50 +44,107 @@ class TestBatchUnit:
     def test_empty_tuple_rows_round_trip(self):
         batch = Batch.from_tuples([(), (), ()], width=0)
         assert batch.count == 3
-        assert list(batch.rows()) == [(), (), ()]
+        assert batch.flat_rows() == [(), (), ()]
 
     def test_take_empty_mask_keeps_layout(self):
-        batch = Batch.from_envs([{0: (1, 2)}, {0: (3, 4)}])
+        batch = Batch.from_flat_rows(((0, 0, 2),), [(1, 2), (3, 4)])
         empty = batch.take([False, False])
         assert empty.count == 0
         assert empty.layout == batch.layout
-        assert list(empty.rows()) == []
+        assert empty.flat_rows() == []
 
     def test_slice_past_the_end_clamps(self):
         batch = Batch.from_tuples([(1,), (2,)], width=1)
-        assert list(batch.slice(0, 10).rows()) == [(1,), (2,)]
+        assert batch.slice(0, 10).flat_rows() == [(1,), (2,)]
         assert batch.slice(2, 10).count == 0
 
     def test_column_missing_key_is_none(self):
-        batch = Batch.from_envs([{0: (1,)}])
+        batch = Batch.from_rows(0, [(1,)])
         assert batch.column(7, 0) is None
 
     def test_column_index_past_width_raises_like_the_row_path(self):
-        batch = Batch.from_envs([{0: (1,), 1: (2, 3)}])
+        batch = Batch.from_flat_rows(layout_of([(0, 1), (1, 2)]), [(1, 2, 3)])
         with pytest.raises(IndexError):
             batch.column(0, 1)
 
+    # The batch builder is ``pack``, which replaced ``BatchBuilder``.
+
     def test_builder_flushes_on_shape_change(self):
-        builder = BatchBuilder(batch_rows=10)
-        first = builder.add({0: (1,)})
-        assert first is None
-        flushed = builder.add({0: (1,), 1: (2,)})  # new layout signature
-        assert flushed is not None and flushed.count == 1
-        tail = builder.finish()
-        assert tail is not None and tail.count == 1
+        one, two = ((0, 0, 1),), layout_of([(0, 1), (1, 1)])
+        batches = list(pack(iter([(one, (1,)), (two, (1, 2))]), 10))
+        assert [(b.layout, b.flat_rows()) for b in batches] == [
+            (one, [(1,)]), (two, [(1, 2)]),
+        ]
 
     def test_builder_single_row_batches_drop_nothing(self):
-        rows = [{0: (i,)} for i in range(5)]
-        out = list(batches_to_rows(rows_to_batches(iter(rows), 1)))
-        assert out == rows
+        rows = [(((0, 0, 1),), (i,)) for i in range(5)]
+        batches = list(pack(iter(rows), 1))
+        assert [b.count for b in batches] == [1] * 5
+        assert [row for b in batches for row in b.flat_rows()] == [
+            row for __, row in rows
+        ]
 
     def test_builder_finish_empty_is_none(self):
-        assert BatchBuilder().finish() is None
+        assert next(pack(iter([]), 10), None) is None
 
     def test_mixed_shapes_round_trip_in_order(self):
-        rows = [{0: (1,)}, {0: (2,)}, (3, 4), (5, 6), {1: (7, 8)}]
-        out = list(batches_to_rows(rows_to_batches(iter(rows), 3)))
+        one, two = ((0, 0, 1),), ((1, 0, 2),)
+        rows = [
+            (one, (1,)), (one, (2,)), (None, (3, 4)), (None, (5, 6)),
+            (None, (7,)), (two, (7, 8)),
+        ]
+        out = [
+            (batch.layout, row)
+            for batch in pack(iter(rows), 3) for row in batch.flat_rows()
+        ]
         assert out == rows
+
+
+# --------------------------------------------------------------------- #
+# the packer cuts exactly where the environment packer it replaced cut:
+# per-batch charges downstream round by these boundaries
+# --------------------------------------------------------------------- #
+
+LAYOUTS = [
+    None, (), ((0, 0, 1),), ((0, 0, 2),), layout_of([(0, 1), (1, 2)]),
+    layout_of([(1, 2), (0, 1)]),
+]
+
+
+@st.composite
+def shaped_rows(draw):
+    """``(layout, flat_row)`` runs of a few shapes, tuple widths mixed."""
+    rows = []
+    for __ in range(draw(st.integers(0, 8))):
+        layout = draw(st.sampled_from(LAYOUTS))
+        width = (
+            draw(st.integers(0, 3)) if layout is None
+            else sum(w for __k, __o, w in layout)
+        )
+        for __r in range(draw(st.integers(1, 6))):
+            rows.append((layout, tuple(range(width))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_rows(), st.integers(1, 7))
+def test_packer_cuts_where_the_environment_packer_cut(rows, batch_rows):
+    """Same boundaries, layouts and rows as ``BatchBuilder`` fed the
+    same rows as environment dicts (result tuples for ``layout is
+    None``); the empty layout stays apart from zero-width tuples."""
+    envs = [
+        row if layout is None else env_of(layout, row)
+        for layout, row in rows
+    ]
+    expected = [
+        (batch.layout, batch.count, env_rows(batch))
+        for batch in rows_to_batches(iter(envs), batch_rows)
+    ]
+    actual = [
+        (batch.layout, batch.count, env_rows(batch))
+        for batch in pack(iter(rows), batch_rows)
+    ]
+    assert actual == expected
 
 
 # --------------------------------------------------------------------- #
@@ -130,9 +182,7 @@ OPERATIONS = st.lists(st.one_of(
                                          max_size=9)),
     st.tuples(st.just("slice"), st.integers(0, 10), st.integers(0, 10)),
     st.tuples(st.just("column"), st.integers(0, 8)),
-    st.tuples(st.just("rows")),
     st.tuples(st.just("flat_rows")),
-    st.tuples(st.just("env_at"), st.integers(0, 8)),
     st.tuples(st.just("as_quantifier"), st.sampled_from([2, 5])),
 ), max_size=8)
 
@@ -151,12 +201,8 @@ def observe(batch, operation):
         for key, offset, width in batch.layout:
             if offset <= position < offset + width:
                 return list(batch.column(key, position - offset)), batch
-    elif name == "rows":
-        return list(batch.rows()), batch
     elif name == "flat_rows":
         return list(batch.flat_rows()), batch
-    elif name == "env_at" and batch.layout is not None and batch.count:
-        return batch.env_at(operation[1] % batch.count), batch
     return None, batch
 
 
@@ -164,8 +210,8 @@ def observe(batch, operation):
 @given(batch_pairs(), OPERATIONS)
 def test_row_backed_batches_read_as_built_columns(pair, operations):
     """Through any sequence of take / slice / as_quantifier, every read —
-    one column, the rows, the flat rows, one environment — and the
-    count, layout and full columns agree."""
+    one column, the flat rows — and the count, layout and full columns
+    agree."""
     eager, lazy = pair
     for operation in operations:
         seen_eager, eager = observe(eager, operation)
@@ -173,7 +219,7 @@ def test_row_backed_batches_read_as_built_columns(pair, operations):
         assert seen_lazy == seen_eager
         assert (lazy.count, lazy.layout) == (eager.count, eager.layout)
     assert lazy.columns == eager.columns
-    assert list(lazy.rows()) == list(eager.rows())
+    assert lazy.flat_rows() == eager.flat_rows()
 
 
 class TestEmptyBatches:

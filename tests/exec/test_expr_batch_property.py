@@ -22,6 +22,7 @@ from repro.exec.expr import (
     evaluate_predicate_batch,
 )
 from repro.sql import ast
+from tests.exec.env_reference import env_rows
 
 #: Quantifier 0 has columns (INT, DOUBLE, VARCHAR), quantifier 1 (INT).
 LAYOUT = ((0, 0, 3), (1, 3, 1))
@@ -159,7 +160,7 @@ def typed(values):
 
 def check_matches_rows(scalar, vectorized, expr, batch):
     expected, row_errors = [], set()
-    for env in batch.rows():
+    for env in env_rows(batch):
         try:
             expected.append(scalar(expr, env))
         except Exception as error:  # noqa: BLE001 — any type, compared below

@@ -4,11 +4,13 @@ replaced.
 ``RowAtATimeGroupByOp`` below is the hash group-by as it stood before
 argument values waited per group: a dict probe and one
 ``AggState.accumulate_value`` call per row per aggregate, group creation,
-the soft-limit check and the fallback interleaved row by row.  It lives
-here as the reference (as the row-at-a-time join does in
-``test_hash_join_columnar.py``): the engine's operator must produce the
-same rows, write the same fallback rows, note the same events and show
-the same clock at every pull and every yield as this one.
+the soft-limit check and the fallback interleaved row by row — and its
+groups leaving as ``{GROUP_ENV: row}`` environments, re-packed by
+``BatchBuilder``.  It lives here as the reference (as the row-at-a-time
+join does in ``test_hash_join_columnar.py``): the engine's operator must
+produce the same batches, write the same fallback rows, note the same
+events and show the same clock at every pull and every yield as this
+one.
 """
 
 import functools
@@ -30,15 +32,16 @@ from repro.exec.aggregates import (
     HashGroupByOp,
     _TempGroupStore,
 )
-from repro.exec.batch import Batch, rows_to_batches
+from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate_batch
 from repro.exec.operators import Operator
 from repro.exec.spill import WorkMemory
-from repro.optimizer.costmodel import CPU_HASH_BUILD_BATCH_US
+from repro.optimizer.costmodel import CPU_HASH_BUILD_BATCH_US, CPU_ROW_BATCH_US
 from repro.sql import ast
 from repro.sql.binder import GROUP_ENV
 from repro.storage import FlashDisk, Volume
+from tests.exec.env_reference import env_rows, rows_to_batches
 
 
 # --------------------------------------------------------------------- #
@@ -95,6 +98,25 @@ class RowAtATimeGroupByOp(HashGroupByOp):
             self._memory.release_all()
             if self._fallback is not None:
                 self._fallback.free()
+
+    def _emit(self, ctx):
+        emitted = False
+        if self.fallback_engaged:
+            for key, serialized in self._fallback.scan():
+                states = [AggState(call) for call in self.aggregates]
+                for state, partial in zip(states, serialized):
+                    state.merge_serialized(partial)
+                emitted = True
+                ctx.charge(CPU_ROW_BATCH_US)
+                yield {GROUP_ENV: key + tuple(s.finalize() for s in states)}
+        else:
+            for key, states in self._groups.items():
+                emitted = True
+                ctx.charge(CPU_ROW_BATCH_US)
+                yield {GROUP_ENV: key + tuple(s.finalize() for s in states)}
+        if not emitted and not self.group_keys:
+            states = [AggState(call) for call in self.aggregates]
+            yield {GROUP_ENV: tuple(s.finalize() for s in states)}
 
     def _engage_fallback(self):
         self.fallback_engaged = True
@@ -179,8 +201,8 @@ def run_group_by(operator_class, case):
     ):
         for batch in group_by.execute_batches(ctx):
             trace.append((
-                "yield", clock.now, ctx._fraction, batch.count,
-                [repr(env[GROUP_ENV]) for env in batch.rows()],
+                "yield", clock.now, ctx._fraction, batch.count, batch.layout,
+                [repr(env[GROUP_ENV]) for env in env_rows(batch)],
             ))
     return (
         trace, group_by.fallback_engaged, group_by.fallback_rows_written,
@@ -410,7 +432,7 @@ def test_one_key_groups_by_value(batch_rows, fallback):
     assert result[1] == fallback
     if not fallback:
         emitted = [row for step in result[0] if step[0] == "yield"
-                   for row in step[4]]
+                   for row in step[5]]
         assert [row.split(",")[0] for row in emitted] == [
             "(1", "(nan", "(None", "(nan"
         ]

@@ -20,16 +20,11 @@ from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.common.hashing import stable_hash
 from repro.exec import MemoryGovernor
-from repro.exec.batch import Batch, BatchBuilder
+from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate_batch, evaluate_predicate
-from repro.exec.operators import (
-    HASH_PARTITIONS,
-    HashJoinOp,
-    Operator,
-    null_extend,
-)
-from repro.exec.spill import SpillFile, env_row_bytes
+from repro.exec.operators import HASH_PARTITIONS, HashJoinOp, Operator
+from repro.exec.spill import SpillFile
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
     CPU_HASH_PROBE_BATCH_US,
@@ -40,6 +35,13 @@ from repro.optimizer.costmodel import (
 from repro.sql import ast
 from repro.sql.binder import Conjunct, Quantifier
 from repro.storage import FlashDisk, Volume
+from tests.exec.env_reference import (
+    BatchBuilder,
+    env_at,
+    env_row_bytes,
+    env_rows,
+    null_extend,
+)
 from tests.exec.test_adaptive import make_server
 
 
@@ -103,7 +105,7 @@ class RowPathHashJoinOp(HashJoinOp):
             ]
             for position in range(batch.count):
                 self.build_row_count += 1
-                env = batch.env_at(position)
+                env = env_at(batch, position)
                 self._row_bytes = max(self._row_bytes, env_row_bytes(env))
                 key = tuple(column[position] for column in key_columns)
                 index = self._partition_of(key)
@@ -136,12 +138,12 @@ class RowPathHashJoinOp(HashJoinOp):
                             ctx.pool.page_size, yield_hook=ctx.yield_hook,
                         )
                     probe_spills[index].append(
-                        (key, batch.env_at(position))
+                        (key, env_at(batch, position))
                     )
                     self.probe_rows_spilled += 1
                     continue
                 for out_env in self._emit_matches(
-                    ctx, batch.env_at(position), key,
+                    ctx, env_at(batch, position), key,
                     self._partitions[index], row_cost=CPU_ROW_BATCH_US,
                 ):
                     done = builder.add(out_env)
@@ -273,7 +275,7 @@ def consume(batch, plan):
     at the flat positions ``plan`` (modulo the width), in that order,
     through :meth:`Batch.column`."""
     if plan == "rows":
-        return list(batch.rows())
+        return env_rows(batch)
     width = sum(width for __, __o, width in batch.layout)
     values = []
     for position in plan:
@@ -348,7 +350,7 @@ def run_join(operator_class, case):
     finally:
         task.release(held)
     # Every batch still reads the same once the join is done with it.
-    trace.append(("after", [list(batch.rows()) for batch in yielded]))
+    trace.append(("after", [env_rows(batch) for batch in yielded]))
     return (
         trace, clock.now, ctx._fraction,
         operator.partitions_evicted, operator.probe_rows_spilled,

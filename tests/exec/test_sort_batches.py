@@ -2,11 +2,13 @@
 
 ``RowPathSortOp`` below is ``SortOp`` as it stood before it took whole
 batches: an environment dict per absorbed row, one
-``_OrderedValue.__lt__`` call per comparison, and ``BatchBuilder`` fed a
-row at a time.  It lives here as the reference (as the row-at-a-time
-join does in ``test_hash_join_columnar.py``): the engine's operator must
-produce the same batches, show the same clock at every pull and every
-yield, and write the same spilled runs as this one.
+``_OrderedValue.__lt__`` call per comparison, spilled runs of
+environments whose sort keys the merge evaluates again on every row read
+back, and ``BatchBuilder`` fed a row at a time.  It lives here as the
+reference (as the row-at-a-time join does in
+``test_hash_join_columnar.py``): the engine's operator must produce the
+same batches, show the same clock at every pull, spill write and yield,
+and write the same spilled runs, row for row, as this one.
 """
 
 import heapq
@@ -20,7 +22,7 @@ from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.exec import MemoryGovernor, aggregates as aggregates_module
 from repro.exec.aggregates import SortOp, _OrderedValue
-from repro.exec.batch import Batch, rows_to_batches
+from repro.exec.batch import Batch, env_of
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate
 from repro.exec.operators import Operator
@@ -28,6 +30,7 @@ from repro.exec.spill import WorkMemory
 from repro.optimizer.costmodel import CPU_ROW_BATCH_US, CPU_SORT_FACTOR_BATCH_US
 from repro.sql import ast
 from repro.storage import FlashDisk, Volume
+from tests.exec.env_reference import env_rows, rows_to_batches
 
 
 # --------------------------------------------------------------------- #
@@ -46,7 +49,7 @@ class RowPathSortOp(SortOp):
         try:
             for batch in self.child.execute_batches(ctx):
                 ctx.charge(batch.count * CPU_SORT_FACTOR_BATCH_US * 4)
-                for env in batch.rows():
+                for env in env_rows(batch):
                     self._absorb(env)
             self._merging = True
             yield from rows_to_batches(self._merge_emit(ctx), ctx.batch_rows)
@@ -86,6 +89,10 @@ class RowPathSortOp(SortOp):
             run.append(env)
         run.finish_writing()
         return run
+
+    @staticmethod
+    def _read_run(run):
+        yield from run.read_all()
 
     def _key_function(self, ctx):
         keys = self.sort_keys
@@ -190,7 +197,10 @@ def run_sort(operator_class, case):
             runs.append(self.written)
 
         def append(self, row):
-            self.written.append(row)
+            # The reference spills environments, the engine entries
+            # ``(keys..., flat row, layout)``: compared as environments.
+            env = row if isinstance(row, dict) else env_of(row[-1], row[-2])
+            self.written.append(repr(env))
             super().append(row)
 
     child = StubChild(
@@ -206,9 +216,10 @@ def run_sort(operator_class, case):
             aggregates_module, "SpillFile", RecordingSpillFile
         ):
             for batch in sort.execute_batches(ctx):
+                rows = env_rows(batch)
                 trace.append((
                     "yield", clock.now, ctx._fraction, batch.count,
-                    batch.layout, list(batch.rows()),
+                    batch.layout, rows, repr(rows),
                 ))
     except ExecutionError as error:
         return ("raised", type(error))
@@ -270,3 +281,19 @@ def test_desc_puts_null_last_and_keeps_ties_in_arrival_order():
     assert result == run_sort(RowPathSortOp, case)
     yielded = [step for step in result[0] if step[0] == "yield"]
     assert [env[QID][0] for env in yielded[0][5]] == [2, 3, 1, 4]
+
+
+def test_spilled_runs_merge_on_their_stored_keys():
+    """A 6-row soft limit spills 120 rows as many runs; the merge orders
+    them by the key values the runs hold, as the reference orders them
+    by keys evaluated again on every environment read back."""
+    rows = [(i % 5, [None, 1, 1.0, True, 2][i % 5], "ab"[i % 2])
+            for i in range(120)]
+    case = {
+        "rows": rows, "keys": [(0, False), (1, True)], "chunk": 9,
+        "extra_every": 3, "batch_rows": 7, "mpl": 8,
+        "relinquish_before": (2,),
+    }
+    result = run_sort(SortOp, case)
+    assert result == run_sort(RowPathSortOp, case)
+    assert result[2] > 10  # runs spilled

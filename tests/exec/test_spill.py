@@ -10,9 +10,10 @@ from repro.exec.spill import (
     SpillFile,
     SpillableBuffer,
     WorkMemory,
-    env_row_bytes,
+    row_bytes,
 )
 from repro.storage import FlashDisk, Volume
+from tests.exec.env_reference import env_row_bytes
 
 
 @pytest.fixture
@@ -35,14 +36,16 @@ def env():
     return ctx, temp, task, volume
 
 
-class TestEnvRowBytes:
-    def test_scales_with_columns(self):
-        small = env_row_bytes({0: (1,)})
-        large = env_row_bytes({0: (1,) * 10, 1: (2,) * 10})
-        assert large > small
+class TestRowBytes:
+    def test_scales_with_width(self):
+        assert row_bytes(20) > row_bytes(1) > 0
 
-    def test_non_sized_payload(self):
-        assert env_row_bytes({0: 42}) > 0
+    def test_equals_the_environment_estimate(self):
+        """A row's bytes from its width are what the environment
+        estimate it replaced gave for the same row."""
+        for env in ({}, {0: (1,)}, {0: (1,) * 10, 1: (2,) * 10}):
+            width = sum(len(values) for values in env.values())
+            assert row_bytes(width) == env_row_bytes(env)
 
 
 class TestWorkMemory:
