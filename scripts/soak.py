@@ -20,7 +20,10 @@ uploads.  Run under ``REPRO_SANITIZE=1`` so the runtime sanitizers
 pool (page-miss yields), chaos-rate fault injection and group commit on:
 a scan + insert mix whose second half commits back to back, and a
 hot-row scenario where every session hammers one counter row, so lock
-queues go deep and wakeup order exercises the seeded LOCK_WAKEUP stream.
+queues go deep and wakeup order exercises the seeded LOCK_WAKEUP stream;
+and an insert-heavy cell, four sessions of single-row INSERTs whose
+spread secondary index outgrows the pool, so a page-miss yield often
+lands between a heap insert's choice of page and its write.
 Any unabsorbed error is a robustness bug.
 
 ``replication`` — a 1-primary/2-replica cluster under device and network
@@ -94,13 +97,13 @@ Cell = collections.namedtuple("Cell", ["label", "run", "check", "line"])
 
 
 def soak_config(seed, **extra):
-    return ServerConfig(
+    settings = dict(
         start_buffer_governor=False,
         initial_pool_pages=POOL_PAGES,
         multiprogramming_level=3,
         fault_plan=FaultPlan(seed=seed, rates=SOAK_RATES),
-        **extra
     )
+    return ServerConfig(**dict(settings, **extra))
 
 
 # ---------------------------------------------------------------------- #
@@ -112,7 +115,14 @@ STATEMENTS = 8
 HOT_SESSIONS = 4
 HOT_STATEMENTS = 6
 
+INSERT_SESSIONS = 4
+INSERTS = 1_000
+
 CREATE_T = "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+CREATE_PADDED_T = (
+    "CREATE TABLE t (id INT PRIMARY KEY, v INT, pad VARCHAR(40))",
+    "CREATE INDEX t_v ON t (v)",
+)
 
 
 def initial_rows(n_rows):
@@ -158,15 +168,31 @@ def table_rows(connection):
     )
 
 
-def run_sessions(seed, prefix, n_sessions, statements, n_rows, counters):
+def insert_statements(k):
+    """Single-row INSERTs whose ``v`` spreads over the index's range, so
+    the index outgrows the pool and nearly every insert fetches a page
+    that is not resident."""
+    return [
+        "INSERT INTO t VALUES (%d, %d, '%s')"
+        % (1_000 * k + i, (7919 * k + 31 * i) % 10007, "p" * 40)
+        for i in range(INSERTS)
+    ]
+
+
+def run_sessions(seed, prefix, n_sessions, statements, n_rows, counters,
+                 ddl=(CREATE_T,), switch_rate=0.5, **config):
     """One scheduler run of ``n_sessions`` sessions (session k runs
-    ``statements(k)``) over an ``n_rows``-row table; ``counters`` names
-    the server attributes the scenario also records."""
-    server = Server(soak_config(seed))
+    ``statements(k)``) over an ``n_rows``-row table made by ``ddl``, on
+    a :func:`soak_config` server with ``config`` on top; ``counters``
+    names the server attributes the scenario also records."""
+    server = Server(soak_config(seed, **config))
     connection = server.connect()
-    connection.execute(CREATE_T)
+    for sql in ddl:
+        connection.execute(sql)
     server.load_table("t", initial_rows(n_rows))
-    scheduler = WorkloadScheduler(server, seed=seed, switch_rate=0.5)
+    scheduler = WorkloadScheduler(
+        server, seed=seed, switch_rate=switch_rate
+    )
     issued = 0
     for k in range(n_sessions):
         session_statements = statements(k)
@@ -233,6 +259,19 @@ CONCURRENCY = [
         "%(statements)d statements, %(lock_manager.waits)d lock waits, "
         "%(lock_manager.deadlocks)d deadlocks, %(injected)d faults "
         "injected, trace %(trace_bytes)d bytes%(status)s",
+    ),
+    Cell(
+        "insert seed %d",
+        lambda seed: run_sessions(
+            seed, "i", INSERT_SESSIONS, insert_statements, 0,
+            ("pool.evictions",), ddl=CREATE_PADDED_T, switch_rate=0.9,
+            multiprogramming_level=INSERT_SESSIONS,
+        ),
+        check_sessions,
+        "%(statements)d statements, %(statement_errors)d absorbed errors, "
+        "%(switches)d switches, %(pool.evictions)d evictions, "
+        "%(injected)d faults injected, trace %(trace_bytes)d "
+        "bytes%(status)s",
     ),
 ]
 

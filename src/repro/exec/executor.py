@@ -59,39 +59,22 @@ class ExecutionContext:
         self.snapshot_txn = snapshot_txn
         self.cte_tables = {}
         self.notes = {}
+        #: Picoseconds charged but not yet on the clock (always below one
+        #: microsecond), in a cell that :meth:`with_params` clones share.
+        self.carry_ps = [0]
 
-    def charge(self, microseconds):
-        """Charge CPU time to the simulated clock."""
-        if microseconds >= 1:
-            self.clock.advance(int(microseconds))
-        # Sub-microsecond charges accumulate so per-row CPU is not lost.
-        self._fraction += microseconds - int(microseconds)
-        if self._fraction >= 1.0:
-            whole = int(self._fraction)
-            self.clock.advance(whole)
-            self._fraction -= whole
+    def charge(self, us, count=1):
+        """Charge ``count`` x ``us`` of CPU time to the simulated clock.
 
-    _fraction = 0.0
-
-    def charge_rows(self, count, unit_us):
-        """Charge ``count`` rows of ``unit_us`` each, leaving ``clock.now``
-        and the carried fraction exactly as ``count`` calls of
-        :meth:`charge` would.  The fraction is folded a row at a time:
-        ``count * unit_us`` in one float add rounds differently
-        (``0.075 * 256`` is not dyadic), and the clock must not depend on
-        how an operator groups its rows."""
-        step = unit_us - int(unit_us)
-        fraction = self._fraction
-        ticks = int(unit_us) * count
-        for __ in range(count):
-            fraction += step
-            if fraction >= 1.0:
-                whole = int(fraction)
-                ticks += whole
-                fraction -= whole
-        self._fraction = fraction
-        if ticks:
-            self.clock.advance(ticks)
+        The charge is kept exactly, in integer picoseconds: the whole
+        microseconds go to the clock and the remainder waits in the
+        carry, so the clock never depends on how the charges are grouped
+        into calls."""
+        carry = self.carry_ps
+        total = carry[0] + count * round(us * 1_000_000)
+        carry[0] = total % 1_000_000
+        if total >= 1_000_000:
+            self.clock.advance(total // 1_000_000)
 
     def note(self, event):
         self.notes[event] = self.notes.get(event, 0) + 1
@@ -106,6 +89,7 @@ class ExecutionContext:
         )
         clone.cte_tables = self.cte_tables
         clone.notes = self.notes
+        clone.carry_ps = self.carry_ps
         return clone
 
 

@@ -284,7 +284,7 @@ class DerivedScanOp(Operator):
     def execute_batches(self, ctx):
         qid = self.quantifier.id
         for batch in self.sub_operator.execute_batches(ctx):
-            ctx.charge_rows(batch.count, CPU_ROW_US)
+            ctx.charge(CPU_ROW_US, batch.count)
             batch = _filter(
                 batch.as_quantifier(qid), self.conjuncts, ctx.params
             )
@@ -312,7 +312,7 @@ class ProcedureScanOp(Operator):
         body_ctx = ctx.with_params(body_params)
         for batch in self.body_operator.execute_batches(body_ctx):
             cardinality += batch.count
-            ctx.charge_rows(batch.count, CPU_ROW_US)
+            ctx.charge(CPU_ROW_US, batch.count)
             yield batch.as_quantifier(qid)
         if ctx.stats is not None:
             ctx.stats.procedure_stats(procedure.name).record(
@@ -335,7 +335,7 @@ class RecursiveRefScanOp(Operator):
             )
         qid = self.quantifier.id
         for chunk in _chunks(rows, ctx.batch_rows):
-            ctx.charge_rows(len(chunk), CPU_ROW_US)
+            ctx.charge(CPU_ROW_US, len(chunk))
             yield Batch.from_rows(qid, chunk)
 
 
@@ -960,13 +960,13 @@ class _JoinOutput:
         charged immediately before it."""
         ready, self.ready = self.ready, []
         for batch, due in ready:
-            self.ctx.charge_rows(due, self.row_cost)
+            self.ctx.charge(self.row_cost, due)
             yield batch
 
     def settle(self):
         """Charge the buffered rows that still owe (nothing is ready)."""
         if self.owed:
-            self.ctx.charge_rows(self.owed, self.row_cost)
+            self.ctx.charge(self.row_cost, self.owed)
             self.owed = 0
 
     def take_all(self):

@@ -254,7 +254,7 @@ class ParallelPipeline:
             reductions=pool.reductions,
         )
         if ctx is not None:
-            ctx.clock.advance(int(stats.wall_clock_us))
+            ctx.charge(stats.wall_clock_us)
         return output, stats
 
     def _probe_row(self, pool, row):

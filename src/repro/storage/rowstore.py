@@ -189,15 +189,21 @@ class TableStorage:
                 "row arity %d does not match table %r (%d columns)"
                 % (len(row), self.schema.name, len(self.schema.columns))
             )
-        ordinal = self._page_with_space()
-        frame = self._fetch(ordinal)
-        try:
-            slots = frame.payload["slots"]
-            slot = slots.index(None)
-            slots[slot] = row
-            self._stamp(frame, page_lsn)
-        finally:
-            self.pool.unpin(frame, dirty=True)
+        slot = None
+        while slot is None:
+            ordinal = self._page_with_space()
+            frame = self._fetch(ordinal)
+            try:
+                slots = frame.payload["slots"]
+                slot = slots.index(None)
+                slots[slot] = row
+                self._stamp(frame, page_lsn)
+            except ValueError:
+                # Another session filled the page while the fetch
+                # yielded, and took it off the space list: choose again.
+                pass
+            finally:
+                self.pool.unpin(frame, dirty=slot is not None)
         if None not in slots:
             self._pages_with_space.remove(ordinal)
         self.row_count += 1

@@ -245,11 +245,11 @@ class StubChild(Operator):
 
     def execute_batches(self, ctx):
         for batch in self.batches:
-            self.trace.append((self.name, ctx.clock.now, ctx._fraction))
+            self.trace.append((self.name, ctx.clock.now, ctx.carry_ps[0]))
             ctx.clock.advance(3)
             ctx.charge(0.3)
             yield batch
-        self.trace.append((self.name + "-end", ctx.clock.now, ctx._fraction))
+        self.trace.append((self.name + "-end", ctx.clock.now, ctx.carry_ps[0]))
 
 
 def chunked(qid, rows, size, extra_every=0):
@@ -277,7 +277,7 @@ def drain(operator, ctx, trace):
         for batch in operator.execute_batches(ctx):
             rows = env_rows(batch)
             trace.append((
-                "yield", ctx.clock.now, ctx._fraction, batch.count,
+                "yield", ctx.clock.now, ctx.carry_ps[0], batch.count,
                 batch.layout, repr(rows),
             ))
     except ExecutionError as error:
@@ -324,7 +324,7 @@ def run_nl_join(operator_class, case):
     ctx = ExecutionContext(
         pool, temp, None, clock, task, batch_rows=case["batch_rows"],
         yield_hook=lambda: trace.append(
-            ("spill-write", clock.now, ctx._fraction)
+            ("spill-write", clock.now, ctx.carry_ps[0])
         ),
     )
     right_quantifiers = [StubQuantifier(RIGHT_QID, 2)]
@@ -343,7 +343,7 @@ def run_nl_join(operator_class, case):
     )
     drain(operator, ctx, trace)
     return (
-        trace, clock.now, ctx._fraction, operator.inner_spilled,
+        trace, clock.now, ctx.carry_ps[0], operator.inner_spilled,
         volume.disk.writes, volume.disk.reads, task.used_pages,
     )
 
@@ -406,7 +406,7 @@ def server_ctx(server, batch_rows, trace):
         server.pool, server.temp_file, None, server.clock, task,
         batch_rows=batch_rows,
         yield_hook=lambda: trace.append(
-            ("spill-write", server.clock.now, ctx._fraction)
+            ("spill-write", server.clock.now, ctx.carry_ps[0])
         ),
     )
     return ctx
@@ -465,7 +465,7 @@ def run_index_nl_join(operator_class, case):
     ), trace)
     operator = index_join(operator_class, case, quantifier, indexes, left)
     drain(operator, ctx, trace)
-    return trace, server.clock.now, ctx._fraction
+    return trace, server.clock.now, ctx.carry_ps[0]
 
 
 @settings(
@@ -506,7 +506,7 @@ def run_alternate(join_class, alternate_class, case):
     )
     drain(operator, ctx, trace)
     return (
-        trace, server.clock.now, ctx._fraction,
+        trace, server.clock.now, ctx.carry_ps[0],
         operator.switched_to_alternate, operator.partitions_evicted,
     )
 

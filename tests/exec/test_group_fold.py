@@ -160,11 +160,11 @@ class StubChild(Operator):
             if number in self.relinquish_before:
                 freed = self.owner.relinquish_memory()
                 self.trace.append(("relinquished", freed, ctx.clock.now))
-            self.trace.append(("pull", ctx.clock.now, ctx._fraction))
+            self.trace.append(("pull", ctx.clock.now, ctx.carry_ps[0]))
             ctx.clock.advance(3)
             ctx.charge(0.3)
             yield batch
-        self.trace.append(("end", ctx.clock.now, ctx._fraction))
+        self.trace.append(("end", ctx.clock.now, ctx.carry_ps[0]))
 
 
 def run_group_by(operator_class, case):
@@ -201,12 +201,12 @@ def run_group_by(operator_class, case):
     ):
         for batch in group_by.execute_batches(ctx):
             trace.append((
-                "yield", clock.now, ctx._fraction, batch.count, batch.layout,
+                "yield", clock.now, ctx.carry_ps[0], batch.count, batch.layout,
                 [repr(env[GROUP_ENV]) for env in env_rows(batch)],
             ))
     return (
         trace, group_by.fallback_engaged, group_by.fallback_rows_written,
-        dict(ctx.notes), clock.now, ctx._fraction, task.used_pages,
+        dict(ctx.notes), clock.now, ctx.carry_ps[0], task.used_pages,
         volume.disk.reads, volume.disk.writes,
     )
 

@@ -246,11 +246,11 @@ class StubChild(Operator):
 
     def execute_batches(self, ctx):
         for batch in self.batches:
-            self.trace.append((self.name, ctx.clock.now, ctx._fraction))
+            self.trace.append((self.name, ctx.clock.now, ctx.carry_ps[0]))
             ctx.clock.advance(3)
             ctx.charge(0.3)
             yield batch
-        self.trace.append((self.name + "-end", ctx.clock.now, ctx._fraction))
+        self.trace.append((self.name + "-end", ctx.clock.now, ctx.carry_ps[0]))
 
 
 def chunked(qid, rows, size, extra_every=0):
@@ -302,7 +302,7 @@ def run_join(operator_class, case):
     ctx = ExecutionContext(
         pool, temp, None, clock, task, batch_rows=case["batch_rows"],
         yield_hook=lambda: trace.append(
-            ("spill-write", clock.now, ctx._fraction)
+            ("spill-write", clock.now, ctx.carry_ps[0])
         ),
     )
     conjuncts = [EQUI] + [RESIDUALS[i] for i in case["residual"]]
@@ -324,7 +324,7 @@ def run_join(operator_class, case):
     evict = operator._evict_partition
 
     def recording_evict(index):
-        trace.append(("evict", index, clock.now, ctx._fraction))
+        trace.append(("evict", index, clock.now, ctx.carry_ps[0]))
         return evict(index)
 
     operator._evict_partition = recording_evict
@@ -336,7 +336,7 @@ def run_join(operator_class, case):
             yielded.append(batch)
             before, after = reads[number % len(reads)]
             trace.append((
-                "yield", clock.now, ctx._fraction, batch.count, batch.layout,
+                "yield", clock.now, ctx.carry_ps[0], batch.count, batch.layout,
                 consume(batch, before),
             ))
             # A consumer that takes work memory: the task reclaims it
@@ -352,7 +352,7 @@ def run_join(operator_class, case):
     # Every batch still reads the same once the join is done with it.
     trace.append(("after", [env_rows(batch) for batch in yielded]))
     return (
-        trace, clock.now, ctx._fraction,
+        trace, clock.now, ctx.carry_ps[0],
         operator.partitions_evicted, operator.probe_rows_spilled,
         operator.switched_to_alternate, operator.build_row_count,
         volume.disk.writes, volume.disk.reads, task.used_pages,
@@ -427,37 +427,11 @@ def test_columnar_emit_equals_the_row_path(case):
     """Same batches (count, layout, in order) holding the same values for
     whatever the consumer reads — columns in a drawn order, whole rows
     or nothing — before and after a pressure eviction and once the join
-    is done; the same clock and carried fraction at every yield and
+    is done; the same clock and carried picoseconds at every yield and
     every pull from either child, the same evictions, spilled probe rows
     and temp-file I/O; and when the residual raises in one, it raises
     the same error type in the other."""
     assert run_join(HashJoinOp, case) == run_join(RowPathHashJoinOp, case)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 700),
-    st.sampled_from([0.0625, 0.075, 0.125, 0.5, 1.0]),
-    st.lists(
-        st.sampled_from([0.0625, 0.075, 0.3, 0.6, 2.4]), max_size=20
-    ),
-)
-def test_charge_rows_equals_that_many_charges(count, unit, history):
-    """``charge_rows(n, unit)`` leaves ``clock.now`` and the carried
-    fraction bit-identical to ``n`` calls of ``charge(unit)``, from
-    whatever fraction earlier charges left behind."""
-    contexts = []
-    for __ in range(2):
-        ctx = ExecutionContext(None, None, None, SimClock(), None)
-        for amount in history:
-            ctx.charge(amount)
-        contexts.append(ctx)
-    batched, rowwise = contexts
-    batched.charge_rows(count, unit)
-    for __ in range(count):
-        rowwise.charge(unit)
-    assert batched.clock.now == rowwise.clock.now
-    assert batched._fraction == rowwise._fraction
 
 
 # --------------------------------------------------------------------- #
@@ -467,15 +441,15 @@ def test_charge_rows_equals_that_many_charges(count, unit, history):
 def _executor_calls(fn):
     """Python-level calls (a generator counts once per resumption) that
     ``fn()`` makes in the join operators', the batch module's and the
-    execution context's frames, and how many of them enter ``charge`` /
-    ``charge_rows`` — a cost measure that reads no clock."""
+    execution context's frames, and how many of them enter ``charge`` —
+    a cost measure that reads no clock."""
     files = ("exec/operators.py", "exec/batch.py", "exec/executor.py")
     calls = {"frames": 0, "charges": 0}
 
     def profiler(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.endswith(files):
             calls["frames"] += 1
-            if frame.f_code.co_name in ("charge", "charge_rows"):
+            if frame.f_code.co_name == "charge":
                 calls["charges"] += 1
 
     previous = sys.getprofile()
@@ -489,7 +463,7 @@ def _executor_calls(fn):
 
 #: Frames one output batch may cost beyond the first: the cut and its
 #: column source, the group-by's two lazy column reads, the drain and
-#: its ``charge_rows`` — 19 when this was written.
+#: its ``charge`` — 19 when this was written.
 FRAMES_PER_OUTPUT_BATCH = 24
 
 
@@ -499,7 +473,7 @@ def test_join_cost_follows_input_rows_not_joined_rows():
     batch's and the execution context's frames: fewer calls than probe
     rows at fan-out 1 — no call per probe row; at most a fixed number of
     extra calls per extra output batch at fan-out 32 — none per joined
-    row; and ``charge`` / ``charge_rows`` entered per batch.  A
+    row; and ``charge`` entered per batch.  A
     per-joined-row generator hop, dict merge or clock call adds about
     8,000 calls."""
     measured = {}
@@ -560,7 +534,7 @@ def test_explain_analyze_attribution_is_unchanged():
     join_line = next(line for line in lines if "HashJoin" in line)
     group_line = next(line for line in lines if "HashGroupBy" in line)
     assert "HashJoin(inner" in join_line
-    for expected in ("actual rows=128000", "elapsed=9299us",
+    for expected in ("actual rows=128000", "elapsed=9300us",
                      "batches=500 rows_per_batch=256.0"):
         assert expected in join_line, join_line
     for expected in ("rows_in=128000", "elapsed=25302us"):

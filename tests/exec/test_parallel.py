@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common import SimClock
 from repro.exec.parallel import (
     BloomFilter,
     BloomStage,
@@ -196,13 +195,17 @@ class TestPipeline:
         assert results[0] == results[1]
 
     def test_charges_simulated_clock(self):
-        clock = SimClock()
+        """The critical path goes through the context's one charge path,
+        fraction included."""
 
         class Ctx:
-            pass
+            charged = []
+
+            def charge(self, us):
+                self.charged.append(us)
 
         ctx = Ctx()
-        ctx.clock = clock
         facts, __, join = make_star_pipeline()
-        ParallelPipeline(facts, [join]).run(n_workers=2, ctx=ctx)
-        assert clock.now > 0
+        __, stats = ParallelPipeline(facts, [join]).run(n_workers=2, ctx=ctx)
+        assert stats.wall_clock_us > 0
+        assert ctx.charged == [stats.wall_clock_us]

@@ -147,11 +147,11 @@ class StubChild(Operator):
             if number in self.relinquish_before:
                 freed = self.owner.relinquish_memory()
                 self.trace.append(("relinquished", freed, ctx.clock.now))
-            self.trace.append(("pull", ctx.clock.now, ctx._fraction))
+            self.trace.append(("pull", ctx.clock.now, ctx.carry_ps[0]))
             ctx.clock.advance(3)
             ctx.charge(0.3)
             yield batch
-        self.trace.append(("end", ctx.clock.now, ctx._fraction))
+        self.trace.append(("end", ctx.clock.now, ctx.carry_ps[0]))
 
 
 def batches_of(rows, size, extra_every):
@@ -185,7 +185,7 @@ def run_sort(operator_class, case):
     ctx = ExecutionContext(
         pool, temp, None, clock, task, batch_rows=case["batch_rows"],
         yield_hook=lambda: trace.append(
-            ("spill-write", clock.now, ctx._fraction)
+            ("spill-write", clock.now, ctx.carry_ps[0])
         ),
     )
     runs = []
@@ -218,13 +218,13 @@ def run_sort(operator_class, case):
             for batch in sort.execute_batches(ctx):
                 rows = env_rows(batch)
                 trace.append((
-                    "yield", clock.now, ctx._fraction, batch.count,
+                    "yield", clock.now, ctx.carry_ps[0], batch.count,
                     batch.layout, rows, repr(rows),
                 ))
     except ExecutionError as error:
         return ("raised", type(error))
     return (
-        trace, runs, sort.runs_spilled, clock.now, ctx._fraction,
+        trace, runs, sort.runs_spilled, clock.now, ctx.carry_ps[0],
         task.used_pages, volume.disk.reads, volume.disk.writes,
     )
 
@@ -264,7 +264,7 @@ def sort_cases(draw):
 @given(sort_cases())
 def test_batched_sort_equals_the_row_path(case):
     """Same batches (count, layout, rows, in order), the same clock and
-    carried fraction at every pull, spill write and yield, the same
+    carried picoseconds at every pull, spill write and yield, the same
     spilled runs row for row, and the same error type when a key
     raises — over ties, NULLs, DESC keys, several keys, shape changes,
     soft-limit spills and governor reclaims."""

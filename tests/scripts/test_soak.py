@@ -22,6 +22,9 @@ EXPECTED = {
         "[ok]",
         "hot-row seed 101: 48 statements, 23 lock waits, 0 deadlocks, "
         "3 faults injected, trace 4375 bytes [ok]",
+        "insert seed 101: 4000 statements, 0 absorbed errors, "
+        "5060 switches, 1339 evictions, 322 faults injected, "
+        "trace 388396 bytes [ok]",
         "concurrency soak: 1 seeds, all deterministic",
     ],
     "replication": [

@@ -104,3 +104,29 @@ def test_scan_charges_io_when_not_resident(store):
     misses_before = pool.misses
     list(store.scan())
     assert pool.misses > misses_before
+
+
+def test_insert_chooses_again_when_its_page_fills_during_the_fetch(store):
+    """A session whose fetch of the chosen page misses yields to the
+    scheduler; here the yield hook runs another session's insert, which
+    fills that page.  The first insert must land on a fresh page, not
+    fail on the full one."""
+    per_page = store.rows_per_page
+    for i in range(per_page - 1):
+        store.insert((i, "r"))
+    pool = store.pool
+    pool.flush_all()
+    pool.drop_all()  # the page's next fetch misses and yields
+
+    def other_session(file, page_no):
+        pool.yield_hook = None
+        other.append(store.insert((-1, "other")))
+
+    other = []
+    pool.yield_hook = other_session
+    rid = store.insert((per_page, "mine"))
+    assert other == [RowId(0, per_page - 1)]
+    assert rid == RowId(1, 0)
+    assert store.get(rid) == (per_page, "mine")
+    assert store.row_count == per_page + 1
+    assert pool.pinned_count() == 0
