@@ -2,9 +2,9 @@
 """Intra-query parallelism from SQL (paper Section 4.4).
 
 A reporting query over a star-ish schema runs serially, then again with
-``SET OPTION max_query_tasks = 8``: the hash-join core's build and probe
-phases execute on the FCFS worker pipeline while the scans keep their
-sequential disk access pattern, and the answer is identical.
+``SET OPTION max_query_tasks = 8``: the hash-join core runs the same
+operators, its CPU shared by 8 simulated FCFS workers while the scans
+keep their sequential disk access pattern, and the answer is identical.
 
 Run:  python examples/parallel_reporting.py
 """
@@ -48,7 +48,8 @@ def main():
         print("  %-10s %6d orders   %9d total" % row)
     print()
     print("serial:    %7.1f ms of simulated time" % serial_ms)
-    print("8 workers: %7.1f ms  (%.2fx speedup, wall %s us on the pipeline)"
+    print("8 workers: %7.1f ms  (%.2fx speedup, join core %s us on the "
+          "workers)"
           % (parallel_ms, serial_ms / parallel_ms,
              parallel_result.notes.get("parallel_wall_us")))
     print("answers identical:", serial_result.rows == parallel_result.rows)

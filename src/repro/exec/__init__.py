@@ -16,8 +16,9 @@ adaptive behaviours:
   iteration;
 * statistics **feedback hooks**: predicates evaluated over base columns
   during scans update the column histograms (Section 3.2);
-* **intra-query parallelism** simulation with first-come-first-serve
-  work sharing and graceful thread reduction (Section 4.4).
+* **intra-query parallelism** as a charging policy: a hash-join core runs
+  the serial operators with its CPU shared first-come-first-serve by
+  simulated workers (Section 4.4).
 """
 
 from repro.exec.batch import Batch, pack

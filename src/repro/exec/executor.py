@@ -23,7 +23,7 @@ from repro.exec.operators import (
     SeqScanOp,
     SingleRowOp,
 )
-from repro.exec.parallel_exec import execute_parallel
+from repro.exec.parallel import ParallelCoreOp, parallelizable_join_core
 from repro.optimizer import plans as p
 from repro.profiling.metrics import NULL_METRICS
 
@@ -110,11 +110,10 @@ class Executor:
         #: per-operator actuals and the registry its spill counts.
         self.exec_stats = ExecStatsCollector()
         #: The ``max_query_tasks`` option: above 1, an eligible hash-join
-        #: core runs on the parallel worker pipeline (Section 4.4).
+        #: core's CPU is charged to simulated workers (Section 4.4).
         self.max_tasks = max_tasks
-        #: ``id(plan node)`` -> an operator replaying rows already
-        #: computed for that node (the parallel path's join core).
-        self.materialized = {}
+        #: The top join of the statement's parallel core, if it has one.
+        self.parallel_join = None
 
     # ------------------------------------------------------------------ #
     # execution
@@ -123,17 +122,16 @@ class Executor:
     def run(self, result, ctx):
         """Execute an OptimizerResult for a SELECT; yields result tuples.
 
-        Under ``max_tasks > 1`` an eligible hash-join core runs its build
-        and probe phases on the FCFS worker pipeline; other shapes run
-        serially."""
+        Under ``max_tasks > 1`` an eligible hash-join core charges its
+        CPU to simulated FCFS workers; other shapes run serially."""
         ctx.metrics.counter("exec.queries").inc()
         if result.recursive_cte is not None:
             self._materialize_cte(result.recursive_cte, ctx)
         elif self.max_tasks > 1:
-            rows = execute_parallel(result.plan, self, ctx, self.max_tasks)
-            if rows is not None:
-                yield from rows
-                return
+            self.parallel_join = parallelizable_join_core(result.plan)
+            if self.parallel_join is not None:
+                ctx.metrics.counter("exec.parallel_queries").inc()
+                ctx.metrics.gauge("exec.parallel_workers").set(self.max_tasks)
         yield from self.rows(self.build(result.plan, depth=0), ctx)
 
     @staticmethod
@@ -175,9 +173,9 @@ class Executor:
 
     def build(self, plan, depth=0):
         """Build and instrument one plan node."""
-        operator = self.materialized.get(id(plan))
-        if operator is None:
-            operator = self._build_operator(plan, depth)
+        operator = self._build_operator(plan, depth)
+        if plan is self.parallel_join:
+            operator = ParallelCoreOp(operator, self.max_tasks)
         return InstrumentedOp(operator, self.exec_stats.stats_for(plan))
 
     def _build_operator(self, plan, depth):

@@ -17,8 +17,6 @@ ENV_BUILDERS = {
     ("operators", "NLJoinOp._joined"),
     ("operators", "IndexNLJoinOp.probe"),
     ("operators", "HashJoinOp._any_match"),
-    ("parallel_exec", "_make_stage.build_key"),
-    ("parallel_exec", "_make_stage.probe_key"),
 }
 
 #: The environment-row machinery that went (kept under ``tests/exec/``

@@ -97,12 +97,6 @@ def rows_to_batches(rows, batch_rows=DEFAULT_BATCH_ROWS):
         yield tail
 
 
-def batches_to_rows(batches):
-    """Unpack a batch stream into its rows."""
-    for batch in batches:
-        yield from env_rows(batch)
-
-
 def null_extend(env, quantifiers):
     """Left-outer NULL extension for the null-supplied side."""
     extended = dict(env)

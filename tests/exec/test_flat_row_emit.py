@@ -2,10 +2,9 @@
 replaced.
 
 Below Project a row is a flat value tuple under its batch's layout.  The
-nested-loop join, the index nested-loop join, the hash join's
-index-nested-loops alternate and the parallel pipeline's replay once
-traded environment dicts (``{qid: row_tuple}``) and re-packed them with
-``BatchBuilder``.  Those implementations live here as the references:
+nested-loop join, the index nested-loop join and the hash join's
+index-nested-loops alternate once traded environment dicts (``{qid:
+row_tuple}``) and re-packed them with ``BatchBuilder``.  Those implementations live here as the references:
 the engine's operators must produce the same batches (boundaries,
 layouts, rows by ``repr``) and show the same clock at every pull, spill
 write and yield.
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.common.errors import ExecutionError
-from repro.exec import MemoryGovernor, parallel_exec
+from repro.exec import MemoryGovernor
 from repro.exec.batch import Batch, env_of
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate, evaluate_predicate
@@ -31,10 +30,7 @@ from repro.exec.operators import (
 )
 from repro.exec.spill import SpillableBuffer, WorkMemory
 from repro.optimizer.costmodel import (
-    CPU_HASH_BUILD_BATCH_US,
-    CPU_HASH_PROBE_BATCH_US,
     CPU_PREDICATE_US,
-    CPU_ROW_BATCH_US,
     CPU_ROW_US,
     INDEX_NODE_US,
 )
@@ -42,7 +38,6 @@ from repro.sql import ast
 from repro.sql.binder import Conjunct, Quantifier
 from repro.storage import FlashDisk, Volume
 from tests.exec.env_reference import (
-    batches_to_rows,
     env_rows,
     null_extend,
     rows_to_batches,
@@ -552,124 +547,3 @@ def test_alternate_cases_reach_evicted_build_partitions():
     )
     assert result[3] and result[4]  # switched, after evicting
     assert any(step[0] == "spill-write" for step in result[0])
-
-
-# --------------------------------------------------------------------- #
-# the parallel pipeline (SET OPTION max_query_tasks = 4)
-# --------------------------------------------------------------------- #
-
-def env_execute_parallel(plan, executor, ctx, n_workers):
-    """``execute_parallel`` on environment rows: the materialized inputs
-    unpacked into environments, the pipeline's nested pairs merged back
-    into one environment per row, the join core replayed through
-    ``BatchBuilder``."""
-    core = parallel_exec.parallelizable_join_core(plan)
-    if core is None or n_workers < 2:
-        return None
-    joins, leaf = core
-    ctx.metrics.counter("exec.parallel_queries").inc()
-    ctx.metrics.gauge("exec.parallel_workers").set(n_workers)
-
-    def materialize(node):
-        operator = executor.build(node, depth=1)
-        return list(batches_to_rows(operator.execute_batches(ctx)))
-
-    probe_rows = materialize(leaf)
-    stages = []
-    for join in joins:
-        stages.append(env_stage(join, materialize(join.right), ctx.params))
-    pipeline = parallel_exec.ParallelPipeline(
-        probe_rows, stages,
-        probe_fetch_us=CPU_ROW_BATCH_US,
-        probe_us=CPU_HASH_PROBE_BATCH_US,
-    )
-    output, stats = pipeline.run(n_workers=n_workers, ctx=ctx)
-    ctx.notes["parallel_workers"] = n_workers
-    ctx.notes["parallel_wall_us"] = int(stats.wall_clock_us)
-    executor.materialized[id(joins[-1])] = EnvRows(
-        [flatten_env(item) for item in output]
-    )
-    return executor.rows(executor.build(plan, depth=0), ctx)
-
-
-class EnvRows(Operator):
-    def __init__(self, rows):
-        self.rows = rows
-
-    def execute_batches(self, ctx):
-        return rows_to_batches(self.rows, ctx.batch_rows)
-
-
-def env_stage(join, build_envs, params):
-    def build_key(env):
-        return tuple(evaluate(expr, env, params) for expr in join.build_keys)
-
-    def probe_key(item):
-        return tuple(
-            evaluate(expr, flatten_env(item), params)
-            for expr in join.probe_keys
-        )
-
-    return parallel_exec.JoinStage(
-        build_envs, build_key, probe_key,
-        row_fetch_us=CPU_ROW_BATCH_US,
-        build_us=CPU_HASH_BUILD_BATCH_US,
-    )
-
-
-def flatten_env(item):
-    if isinstance(item, dict):
-        return item
-    left, right = item
-    merged = dict(flatten_env(left))
-    merged.update(flatten_env(right))
-    return merged
-
-
-PARALLEL_QUERIES = [
-    "SELECT o.id, c.region FROM orders o JOIN customer c "
-    "ON o.customer_id = c.id WHERE o.amount > 500",
-    "SELECT c.region, COUNT(*), SUM(o.amount) FROM orders o "
-    "JOIN customer c ON o.customer_id = c.id GROUP BY c.region",
-    "SELECT o.id, p.name FROM orders o JOIN customer c "
-    "ON o.customer_id = c.id JOIN product p ON o.product_id = p.id "
-    "ORDER BY o.id DESC LIMIT 40",
-]
-
-
-def run_parallel(monkeypatch, implementation):
-    """Each query's rows by ``repr``, EXPLAIN ANALYZE (rows, batches and
-    simulated µs per operator) and the clock after it."""
-    from repro.exec import executor as executor_module
-
-    monkeypatch.setattr(executor_module, "execute_parallel", implementation)
-    server = make_server()
-    conn = server.connect()
-    conn.execute(
-        "CREATE TABLE customer (id INT PRIMARY KEY, region VARCHAR(10))"
-    )
-    conn.execute("CREATE TABLE product (id INT PRIMARY KEY, name VARCHAR(10))")
-    conn.execute(
-        "CREATE TABLE orders (id INT PRIMARY KEY, customer_id INT, "
-        "product_id INT, amount INT)"
-    )
-    server.load_table("customer", [(i, "r%d" % (i % 4)) for i in range(60)])
-    server.load_table("product", [(i, "p%d" % i) for i in range(30)])
-    server.load_table("orders", [
-        (i, i % 70, i % 33, (i * 37) % 1000) for i in range(900)
-    ])
-    conn.execute("SET OPTION max_query_tasks = 4")
-    seen = []
-    for query in PARALLEL_QUERIES:
-        result = conn.execute(query)
-        seen.append((
-            repr(result.rows), result.explain(analyze=True),
-            server.clock.now,
-        ))
-    assert server.metrics.snapshot()["exec.parallel_queries"] == 3
-    return seen
-
-
-def test_parallel_replay_equals_the_environment_path(monkeypatch):
-    flat = run_parallel(monkeypatch, parallel_exec.execute_parallel)
-    assert flat == run_parallel(monkeypatch, env_execute_parallel)

@@ -1,16 +1,15 @@
-"""Unit tests for intra-query parallelism (Section 4.4)."""
+"""Unit tests for intra-query parallelism (Section 4.4): the simulated
+worker pool, and the join core whose CPU the engine charges to it."""
 
 import pytest
 
-from repro.exec.parallel import (
-    BloomFilter,
-    BloomStage,
-    FilterStage,
-    GroupByStage,
-    JoinStage,
-    ParallelPipeline,
-    WorkerPool,
-)
+from repro import Server, ServerConfig
+from repro.common import SimClock
+from repro.exec import parallel
+from repro.exec.batch import Batch
+from repro.exec.executor import ExecutionContext
+from repro.exec.operators import Operator
+from repro.exec.parallel import WORKER_SETUP_US, ParallelCoreOp, WorkerPool
 
 
 class TestWorkerPool:
@@ -21,7 +20,7 @@ class TestWorkerPool:
     def test_fcfs_balances_uniform_work(self):
         pool = WorkerPool(4)
         for __ in range(400):
-            pool.dispatch(10.0)
+            pool.charge(10.0)
         assert pool.imbalance() == pytest.approx(1.0, abs=0.01)
 
     def test_fcfs_balances_skewed_work(self):
@@ -29,26 +28,26 @@ class TestWorkerPool:
         # wildly variable morsel costs, workers stay balanced.
         pool = WorkerPool(4)
         for index in range(400):
-            pool.dispatch(1.0 if index % 10 else 200.0)
+            pool.charge(1.0 if index % 10 else 200.0)
         assert pool.imbalance() < 1.15
 
     def test_wall_clock_is_critical_path(self):
+        # Each worker sets itself up on its own timeline.
         pool = WorkerPool(2)
-        pool.dispatch(100.0)
-        pool.dispatch(30.0)
-        assert pool.wall_clock_us() == pytest.approx(
-            100.0 + pool.setup_us
-        )
+        pool.charge(100.0)
+        pool.charge(30.0)
+        assert pool.wall_clock_us() == 100.0 + WORKER_SETUP_US
+        assert pool.total_work_us() == 130.0 + 2 * WORKER_SETUP_US
 
     def test_reduce_to_fewer_workers(self):
         pool = WorkerPool(4)
         for __ in range(100):
-            pool.dispatch(10.0)
+            pool.charge(10.0)
         pool.reduce_to(1)
         assert pool.n_workers == 1
         assert pool.reductions == 1
         for __ in range(100):
-            pool.dispatch(10.0)
+            pool.charge(10.0)
         # All later work lands on the lone survivor.
         assert pool.wall_clock_us() >= 1000.0
 
@@ -62,150 +61,201 @@ class TestWorkerPool:
         assert pool.n_workers == 2
         assert pool.reductions == 0
 
+    def test_worker_time_is_exact_picoseconds_however_charges_group(self):
+        """A worker's time is the exact integer sum of its morsels: one
+        charge of ``n`` units equals ``n`` charges of one, where a float
+        sum of 0.1 µs ten times would not."""
+        charges = [(0.1, 10), (1 / 3, 3), (0.0625, 256), (0.075, 17)]
+        grouped, split = WorkerPool(1), WorkerPool(1)
+        for us, count in charges:
+            grouped.charge(us, count)
+            for __ in range(count):
+                split.charge(us)
+        assert grouped.worker_ps() == split.worker_ps() == [
+            sum(count * round(us * 1_000_000) for us, count in charges)
+        ]
+        assert grouped.worker_ps()[0] == 1_000_000 + 999_999 + 16_000_000 \
+            + 1_275_000
+        # Across workers the placement depends on the grouping, the
+        # total work never does.
+        many = WorkerPool(4)
+        for us, count in charges:
+            for __ in range(count):
+                many.charge(us)
+        assert sum(many.worker_ps()) == grouped.worker_ps()[0]
+        assert all(isinstance(ps, int) for ps in many.worker_ps())
 
-class TestBloomFilter:
-    def test_no_false_negatives(self):
-        bloom = BloomFilter()
-        keys = list(range(0, 2000, 7))
-        for key in keys:
-            bloom.add(key)
-        assert all(bloom.might_contain(key) for key in keys)
 
-    def test_mostly_rejects_absent_keys(self):
-        bloom = BloomFilter(n_bits=65536)
-        for key in range(500):
-            bloom.add(key)
-        false_positives = sum(
-            1 for key in range(10_000, 20_000) if bloom.might_contain(key)
-        )
-        assert false_positives < 500  # < 5%
+class Charges(Operator):
+    """Charges ``us`` of CPU per batch it yields."""
+
+    def __init__(self, batches, us):
+        self.batches = batches
+        self.us = us
+
+    def execute_batches(self, ctx):
+        for __ in range(self.batches):
+            ctx.charge(self.us)
+            yield Batch.from_columns((), [], 1)
 
 
-def make_star_pipeline(n_facts=2000, n_dims=100):
-    facts = [(i, i % n_dims, float(i % 7)) for i in range(n_facts)]
-    dims = [(d, "name%d" % d) for d in range(n_dims)]
-    join = JoinStage(
-        dims, build_key=lambda d: d[0], probe_key=lambda f: f[1]
+def bare_context():
+    return ExecutionContext(None, None, None, SimClock(), None)
+
+
+def star(n_facts=2000, n_dims=100, workers=1):
+    """``facts(id, dim, x)`` joined to ``dims(id, name)``: a one-join
+    core, at ``max_query_tasks = workers``."""
+    server = Server(ServerConfig(start_buffer_governor=False,
+                                 initial_pool_pages=2048))
+    conn = server.connect()
+    conn.execute("CREATE TABLE facts (id INT PRIMARY KEY, dim INT, x INT)")
+    conn.execute("CREATE TABLE dims (id INT PRIMARY KEY, name VARCHAR(10))")
+    server.load_table(
+        "facts", [(i, i % n_dims, i % 7) for i in range(n_facts)]
     )
-    return facts, dims, join
+    server.load_table("dims", [(d, "name%d" % d) for d in range(n_dims)])
+    conn.execute("SET OPTION max_query_tasks = %d" % workers)
+    return conn
+
+
+STAR_SQL = (
+    "SELECT f.id, f.dim, d.id, d.name FROM facts f "
+    "JOIN dims d ON f.dim = d.id"
+)
+
+
+def core_pool(result, workers):
+    assert result.notes["parallel_workers"] == workers
+    return result.notes["parallel_pool"]
+
+
+class RecordingPool(WorkerPool):
+    def __init__(self, n_workers):
+        super().__init__(n_workers)
+        self.morsels = []
+
+    def dispatch(self, cost_ps):
+        self.morsels.append(cost_ps)
+        super().dispatch(cost_ps)
 
 
 class TestPipeline:
+    """The scan-fed join core on the worker pool, through the engine:
+    the pipeline properties of Section 4.4 on the serial operators."""
+
     def test_join_results_correct(self):
-        facts, dims, join = make_star_pipeline()
-        pipeline = ParallelPipeline(facts, [join])
-        output, stats = pipeline.run(n_workers=4)
-        assert len(output) == len(facts)  # every fact matches one dim
-        fact, dim = output[0]
-        assert fact[1] == dim[0]
+        result = star(workers=4).execute(STAR_SQL)
+        core_pool(result, 4)
+        assert len(result.rows) == 2000  # every fact matches one dim
+        assert all(fact_dim == dim_id
+                   for __, fact_dim, dim_id, __n in result.rows)
 
     def test_results_independent_of_worker_count(self):
-        facts, dims, join_a = make_star_pipeline()
-        out1, __ = ParallelPipeline(facts, [join_a]).run(n_workers=1)
-        __, dims_b, join_b = make_star_pipeline()
-        out8, __stats = ParallelPipeline(facts, [join_b]).run(n_workers=8)
-        assert sorted(map(repr, out1)) == sorted(map(repr, out8))
+        serial = star(workers=1).execute(STAR_SQL)
+        parallel_result = star(workers=8).execute(STAR_SQL)
+        core_pool(parallel_result, 8)
+        assert serial.rows == parallel_result.rows
 
     def test_parallel_speedup_near_linear(self):
-        facts, __, join1 = make_star_pipeline(n_facts=5000)
-        __, __d, join4 = make_star_pipeline(n_facts=5000)
-        __, stats1 = ParallelPipeline(facts, [join1]).run(n_workers=1)
-        __, stats4 = ParallelPipeline(facts, [join4]).run(n_workers=4)
-        speedup = stats4.speedup_over(stats1)
-        assert 3.0 < speedup <= 4.2
+        pool = core_pool(star(n_facts=5000, workers=4).execute(STAR_SQL), 4)
+        speedup = sum(pool.worker_ps()) / pool.wall_clock_ps()
+        assert 3.0 < speedup <= 4.0
 
     def test_total_work_roughly_constant(self):
-        # Parallelism should not inflate the total work much.
-        facts, __, join1 = make_star_pipeline(n_facts=5000)
-        __, __d, join8 = make_star_pipeline(n_facts=5000)
-        __, stats1 = ParallelPipeline(facts, [join1]).run(n_workers=1)
-        __, stats8 = ParallelPipeline(facts, [join8]).run(n_workers=8)
-        assert stats8.total_work_us < stats1.total_work_us * 1.10
+        # Parallelism should not inflate the total work much: the same
+        # morsels, plus one setup per worker.
+        pool = core_pool(
+            star(n_facts=20_000, workers=8).execute(STAR_SQL), 8
+        )
+        one_worker_us = sum(pool.worker_ps()) / 1_000_000 + WORKER_SETUP_US
+        assert pool.total_work_us() < one_worker_us * 1.10
 
-    def test_reduction_to_one_only_slightly_worse_than_serial(self):
+    def test_reduction_to_one_only_slightly_worse_than_serial(
+            self, monkeypatch):
         """The paper's claim: 'if the number of threads is dynamically
         reduced to one, then the total cost of the query is only slightly
-        worse than if it was never set up to use parallelism.'"""
-        facts, __, join_serial = make_star_pipeline(n_facts=5000)
-        __, __d, join_reduced = make_star_pipeline(n_facts=5000)
-        __, serial = ParallelPipeline(facts, [join_serial]).run(n_workers=1)
-        __, reduced = ParallelPipeline(facts, [join_reduced]).run(
-            n_workers=8, reduce_to=1, reduce_at_fraction=0.0
-        )
-        assert reduced.wall_clock_us <= serial.wall_clock_us * 1.10
-        assert reduced.workers_final == 1
-
-    def test_bloom_stage_filters(self):
-        facts, dims, join = make_star_pipeline(n_facts=1000, n_dims=100)
-        bloom = BloomStage(
-            keys=[d for d in range(0, 100, 2)], probe_key=lambda f: f[1]
-        )
-        pipeline = ParallelPipeline(facts, [bloom, join])
-        output, __ = pipeline.run(n_workers=2)
-        assert all(fact[1] % 2 == 0 for fact, __d in output)
+        worse than if it was never set up to use parallelism.'  The
+        engine never pulls workers, so the morsels it dispatched are
+        replayed on a reduced pool."""
+        monkeypatch.setattr(parallel, "WorkerPool", RecordingPool)
+        morsels = core_pool(
+            star(n_facts=5000, workers=8).execute(STAR_SQL), 8
+        ).morsels
+        serial, reduced = WorkerPool(1), WorkerPool(8)
+        reduced.reduce_to(1)
+        for cost_ps in morsels:
+            serial.dispatch(cost_ps)
+            reduced.dispatch(cost_ps)
+        assert reduced.wall_clock_us() <= serial.wall_clock_us() * 1.10
+        assert reduced.n_workers == 1
 
     def test_filter_stage(self):
-        facts, dims, join = make_star_pipeline(n_facts=1000)
-        stage = FilterStage(lambda f: f[2] == 0.0)
-        output, __ = ParallelPipeline(facts, [stage, join]).run(n_workers=3)
-        assert all(fact[2] == 0.0 for fact, __d in output)
+        result = star(n_facts=1000, workers=3).execute(
+            STAR_SQL.replace("f.id,", "f.x,") + " WHERE f.x = 0"
+        )
+        core_pool(result, 3)
+        assert result.rows and all(row[0] == 0 for row in result.rows)
 
     def test_multi_join_pipeline(self):
-        # Right-deep two-join pipeline: fact -> dim1 -> dim2.
-        facts = [(i, i % 10, i % 5) for i in range(500)]
-        dim1 = [(d, "a%d" % d) for d in range(10)]
-        dim2 = [(d, "b%d" % d) for d in range(5)]
-        join1 = JoinStage(dim1, lambda d: d[0], lambda f: f[1])
-        join2 = JoinStage(
-            dim2, lambda d: d[0], lambda pair: pair[0][2]
+        # A two-join core: fact -> dim1 -> dim2.
+        server = Server(ServerConfig(start_buffer_governor=False))
+        conn = server.connect()
+        conn.execute("CREATE TABLE facts (id INT PRIMARY KEY, d1 INT, d2 INT)")
+        conn.execute("CREATE TABLE dim1 (id INT PRIMARY KEY, a VARCHAR(5))")
+        conn.execute("CREATE TABLE dim2 (id INT PRIMARY KEY, b VARCHAR(5))")
+        server.load_table("facts", [(i, i % 10, i % 5) for i in range(500)])
+        server.load_table("dim1", [(d, "a%d" % d) for d in range(10)])
+        server.load_table("dim2", [(d, "b%d" % d) for d in range(5)])
+        conn.execute("SET OPTION max_query_tasks = 4")
+        result = conn.execute(
+            "SELECT f.d1, f.d2, x.id, y.id FROM facts f "
+            "JOIN dim1 x ON f.d1 = x.id JOIN dim2 y ON f.d2 = y.id"
         )
-        output, stats = ParallelPipeline(facts, [join1, join2]).run(4)
-        assert len(output) == 500
-        (fact, d1), d2 = output[0]
-        assert d1[0] == fact[1] and d2[0] == fact[2]
-        assert stats.imbalance < 1.2
+        pool = core_pool(result, 4)
+        assert len(result.rows) == 500
+        assert all(d1 == x and d2 == y for d1, d2, x, y in result.rows)
+        assert pool.imbalance() < 1.2
 
     def test_group_by_stage(self):
-        facts, dims, join = make_star_pipeline(n_facts=2000, n_dims=10)
-        group_by = GroupByStage(
-            key_fn=lambda pair: pair[1][0],       # group by dim id
-            init_fn=lambda: [0],
-            accumulate_fn=lambda state, row: state.__setitem__(0, state[0] + 1),
-            merge_fn=lambda a, b: a.__setitem__(0, a[0] + b[0]),
+        result = star(n_facts=2000, n_dims=10, workers=4).execute(
+            "SELECT d.id, COUNT(*) FROM facts f JOIN dims d "
+            "ON f.dim = d.id GROUP BY d.id"
         )
-        pipeline = ParallelPipeline(facts, [join], group_by=group_by)
-        groups, __ = pipeline.run(n_workers=4)
-        assert len(groups) == 10
-        assert all(state[0] == 200 for state in groups.values())
+        core_pool(result, 4)
+        assert len(result.rows) == 10
+        assert all(count == 200 for __, count in result.rows)
 
     def test_group_by_independent_of_workers(self):
-        results = []
-        for workers in (1, 4):
-            facts, __, join = make_star_pipeline(n_facts=1000, n_dims=8)
-            group_by = GroupByStage(
-                key_fn=lambda pair: pair[1][0],
-                init_fn=lambda: [0],
-                accumulate_fn=lambda s, r: s.__setitem__(0, s[0] + 1),
-                merge_fn=lambda a, b: a.__setitem__(0, a[0] + b[0]),
-            )
-            groups, __s = ParallelPipeline(facts, [join], group_by=group_by).run(
-                workers
-            )
-            results.append(sorted((k, s[0]) for k, s in groups.items()))
+        sql = (
+            "SELECT d.id, COUNT(*) FROM facts f JOIN dims d "
+            "ON f.dim = d.id GROUP BY d.id"
+        )
+        results = [
+            star(n_facts=1000, n_dims=8, workers=workers).execute(sql).rows
+            for workers in (1, 4)
+        ]
         assert results[0] == results[1]
 
     def test_charges_simulated_clock(self):
-        """The critical path goes through the context's one charge path,
-        fraction included."""
+        """The core's CPU reaches the statement's clock once, as the
+        critical path, through the context's one charge path."""
+        ctx = bare_context()
+        core = ParallelCoreOp(Charges(batches=6, us=10.5), n_workers=2)
+        assert len(list(core.execute_batches(ctx))) == 6
+        pool = ctx.notes["parallel_pool"]
+        assert pool.worker_ps() == [31_500_000, 31_500_000]
+        assert ctx.clock.now * 1_000_000 + ctx.carry_ps[0] \
+            == pool.wall_clock_ps() == 31_500_000 + 50_000_000
+        assert ctx.notes["parallel_wall_us"] == 81
+        assert "charge" not in vars(ctx)
 
-        class Ctx:
-            charged = []
-
-            def charge(self, us):
-                self.charged.append(us)
-
-        ctx = Ctx()
-        facts, __, join = make_star_pipeline()
-        __, stats = ParallelPipeline(facts, [join]).run(n_workers=2, ctx=ctx)
-        assert stats.wall_clock_us > 0
-        assert ctx.charged == [stats.wall_clock_us]
+    def test_a_closed_core_charges_what_it_ran(self):
+        ctx = bare_context()
+        batches = ParallelCoreOp(
+            Charges(batches=6, us=10.0), n_workers=2
+        ).execute_batches(ctx)
+        next(batches)
+        next(batches)
+        batches.close()
+        assert ctx.clock.now == 10 + WORKER_SETUP_US
