@@ -21,6 +21,7 @@ from repro.exec.expr import (
     evaluate_predicate_batch,
 )
 from repro.exec.spill import SpillFile, WorkMemory
+from repro.sql import ast
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
     CPU_ROW_BATCH_US,
@@ -50,6 +51,18 @@ PENDING_ROWS = 4096
 #: list per group costs more than the per-row calls it saves.
 SPARSE_BATCH_KEYS = 4
 
+#: A hash join's batch folds from its pieces (:class:`_PieceFold`) only
+#: when they average this many joined rows or more: below it, the work
+#: per piece and per build list costs more than the rows it skips.
+PIECE_ROWS = 4
+
+
+def _kind_of(call):
+    """What folding a value into ``call``'s state does (None: unknown)."""
+    if call.name == "COUNT" and call.star:
+        return _COUNT_STAR
+    return _FOLD_KINDS.get(call.name)
+
 
 class AggState:
     """Partial state of one aggregate; serializable as a plain tuple so
@@ -64,10 +77,7 @@ class AggState:
         self.extreme = None
         self.distinct = set() if call.distinct else None
         # Resolved here, once, so the fold compares no strings per value.
-        self._kind = (
-            _COUNT_STAR if call.name == "COUNT" and call.star
-            else _FOLD_KINDS.get(call.name)
-        )
+        self._kind = _kind_of(call)
 
     @property
     def counts_rows(self):
@@ -207,6 +217,7 @@ class HashGroupByOp(Operator):
         self._memory = None
         self._groups = None
         self._fallback = None
+        self._pieces = None
         self._emitting = False
 
     @property
@@ -240,31 +251,55 @@ class HashGroupByOp(Operator):
         group's pending list and are folded a group at a time
         (:meth:`_fold_pending`); a batch of mostly distinct keys, and
         every row from the one that engages the fallback, go row at a
-        time (:meth:`_accumulate_rows`)."""
+        time (:meth:`_accumulate_rows`).  A batch a hash join emitted as
+        pieces folds from them unexpanded when it creates no group
+        (:class:`_PieceFold`)."""
         self._ctx = ctx
         self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
         self._groups = {}
-        self._pending = collections.defaultdict(list)
         self._pending_rows = 0
         ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         group_bytes = 32 + 24 * len(self.aggregates)
         # A pending row holds the values of the aggregates that take an
-        # argument: one value bare, several as a tuple; COUNT(*) counts
-        # the rows.
+        # argument: one value bare, several as a tuple.  With none (only
+        # COUNT(*)), a group's pending rows are just counted.
         arguments = [
             position for position, call in enumerate(self.aggregates)
             if not (call.name == "COUNT" and call.star)
         ]
+        self._counting = not arguments
+        self._pending = (
+            collections.Counter() if self._counting
+            else collections.defaultdict(list)
+        )
         self._single_argument = len(arguments) == 1
         # One group key: groups are keyed by the value itself, a 1-tuple
         # only where a key leaves the dict (emit, temp table).  A dict
         # treats ``x`` and ``(x,)`` alike: 1, 1.0 and True collide, NaN
         # matches by identity, insertion order is kept.
         self._single_key = len(self.group_keys) == 1
+        self._pieces = _PieceFold.over(self, ctx.params)
+        # SUM and AVG: a float folded on the row path makes a later
+        # integer partial inexact (``(f + 1) + 1`` is not ``f + 2``).
+        totals = [
+            position for position, call in enumerate(self.aggregates)
+            if call.name in ("SUM", "AVG")
+        ]
         try:
             for batch in self.child.execute_batches(ctx):
                 count = batch.count
                 ctx.charge(count * CPU_HASH_BUILD_BATCH_US)
+                pieces = self._pieces
+                if pieces is not None:
+                    folding = pieces.prepare(batch, self._groups)
+                    if folding is not None:
+                        # The row path's pending rows come first.
+                        if self._pending_rows:
+                            self._fold_pending()
+                        pieces.apply(folding)
+                        continue
+                    if pieces.pending:
+                        self._fold_pending()
                 key_columns = [
                     evaluate_batch(expr, batch, ctx.params)
                     for expr, __, __t in self.group_keys
@@ -274,6 +309,10 @@ class HashGroupByOp(Operator):
                     else evaluate_batch(call.args[0], batch, ctx.params)
                     for call in self.aggregates
                 ]
+                if pieces is not None and any(
+                    float in map(type, value_columns[i]) for i in totals
+                ):
+                    self._pieces = None
                 # zip() of no columns is empty, not batch.count empties.
                 no_values = [()] * count
                 if self._single_key:
@@ -305,7 +344,7 @@ class HashGroupByOp(Operator):
                 argument_columns = [value_columns[i] for i in arguments]
                 pending = (
                     argument_columns[0] if self._single_argument
-                    else zip(*argument_columns) if arguments else no_values
+                    else zip(*argument_columns) if arguments else None
                 )
                 if stop < count:
                     self._defer(keys[:stop], pending)
@@ -348,22 +387,36 @@ class HashGroupByOp(Operator):
 
     def _defer(self, keys, pending):
         """Append each row's pending entry to its group's list (one
-        C-level pass; ``pending`` may run longer than ``keys``), folding
+        C-level pass; ``pending`` may run longer than ``keys``), or with
+        no argument (``pending`` None) count the rows per group, folding
         once ``PENDING_ROWS`` rows wait."""
-        lists = map(self._pending.__getitem__, keys)
-        collections.deque(map(list.append, lists, pending), maxlen=0)
+        if self._counting:
+            self._pending.update(keys)
+        else:
+            lists = map(self._pending.__getitem__, keys)
+            collections.deque(map(list.append, lists, pending), maxlen=0)
         self._pending_rows += len(keys)
         if self._pending_rows >= PENDING_ROWS:
             self._fold_pending()
 
     def _fold_pending(self):
         """Fold every group's pending rows, a column per aggregate, in
-        row order."""
-        groups, single = self._groups, self._single_argument
-        for key, rows in self._pending.items():
-            columns = iter((rows,) if single else zip(*rows))
-            for state in groups[key]:
-                state.fold(rows if state.counts_rows else next(columns))
+        row order — or the pending piece partials (never both at once)."""
+        groups = self._groups
+        if self._pieces is not None:
+            self._pieces.distribute(groups)
+        if not self._pending_rows:
+            return
+        if self._counting:
+            for key, rows in self._pending.items():
+                for state in groups[key]:
+                    state.count += rows
+        else:
+            single = self._single_argument
+            for key, rows in self._pending.items():
+                columns = iter((rows,) if single else zip(*rows))
+                for state in groups[key]:
+                    state.fold(rows if state.counts_rows else next(columns))
         self._pending.clear()
         self._pending_rows = 0
 
@@ -372,6 +425,7 @@ class HashGroupByOp(Operator):
     def _engage_fallback(self):
         """Flush in-memory groups to an indexed temporary table."""
         self._fold_pending()
+        self._pieces = None
         self.fallback_engaged = True
         self._ctx.note("group_by_fallback")
         self._fallback = _TempGroupStore(
@@ -433,6 +487,428 @@ class HashGroupByOp(Operator):
             # Scalar aggregation over zero rows yields one row.
             states = [AggState(call) for call in self.aggregates]
             yield layout, tuple(s.finalize() for s in states)
+
+
+#: The side of a join piece an expression reads (``_PROBE`` too for one
+#: that reads no column).
+_PROBE, _BUILD = 0, 1
+#: The argument value types a piece fold takes: over ints, COUNT, SUM,
+#: MIN and MAX come out the same in any order and grouping (``bool`` is
+#: left out: ``min(1, True)`` depends on which came first).
+_INTS = frozenset((int, type(None)))
+
+
+class _PieceFold:
+    """Folds a batch a hash join emitted as pieces (:meth:`Batch.pieces`)
+    into the group-by without expanding it: eager aggregation (Yan &
+    Larson, VLDB 1995) applied per batch inside the operator, so the
+    plan, every charge and the clock stay the row path's.
+
+    A batch folds here (:meth:`prepare` then :meth:`apply`) only if
+    every piece has a build list (an INNER or LEFT join: semi and anti
+    rows have none), the group keys are columns of one side, every
+    aggregate is a non-DISTINCT COUNT(*), COUNT, SUM, AVG, MIN or MAX
+    whose argument reads one side, every argument value is an ``int`` or
+    NULL, and every key the batch carries already has a group — so group
+    creation, the soft-limit checks and the fallback stay on the row
+    path.  Anything the pieces cannot evaluate is left to the row path,
+    which raises the reference error.
+
+    A fold adds partials ``[count, total, extreme]`` per group key.
+    *Keys on the probe side*: a piece adds its probe row's key; a probe
+    value counts ``stop - start`` times, a build argument adds its list's
+    partial (computed once per list) or, for a piece a batch cut, its
+    slice's.  *Keys on the build side*: each build list has its key ->
+    multiplicity map (computed once); a whole piece only bumps its list's
+    piece count and probe partials, which :meth:`distribute` scales by
+    each key's multiplicity when the group-by folds its pending rows.
+
+    Groups are independent and over ints the partials are exact whatever
+    the grouping, so the states equal the row path's; a group-by that
+    folded a float into a SUM or AVG drops its piece fold, and the row
+    path's pending rows and the piece partials never wait together.
+    Caches are keyed by list identity and hold the list, per execution.
+    """
+
+    def __init__(self, group_by, params):
+        self.key_exprs = [expr for expr, __, __t in group_by.group_keys]
+        self.single_key = len(self.key_exprs) == 1
+        self.kinds = list(map(_kind_of, group_by.aggregates))
+        self.arguments = [
+            None if kind == _COUNT_STAR else call.args[0]
+            for kind, call in zip(self.kinds, group_by.aggregates)
+        ]
+        self.params = params
+        #: ``(layout, probe width)`` -> :class:`_PiecePlan` or None.
+        self._plans = {}
+        #: Per key side, ``id(build list)`` -> :class:`_BuildList`.
+        self._lists = ({}, {})
+        #: ``id(build list)`` -> the list, for lists holding an argument
+        #: value that is not an int (held, so no id is reused).
+        self._refused = {}
+        #: Ids of the build lists whose every key has a group (build-side
+        #: keys; a group, once made, stays while the piece fold runs).
+        self._known = set()
+        #: Keys on the build side: ``id(build list)`` -> ``[entry, whole
+        #: pieces, probe-side partials, argument sides]``.
+        self._per_list = {}
+        #: Group key -> one partial per aggregate.
+        self._partials = {}
+
+    @classmethod
+    def over(cls, group_by, params):
+        """A piece fold for ``group_by``, or None when no batch could
+        take it (a DISTINCT, another aggregate, a key not a column)."""
+        for call in group_by.aggregates:
+            if call.distinct or _kind_of(call) is None:
+                return None
+        for expr, __, __t in group_by.group_keys:
+            if not isinstance(expr, ast.ColumnRef):
+                return None
+        return cls(group_by, params)
+
+    @property
+    def pending(self):
+        return bool(self._partials or self._per_list)
+
+    # -- which batches fold ---------------------------------------------- #
+
+    def _plan(self, layout, probe_width):
+        key = (layout, probe_width)
+        if key not in self._plans:
+            self._plans[key] = self._make_plan(layout, probe_width)
+        return self._plans[key]
+
+    def _make_plan(self, layout, probe_width):
+        probe, build = [], []
+        for entry in layout:
+            key, offset, width = entry
+            if offset + width <= probe_width:
+                probe.append(entry)
+            elif offset >= probe_width:
+                build.append((key, offset - probe_width, width))
+            else:
+                return None
+        side_of = dict.fromkeys([key for key, __, __w in probe], _PROBE)
+        side_of.update(dict.fromkeys([key for key, __, __w in build], _BUILD))
+        key_sides = set()
+        for expr in self.key_exprs:
+            key_sides |= _sides_read(expr, side_of)
+        if len(key_sides) > 1 or None in key_sides:
+            return None
+        sides = []
+        for expr in self.arguments:
+            read = set() if expr is None else _sides_read(expr, side_of)
+            if len(read) > 1 or None in read:
+                return None
+            sides.append(read.pop() if read else _PROBE)
+        return _PiecePlan(
+            key_sides.pop() if key_sides else _PROBE,
+            tuple(probe), tuple(build), sides,
+        )
+
+    def prepare(self, batch, groups):
+        """What :meth:`apply` needs to fold ``batch``, or None when the
+        batch goes the row path."""
+        found = batch.pieces()
+        if found is None:
+            return None
+        pieces, probe_width = found
+        if batch.count < PIECE_ROWS * len(pieces):
+            return None
+        plan = self._plan(batch.layout, probe_width)
+        if plan is None:
+            return None
+        lists = [piece[1] for piece in pieces]
+        if None in lists:
+            return None
+        try:
+            return self._prepare(plan, pieces, lists, groups)
+        except Exception:
+            # The row path evaluates the same values over the joined rows
+            # and raises the reference error, or (a build list's row
+            # outside this batch's slice) none.
+            return None
+
+    def _prepare(self, plan, pieces, lists, groups):
+        probe = None
+        values = []
+        for kind, side, expr in zip(self.kinds, plan.sides, self.arguments):
+            if kind == _COUNT_STAR or side == _BUILD:
+                values.append(None)
+                continue
+            if probe is None:
+                probe = Batch.from_flat_rows(
+                    plan.probe_layout, [piece[0] for piece in pieces]
+                )
+            column = evaluate_batch(expr, probe, self.params)
+            if not _INTS.issuperset(map(type, column)):
+                return None
+            values.append(column)
+        ids = list(map(id, lists))
+        distinct = dict(zip(ids, lists))
+        refused = self._refused.keys()
+        if not refused.isdisjoint(distinct):
+            return None
+        cache = self._lists[plan.key_side]
+        new = [rows for key, rows in distinct.items() if key not in cache]
+        if new:
+            for entry in self._build_lists(plan, new):
+                if entry.ints:
+                    cache[id(entry.rows)] = entry
+                else:
+                    self._refused[id(entry.rows)] = entry.rows
+            if not refused.isdisjoint(distinct):
+                return None
+        if plan.key_side == _BUILD:
+            known = self._known
+            if not known.issuperset(distinct):
+                for key in distinct:
+                    if key not in known:
+                        if not all(map(
+                            groups.__contains__, cache[key].multiplicity
+                        )):
+                            return None
+                        known.add(key)
+            return plan, pieces, values, ids, None
+        if probe is None and self.key_exprs:
+            probe = Batch.from_flat_rows(
+                plan.probe_layout, [piece[0] for piece in pieces]
+            )
+        keys = self._keys(probe, len(pieces))
+        if not all(map(groups.__contains__, keys)):
+            return None
+        return plan, pieces, values, ids, keys
+
+    def _build_lists(self, plan, lists):
+        """A :class:`_BuildList` per list in ``lists``, their rows
+        evaluated as one batch."""
+        rows = [row for candidates in lists for row in candidates]
+        batch = Batch.from_flat_rows(plan.build_layout, rows)
+        columns = [
+            evaluate_batch(expr, batch, self.params)
+            if side == _BUILD and kind != _COUNT_STAR else None
+            for kind, side, expr in zip(self.kinds, plan.sides, self.arguments)
+        ]
+        keys = (
+            self._keys(batch, len(rows)) if plan.key_side == _BUILD else None
+        )
+        start = 0
+        for candidates in lists:
+            stop = start + len(candidates)
+            yield _BuildList(
+                self.kinds, candidates,
+                [None if column is None else column[start:stop]
+                 for column in columns],
+                None if keys is None else keys[start:stop],
+            )
+            start = stop
+
+    def _keys(self, batch, count):
+        """The group key of each of ``batch``'s rows, as the row path
+        keys them."""
+        columns = [
+            evaluate_batch(expr, batch, self.params) for expr in self.key_exprs
+        ]
+        if self.single_key:
+            return columns[0]
+        return list(zip(*columns)) if columns else [()] * count
+
+    # -- folding ------------------------------------------------------- #
+
+    def apply(self, folding):
+        """Add a prepared batch's pieces to the pending partials."""
+        plan, pieces, values, ids, keys = folding
+        kinds, sides = self.kinds, plan.sides
+        aggregates = list(enumerate(zip(kinds, sides)))
+        partials = self._partials
+        cache = self._lists[plan.key_side]
+        if keys is None:
+            per_list = self._per_list
+            probe_sided = [
+                (values[j], j, kind) for j, (kind, side) in aggregates
+                if kind != _COUNT_STAR and side == _PROBE
+            ]
+            for i, (piece, key) in enumerate(zip(pieces, ids)):
+                __, rows, start, stop = piece
+                if stop - start == len(rows):
+                    acc = per_list.get(key)
+                    if acc is None:
+                        acc = per_list[key] = [
+                            cache[key], 0, [[0, None, None] for __ in kinds],
+                            sides,
+                        ]
+                    acc[1] += 1
+                    for column, j, kind in probe_sided:
+                        value = column[i]
+                        if value is not None:
+                            _add(acc[2][j], kind, value, 1)
+                    continue
+                # A piece the batch cut: its rows one by one.
+                entry = cache[key]
+                for r in range(start, stop):
+                    group = entry.keys[r]
+                    parts = partials.get(group)
+                    if parts is None:
+                        parts = partials[group] = [
+                            [0, None, None] for __ in kinds
+                        ]
+                    for j, (kind, side) in aggregates:
+                        if kind == _COUNT_STAR:
+                            parts[j][0] += 1
+                            continue
+                        value = (values[j][i] if side == _PROBE
+                                 else entry.values[j][r])
+                        if value is not None:
+                            _add(parts[j], kind, value, 1)
+            return
+        for i, (piece, key) in enumerate(zip(pieces, ids)):
+            __, rows, start, stop = piece
+            times = stop - start
+            parts = partials.get(keys[i])
+            if parts is None:
+                parts = partials[keys[i]] = [[0, None, None] for __ in kinds]
+            for j, (kind, side) in aggregates:
+                if kind == _COUNT_STAR:
+                    parts[j][0] += times
+                elif side == _PROBE:
+                    value = values[j][i]
+                    if value is not None:
+                        _add(parts[j], kind, value, times)
+                else:
+                    entry = cache[key]
+                    _merge(parts[j], kind, (
+                        entry.whole[j] if times == len(rows)
+                        else _partial(kind, entry.values[j][start:stop])
+                    ), 1)
+
+    def distribute(self, groups):
+        """Fold every pending partial into its group's states: the build
+        lists' ones scaled by each key's multiplicity first."""
+        partials, kinds = self._partials, self.kinds
+        for entry, whole, probe_parts, sides in self._per_list.values():
+            for key, multiplicity in entry.multiplicity.items():
+                parts = partials.get(key)
+                if parts is None:
+                    parts = partials[key] = [[0, None, None] for __ in kinds]
+                for j, kind in enumerate(kinds):
+                    if kind == _COUNT_STAR:
+                        parts[j][0] += multiplicity * whole
+                    elif sides[j] == _PROBE:
+                        _merge(parts[j], kind, probe_parts[j], multiplicity)
+                    else:
+                        _merge(parts[j], kind, entry.keyed[key][j], whole)
+        self._per_list.clear()
+        for key, parts in partials.items():
+            for state, (count, total, extreme) in zip(groups[key], parts):
+                state.merge_serialized((count, total, extreme, None))
+        partials.clear()
+
+
+_PiecePlan = collections.namedtuple(
+    "_PiecePlan", "key_side probe_layout build_layout sides"
+)
+
+
+class _BuildList:
+    """What a piece fold reads of one build list, computed once: its
+    build-side argument values and, by key side, each argument's partial
+    over the whole list (probe-side keys) or each row's key, each key's
+    multiplicity and each key's argument partials (build-side keys).
+    ``ints``: every argument value is an int or NULL."""
+
+    __slots__ = (
+        "rows", "values", "ints", "whole", "keys", "multiplicity", "keyed",
+        "known",
+    )
+
+    def __init__(self, kinds, rows, values, keys):
+        self.rows = rows  # held: the cache is keyed by its id
+        self.values = values
+        self.ints = all(
+            column is None or _INTS.issuperset(map(type, column))
+            for column in values
+        )
+        self.known = False
+        self.whole = self.keys = self.multiplicity = self.keyed = None
+        if not self.ints:
+            return
+        if keys is None:
+            self.whole = [
+                None if column is None else _partial(kind, column)
+                for kind, column in zip(kinds, values)
+            ]
+            return
+        self.keys = keys
+        self.multiplicity = collections.Counter(keys)
+        if values.count(None) == len(values):
+            return
+        by_key = {}
+        for r, key in enumerate(keys):
+            by_key.setdefault(key, []).append(r)
+        self.keyed = {
+            key: [
+                None if column is None
+                else _partial(kind, [column[r] for r in positions])
+                for kind, column in zip(kinds, values)
+            ]
+            for key, positions in by_key.items()
+        }
+
+
+def _sides_read(expr, side_of):
+    """The sides whose columns ``expr`` reads (None: a column of
+    neither)."""
+    found = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ColumnRef):
+            found.add(side_of.get(node.quantifier_id) if node.bound else None)
+        stack.extend(node.children())
+    return found
+
+
+def _partial(kind, values):
+    """``[count, total, extreme]`` of the non-NULL int ``values`` (ints:
+    ``sum`` and ``min`` are exact in any order)."""
+    if None in values:
+        values = [value for value in values if value is not None]
+    if not values:
+        return [0, None, None]
+    return [
+        len(values),
+        sum(values) if kind == _TOTAL else None,
+        min(values) if kind == _MIN else max(values) if kind == _MAX
+        else None,
+    ]
+
+
+def _add(part, kind, value, times):
+    """Fold the int ``value`` into ``part`` ``times`` times."""
+    part[0] += times
+    if kind == _TOTAL:
+        value *= times
+        part[1] = value if part[1] is None else part[1] + value
+    elif kind == _MIN:
+        part[2] = value if part[2] is None else min(part[2], value)
+    elif kind == _MAX:
+        part[2] = value if part[2] is None else max(part[2], value)
+
+
+def _merge(part, kind, other, times):
+    """Fold the partial ``other`` into ``part`` ``times`` times."""
+    count, total, extreme = other
+    if not count:
+        return
+    part[0] += count * times
+    if total is not None:
+        total *= times
+        part[1] = total if part[1] is None else part[1] + total
+    if extreme is not None:
+        part[2] = extreme if part[2] is None else (
+            min(part[2], extreme) if kind == _MIN else max(part[2], extreme)
+        )
 
 
 class _TempGroupStore:

@@ -63,7 +63,8 @@ class Batch:
     materialisation).  A batch holds, besides the columns built so far,
     at most one source of the others: its rows as flat value tuples
     (:meth:`from_rows`, the scans' form), or a *source* object with
-    ``column(position)`` and ``flat_rows()`` (the hash join's pieces).
+    ``column(position)`` and ``flat_rows()`` (the hash join's pieces,
+    also read whole through :meth:`pieces`).
     Every reader goes through :meth:`column` or :meth:`flat_rows`,
     which build only what they return;
     :attr:`columns` builds them all.  A column is None only while the
@@ -158,6 +159,15 @@ class Batch:
             column = self._source.column(position)
         self._columns[position] = column
         return column
+
+    def pieces(self):
+        """``(pieces, probe_width)`` when the rows are still a hash join's
+        pieces, or None.  A piece ``(row, candidates, start, stop)`` is
+        the probe row ``row`` (``probe_width`` flat values) joined to the
+        build rows ``candidates[start:stop]``; ``candidates`` is None for
+        a semi / anti row.  Read-only, like a column."""
+        source = self._source
+        return None if source is None else (source.pieces, source.left_width)
 
     # -- row access ----------------------------------------------------- #
 

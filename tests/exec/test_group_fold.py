@@ -454,6 +454,47 @@ def test_relinquish_between_batches_folds_pending_rows_first():
     assert calls[:3] == [("defer", 256), ("defer", 256), ("rows", 256)]
 
 
+#: Shapes whose aggregates take no argument: pending rows are counted
+#: per group, not listed.
+COUNTING_SHAPES = {
+    "count-star": [("COUNT", True, False, 1)],
+    "count-star-twice": [("COUNT", True, False, 1), ("COUNT", True, False, 2)],
+    "no-aggregate": [],
+}
+
+
+@pytest.mark.parametrize("grouped, shape", [
+    (True, "count-star"), (True, "count-star-twice"), (True, "no-aggregate"),
+    (False, "count-star"), (False, "count-star-twice"),
+])
+@pytest.mark.parametrize("batch_rows, mpl, relinquish_before, pending_rows", [
+    (256, 8, (), PENDING_ROWS),
+    (7, 8, (), 3),
+    (1, 1, (), PENDING_ROWS),
+    (256, 1, (2,), 50),
+    (256, 8, (3,), PENDING_ROWS),
+])
+def test_counting_only_equals_the_row_fold(
+    grouped, shape, batch_rows, mpl, relinquish_before, pending_rows,
+):
+    """COUNT(*) only, or no aggregate at all, grouped (60 keys, NULL,
+    ``1`` and ``1.0`` among them) or scalar: the same rows, fallback,
+    notes and clock as the row fold, whatever the batch size, soft limit,
+    relinquish point and pending bound."""
+    keys = [None if i % 60 == 0 else i % 60 for i in range(1_200)]
+    keys = [1.0 if key == 1 and i % 2 else key for i, key in enumerate(keys)]
+    case = {
+        "grouped": grouped, "batch_rows": batch_rows, "mpl": mpl,
+        "relinquish_before": relinquish_before, "pending_rows": pending_rows,
+        "aggregates": COUNTING_SHAPES[shape],
+        "rows": [(key, i, i / 8, None) for i, key in enumerate(keys)],
+    }
+    assert (
+        run_group_by(HashGroupByOp, case)
+        == run_group_by(RowAtATimeGroupByOp, case)
+    )
+
+
 # --------------------------------------------------------------------- #
 # the per-row calls are gone: pinned by a count, not a timer
 # --------------------------------------------------------------------- #

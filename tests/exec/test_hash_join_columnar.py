@@ -9,8 +9,10 @@ buffer pool): the engine's operator must produce the same batches, and
 show the same clock wherever anything else could read it, as this one.
 """
 
+import collections
 import random
 import sys
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,7 +21,7 @@ from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.common.hashing import stable_hash
-from repro.exec import MemoryGovernor
+from repro.exec import MemoryGovernor, aggregates as aggregates_module
 from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate_batch, evaluate_predicate
@@ -503,16 +505,18 @@ def test_join_cost_follows_input_rows_not_joined_rows():
     assert measured[32]["charges"] < 4 * 32 + 40
 
 
-def test_explain_analyze_attribution_is_unchanged():
-    """The benchmark's J statement on a ``JoinAgg(301)``-shaped server
-    after its warm-up: per-operator actuals are what the row-at-a-time
-    join printed, so moving the emit charge from per row to per batch
-    shifted no microsecond between operators and no batch boundary."""
+J_TEMPLATE = ("SELECT t.x, COUNT(*), SUM(u.z + %d) FROM t JOIN u "
+              "ON t.g = u.g GROUP BY t.x")
+J_ROWS, J_GROUPS = 4_000, 125
+
+
+def _join_agg_connection():
+    """A connection to a ``JoinAgg(301)``-shaped server after its
+    warm-up: 4,000 build rows in 125 lists of 32, 4,000 probe rows."""
     rng = random.Random(301)
-    rows, groups = 4_000, 125
-    t = [(i, i % groups, rng.randrange(40), rng.randrange(1_000))
-         for i in range(rows)]
-    u = [(i, i % groups, rng.randrange(1_000)) for i in range(rows)]
+    t = [(i, i % J_GROUPS, rng.randrange(40), rng.randrange(1_000))
+         for i in range(J_ROWS)]
+    u = [(i, i % J_GROUPS, rng.randrange(1_000)) for i in range(J_ROWS)]
     server = make_server()
     conn = server.connect()
     conn.execute("CREATE TABLE t (id INT PRIMARY KEY, g INT, x INT, y INT)")
@@ -521,15 +525,23 @@ def test_explain_analyze_attribution_is_unchanged():
                  "FROM t WHERE x = c GROUP BY g ORDER BY g")
     server.load_table("t", t)
     server.load_table("u", u)
-    template = ("SELECT t.x, COUNT(*), SUM(u.z + %d) FROM t JOIN u "
-                "ON t.g = u.g GROUP BY t.x")
     for warm_up in (
-        template % 0, template % 1, "CALL g_report(16)", "CALL g_report(17)",
+        J_TEMPLATE % 0, J_TEMPLATE % 1, "CALL g_report(16)",
+        "CALL g_report(17)",
         "SELECT id, y FROM t WHERE y > 900 ORDER BY y, id LIMIT 20",
         "SELECT id, y FROM t WHERE y > 901 ORDER BY y, id LIMIT 20",
     ):
         conn.execute(warm_up)
-    text = conn.execute(template % 3).explain(analyze=True)
+    return conn
+
+
+def test_explain_analyze_attribution_is_unchanged():
+    """The benchmark's J statement on a ``JoinAgg(301)``-shaped server
+    after its warm-up: per-operator actuals are what the row-at-a-time
+    join printed, so moving the emit charge from per row to per batch
+    shifted no microsecond between operators and no batch boundary."""
+    conn = _join_agg_connection()
+    text = conn.execute(J_TEMPLATE % 3).explain(analyze=True)
     lines = text.splitlines()
     join_line = next(line for line in lines if "HashJoin" in line)
     group_line = next(line for line in lines if "HashGroupBy" in line)
@@ -539,3 +551,27 @@ def test_explain_analyze_attribution_is_unchanged():
         assert expected in join_line, join_line
     for expected in ("rows_in=128000", "elapsed=25302us"):
         assert expected in group_line, group_line
+
+
+def test_group_by_evaluates_input_rows_not_joined_rows():
+    """The J statement's group-by evaluates its key and its argument over
+    the probe rows and the build lists (4,000 values each, plus the
+    batches that create groups), not over the 128,000 joined rows: the
+    joined batches fold from the join's pieces."""
+    conn = _join_agg_connection()
+    counted = collections.Counter()
+    evaluate = aggregates_module.evaluate_batch
+
+    def counting(expr, batch, params=None):
+        values = evaluate(expr, batch, params)
+        counted[repr(expr)] += len(values)
+        return values
+
+    with mock.patch.object(aggregates_module, "evaluate_batch", counting):
+        rows = conn.execute(J_TEMPLATE % 3).rows
+    assert sum(row[1] for row in rows) == 128_000
+    key, argument = "ColumnRef(t.x", "BinaryOp('+', ColumnRef(u.z"
+    for prefix in (key, argument):
+        [evaluated] = [n for expr, n in counted.items()
+                       if expr.startswith(prefix)]
+        assert evaluated <= J_ROWS + 4 * 256, counted
