@@ -27,7 +27,9 @@ from repro.dtt import RetryRecalibrator, calibrate_device, default_dtt_model
 from repro.dtt.model import DTTModel
 from repro.engine.statements import StatementCache
 from repro.exec import ExecutionContext, Executor, MemoryGovernor
-from repro.exec.expr import evaluate, evaluate_predicate
+from repro.exec.batch import Batch
+from repro.exec.expr import evaluate_batch, sarg_value
+from repro.exec.operators import filter_rows, satisfies
 from repro.faults import FaultyDisk, HostileProcess, plan_from_env
 from repro.faults.plan import CKPT_CRASH, LOG_TORN_TAIL
 from repro.optimizer import (
@@ -50,7 +52,7 @@ from repro.storage.log import CRASH_CKPT_MID, GroupCommitCoordinator
 from repro.storage.log import DELETE as LOG_DELETE
 from repro.storage.log import INSERT as LOG_INSERT
 from repro.storage.log import UPDATE as LOG_UPDATE
-from repro.storage.rowstore import TableStorage
+from repro.storage.rowstore import RowId, TableStorage
 
 #: :meth:`Server.apply_change` modes — which steps of the write sequence
 #: the caller has already made unnecessary.  Arguments internal callers
@@ -1125,8 +1127,9 @@ class Connection:
         server = self.server
         if prepared.tree.rows is not None:
             bound = prepared.bound
+            no_row = Batch.empty_row()
             rows = [
-                [evaluate(expr, {}, params) for expr in row_exprs]
+                [evaluate_batch(expr, no_row, params)[0] for expr in row_exprs]
                 for row_exprs in bound.rows
             ]
         else:
@@ -1167,10 +1170,12 @@ class Connection:
                     continue
                 new_row = None
                 if is_update:
-                    env = {bound.quantifier.id: old_row}
+                    old = Batch.from_rows(bound.quantifier.id, [old_row])
                     new_row = list(old_row)
                     for column_index, expr in bound.assignments:
-                        new_row[column_index] = evaluate(expr, env, params)
+                        new_row[column_index] = evaluate_batch(
+                            expr, old, params
+                        )[0]
                     new_row = server._coerce_row(table, new_row)
                 server.apply_change(txn_id, table, row_id, old_row, new_row)
                 changed += 1
@@ -1188,24 +1193,31 @@ class Connection:
         if isinstance(plan, _IndexScanPlan):
             btree = plan.index_schema.btree
             values = tuple(
-                evaluate(expr, {}, params) for expr in plan.sarg["eq"]
+                sarg_value(expr, params) for expr in plan.sarg["eq"]
             )
             for __, row_id in btree.prefix_scan(values):
                 row = table.storage.get(row_id)
-                env = {qid: row}
-                if all(
-                    evaluate_predicate(c.expr, env, params)
-                    for c in plan.local_conjuncts
+                if satisfies(
+                    plan.local_conjuncts, ((qid, 0, len(row)),), row, params
                 ):
                     targets.append((row_id, row))
             return targets
-        for row_id, row in table.storage.scan():
-            env = {qid: row}
-            if all(
-                evaluate_predicate(c.expr, env, params)
-                for c in bound.conjuncts
-            ):
-                targets.append((row_id, row))
+        # A page's rows are filtered as one batch, each row carrying its
+        # row id as one more column, under a key no expression reads.
+        for ordinal, rows in table.storage.scan().pages():
+            page = [
+                row + (RowId(ordinal, slot),)
+                for slot, row in enumerate(rows) if row is not None
+            ]
+            if page:
+                width = len(page[0]) - 1
+                kept = filter_rows(
+                    Batch.from_flat_rows(
+                        ((qid, 0, width), (RowId, width, 1)), page
+                    ),
+                    bound.conjuncts, params,
+                )
+                targets += [(row[-1], row[:-1]) for row in kept.flat_rows()]
         return targets
 
     def _recheck_target(self, table, bound, row_id, params=None):
@@ -1216,11 +1228,8 @@ class Connection:
             row = table.storage.get(row_id)
         except ExecutionError:
             return None
-        env = {bound.quantifier.id: row}
-        if all(
-            evaluate_predicate(c.expr, env, params)
-            for c in bound.conjuncts
-        ):
+        qid = bound.quantifier.id
+        if satisfies(bound.conjuncts, ((qid, 0, len(row)),), row, params):
             return row
         return None
 
@@ -1404,7 +1413,10 @@ class Connection:
         """CALL runs the procedure body through the plan cache."""
         server = self.server
         procedure = server.catalog.procedure(statement.name)
-        args = [evaluate(expr, {}, params) for expr in statement.args]
+        no_row = Batch.empty_row()
+        args = [
+            evaluate_batch(expr, no_row, params)[0] for expr in statement.args
+        ]
         body_params = dict(zip(procedure.parameters, args))
         body = server.statements.prepare(
             procedure.body_sql, procedure.parameters

@@ -22,19 +22,12 @@ adaptive behaviours:
 """
 
 from repro.exec.batch import Batch, pack
-from repro.exec.expr import (
-    evaluate,
-    evaluate_batch,
-    evaluate_predicate,
-    evaluate_predicate_batch,
-)
+from repro.exec.expr import evaluate_batch, evaluate_predicate_batch
 from repro.exec.memory import AdmissionQueue, MemoryGovernor, Task
 from repro.exec.executor import Executor, ExecutionContext
 
 __all__ = [
-    "evaluate",
     "evaluate_batch",
-    "evaluate_predicate",
     "evaluate_predicate_batch",
     "Batch",
     "pack",

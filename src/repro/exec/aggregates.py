@@ -819,7 +819,6 @@ class _BuildList:
 
     __slots__ = (
         "rows", "values", "ints", "whole", "keys", "multiplicity", "keyed",
-        "known",
     )
 
     def __init__(self, kinds, rows, values, keys):
@@ -829,7 +828,6 @@ class _BuildList:
             column is None or _INTS.issuperset(map(type, column))
             for column in values
         )
-        self.known = False
         self.whole = self.keys = self.multiplicity = self.keyed = None
         if not self.ints:
             return
@@ -1182,11 +1180,7 @@ class SortOp(Operator):
 
     def _spill_run(self, ctx, entries):
         self._sort(entries)
-        run = SpillFile(
-            ctx.temp_file, 80, ctx.pool.page_size,
-            fault_plan=getattr(ctx, "fault_plan", None),
-            yield_hook=getattr(ctx, "yield_hook", None),
-        )
+        run = SpillFile.for_context(ctx, 80)
         for entry in entries:
             run.append(entry)
         run.finish_writing()

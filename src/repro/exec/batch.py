@@ -1,11 +1,11 @@
 """Column-major batches, the unit every operator produces.
 
 One row shape flows through the operator tree: a flat value tuple under
-its batch's *layout*, which maps each environment key (quantifier id, or
+its batch's *layout*, which maps each key (quantifier id, or
 ``GROUP_ENV``) to its span of the tuple — or, from Project upward, a
-plain result tuple (``layout is None``).  An environment dict
-(:func:`env_of`) is built only to hand one row to ``evaluate``, the
-reference semantics, and never leaves the function that built it.
+plain result tuple (``layout is None``).  Expressions are evaluated over
+whole batches (:func:`~repro.exec.expr.evaluate_batch`); one row is a
+one-row batch.
 
 A batch is read column-major: a column is built when something first
 reads it.  A scan's batch keeps its row tuples and a hash join's keeps
@@ -25,7 +25,7 @@ DEFAULT_BATCH_ROWS = 256
 
 
 def layout_of(shape):
-    """The layout of rows whose environments hold ``shape``'s
+    """The layout of rows that hold ``shape``'s
     ``(key, width)`` pairs, in that order."""
     layout = []
     offset = 0
@@ -42,13 +42,6 @@ def concat_layouts(left, right):
         [(key, width) for key, __, width in left]
         + [(key, width) for key, __, width in right]
     )
-
-
-def env_of(layout, values):
-    """One row's flat ``values`` under ``layout`` as an environment dict."""
-    return {
-        key: values[offset:offset + width] for key, offset, width in layout
-    }
 
 
 class Batch:
@@ -84,6 +77,13 @@ class Batch:
     # -- construction --------------------------------------------------- #
 
     @classmethod
+    def empty_row(cls):
+        """One row with no columns: what an expression that reads no row
+        (a FROM-less SELECT list, INSERT ... VALUES, CALL arguments) is
+        evaluated over."""
+        return cls((), [], 1)
+
+    @classmethod
     def from_tuples(cls, rows, width):
         """Pack plain result tuples (the post-Project shape)."""
         return cls(None, [None] * width, len(rows), rows=rows)
@@ -91,7 +91,7 @@ class Batch:
     @classmethod
     def from_rows(cls, key, rows):
         """Pack a non-empty list of same-width row tuples as the rows of
-        one environment key (a scan's quantifier).  The list is kept, not
+        one key (a scan's quantifier).  The list is kept, not
         copied: its producer must not change it afterwards."""
         width = len(rows[0])
         return cls(((key, 0, width),), [None] * width, len(rows), rows=rows)
@@ -114,7 +114,7 @@ class Batch:
         return cls(layout, columns, count)
 
     def as_quantifier(self, key):
-        """This tuple-shaped batch's columns as the rows of environment
+        """This tuple-shaped batch's columns as the rows of
         key ``key`` (a sub-plan's output seen through its quantifier).
         The two batches share their columns: one builds, both see it."""
         return Batch(
@@ -134,16 +134,15 @@ class Batch:
         return columns
 
     def column(self, key, index):
-        """The column list for environment key ``key``, position ``index``.
+        """The column list for key ``key``, position ``index``.
 
         The returned list is the batch's own storage: read-only by
         convention.  Returns ``None`` when the key is absent (the caller
-        raises ``evaluate``'s exact error).
+        raises the evaluator's error).
         """
         for entry_key, offset, width in self.layout:
             if entry_key == key:
                 if index >= width:
-                    # ``evaluate`` raises IndexError from the row tuple.
                     raise IndexError("column index out of range")
                 column = self._columns[offset + index]
                 if column is None:

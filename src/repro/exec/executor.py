@@ -25,6 +25,7 @@ from repro.exec.operators import (
 )
 from repro.exec.parallel import ParallelCoreOp, parallelizable_join_core
 from repro.optimizer import plans as p
+from repro.optimizer.optimizer import ProjectSource
 from repro.profiling.metrics import NULL_METRICS
 
 #: Bound on recursive-union iterations (runaway-recursion backstop).
@@ -254,7 +255,7 @@ class Executor:
             return operator
         if isinstance(plan, p.LimitPlan):
             return LimitOp(self.build(plan.child, depth + 1), plan.limit)
-        if plan.__class__.__name__ in ("ProjectSource", "SingleRow"):
+        if isinstance(plan, ProjectSource):
             return SingleRowOp()
         raise ExecutionError("no operator for plan node %r" % (type(plan).__name__,))
 

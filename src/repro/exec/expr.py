@@ -1,74 +1,35 @@
-"""Expression evaluation with SQL three-valued logic.
+"""Expression evaluation with SQL three-valued logic, a batch at a time.
 
-Environments are dicts mapping quantifier id -> row tuple (plus the
+:func:`evaluate_batch` is the engine's one expression evaluator: it
+returns one value per row of a :class:`~repro.exec.batch.Batch`, reading
+columns through the batch's layout (quantifier ids, plus the
 ``GROUP_ENV`` key for post-aggregation rows).  ``None`` is SQL NULL;
 comparisons involving NULL yield ``None`` (unknown), AND/OR follow Kleene
-logic, and predicates treat unknown as not-satisfied.
+logic, and predicates treat unknown as not-satisfied.  One row is a
+one-row batch.
+
+A row-at-a-time evaluator would skip a short-circuit form's other side,
+and that side may raise (``1 / 0``, arithmetic on a VARCHAR).  So the
+short-circuit forms evaluate under a mask (:func:`_masked`): AND
+evaluates its right side only over the rows whose left side is not
+FALSE, OR only over the rows whose left side is not TRUE; CASE evaluates
+each condition over the rows still undecided, each result over the rows
+that chose it and the default over the rest; IN evaluates its items in
+order over the rows with a non-NULL operand not matched yet.  Every
+subexpression is therefore evaluated for exactly the rows a row-at-a-time
+evaluator evaluates it for, and a batch raises iff some row raises; only
+*which* row's error surfaces can differ, since a node evaluates all its
+rows before its parent sees any.  The row-at-a-time evaluator is kept as
+the reference in ``tests/exec/env_reference.py``
+(``tests/exec/test_expr_batch_property.py`` holds the two equal).
 """
 
 import operator
 import re
 
 from repro.common.errors import ExecutionError
-from repro.exec.batch import env_of
 from repro.sql import ast
 from repro.sql.binder import GROUP_ENV, GroupRef
-
-
-def evaluate(expr, env, params=None):
-    """Evaluate a bound expression against ``env``; returns a value or
-    None for SQL NULL/unknown."""
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ColumnRef):
-        if not expr.bound:
-            raise ExecutionError("unbound column %r at runtime" % (expr.column_name,))
-        row = env.get(expr.quantifier_id)
-        if row is None:
-            raise ExecutionError(
-                "no row for quantifier %d in environment" % (expr.quantifier_id,)
-            )
-        return row[expr.column_index]
-    if isinstance(expr, GroupRef):
-        row = env.get(GROUP_ENV)
-        if row is None:
-            raise ExecutionError("GroupRef outside aggregation context")
-        return row[expr.index]
-    if isinstance(expr, ast.Parameter):
-        return _parameter_value(expr, params)
-    if isinstance(expr, ast.BinaryOp):
-        return _binary(expr, env, params)
-    if isinstance(expr, ast.UnaryOp):
-        if expr.op == "NOT":
-            value = evaluate(expr.operand, env, params)
-            return None if value is None else (not _truthy(value))
-        value = evaluate(expr.operand, env, params)
-        return None if value is None else _negate(value)
-    if isinstance(expr, ast.IsNull):
-        value = evaluate(expr.operand, env, params)
-        result = value is None
-        return (not result) if expr.negated else result
-    if isinstance(expr, ast.Like):
-        return _like(expr, env, params)
-    if isinstance(expr, ast.Between):
-        return _between(expr, env, params)
-    if isinstance(expr, ast.InList):
-        return _in_list(expr, env, params)
-    if isinstance(expr, ast.FunctionCall):
-        return _scalar_function(expr, env, params)
-    if isinstance(expr, ast.CaseExpr):
-        for condition, result in expr.branches:
-            if _truthy(evaluate(condition, env, params)):
-                return evaluate(result, env, params)
-        if expr.default is not None:
-            return evaluate(expr.default, env, params)
-        return None
-    raise ExecutionError("cannot evaluate %r" % (type(expr).__name__,))
-
-
-def evaluate_predicate(expr, env, params=None):
-    """Evaluate as a filter: unknown (NULL) counts as false."""
-    return _truthy(evaluate(expr, env, params))
 
 
 def _truthy(value):
@@ -112,6 +73,14 @@ def _negate(value):
     return -value
 
 
+def sarg_value(expr, params):
+    """The value of an index-scan bound: ``sarg_for`` admits only
+    Literal and Parameter operands, which need no row."""
+    if isinstance(expr, ast.Parameter):
+        return _parameter_value(expr, params)
+    return expr.value
+
+
 def _parameter_value(expr, params):
     if params is None:
         raise ExecutionError("statement has parameters but none were supplied")
@@ -126,39 +95,6 @@ def _parameter_value(expr, params):
         raise ExecutionError(
             "no value for positional parameter %r" % (expr.ordinal,)
         ) from None
-
-
-def _binary(expr, env, params):
-    op = expr.op
-    if op == "AND":
-        left = evaluate(expr.left, env, params)
-        if left is False or (left is not None and not _truthy(left)):
-            return False
-        right = evaluate(expr.right, env, params)
-        if right is False or (right is not None and not _truthy(right)):
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "OR":
-        left = evaluate(expr.left, env, params)
-        if left is not None and _truthy(left):
-            return True
-        right = evaluate(expr.right, env, params)
-        if right is not None and _truthy(right):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = evaluate(expr.left, env, params)
-    right = evaluate(expr.right, env, params)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        if left is None or right is None:
-            return None
-        return _compare(op, left, right)
-    if left is None or right is None:
-        return None
-    return _operate(op, left, right)
 
 
 def _compare(op, left, right):
@@ -178,15 +114,6 @@ def _compare(op, left, right):
         raise ExecutionError(
             "cannot compare %r with %r" % (type(left).__name__, type(right).__name__)
         ) from None
-
-
-def _like(expr, env, params):
-    value = evaluate(expr.operand, env, params)
-    pattern = evaluate(expr.pattern, env, params)
-    if value is None or pattern is None:
-        return None
-    matched = like_match(str(value), str(pattern))
-    return (not matched) if expr.negated else matched
 
 
 def like_match(text, pattern):
@@ -213,47 +140,6 @@ def _like_regex(pattern):
             _LIKE_CACHE[pattern] = regex
     return regex
 
-
-def _between(expr, env, params):
-    value = evaluate(expr.operand, env, params)
-    low = evaluate(expr.low, env, params)
-    high = evaluate(expr.high, env, params)
-    if value is None or low is None or high is None:
-        return None
-    result = _compare("<=", low, value) and _compare("<=", value, high)
-    return (not result) if expr.negated else result
-
-
-def _in_list(expr, env, params):
-    value = evaluate(expr.operand, env, params)
-    if value is None:
-        return None
-    saw_null = False
-    for item in expr.items:
-        item_value = evaluate(item, env, params)
-        if item_value is None:
-            saw_null = True
-        elif item_value == value:
-            return False if expr.negated else True
-    if saw_null:
-        return None
-    return True if expr.negated else False
-
-
-# --------------------------------------------------------------------- #
-# vectorized (batch) evaluation
-#
-# ``evaluate`` above is the reference semantics.  ``evaluate_batch``
-# returns one value per batch row, identical in value and type to calling
-# ``evaluate`` on each row's environment, and raises iff ``evaluate``
-# raises on some row (tests/exec/test_expr_batch_property.py holds it to
-# that).  The one sanctioned divergence is *which* row's error surfaces:
-# a vectorized node evaluates its whole batch, so when several rows are
-# poisoned the error raised may belong to a later one.  Short-circuit
-# forms (AND/OR/IN/CASE) only vectorize when the skippable side is
-# *total* (cannot raise); otherwise they fall back to the scalar
-# evaluator row by row, preserving short-circuit semantics exactly.
-# --------------------------------------------------------------------- #
 
 def evaluate_batch(expr, batch, params=None):
     """Evaluate a bound expression over a whole batch; returns a list of
@@ -303,9 +189,9 @@ def evaluate_batch(expr, batch, params=None):
         return _in_list_batch(expr, batch, params)
     if isinstance(expr, ast.FunctionCall):
         return _scalar_function_batch(expr, batch, params)
-    # CaseExpr (branch short-circuit) and anything unhandled: scalar
-    # evaluation row by row — correct for every node type, just slower.
-    return _rowwise_batch(expr, batch, params)
+    if isinstance(expr, ast.CaseExpr):
+        return _case_batch(expr, batch, params)
+    raise ExecutionError("cannot evaluate %r" % (type(expr).__name__,))
 
 
 def evaluate_predicate_batch(expr, batch, params=None):
@@ -317,59 +203,33 @@ def evaluate_predicate_batch(expr, batch, params=None):
     ]
 
 
-def _rowwise_batch(expr, batch, params):
-    if batch.layout is None:
-        raise ExecutionError(
-            "cannot evaluate %r over tuple rows" % (type(expr).__name__,)
-        )
-    layout = batch.layout
-    return [
-        evaluate(expr, env_of(layout, row), params)
-        for row in batch.flat_rows()
-    ]
-
-
-def _is_total(expr):
-    """True when evaluating ``expr`` can neither raise nor observe
-    evaluation order — the sides a vectorized AND/OR may pre-evaluate
-    without breaking short-circuit parity with the row engine."""
-    if isinstance(expr, ast.Literal):
-        return True
-    if isinstance(expr, ast.ColumnRef):
-        return expr.bound
-    if isinstance(expr, GroupRef):
-        return True
-    if isinstance(expr, ast.IsNull):
-        return _is_total(expr.operand)
-    if isinstance(expr, ast.UnaryOp):
-        return expr.op == "NOT" and _is_total(expr.operand)
-    if isinstance(expr, ast.BinaryOp):
-        if expr.op in ("AND", "OR", "=", "<>", "<", "<=", ">", ">="):
-            return _is_total(expr.left) and _is_total(expr.right)
-        return False
-    if isinstance(expr, ast.Between):
-        return (
-            _is_total(expr.operand)
-            and _is_total(expr.low)
-            and _is_total(expr.high)
-        )
-    if isinstance(expr, ast.InList):
-        return _is_total(expr.operand) and all(
-            _is_total(item) for item in expr.items
-        )
-    if isinstance(expr, ast.Like):
-        return _is_total(expr.operand) and _is_total(expr.pattern)
-    return False
+def _masked(expr, batch, params, mask):
+    """``expr`` evaluated over the rows where ``mask`` is true, as one
+    value per row of ``batch``; a value on another row is unspecified
+    (callers ignore it).  A leaf is read for the whole batch when any row
+    needs it: a literal, column or parameter raises for every row or for
+    none."""
+    if not any(mask):
+        return [None] * batch.count
+    if all(mask) or isinstance(
+        expr, (ast.Literal, ast.ColumnRef, GroupRef, ast.Parameter)
+    ):
+        return evaluate_batch(expr, batch, params)
+    values = iter(evaluate_batch(expr, batch.take(mask), params))
+    return [next(values) if keep else None for keep in mask]
 
 
 def _binary_batch(expr, batch, params):
     op = expr.op
     if op in ("AND", "OR"):
-        if not (_is_total(expr.left) and _is_total(expr.right)):
-            return _rowwise_batch(expr, batch, params)
         lefts = evaluate_batch(expr.left, batch, params)
-        rights = evaluate_batch(expr.right, batch, params)
         if op == "AND":
+            # The right side is needed where the left is not FALSE; on
+            # the other rows the left alone answers FALSE.
+            rights = _masked(
+                expr.right, batch, params,
+                [left is None or _truthy(left) for left in lefts],
+            )
             return [
                 False
                 if (left is not None and not _truthy(left))
@@ -377,6 +237,9 @@ def _binary_batch(expr, batch, params):
                 else (None if left is None or right is None else True)
                 for left, right in zip(lefts, rights)
             ]
+        rights = _masked(
+            expr.right, batch, params, [not _truthy(left) for left in lefts]
+        )
         return [
             True
             if (left is not None and _truthy(left))
@@ -437,7 +300,7 @@ def _like_batch(expr, batch, params):
         if value is None or pattern is None:
             out.append(None)
             continue
-        matched = _like_regex(str(pattern)).match(str(value)) is not None
+        matched = like_match(str(value), str(pattern))
         out.append((not matched) if negated else matched)
     return out
 
@@ -458,35 +321,53 @@ def _between_batch(expr, batch, params):
 
 
 def _in_list_batch(expr, batch, params):
-    if not all(_is_total(item) for item in expr.items):
-        # ``_in_list`` stops at the first match and skips the list for a
-        # NULL operand: an item that can raise must not be evaluated for
-        # a row that never reaches it.
-        return _rowwise_batch(expr, batch, params)
     values = evaluate_batch(expr.operand, batch, params)
-    item_columns = [
-        evaluate_batch(item, batch, params) for item in expr.items
-    ]
-    negated = expr.negated
-    out = []
-    for index, value in enumerate(values):
-        if value is None:
-            out.append(None)
-            continue
-        saw_null = False
-        result = True if negated else False
-        for column in item_columns:
-            item_value = column[index]
+    # The rows still comparing: a non-NULL operand no item matched yet.
+    pending = [value is not None for value in values]
+    saw_null = [False] * batch.count
+    for item in expr.items:
+        if not any(pending):
+            break
+        items = _masked(item, batch, params, pending)
+        for index, item_value in enumerate(items):
+            if not pending[index]:
+                continue
             if item_value is None:
-                saw_null = True
-            elif item_value == value:
-                result = False if negated else True
-                saw_null = False
-                break
-        else:
-            if saw_null:
-                result = None
-        out.append(result)
+                saw_null[index] = True
+            elif item_value == values[index]:
+                pending[index] = False
+    matched, unmatched = (False, True) if expr.negated else (True, False)
+    return [
+        None if value is None
+        else matched if not still
+        else None if null
+        else unmatched
+        for value, still, null in zip(values, pending, saw_null)
+    ]
+
+
+def _case_batch(expr, batch, params):
+    out = [None] * batch.count
+    undecided = [True] * batch.count
+    for condition, result in expr.branches:
+        if not any(undecided):
+            return out
+        conditions = _masked(condition, batch, params, undecided)
+        chosen = [
+            still and _truthy(value)
+            for still, value in zip(undecided, conditions)
+        ]
+        if any(chosen):
+            results = _masked(result, batch, params, chosen)
+            out = [new if pick else old
+                   for pick, new, old in zip(chosen, results, out)]
+            undecided = [
+                still and not pick for still, pick in zip(undecided, chosen)
+            ]
+    if expr.default is not None and any(undecided):
+        defaults = _masked(expr.default, batch, params, undecided)
+        out = [new if still else old
+               for still, new, old in zip(undecided, defaults, out)]
     return out
 
 
@@ -515,27 +396,4 @@ def _scalar_function_batch(expr, batch, params):
                     break
             out.append(chosen)
         return out
-    raise ExecutionError("unknown function %r" % (name,))
-
-
-def _scalar_function(expr, env, params):
-    if expr.is_aggregate:
-        raise ExecutionError(
-            "aggregate %s evaluated outside aggregation" % (expr.name,)
-        )
-    args = [evaluate(arg, env, params) for arg in expr.args]
-    name = expr.name
-    if name == "ABS":
-        return None if args[0] is None else abs(args[0])
-    if name == "LENGTH":
-        return None if args[0] is None else len(str(args[0]))
-    if name == "LOWER":
-        return None if args[0] is None else str(args[0]).lower()
-    if name == "UPPER":
-        return None if args[0] is None else str(args[0]).upper()
-    if name == "COALESCE":
-        for arg in args:
-            if arg is not None:
-                return arg
-        return None
     raise ExecutionError("unknown function %r" % (name,))

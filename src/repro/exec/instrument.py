@@ -48,21 +48,14 @@ class OperatorStats:
 class InstrumentedOp(Operator):
     """Transparent wrapper recording an operator's runtime behaviour.
 
-    Delegates the memory-consumer protocol to the wrapped operator (which
-    registers *itself* with the task, so the governor's reclaim calls
-    bypass the wrapper entirely).
+    The wrapper has no part in the memory-consumer protocol: the wrapped
+    operator registers *itself* with the task, so the governor's reclaim
+    calls go to it directly.
     """
 
     def __init__(self, inner, stats):
         self.inner = inner
         self.stats = stats
-
-    @property
-    def memory_pages(self):
-        return self.inner.memory_pages
-
-    def relinquish_memory(self):
-        return self.inner.relinquish_memory()
 
     def spill_event_count(self):
         return self.inner.spill_event_count()

@@ -4,18 +4,11 @@ from itertools import compress, islice
 
 from repro.common.errors import ExecutionError
 from repro.common.hashing import hash_for_types, stable_hash
-from repro.exec.batch import (
-    Batch,
-    concat_layouts,
-    env_of,
-    layout_of,
-    pack,
-)
+from repro.exec.batch import Batch, concat_layouts, layout_of, pack
 from repro.exec.expr import (
-    evaluate,
     evaluate_batch,
-    evaluate_predicate,
     evaluate_predicate_batch,
+    sarg_value,
 )
 from repro.exec.spill import (
     SpillFile,
@@ -76,10 +69,10 @@ class Operator:
 
 
 class SingleRowOp(Operator):
-    """One empty environment (FROM-less SELECT)."""
+    """One row with no columns (FROM-less SELECT)."""
 
     def execute_batches(self, ctx):
-        yield Batch.from_columns((), [], 1)
+        yield Batch.empty_row()
 
 
 class SeqScanOp(Operator):
@@ -196,7 +189,7 @@ class IndexScanOp(Operator):
             bounds, INDEX_NODE_US / 4.0 + CPU_ROW_US,
         )
         for chunk in _chunks(rows, ctx.batch_rows):
-            batch = _filter(
+            batch = filter_rows(
                 Batch.from_rows(qid, chunk), self.residual, ctx.params
             )
             if batch.count:
@@ -205,16 +198,16 @@ class IndexScanOp(Operator):
     def _bounds(self, ctx):
         if "eq" in self.sarg:
             values = tuple(
-                evaluate(expr, {}, ctx.params) for expr in self.sarg["eq"]
+                sarg_value(expr, ctx.params) for expr in self.sarg["eq"]
             )
             return values, values, True, True
         low = high = None
         low_inc = self.sarg.get("low_inclusive", True)
         high_inc = self.sarg.get("high_inclusive", True)
         if "low" in self.sarg:
-            low = (evaluate(self.sarg["low"], {}, ctx.params),)
+            low = (sarg_value(self.sarg["low"], ctx.params),)
         if "high" in self.sarg:
-            high = (evaluate(self.sarg["high"], {}, ctx.params),)
+            high = (sarg_value(self.sarg["high"], ctx.params),)
         return low, high, low_inc, high_inc
 
 
@@ -285,7 +278,7 @@ class DerivedScanOp(Operator):
         qid = self.quantifier.id
         for batch in self.sub_operator.execute_batches(ctx):
             ctx.charge(CPU_ROW_US, batch.count)
-            batch = _filter(
+            batch = filter_rows(
                 batch.as_quantifier(qid), self.conjuncts, ctx.params
             )
             if batch.count:
@@ -301,8 +294,9 @@ class ProcedureScanOp(Operator):
 
     def execute_batches(self, ctx):
         procedure = self.quantifier.procedure
+        no_row = Batch.empty_row()
         args = [
-            evaluate(arg, {}, ctx.params)
+            evaluate_batch(arg, no_row, ctx.params)[0]
             for arg in (self.quantifier.procedure_args or [])
         ]
         body_params = dict(zip(procedure.parameters, args))
@@ -348,7 +342,7 @@ class FilterOp(Operator):
         n_conjuncts = len(self.conjuncts)
         for batch in self.child.execute_batches(ctx):
             ctx.charge(batch.count * n_conjuncts * CPU_PREDICATE_BATCH_US)
-            batch = _filter(batch, self.conjuncts, ctx.params)
+            batch = filter_rows(batch, self.conjuncts, ctx.params)
             if batch.count:
                 yield batch
 
@@ -384,24 +378,21 @@ class NLJoinOp(Operator):
             inner.free()
 
     def _joined(self, ctx, inner):
-        """``(layout, row)`` per output row; an environment is built per
-        pair only to evaluate the join predicates."""
+        """``(layout, row)`` per output row; each pair is checked against
+        the join predicates as a one-row batch."""
         conjuncts, join_type = self.conjuncts, self.join_type
         pair_us = CPU_ROW_US + len(conjuncts) * CPU_PREDICATE_US
         for batch in self.left.execute_batches(ctx):
             left_layout = batch.layout
             for left_row in batch.flat_rows():
-                left_env = env_of(left_layout, left_row)
                 matched = False
                 for right_layout, right_row in inner.scan():
                     ctx.charge(pair_us)
-                    if conjuncts:
-                        merged = {**left_env, **env_of(right_layout, right_row)}
-                        if not all(
-                            evaluate_predicate(c.expr, merged, ctx.params)
-                            for c in conjuncts
-                        ):
-                            continue
+                    if conjuncts and not satisfies(
+                        conjuncts, concat_layouts(left_layout, right_layout),
+                        left_row + right_row, ctx.params,
+                    ):
+                        continue
                     matched = True
                     if join_type == Quantifier.SEMI:
                         yield left_layout, left_row
@@ -448,13 +439,15 @@ class IndexNLJoinOp(Operator):
 
     def probe(self, ctx, left_layout, left_row):
         """``(layout, row)`` per output row for one outer row (shared
-        with the hash join's alternate-strategy switch)."""
+        with the hash join's alternate-strategy switch).  The index rows
+        are read an entry at a time, so the outer row and each entry are
+        evaluated as one-row batches."""
         btree = self.index_schema.btree
         qid = self.quantifier.id
         params = ctx.params
-        left_env = env_of(left_layout, left_row)
+        left = Batch.from_flat_rows(left_layout, [left_row])
         values = tuple(
-            evaluate(expr, left_env, params) for expr in self.probe_keys
+            evaluate_batch(expr, left, params)[0] for expr in self.probe_keys
         )
         ctx.charge(btree.height * INDEX_NODE_US)
         matched = False
@@ -464,22 +457,20 @@ class IndexNLJoinOp(Operator):
                 btree.prefix_scan(values), (values, values, True, True),
                 CPU_ROW_US,
             ):
-                if self._predicates:
-                    merged = {**left_env, qid: row}
-                    if not all(
-                        evaluate_predicate(c.expr, merged, params)
-                        for c in self._predicates
-                    ):
-                        continue
+                right_layout = ((qid, 0, len(row)),)
+                if self._predicates and not satisfies(
+                    self._predicates,
+                    concat_layouts(left_layout, right_layout),
+                    left_row + row, params,
+                ):
+                    continue
                 matched = True
                 if self.join_type == Quantifier.SEMI:
                     yield left_layout, left_row
                     return
                 if self.join_type == Quantifier.ANTI:
                     break
-                yield join_rows(
-                    left_layout, left_row, ((qid, 0, len(row)),), row
-                )
+                yield join_rows(left_layout, left_row, right_layout, row)
         if not matched:
             if self.join_type == Quantifier.ANTI:
                 yield left_layout, left_row
@@ -570,7 +561,7 @@ class HashJoinOp(Operator):
         return self._evict_partition(largest)
 
     def _evict_partition(self, index):
-        spill = self._spill_file()
+        spill = SpillFile.for_context(self._ctx, self._row_bytes)
         for key, rows in self._partitions[index].items():
             for row in rows:
                 spill.append((key, row))
@@ -583,14 +574,6 @@ class HashJoinOp(Operator):
         self._memory.remove(evicted_bytes)
         self.partitions_evicted += 1
         return before - self._memory.pages_held
-
-    def _spill_file(self):
-        ctx = self._ctx
-        return SpillFile(
-            ctx.temp_file, self._row_bytes, ctx.pool.page_size,
-            fault_plan=getattr(ctx, "fault_plan", None),
-            yield_hook=getattr(ctx, "yield_hook", None),
-        )
 
     # -- execution ---------------------------------------------------------- #
 
@@ -732,7 +715,9 @@ class HashJoinOp(Operator):
                     # on it first.
                     out.settle()
                     if probe_spills[index] is None:
-                        probe_spills[index] = self._spill_file()
+                        probe_spills[index] = SpillFile.for_context(
+                            ctx, self._row_bytes
+                        )
                     probe_spills[index].append((key, layout, row))
                     self.probe_rows_spilled += 1
                     continue
@@ -808,7 +793,7 @@ class HashJoinOp(Operator):
     def _survivors(self, out, left_layout, row, candidates):
         """The candidates that satisfy every residual conjunct, evaluated
         over the one piece ``row`` x ``candidates``; conjunct *i* sees
-        only the survivors of conjuncts < *i*, as in :func:`_filter`."""
+        only the survivors of conjuncts < *i*, as in :func:`filter_rows`."""
         layout = concat_layouts(left_layout, self._right_layout)
         width = len(row) + len(candidates[0])
         params = self._ctx.params
@@ -832,17 +817,13 @@ class HashJoinOp(Operator):
         """Does some candidate satisfy the residual?  Semi and anti joins
         stop at the first that does, and a candidate past it may be one
         the residual raises on — so this one case evaluates a candidate
-        at a time, on merged environments."""
-        left_env = env_of(left_layout, row)
+        at a time, as a one-row batch."""
+        layout = concat_layouts(left_layout, self._right_layout)
         params = self._ctx.params
-        for candidate in candidates:
-            merged = {**left_env, **env_of(self._right_layout, candidate)}
-            if all(
-                evaluate_predicate(c.expr, merged, params)
-                for c in self.residual
-            ):
-                return True
-        return False
+        return any(
+            satisfies(self.residual, layout, row + candidate, params)
+            for candidate in candidates
+        )
 
 
 class _JoinOutput:
@@ -1055,7 +1036,7 @@ def _page_chunks(pages, size):
         yield chunk
 
 
-def _filter(batch, conjuncts, params):
+def filter_rows(batch, conjuncts, params):
     """Rows of ``batch`` satisfying every conjunct.  Conjunct *i* only
     sees rows surviving conjuncts < *i* — the evaluation set of a
     short-circuiting row-at-a-time ``all``."""
@@ -1066,6 +1047,14 @@ def _filter(batch, conjuncts, params):
         if not all(mask):
             batch = batch.take(mask)
     return batch
+
+
+def satisfies(conjuncts, layout, row, params):
+    """Whether the one row ``row`` (flat values under ``layout``)
+    satisfies every conjunct, as :func:`filter_rows` decides it."""
+    return filter_rows(
+        Batch.from_flat_rows(layout, [row]), conjuncts, params
+    ).count == 1
 
 
 def join_rows(left_layout, left_row, right_layout, right_row):

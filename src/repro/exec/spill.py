@@ -90,6 +90,15 @@ class SpillFile:
         self._buffer = []
         self.row_count = 0
 
+    @classmethod
+    def for_context(cls, ctx, row_bytes_estimate):
+        """A spill file on ``ctx``'s temp file, under its fault plan and
+        scheduler yield hook."""
+        return cls(
+            ctx.temp_file, row_bytes_estimate, ctx.pool.page_size,
+            fault_plan=ctx.fault_plan, yield_hook=ctx.yield_hook,
+        )
+
     def append(self, row):
         self._buffer.append(row)
         self.row_count += 1
@@ -166,13 +175,7 @@ class SpillableBuffer:
         if self._sealed:
             raise ExecutionError("buffer already sealed")
         if self._spill is None and self.memory.would_exceed_soft(self.row_bytes):
-            self._spill = SpillFile(
-                self.ctx.temp_file,
-                self.row_bytes,
-                self.ctx.pool.page_size,
-                fault_plan=getattr(self.ctx, "fault_plan", None),
-                yield_hook=getattr(self.ctx, "yield_hook", None),
-            )
+            self._spill = SpillFile.for_context(self.ctx, self.row_bytes)
         if self._spill is not None:
             self._spill.append(row)
         else:

@@ -21,9 +21,12 @@ import math
 
 from repro.dtt.model import READ, WRITE
 
-#: CPU cost constants (simulated microseconds).  The executor charges the
-#: same constants, which is what makes eq. (3) hold by construction on a
-#: model-backed device.
+#: CPU cost constants (simulated microseconds) the optimizer costs plans
+#: with.  The executor charges them as they are only for work it does a
+#: row at a time (index entries, nested-loop pairs, spilled re-probes);
+#: its batch operators charge the ``*_BATCH_US`` constants below, these
+#: divided by ``BATCH_AMORTIZATION``, so eq. (3) holds by construction
+#: only for the row-at-a-time work (ROADMAP direction 3).
 CPU_ROW_US = 0.5          # handle one row through an operator
 CPU_PREDICATE_US = 0.2    # evaluate one predicate on one row
 CPU_HASH_BUILD_US = 1.0   # insert one row into a hash table

@@ -6,14 +6,13 @@ historically popular ways; the regression suite asserts that TLP
 catches *both* — if a refactor ever makes the oracles blind, the
 negatives go red before a real bug slips through.
 
-Both bugs are planted in the scalar **and** the vectorized evaluator,
-like a genuine misreading of the SQL spec would be: scans, filters and
-HAVING evaluate whole batches, join residuals evaluate a row at a time,
-and a plant in only one of them would break some plans and not others.
-And both are deliberately **asymmetric** across the TLP partitions: a
-NULL-semantics bug applied uniformly to every partition (e.g.
-``NULL AND TRUE = TRUE`` inside every branch) can cancel out of the
-partition equation and survive TLP.  Treating unknown as satisfied at
+Each bug is planted once, in the engine's one expression evaluator
+(:mod:`repro.exec.expr`), like a genuine misreading of the SQL spec
+would be: scans, filters, HAVING and join predicates all evaluate
+through it.  And both are deliberately **asymmetric** across the TLP
+partitions: a NULL-semantics bug applied uniformly to every partition
+(e.g. ``NULL AND TRUE = TRUE`` inside every branch) can cancel out of
+the partition equation and survive TLP.  Treating unknown as satisfied at
 the *filter* level (the pushdown bug) triple-counts NULL-predicate
 rows; rewriting only ``NOT unknown`` to TRUE (the Kleene bug)
 double-counts them.
@@ -26,13 +25,9 @@ from repro.exec import expr as expr_module
 from repro.exec import operators as operators_module
 from repro.sql import ast
 
-#: Where the predicate entry points were imported by name; the plant
-#: must rebind each import site, not just the defining module.
-_FILTER_SITES = (
-    (operators_module, "evaluate_predicate"),
-    (operators_module, "evaluate_predicate_batch"),
-    (aggregates_module, "evaluate_predicate_batch"),
-)
+#: Where the filter entry point was imported by name; the plant must
+#: rebind each import site, not just the defining module.
+_FILTER_SITES = (operators_module, aggregates_module)
 
 
 @contextlib.contextmanager
@@ -45,33 +40,21 @@ def predicate_pushdown_bug():
     each NULL-predicate row in all three partitions instead of exactly
     one.
     """
-    saved = [
-        (site, name, getattr(site, name)) for site, name in _FILTER_SITES
-    ]
+    original = expr_module.evaluate_predicate_batch
 
-    def leaky(expr, env, params=None):
-        value = expr_module.evaluate(expr, env, params)
-        if value is None:
-            return True  # BUG: unknown treated as satisfied
-        return expr_module._truthy(value)
-
-    def leaky_batch(expr, batch, params=None):
+    def leaky(expr, batch, params=None):
         return [
-            True if value is None else expr_module._truthy(value)
+            True if value is None else expr_module._truthy(value)  # BUG
             for value in expr_module.evaluate_batch(expr, batch, params)
         ]
 
-    plants = {
-        "evaluate_predicate": leaky,
-        "evaluate_predicate_batch": leaky_batch,
-    }
-    for site, name in _FILTER_SITES:
-        setattr(site, name, plants[name])
+    for site in _FILTER_SITES:
+        site.evaluate_predicate_batch = leaky
     try:
         yield
     finally:
-        for site, name, original in saved:
-            setattr(site, name, original)
+        for site in _FILTER_SITES:
+            site.evaluate_predicate_batch = original
 
 
 @contextlib.contextmanager
@@ -81,35 +64,23 @@ def kleene_not_bug():
     A broken three-valued negation: two-valued boolean logic applied to
     a nullable operand.  ``WHERE p`` stays correct, but ``WHERE NOT (p)``
     now *also* returns the NULL-predicate rows, so TLP sees them twice.
-    Patched on :func:`repro.exec.expr.evaluate` and
-    :func:`~repro.exec.expr.evaluate_batch` themselves — the module's
-    internal recursion (and ``evaluate_predicate``'s dispatch) resolves
-    both through its globals, so nested NOTs break too, exactly like a
-    real evaluator bug.
+    Patched on :func:`repro.exec.expr.evaluate_batch` itself — the
+    module's internal recursion (and ``evaluate_predicate_batch``'s
+    dispatch) resolves it through its globals, so nested NOTs break too,
+    exactly like a real evaluator bug.
     """
-    original = expr_module.evaluate
-    original_batch = expr_module.evaluate_batch
+    original = expr_module.evaluate_batch
 
-    def broken(expr, env, params=None):
-        if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
-            value = broken(expr.operand, env, params)
-            if value is None:
-                return True  # BUG: NOT unknown -> TRUE
-            return not expr_module._truthy(value)
-        return original(expr, env, params)
-
-    def broken_batch(expr, batch, params=None):
+    def broken(expr, batch, params=None):
         if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
             return [
                 True if value is None else (not expr_module._truthy(value))
-                for value in broken_batch(expr.operand, batch, params)
+                for value in broken(expr.operand, batch, params)  # BUG
             ]
-        return original_batch(expr, batch, params)
+        return original(expr, batch, params)
 
-    expr_module.evaluate = broken
-    expr_module.evaluate_batch = broken_batch
+    expr_module.evaluate_batch = broken
     try:
         yield
     finally:
-        expr_module.evaluate = original
-        expr_module.evaluate_batch = original_batch
+        expr_module.evaluate_batch = original

@@ -1,41 +1,41 @@
-"""Guard for the one row shape inside the operator tree (DESIGN.md §7,
-"One row shape"): below Project a row is a flat value tuple under its
-batch's layout.  An environment dict is built (``env_of``) only to hand
-one row to ``evaluate``, so the functions under ``repro/exec/`` that
-call ``env_of`` are exactly the list below; and the environment packers
-the flat rows replaced are defined nowhere under ``src/``."""
+"""Guard for the one row shape inside the operator tree and the one
+expression evaluator (DESIGN.md §7, "One row shape" and "One expression
+evaluator"): below Project a row is a flat value tuple under its batch's
+layout, and expressions are evaluated over batches only, a row being a
+one-row batch.  So no function under ``repro/exec/`` builds an
+environment dict (``env_of``), and the scalar evaluator, its row-at-a-time
+fallbacks and the environment packers the flat rows replaced are defined
+and called nowhere under ``src/`` (they live on under ``tests/exec/`` as
+the differential references)."""
 
 import ast
 import pathlib
 
 import repro
 
-#: Where ``evaluate`` reads a row: each builds an environment and lets
-#: no other function see it.
-ENV_BUILDERS = {
-    ("expr", "_rowwise_batch"),
-    ("operators", "NLJoinOp._joined"),
-    ("operators", "IndexNLJoinOp.probe"),
-    ("operators", "HashJoinOp._any_match"),
-}
+#: Where an environment dict is built under ``repro/exec/``: nowhere.
+ENV_BUILDERS = set()
 
-#: The environment-row machinery that went (kept under ``tests/exec/``
-#: as the differential references' packer).
+#: The environment-row machinery and the scalar evaluator that went
+#: (kept in ``tests/exec/env_reference.py``).
 GONE = {"BatchBuilder", "from_envs", "rows_to_batches", "null_extend",
-        "_flatten_env"}
+        "_flatten_env", "env_of", "evaluate", "evaluate_predicate",
+        "_rowwise_batch", "_is_total"}
 
 SRC = pathlib.Path(repro.__file__).parent
+
+
+def _called_name(node):
+    """The bare name a call's callee is spelled with, or None."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
 
 
 def _env_builds(node, scope=()):
     """``'outer.function'`` for every ``env_of(...)`` call below."""
     for child in ast.iter_child_nodes(node):
-        if (
-            isinstance(child, ast.Call)
-            and isinstance(child.func, (ast.Name, ast.Attribute))
-            and getattr(child.func, "id", getattr(child.func, "attr", None))
-            == "env_of"
-        ):
+        if _called_name(child) == "env_of":
             yield ".".join(scope)
         inner = scope
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
@@ -54,6 +54,13 @@ def definitions(source):
     }
 
 
+def calls(source):
+    return {
+        name for name in map(_called_name, ast.walk(ast.parse(source)))
+        if name is not None
+    }
+
+
 def test_only_the_listed_functions_build_an_environment():
     found = set()
     for path in (SRC / "exec").rglob("*.py"):
@@ -65,8 +72,11 @@ def test_only_the_listed_functions_build_an_environment():
 
 
 def test_the_environment_packers_are_gone():
+    """And the scalar evaluator: defined and called nowhere."""
     for path in SRC.rglob("*.py"):
-        assert not definitions(path.read_text()) & GONE, path
+        source = path.read_text()
+        assert not definitions(source) & GONE, path
+        assert not calls(source) & GONE, path
 
 
 def test_the_guard_sees_a_planted_environment():
@@ -82,3 +92,16 @@ def test_the_guard_sees_a_planted_environment():
     )
     assert env_builds(planted) == {"GroupOp._emit", "GroupOp._emit.unpack"}
     assert definitions(planted) & GONE == {"null_extend"}
+
+
+def test_the_guard_sees_a_reintroduced_scalar_evaluator():
+    planted = (
+        "def evaluate(expr, env, params=None):\n"
+        "    return env[expr.quantifier_id][expr.column_index]\n"
+        "\n"
+        "class NLJoinOp:\n"
+        "    def _joined(self, ctx, merged):\n"
+        "        return expr_module.evaluate_predicate(c.expr, merged)\n"
+    )
+    assert definitions(planted) & GONE == {"evaluate"}
+    assert calls(planted) & GONE == {"evaluate_predicate"}

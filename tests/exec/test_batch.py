@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro import Server, ServerConfig
 from repro.common.errors import ExecutionError, SpillWriteError
-from repro.exec.batch import Batch, env_of, layout_of, pack
+from repro.exec.batch import Batch, layout_of, pack
 from repro.faults import FaultPlan, FaultRates
 from tests.conftest import pages_fetched
-from tests.exec.env_reference import env_rows, rows_to_batches
+from tests.exec.env_reference import env_of, env_rows, rows_to_batches
 
 
 def make_server(**kwargs):

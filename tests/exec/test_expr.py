@@ -1,14 +1,25 @@
-"""Unit tests for expression evaluation (three-valued logic, LIKE, etc.)."""
+"""Unit tests for expression evaluation (three-valued logic, LIKE, etc.),
+one row at a time through the engine's evaluator."""
 
 import re
 
 import pytest
 
 from repro.common.errors import ExecutionError
-from repro.exec import evaluate, evaluate_predicate
+from repro.exec import evaluate_batch, evaluate_predicate_batch
 from repro.exec.expr import like_match
 from repro.sql import ast
 from repro.sql.binder import GROUP_ENV, GroupRef
+from tests.exec.env_reference import from_envs
+
+
+def evaluate_one(expr, env, params=None):
+    """``expr`` over the one row ``env`` (``{key: row tuple}``)."""
+    return evaluate_batch(expr, from_envs([env]), params)[0]
+
+
+def predicate_one(expr, env, params=None):
+    return evaluate_predicate_batch(expr, from_envs([env]), params)[0]
 
 
 def lit(value):
@@ -25,111 +36,111 @@ def col(qid, index):
 
 class TestBasics:
     def test_literal(self):
-        assert evaluate(lit(5), {}) == 5
+        assert evaluate_one(lit(5), {}) == 5
 
     def test_column(self):
-        assert evaluate(col(0, 1), {0: (10, 20)}) == 20
+        assert evaluate_one(col(0, 1), {0: (10, 20)}) == 20
 
     def test_missing_quantifier_raises(self):
         with pytest.raises(ExecutionError):
-            evaluate(col(3, 0), {0: (1,)})
+            evaluate_one(col(3, 0), {0: (1,)})
 
     def test_group_ref(self):
         ref = GroupRef(1, "INT", "x")
-        assert evaluate(ref, {GROUP_ENV: (7, 8)}) == 8
+        assert evaluate_one(ref, {GROUP_ENV: (7, 8)}) == 8
 
     def test_group_ref_outside_grouping(self):
         with pytest.raises(ExecutionError):
-            evaluate(GroupRef(0, "INT", "x"), {})
+            evaluate_one(GroupRef(0, "INT", "x"), {})
 
     def test_parameters_positional_and_named(self):
-        assert evaluate(ast.Parameter(ordinal=1), {}, params=[5, 6]) == 6
-        assert evaluate(ast.Parameter(name="p"), {}, params={"p": 9}) == 9
+        assert evaluate_one(ast.Parameter(ordinal=1), {}, params=[5, 6]) == 6
+        assert evaluate_one(ast.Parameter(name="p"), {}, params={"p": 9}) == 9
 
     def test_missing_parameter(self):
         with pytest.raises(ExecutionError):
-            evaluate(ast.Parameter(ordinal=0), {}, params=None)
+            evaluate_one(ast.Parameter(ordinal=0), {}, params=None)
 
 
 class TestArithmetic:
     def test_operators(self):
         env = {}
-        assert evaluate(ast.BinaryOp("+", lit(2), lit(3)), env) == 5
-        assert evaluate(ast.BinaryOp("-", lit(2), lit(3)), env) == -1
-        assert evaluate(ast.BinaryOp("*", lit(2), lit(3)), env) == 6
-        assert evaluate(ast.BinaryOp("/", lit(7), lit(2)), env) == 3.5
+        assert evaluate_one(ast.BinaryOp("+", lit(2), lit(3)), env) == 5
+        assert evaluate_one(ast.BinaryOp("-", lit(2), lit(3)), env) == -1
+        assert evaluate_one(ast.BinaryOp("*", lit(2), lit(3)), env) == 6
+        assert evaluate_one(ast.BinaryOp("/", lit(7), lit(2)), env) == 3.5
 
     def test_division_by_zero(self):
         with pytest.raises(ExecutionError):
-            evaluate(ast.BinaryOp("/", lit(1), lit(0)), {})
+            evaluate_one(ast.BinaryOp("/", lit(1), lit(0)), {})
 
     def test_null_propagates(self):
-        assert evaluate(ast.BinaryOp("+", lit(None), lit(3)), {}) is None
+        assert evaluate_one(ast.BinaryOp("+", lit(None), lit(3)), {}) is None
 
     def test_concat(self):
-        assert evaluate(ast.BinaryOp("||", lit("a"), lit("b")), {}) == "ab"
+        assert evaluate_one(ast.BinaryOp("||", lit("a"), lit("b")), {}) == "ab"
 
     def test_unary_minus(self):
-        assert evaluate(ast.UnaryOp("-", lit(5)), {}) == -5
-        assert evaluate(ast.UnaryOp("-", lit(None)), {}) is None
+        assert evaluate_one(ast.UnaryOp("-", lit(5)), {}) == -5
+        assert evaluate_one(ast.UnaryOp("-", lit(None)), {}) is None
 
 
 class TestThreeValuedLogic:
     def test_comparison_with_null_is_unknown(self):
-        assert evaluate(ast.BinaryOp("=", lit(None), lit(1)), {}) is None
-        assert evaluate(ast.BinaryOp("<", lit(None), lit(1)), {}) is None
+        assert evaluate_one(ast.BinaryOp("=", lit(None), lit(1)), {}) is None
+        assert evaluate_one(ast.BinaryOp("<", lit(None), lit(1)), {}) is None
 
     def test_and_kleene(self):
-        assert evaluate(
+        assert evaluate_one(
             ast.BinaryOp("AND", lit(False), lit(None)), {}
         ) is False
-        assert evaluate(
+        assert evaluate_one(
             ast.BinaryOp("AND", lit(True), lit(None)), {}
         ) is None
-        assert evaluate(
+        assert evaluate_one(
             ast.BinaryOp("AND", lit(True), lit(True)), {}
         ) is True
 
     def test_or_kleene(self):
-        assert evaluate(ast.BinaryOp("OR", lit(True), lit(None)), {}) is True
-        assert evaluate(ast.BinaryOp("OR", lit(False), lit(None)), {}) is None
-        assert evaluate(ast.BinaryOp("OR", lit(False), lit(False)), {}) is False
+        assert evaluate_one(ast.BinaryOp("OR", lit(True), lit(None)), {}) is True
+        assert evaluate_one(ast.BinaryOp("OR", lit(False), lit(None)), {}) is None
+        assert evaluate_one(ast.BinaryOp("OR", lit(False), lit(False)), {}) is False
 
     def test_not_unknown(self):
-        assert evaluate(ast.UnaryOp("NOT", lit(None)), {}) is None
+        assert evaluate_one(ast.UnaryOp("NOT", lit(None)), {}) is None
 
     def test_predicate_treats_unknown_as_false(self):
-        assert evaluate_predicate(ast.BinaryOp("=", lit(None), lit(1)), {}) is False
+        assert predicate_one(ast.BinaryOp("=", lit(None), lit(1)), {}) is False
 
     def test_incompatible_comparison_raises(self):
         with pytest.raises(ExecutionError):
-            evaluate(ast.BinaryOp("<", lit("text"), lit(5)), {})
+            evaluate_one(ast.BinaryOp("<", lit("text"), lit(5)), {})
 
 
 class TestPredicates:
     def test_is_null(self):
-        assert evaluate(ast.IsNull(lit(None)), {}) is True
-        assert evaluate(ast.IsNull(lit(1)), {}) is False
-        assert evaluate(ast.IsNull(lit(1), negated=True), {}) is True
+        assert evaluate_one(ast.IsNull(lit(None)), {}) is True
+        assert evaluate_one(ast.IsNull(lit(1)), {}) is False
+        assert evaluate_one(ast.IsNull(lit(1), negated=True), {}) is True
 
     def test_between(self):
-        assert evaluate(ast.Between(lit(5), lit(1), lit(10)), {}) is True
-        assert evaluate(ast.Between(lit(0), lit(1), lit(10)), {}) is False
-        assert evaluate(
+        assert evaluate_one(ast.Between(lit(5), lit(1), lit(10)), {}) is True
+        assert evaluate_one(ast.Between(lit(0), lit(1), lit(10)), {}) is False
+        assert evaluate_one(
             ast.Between(lit(5), lit(1), lit(10), negated=True), {}
         ) is False
-        assert evaluate(ast.Between(lit(None), lit(1), lit(2)), {}) is None
+        assert evaluate_one(ast.Between(lit(None), lit(1), lit(2)), {}) is None
 
     def test_in_list(self):
-        assert evaluate(ast.InList(lit(2), [lit(1), lit(2)]), {}) is True
-        assert evaluate(ast.InList(lit(9), [lit(1), lit(2)]), {}) is False
+        assert evaluate_one(ast.InList(lit(2), [lit(1), lit(2)]), {}) is True
+        assert evaluate_one(ast.InList(lit(9), [lit(1), lit(2)]), {}) is False
 
     def test_in_list_null_semantics(self):
         # 9 IN (1, NULL) is unknown; 1 IN (1, NULL) is true.
-        assert evaluate(ast.InList(lit(9), [lit(1), lit(None)]), {}) is None
-        assert evaluate(ast.InList(lit(1), [lit(1), lit(None)]), {}) is True
+        assert evaluate_one(ast.InList(lit(9), [lit(1), lit(None)]), {}) is None
+        assert evaluate_one(ast.InList(lit(1), [lit(1), lit(None)]), {}) is True
         # NOT IN with NULL in the list is never true.
-        assert evaluate(
+        assert evaluate_one(
             ast.InList(lit(9), [lit(1), lit(None)], negated=True), {}
         ) is None
 
@@ -139,11 +150,11 @@ class TestPredicates:
              (ast.BinaryOp("=", lit(1), lit(1)), lit("b"))],
             lit("z"),
         )
-        assert evaluate(expr, {}) == "b"
+        assert evaluate_one(expr, {}) == "b"
 
     def test_case_default(self):
         expr = ast.CaseExpr([(lit(False), lit("a"))], None)
-        assert evaluate(expr, {}) is None
+        assert evaluate_one(expr, {}) is None
 
 
 class TestLike:
@@ -166,40 +177,40 @@ class TestLike:
         assert not like_match("abc", "a.c")
 
     def test_like_node_with_null(self):
-        assert evaluate(ast.Like(lit(None), lit("%x%")), {}) is None
+        assert evaluate_one(ast.Like(lit(None), lit("%x%")), {}) is None
 
     def test_not_like(self):
-        assert evaluate(ast.Like(lit("abc"), lit("z%"), negated=True), {}) is True
+        assert evaluate_one(ast.Like(lit("abc"), lit("z%"), negated=True), {}) is True
 
 
 class TestScalarFunctions:
     def test_abs_length_case_functions(self):
-        assert evaluate(ast.FunctionCall("ABS", [lit(-5)]), {}) == 5
-        assert evaluate(ast.FunctionCall("LENGTH", [lit("abcd")]), {}) == 4
-        assert evaluate(ast.FunctionCall("LOWER", [lit("AbC")]), {}) == "abc"
-        assert evaluate(ast.FunctionCall("UPPER", [lit("AbC")]), {}) == "ABC"
+        assert evaluate_one(ast.FunctionCall("ABS", [lit(-5)]), {}) == 5
+        assert evaluate_one(ast.FunctionCall("LENGTH", [lit("abcd")]), {}) == 4
+        assert evaluate_one(ast.FunctionCall("LOWER", [lit("AbC")]), {}) == "abc"
+        assert evaluate_one(ast.FunctionCall("UPPER", [lit("AbC")]), {}) == "ABC"
 
     def test_coalesce(self):
-        assert evaluate(
+        assert evaluate_one(
             ast.FunctionCall("COALESCE", [lit(None), lit(None), lit(3)]), {}
         ) == 3
 
     def test_null_in(self):
-        assert evaluate(ast.FunctionCall("ABS", [lit(None)]), {}) is None
+        assert evaluate_one(ast.FunctionCall("ABS", [lit(None)]), {}) is None
 
     def test_aggregate_outside_grouping_raises(self):
         with pytest.raises(ExecutionError):
-            evaluate(ast.FunctionCall("SUM", [lit(1)]), {})
+            evaluate_one(ast.FunctionCall("SUM", [lit(1)]), {})
 
     def test_unknown_function(self):
         with pytest.raises(ExecutionError):
-            evaluate(ast.FunctionCall("FROB", [lit(1)]), {})
+            evaluate_one(ast.FunctionCall("FROB", [lit(1)]), {})
 
 
 class TestVarcharOperands:
     """Arithmetic takes numbers: a VARCHAR operand is a typed statement
-    error naming the operator and the types, in the row evaluator, the
-    batch evaluator and SUM / AVG alike — never a builtins ``TypeError``
+    error naming the operator and the types, in the evaluator over one
+    row or many and in SUM / AVG alike — never a builtins ``TypeError``
     or a string answer (``'a' * 2`` was ``'aa'``, ``SUM`` concatenated)."""
 
     @pytest.fixture
@@ -240,8 +251,8 @@ class TestVarcharOperands:
 
     def test_row_evaluator_names_the_operator(self):
         with pytest.raises(ExecutionError, match="cannot apply"):
-            evaluate(ast.BinaryOp("+", lit("a"), lit("b")), {})
+            evaluate_one(ast.BinaryOp("+", lit("a"), lit("b")), {})
         with pytest.raises(ExecutionError, match="cannot negate"):
-            evaluate(ast.UnaryOp("-", lit("a")), {})
+            evaluate_one(ast.UnaryOp("-", lit("a")), {})
         with pytest.raises(ExecutionError, match="cannot compare"):
-            evaluate(ast.Between(lit("a"), lit(1), lit(2), False), {})
+            evaluate_one(ast.Between(lit("a"), lit(1), lit(2), False), {})

@@ -1,28 +1,37 @@
-"""``evaluate`` is the reference semantics; ``evaluate_batch`` must match it.
+"""``evaluate_batch``, the engine's one evaluator, against the scalar
+row-at-a-time evaluator kept as the reference (``env_reference``).
 
 For generated expression trees over generated batches (NULLs in every
-column, INT / DOUBLE / VARCHAR values) the vectorized evaluator returns,
-row for row, exactly what the scalar evaluator returns for that row's
+column, INT / DOUBLE / VARCHAR values) the batch evaluator returns, row
+for row, exactly what the scalar evaluator returns for that row's
 environment — and raises iff the scalar evaluator raises on some row,
 with an error type one of those rows raises.  The batches come both
 column-backed and row-backed (columns built on first read), and the
 trees include arithmetic, negation and BETWEEN over VARCHAR operands,
 which both evaluators must refuse with an ``ExecutionError``.
+
+The short-circuit forms get trees whose skipped side raises (``1 / 0``,
+``x / 0``, VARCHAR arithmetic): AND / OR with a raising right side, IN
+lists with raising items, and CASE with raising conditions, results and
+defaults.  The scalar evaluator never reaches that side for the rows the
+other side decides, so the batch evaluator's masks must not either.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.exec.batch import Batch
-from repro.exec.expr import (
-    evaluate,
-    evaluate_batch,
-    evaluate_predicate,
-    evaluate_predicate_batch,
-)
+from repro.exec.expr import evaluate_batch, evaluate_predicate_batch
 from repro.sql import ast
-from tests.exec.env_reference import env_rows
+from tests.exec.env_reference import env_rows, evaluate, evaluate_predicate
+
+# The nested strategies below spell each other out in their reprs, which
+# hypothesis builds when a recursive one reaches its size limit.
+pytestmark = pytest.mark.filterwarnings(
+    "ignore:Generating overly large repr"
+)
 
 #: Quantifier 0 has columns (INT, DOUBLE, VARCHAR), quantifier 1 (INT).
 LAYOUT = ((0, 0, 3), (1, 3, 1))
@@ -147,8 +156,74 @@ boolean_exprs = st.recursive(
     max_leaves=4,
 )
 
+#: Raise on every row (``1 / 0``) or on every row where an operand is
+#: not NULL (``x / 0``, VARCHAR arithmetic).
+raising_exprs = st.one_of(
+    st.just(ast.BinaryOp("/", lit(1), lit(0))),
+    st.builds(ast.BinaryOp, st.just("/"), numeric_exprs, st.just(lit(0))),
+    mistyped_exprs,
+)
+
+raising_predicates = st.builds(
+    ast.BinaryOp, st.sampled_from(COMPARISONS), raising_exprs, numeric_exprs
+)
+
+#: AND / OR whose right side raises where it is evaluated.
+guarded_predicates = st.builds(
+    ast.BinaryOp, st.sampled_from(["AND", "OR"]), boolean_exprs,
+    raising_predicates,
+)
+
+#: IN lists with raising items, reached only by the rows no earlier item
+#: matched.
+guarded_in_lists = st.builds(
+    ast.InList, numeric_exprs,
+    st.lists(st.one_of(numeric_exprs, raising_exprs), min_size=1,
+             max_size=3),
+    negated,
+)
+
+
+def cases(conditions, results):
+    return st.builds(
+        ast.CaseExpr,
+        st.lists(st.tuples(conditions, results), min_size=1, max_size=3),
+        st.one_of(st.none(), results),
+    )
+
+
+#: CASE with raising conditions, results and defaults.
+case_exprs = cases(
+    st.one_of(boolean_exprs, raising_predicates),
+    st.one_of(numeric_exprs, raising_exprs),
+)
+
+#: The guarded forms as predicates, nested in AND / OR / NOT and in
+#: comparisons, so masks nest inside masks.
+predicates = st.recursive(
+    st.one_of(
+        boolean_exprs,
+        guarded_predicates,
+        guarded_in_lists,
+        cases(
+            st.one_of(boolean_exprs, raising_predicates),
+            st.one_of(boolean_exprs, raising_predicates),
+        ),
+        st.builds(
+            ast.BinaryOp, st.sampled_from(COMPARISONS), case_exprs,
+            numeric_exprs,
+        ),
+    ),
+    lambda inner: st.one_of(
+        binary(["AND", "OR"], inner),
+        st.builds(ast.UnaryOp, st.just("NOT"), inner),
+    ),
+    max_leaves=3,
+)
+
 expressions = st.one_of(
-    numeric_exprs, string_exprs, boolean_exprs, mistyped_exprs
+    numeric_exprs, string_exprs, boolean_exprs, mistyped_exprs,
+    case_exprs, predicates,
 )
 
 
@@ -176,6 +251,20 @@ def check_matches_rows(scalar, vectorized, expr, batch):
     assert typed(actual) == typed(expected)
 
 
+def plus_one(expr):
+    return ast.BinaryOp("+", expr, lit(1))
+
+
+C, S = col(0, 0), col(0, 2)
+
+#: Row A: ``C = 1``, ``S = 'a'`` (``S + 1`` raises); row B: ``C = 2``,
+#: ``S`` NULL.  Each example below reaches ``S + 1`` for row B only, so a
+#: batch that evaluates it for row A raises where no row does.
+MIXED = Batch.from_columns(
+    LAYOUT, [[1, 2], [0.5, None], ["a", None], [1, 2]], 2
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(expressions, batches())
 @example(
@@ -183,12 +272,49 @@ def check_matches_rows(scalar, vectorized, expr, batch):
     ast.InList(col(1, 0), [lit(1), ast.BinaryOp("/", lit(1), lit(0))]),
     Batch.from_columns(LAYOUT, [[0], [0.5], ["a"], [1]], 1),
 )
+@example(
+    # Row A matches the first item; only row B reaches the second.
+    ast.InList(C, [lit(1), plus_one(S)]), MIXED,
+)
+@example(
+    # Row A's left side is FALSE: only row B evaluates the right side.
+    ast.BinaryOp(
+        "AND", ast.BinaryOp("=", C, lit(2)),
+        ast.BinaryOp("=", plus_one(S), lit(2)),
+    ),
+    MIXED,
+)
+@example(
+    # Row A's left side is TRUE: only row B evaluates the right side.
+    ast.BinaryOp(
+        "OR", ast.BinaryOp("=", C, lit(1)),
+        ast.BinaryOp("=", plus_one(S), lit(2)),
+    ),
+    MIXED,
+)
+@example(
+    # Row A takes the first branch: only row B evaluates the second
+    # condition and the default.
+    ast.CaseExpr(
+        [
+            (ast.BinaryOp("=", C, lit(1)), lit(10)),
+            (ast.BinaryOp("=", plus_one(S), lit(1)), lit(20)),
+        ],
+        ast.BinaryOp("-", S, lit(1)),
+    ),
+    MIXED,
+)
+@example(
+    # Only row B takes the branch whose result is evaluated.
+    ast.CaseExpr([(ast.BinaryOp("=", C, lit(2)), plus_one(S))], C),
+    MIXED,
+)
 def test_evaluate_batch_matches_evaluate_row_for_row(expr, batch):
     check_matches_rows(evaluate, evaluate_batch, expr, batch)
 
 
 @settings(max_examples=400, deadline=None)
-@given(boolean_exprs, batches())
+@given(predicates, batches())
 def test_predicate_mask_matches_evaluate_predicate(expr, batch):
     check_matches_rows(
         evaluate_predicate, evaluate_predicate_batch, expr, batch

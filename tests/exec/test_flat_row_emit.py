@@ -17,9 +17,8 @@ from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.exec import MemoryGovernor
-from repro.exec.batch import Batch, env_of
+from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
-from repro.exec.expr import evaluate, evaluate_predicate
 from repro.exec.operators import (
     HASH_PARTITIONS,
     HashJoinOp,
@@ -38,7 +37,10 @@ from repro.sql import ast
 from repro.sql.binder import Conjunct, Quantifier
 from repro.storage import FlashDisk, Volume
 from tests.exec.env_reference import (
+    env_of,
     env_rows,
+    evaluate,
+    evaluate_predicate,
     null_extend,
     rows_to_batches,
 )

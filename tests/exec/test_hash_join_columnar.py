@@ -24,7 +24,7 @@ from repro.common.hashing import stable_hash
 from repro.exec import MemoryGovernor, aggregates as aggregates_module
 from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
-from repro.exec.expr import evaluate_batch, evaluate_predicate
+from repro.exec.expr import evaluate_batch
 from repro.exec.operators import HASH_PARTITIONS, HashJoinOp, Operator
 from repro.exec.spill import SpillFile
 from repro.optimizer.costmodel import (
@@ -42,6 +42,7 @@ from tests.exec.env_reference import (
     env_at,
     env_row_bytes,
     env_rows,
+    evaluate_predicate,
     null_extend,
 )
 from tests.exec.test_adaptive import make_server

@@ -22,15 +22,19 @@ from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.exec import MemoryGovernor, aggregates as aggregates_module
 from repro.exec.aggregates import SortOp, _OrderedValue
-from repro.exec.batch import Batch, env_of
+from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
-from repro.exec.expr import evaluate
 from repro.exec.operators import Operator
 from repro.exec.spill import WorkMemory
 from repro.optimizer.costmodel import CPU_ROW_BATCH_US, CPU_SORT_FACTOR_BATCH_US
 from repro.sql import ast
 from repro.storage import FlashDisk, Volume
-from tests.exec.env_reference import env_rows, rows_to_batches
+from tests.exec.env_reference import (
+    env_of,
+    env_rows,
+    evaluate,
+    rows_to_batches,
+)
 
 
 # --------------------------------------------------------------------- #

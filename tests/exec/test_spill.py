@@ -33,6 +33,8 @@ def env():
     ctx.pool = pool
     ctx.temp_file = temp
     ctx.task = task
+    ctx.fault_plan = None
+    ctx.yield_hook = None
     return ctx, temp, task, volume
 
 

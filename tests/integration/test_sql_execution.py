@@ -358,6 +358,29 @@ class TestDml:
         server.simulate_crash_and_recover()
         check()
 
+    def test_full_scan_dml_over_pages_with_holes(self, conn):
+        """A full-scan UPDATE / DELETE filters its targets a heap page at
+        a time: every page, empty slots skipped, each target's row id
+        kept; a predicate that raises on one row changes nothing."""
+        conn.execute("CREATE TABLE h (id INT PRIMARY KEY, w INT, v INT)")
+        conn.server.load_table("h", [(i, i % 7, 0) for i in range(3000)])
+        assert conn.execute("DELETE FROM h WHERE w = 3").rowcount == 429
+        model = {i: 0 for i in range(3000) if i % 7 != 3}
+
+        changed = conn.execute("UPDATE h SET v = id WHERE w > 4 AND v = 0")
+        for key in model:
+            if key % 7 > 4:
+                model[key] = key
+        assert changed.rowcount == sum(1 for key in model if key % 7 > 4)
+        assert rows(conn.execute("SELECT id, v FROM h")) == sorted(
+            model.items()
+        )
+        with pytest.raises(ExecutionError):
+            conn.execute("UPDATE h SET v = 1 WHERE v / (id - 1500) > 0")
+        assert rows(conn.execute("SELECT id, v FROM h")) == sorted(
+            model.items()
+        )
+
     def test_not_null_violation(self, conn):
         with pytest.raises(ReproError):
             conn.execute("INSERT INTO dept VALUES (NULL, 'x', 0.0)")
