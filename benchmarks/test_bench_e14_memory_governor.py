@@ -5,15 +5,19 @@ limit (current pool / multiprogramming level) as the number of active
 requests and the pool size vary, and demonstrates top-down reclamation:
 when a statement hits the soft limit, the consumer at the top of its
 execution tree relinquishes memory first, so input operators are not
-starved by their consumers.
+starved by their consumers.  E14c runs the same walk over real operators:
+a GROUP BY over a hash join whose build fills the task's soft limit.
 """
 
 from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.exec import MemoryGovernor
+from repro.exec.aggregates import HashGroupByOp
+from repro.exec.operators import HashJoinOp
+from repro.exec.spill import WorkMemory
 from repro.storage import FlashDisk, Volume
 
-from conftest import print_table
+from conftest import make_server, print_table
 
 MAX_POOL_PAGES = 8192
 MPL = 8
@@ -49,15 +53,24 @@ def run_quota_experiment():
 
 
 class _Consumer:
-    def __init__(self, name, pages, log):
-        self.name = name
-        self.memory_pages = pages
+    """Holds pages through its own work memory (a byte a page) and gives
+    them all back when asked."""
+
+    memory = None
+
+    def __init__(self, task, name, depth, log):
+        self.name, self.depth = name, depth
         self._log = log
+        self.memory = WorkMemory(task, 1, self)
+
+    @property
+    def memory_pages(self):
+        return self.memory.pages_held if self.memory is not None else 0
 
     def relinquish_memory(self):
         self._log.append(self.name)
-        freed = self.memory_pages
-        self.memory_pages = 0
+        freed = self.memory.pages_held
+        self.memory.remove(self.memory.bytes_used)
         return freed
 
 
@@ -69,13 +82,72 @@ def run_reclamation_experiment():
                               clock=clock)
     task = governor.begin_task()
     log = []
-    # An execution tree: group-by (top) <- hash join <- sort (input side).
-    task.register_consumer(_Consumer("sort (deep input)", 60, log), depth=2)
-    task.register_consumer(_Consumer("hash join", 60, log), depth=1)
-    task.register_consumer(_Consumer("group by (top)", 60, log), depth=0)
-    task.allocate(task.soft_limit_pages)  # fill the quota
-    task.allocate(30)                     # breach -> reclamation
+    # An execution tree: group-by (top) <- hash join <- sort (input side),
+    # 60 pages each.
+    sort = _Consumer(task, "sort (deep input)", 2, log)
+    for consumer in (sort, _Consumer(task, "hash join", 1, log),
+                     _Consumer(task, "group by (top)", 0, log)):
+        consumer.memory.add(60)
+    # The sort asks for 30 pages past the soft limit: the walk frees them.
+    assert sort.memory.reserve(task.soft_limit_pages - task.used_pages + 30)
     return log
+
+
+#: Two 3,000-row tables, ``x`` in 50 values and ``y`` in 7: the join
+#: emits 180,000 rows into 7 groups.
+WALK_SQL = (
+    "SELECT a.y, COUNT(*), SUM(b.z) FROM a JOIN b ON a.x = b.x GROUP BY a.y"
+)
+
+
+def run_operator_walk(pool_pages, mpl):
+    """``WALK_SQL`` on a ``pool_pages`` pool at ``mpl``: who the walk
+    asked (in order), the group-by fallback, the partitions the join
+    evicted, the statement's simulated ms and its rows."""
+    server = make_server(pool_pages=pool_pages, mpl=mpl)
+    conn = server.connect()
+    conn.execute("CREATE TABLE a (id INT PRIMARY KEY, x INT, y INT)")
+    conn.execute("CREATE TABLE b (id INT PRIMARY KEY, x INT, z INT)")
+    server.load_table("a", [(i, i % 50, i % 7) for i in range(3000)])
+    server.load_table("b", [(i, i % 50, i % 100) for i in range(3000)])
+    asked = []
+    originals = {}
+    for name, cls in (("hash join", HashJoinOp), ("group by", HashGroupByOp)):
+        originals[cls] = cls.relinquish_memory
+
+        def asking(operator, name=name, original=originals[cls]):
+            asked.append(name)
+            return original(operator)
+
+        cls.relinquish_memory = asking
+    try:
+        start = server.clock.now
+        result = conn.execute(WALK_SQL)
+        elapsed_ms = (server.clock.now - start) / 1000.0
+    finally:
+        for cls, original in originals.items():
+            cls.relinquish_memory = original
+    evicted = sum(
+        int(line.split("spills=")[1].split()[0])
+        for line in result.explain(analyze=True).splitlines()
+        if line.lstrip().startswith("HashJoin")
+    )
+    return (
+        asked, "group_by_fallback" in result.notes, evicted, elapsed_ms,
+        sorted(result.rows),
+    )
+
+
+def run_walk_experiment():
+    __, __f, __e, __m, expected = run_operator_walk(2048, 1)
+    rows = []
+    for mpl in (1, 4, 8):
+        asked, fallback, evicted, elapsed_ms, answer = run_operator_walk(64, mpl)
+        rows.append((
+            64 // mpl, ", ".join(asked) or "-", fallback, evicted,
+            elapsed_ms, answer == expected,
+        ))
+    return rows
 
 
 def test_e14_quota_formulas(once):
@@ -108,3 +180,21 @@ def test_e14_top_down_reclamation(once):
     # Inputs are asked last, if at all.
     if "sort (deep input)" in log:
         assert log.index("sort (deep input)") == len(log) - 1
+
+
+def test_e14c_walk_over_operators(once):
+    rows = once(run_walk_experiment)
+    print_table(
+        "E14c: the soft-limit walk over real operators "
+        "(GROUP BY over a hash join, 64-page pool)",
+        ["soft limit (pages)", "asked to relinquish (in order)",
+         "group-by fallback", "partitions evicted", "statement ms (sim)",
+         "answers match"],
+        rows,
+    )
+    assert all(row[-1] for row in rows)
+    # Under pressure the join, below the group-by, is asked and evicts;
+    # the group-by keeps its 7 groups in memory.
+    pressured = rows[-1]
+    assert not pressured[2] and pressured[3] > 0
+    assert "hash join" in pressured[1] and "group by" not in pressured[1]

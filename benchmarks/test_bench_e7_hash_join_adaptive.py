@@ -122,14 +122,17 @@ def test_e7b_graceful_degradation(once):
     times = [row[1] for row in rows]
     # Everybody gets the right answer.
     assert all(row[2] == 12000 for row in rows)
-    # Less memory never helps, and the starved run pays for its spills.
-    assert times[-1] >= times[0]
+    # Less memory never helps, at any step, and the starved run pays for
+    # its spills.
+    assert times == sorted(times)
+    assert times[-1] > times[0]
     # Degradation, not a cliff: each memory step costs at most ~8x.
-    # The step where spilling first engages additionally pays a fixed
-    # simulated-I/O toll (writing and re-reading the evicted
-    # partitions, ~108 ms here in either execution mode) that the
-    # vectorized in-memory join no longer dwarfs, so that step is
-    # bounded in absolute time rather than relative to the in-memory
-    # run it follows.
+    # Spilling pays a simulated-I/O toll on top (writing and re-reading
+    # the evicted partitions' build and probe rows, the re-probe row at
+    # a time) that the vectorized in-memory join does not dwarf.  It
+    # lands over the first two spilling steps: one partition evicted at
+    # 32 pages (+15 ms), four at 16 (+140 ms over the step before).  So
+    # a step may instead cost at most that toll more than the one it
+    # follows.
     for before, after in zip(times, times[1:]):
-        assert after <= max(before * 8, 150.0)
+        assert after <= max(before * 8, before + 150.0)

@@ -7,10 +7,10 @@ show; these sanitizers check the invariants only execution can reach:
   every pin and the server asserts zero pinned frames at each statement
   boundary, reporting where the leaked pins were taken; the same
   boundary recounts the pool's per-file resident-frame counters;
-* **governor accounting** — :class:`SanitizedTask` cross-checks
-  ``used_pages`` against the registered consumers' ``memory_pages`` after
-  every allocate/release, and :class:`SanitizedMemoryGovernor` asserts a
-  finished task holds nothing;
+* **governor accounting** — :class:`SanitizedTask` asserts
+  ``used_pages`` equals the registered consumers' ``memory_pages`` after
+  every allocate, release, register and unregister, and
+  :class:`SanitizedMemoryGovernor` asserts a finished task holds nothing;
 * **one clock** — :class:`SanitizedSimClock` asserts monotonicity;
 * **replacement sanity** — :class:`SanitizedGClockPolicy` asserts hand
   validity on every sweep (the exact invariant whose violation caused the
@@ -257,21 +257,19 @@ class SanitizedBufferPool(BufferPool):
 
 
 class SanitizedTask(Task):
-    """A Task that audits its page accounting after every transition.
+    """A Task that audits its page ledger after every transition.
 
-    Registered consumers' ``memory_pages`` must never exceed
-    ``used_pages`` (unregistered allocations — spill buffers, sort runs in
-    flight — legitimately make the task total larger, never smaller), and
-    a release may not return more pages than the task holds: both are the
-    signatures of double-release / lost-registration bugs that
-    ``Task.release``'s clamp would otherwise silently absorb.
+    ``used_pages`` must equal the registered consumers' ``memory_pages``,
+    and a release may not return more pages than the task holds: a page
+    held outside a registered consumer, freed behind the task's back or
+    released twice would otherwise go unseen.
     """
 
     def _audit(self, event):
         consumer_pages = sum(
             consumer.memory_pages for __, consumer in self._consumers
         )
-        if consumer_pages > self.used_pages:
+        if consumer_pages != self.used_pages:
             raise QuotaAccountingError(
                 "task %d accounting mismatch after %s: registered consumers"
                 " hold %d pages but used_pages=%d (origin: %s)"
@@ -281,19 +279,23 @@ class SanitizedTask(Task):
                 )
             )
 
-    def allocate(self, pages):
-        super().allocate(pages)
+    def allocate(self, memory, pages):
+        super().allocate(memory, pages)
         self._audit("allocate(%d)" % (pages,))
 
-    def release(self, pages):
-        if int(pages) > self.used_pages:
+    def release(self, memory, pages):
+        if pages > self.used_pages:
             raise QuotaAccountingError(
                 "task %d over-release: release(%d) with used_pages=%d "
                 "(origin: %s)"
-                % (self.task_id, int(pages), self.used_pages, _call_site())
+                % (self.task_id, pages, self.used_pages, _call_site())
             )
-        super().release(pages)
+        super().release(memory, pages)
         self._audit("release(%d)" % (pages,))
+
+    def register_consumer(self, consumer, depth):
+        super().register_consumer(consumer, depth)
+        self._audit("register_consumer")
 
     def unregister_consumer(self, consumer):
         super().unregister_consumer(consumer)

@@ -255,10 +255,9 @@ class HashGroupByOp(Operator):
         pieces folds from them unexpanded when it creates no group
         (:class:`_PieceFold`)."""
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._groups = {}
         self._pending_rows = 0
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         group_bytes = 32 + 24 * len(self.aggregates)
         # A pending row holds the values of the aggregates that take an
         # argument: one value bare, several as a tuple.  With none (only
@@ -334,13 +333,12 @@ class HashGroupByOp(Operator):
                 for key in distinct:
                     if key in groups:
                         continue
-                    if self._memory.would_exceed_soft(group_bytes):
+                    if not self._memory.reserve(group_bytes):
                         # This key's first row engages the fallback; the
                         # rows before it belong to groups that exist.
                         stop = keys.index(key)
                         break
                     groups[key] = list(map(AggState, self.aggregates))
-                    self._memory.add(group_bytes)
                 argument_columns = [value_columns[i] for i in arguments]
                 pending = (
                     argument_columns[0] if self._single_argument
@@ -358,7 +356,6 @@ class HashGroupByOp(Operator):
             self._emitting = True
             yield from pack(self._emit(ctx), ctx.batch_rows)
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
             if self._fallback is not None:
                 self._fallback.free()
@@ -376,12 +373,11 @@ class HashGroupByOp(Operator):
                 continue
             states = groups.get(key)
             if states is None:
-                if memory.would_exceed_soft(group_bytes):
+                if not memory.reserve(group_bytes):
                     self._engage_fallback()
                     self._fallback_accumulate(key, values)
                     continue
                 states = groups[key] = list(map(AggState, aggregates))
-                memory.add(group_bytes)
             for state, value in zip(states, values):
                 state.accumulate_value(value)
 
@@ -1005,9 +1001,8 @@ class HashDistinctOp(Operator):
         soft-limit checks and the indexed-temp fallback run per position
         in row order.  Survivors leave as one mask-take per input batch."""
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._seen = set()
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         try:
             for batch in self.child.execute_batches(ctx):
                 if batch.count == 0:
@@ -1024,19 +1019,17 @@ class HashDistinctOp(Operator):
                         self._fallback_index.insert(key, RowId(0, 0))
                         mask[position] = True
                         continue
-                    if self._memory.would_exceed_soft(self.ROW_BYTES):
+                    if not self._memory.reserve(self.ROW_BYTES):
                         self._engage_fallback()
                         self._fallback_index.insert(key, RowId(0, 0))
                         mask[position] = True
                         continue
                     self._seen.add(key)
-                    self._memory.add(self.ROW_BYTES)
                     mask[position] = True
                 survivors = batch.take(mask)
                 if survivors.count:
                     yield survivors
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
 
     def _engage_fallback(self):
@@ -1099,10 +1092,9 @@ class SortOp(Operator):
 
     def execute_batches(self, ctx):
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._current = []
         self._runs = []
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         try:
             for batch in self.child.execute_batches(ctx):
                 ctx.charge(batch.count * CPU_SORT_FACTOR_BATCH_US * 4)
@@ -1123,14 +1115,14 @@ class SortOp(Operator):
                 ((entry[-1], entry[-2]) for entry in entries), ctx.batch_rows
             )
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
 
     def _absorb(self, entry):
-        if self._memory.would_exceed_soft(self.ROW_BYTES) and self._current:
-            self._flush_current_run()
+        if not self._memory.reserve(self.ROW_BYTES):
+            if self._current:
+                self._flush_current_run()
+            self._memory.add(self.ROW_BYTES)
         self._current.append(entry)
-        self._memory.add(self.ROW_BYTES)
 
     def _sort(self, entries):
         """Sort ``entries`` in place: ascending keys NULL first,
@@ -1176,7 +1168,7 @@ class SortOp(Operator):
         self._runs.append(self._spill_run(self._ctx, self._current))
         self.runs_spilled += 1
         del self._current[:]
-        self._memory.release_all()
+        self._memory.remove(self._memory.bytes_used)
 
     def _spill_run(self, ctx, entries):
         self._sort(entries)

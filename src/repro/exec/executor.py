@@ -175,6 +175,7 @@ class Executor:
     def build(self, plan, depth=0):
         """Build and instrument one plan node."""
         operator = self._build_operator(plan, depth)
+        operator.depth = depth
         if plan is self.parallel_join:
             operator = ParallelCoreOp(operator, self.max_tasks)
         return InstrumentedOp(operator, self.exec_stats.stats_for(plan))
@@ -225,34 +226,26 @@ class Executor:
                     plan.alternate.conjuncts,
                     getattr(plan.alternate, "local_conjuncts", []),
                 )
-            operator = HashJoinOp(
+            return HashJoinOp(
                 left, right, plan.join_type, plan.conjuncts,
                 plan.build_keys, plan.probe_keys,
                 _plan_quantifiers(plan.right),
                 alternate=alternate,
                 alternate_threshold=plan.alternate_threshold,
             )
-            operator.depth = depth
-            return operator
         if isinstance(plan, p.HashGroupByPlan):
-            operator = HashGroupByOp(
+            return HashGroupByOp(
                 self.build(plan.child, depth + 1), plan.group_keys,
                 plan.aggregates,
             )
-            operator.depth = depth
-            return operator
         if isinstance(plan, p.HavingPlan):
             return HavingOp(self.build(plan.child, depth + 1), plan.conjunct_exprs)
         if isinstance(plan, p.SortPlan):
-            operator = SortOp(self.build(plan.child, depth + 1), plan.sort_keys)
-            operator.depth = depth
-            return operator
+            return SortOp(self.build(plan.child, depth + 1), plan.sort_keys)
         if isinstance(plan, p.ProjectPlan):
             return ProjectOp(self.build(plan.child, depth + 1), plan.items)
         if isinstance(plan, p.HashDistinctPlan):
-            operator = HashDistinctOp(self.build(plan.child, depth + 1))
-            operator.depth = depth
-            return operator
+            return HashDistinctOp(self.build(plan.child, depth + 1))
         if isinstance(plan, p.LimitPlan):
             return LimitOp(self.build(plan.child, depth + 1), plan.limit)
         if isinstance(plan, ProjectSource):

@@ -379,6 +379,11 @@ def _scalar_function_batch(expr, batch, params):
     columns = [evaluate_batch(arg, batch, params) for arg in expr.args]
     name = expr.name
     if name == "ABS":
+        for value in columns[0]:
+            if value is not None and type(value) not in NUMBERS:
+                raise ExecutionError(
+                    "cannot ABS %r values" % (type(value).__name__,)
+                )
         return [None if v is None else abs(v) for v in columns[0]]
     if name == "LENGTH":
         return [None if v is None else len(str(v)) for v in columns[0]]

@@ -9,6 +9,9 @@ Each task (unit of work) gets two quotas:
   memory, starting at the highest consumer and moving *down* the execution
   tree, "prevent[ing] an input operator from being starved for memory by a
   consumer operator".
+
+:meth:`Task.reserve` is the one place that rule is applied (DESIGN.md
+§14).
 """
 
 import collections
@@ -116,12 +119,11 @@ class AdmissionQueue:
 
 
 class Task:
-    """One statement's unit of work, with its memory accounting.
+    """One statement's unit of work, with its memory ledger.
 
     Memory consumers (operators) register with a *depth*: 0 is the top of
-    the execution tree, larger depths are closer to the inputs.  When the
-    soft limit is hit, consumers are asked to relinquish in depth order
-    (top first).
+    the execution tree, larger depths are closer to the inputs.  Each
+    exposes ``memory_pages`` and ``relinquish_memory() -> pages freed``.
     """
 
     def __init__(self, governor, task_id):
@@ -134,8 +136,6 @@ class Task:
     # -- consumer registry ----------------------------------------------- #
 
     def register_consumer(self, consumer, depth):
-        """``consumer`` must expose ``relinquish_memory() -> pages freed``
-        and ``memory_pages`` (its current usage)."""
         self._consumers.append((depth, consumer))
 
     def unregister_consumer(self, consumer):
@@ -153,19 +153,11 @@ class Task:
     def soft_limit_pages(self):
         return self.governor.soft_limit_pages()
 
-    # -- allocation ---------------------------------------------------------- #
+    # -- the ledger ---------------------------------------------------------- #
 
-    def allocate(self, pages):
-        """Account ``pages`` of work memory to this task.
-
-        Raises :class:`MemoryQuotaExceededError` past the hard limit; at
-        the soft limit, asks operators to free memory first.
-        """
-        if pages <= 0:
-            return
-        if self.used_pages + pages > self.soft_limit_pages:
-            self.soft_limit_hits += 1
-            self._reclaim(self.used_pages + pages - self.soft_limit_pages)
+    def allocate(self, memory, pages):
+        """Account ``pages`` more to ``memory`` (a ``WorkMemory``); raises
+        :class:`MemoryQuotaExceededError` past the hard limit."""
         if self.used_pages + pages > self.hard_limit_pages:
             raise MemoryQuotaExceededError(
                 "statement exceeded its hard memory limit",
@@ -173,22 +165,32 @@ class Task:
                 limit_pages=self.hard_limit_pages,
             )
         self.used_pages += pages
+        memory.pages_held += pages
 
-    def release(self, pages):
-        self.used_pages = max(0, self.used_pages - int(pages))
+    def release(self, memory, pages):
+        memory.pages_held -= pages
+        self.used_pages -= pages
 
-    def _reclaim(self, needed):
-        """Ask consumers to free memory, top of the tree first."""
-        freed = 0
-        for __, consumer in sorted(self._consumers, key=lambda pair: pair[0]):
-            if freed >= needed:
-                break
-            freed += consumer.relinquish_memory()
-        return freed
-
-    def headroom_pages(self):
-        """Pages available before the soft limit."""
-        return max(0, self.soft_limit_pages - self.used_pages)
+    def reserve(self, memory, pages):
+        """Account ``pages`` more to ``memory`` if they fit under the soft
+        limit.  A request crossing it counts one hit and walks the
+        consumers top first, skipping those holding no pages and asking
+        the others to relinquish until it fits; reaching ``memory``'s
+        owner holding pages, or the end, answers False: nothing is
+        accounted, and the owner degrades itself."""
+        if self.used_pages + pages > self.soft_limit_pages:
+            self.soft_limit_hits += 1
+            for __, consumer in sorted(self._consumers, key=lambda c: c[0]):
+                if self.used_pages + pages <= self.soft_limit_pages or (
+                    consumer is memory.owner and consumer.memory_pages
+                ):
+                    break
+                if consumer.memory_pages:
+                    consumer.relinquish_memory()
+            if self.used_pages + pages > self.soft_limit_pages:
+                return False
+        self.allocate(memory, pages)
+        return True
 
 
 class MemoryGovernor:

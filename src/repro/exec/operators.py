@@ -51,6 +51,9 @@ class Operator:
     def execute_batches(self, ctx):
         raise NotImplementedError
 
+    #: Distance from the top of the execution tree (set by the executor).
+    depth = 1
+
     # memory-governor consumer protocol (overridden by memory users)
     memory_pages = 0
 
@@ -365,7 +368,7 @@ class NLJoinOp(Operator):
         return 1 if self.inner_spilled else 0
 
     def execute_batches(self, ctx):
-        inner = SpillableBuffer(ctx)
+        inner = SpillableBuffer(ctx, self.depth)
         try:
             for batch in self.right.execute_batches(ctx):
                 layout = batch.layout
@@ -549,16 +552,17 @@ class HashJoinOp(Operator):
     def adaptive_event_count(self):
         return 1 if self.switched_to_alternate else 0
 
-    def relinquish_memory(self):
+    def _evict_largest(self):
         """Evict the in-memory partition with the most rows (the lowest
-        index on ties) to the temp file."""
-        if not self._partitions:
-            return 0
+        index on ties) to the temp file; the pages freed."""
         counts = self._partition_rows
         largest = max(range(HASH_PARTITIONS), key=counts.__getitem__)
         if not counts[largest]:
             return 0
         return self._evict_partition(largest)
+
+    #: Asked by the governor, the join evicts as it does for itself.
+    relinquish_memory = _evict_largest
 
     def _evict_partition(self, index):
         spill = SpillFile.for_context(self._ctx, self._row_bytes)
@@ -583,11 +587,10 @@ class HashJoinOp(Operator):
         alternate-strategy switch stay per row, so spill and adaptive
         decisions do not depend on where batch boundaries fall."""
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._partitions = [dict() for __ in range(HASH_PARTITIONS)]
         self._partition_rows = [0] * HASH_PARTITIONS
         self._spills = [None] * HASH_PARTITIONS
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         try:
             self._build(ctx)
             semi_switchable = (
@@ -605,7 +608,6 @@ class HashJoinOp(Operator):
                 return
             yield from self._probe(ctx)
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
             for spill in self._spills:
                 if spill is not None:
@@ -636,12 +638,12 @@ class HashJoinOp(Operator):
                 index = (
                     stable_hash(key) if None in key else hash_key(key)
                 ) % HASH_PARTITIONS
-                if partitions[index] is None:
-                    spills[index].append((key, row))
-                    continue
-                self._memory.add(self._row_bytes)
-                # The allocation may have reclaimed (evicted) this very
-                # partition; rows then go straight to its spill file.
+                if partitions[index] is not None and not (
+                    self._memory.reserve(self._row_bytes)
+                ):
+                    self._evict_largest()  # perhaps this very partition
+                    if partitions[index] is not None:
+                        self._memory.add(self._row_bytes)
                 partition = partitions[index]
                 if partition is None:
                     spills[index].append((key, row))
@@ -803,7 +805,7 @@ class HashJoinOp(Operator):
                 count = len(candidates)
                 batch = Batch.from_source(
                     layout, width, count,
-                    out.piece_source([(row, candidates, 0, count)], len(row)),
+                    _Pieces([(row, candidates, 0, count)], len(row)),
                 )
             mask = evaluate_predicate_batch(conjunct.expr, batch, params)
             if not all(mask):
@@ -863,9 +865,6 @@ class _JoinOutput:
         self.owed = 0
         #: Completed batches: ``(batch, rows to charge before its yield)``.
         self.ready = []
-        #: ``id(candidates)`` -> (candidates, their columns): each build
-        #: list is transposed once, when a batch first reads its side.
-        self._transposed = {}
 
     def add(self, left_layout, right_layout, row, candidates, owes):
         """Buffer probe row ``row`` joined to the build rows
@@ -928,13 +927,8 @@ class _JoinOutput:
     def _batch(self, pieces, count):
         return Batch.from_source(
             self.layout, self.width, count,
-            self.piece_source(pieces, self.left_width),
+            _Pieces(pieces, self.left_width),
         )
-
-    def piece_source(self, pieces, left_width):
-        """A column source over ``pieces`` whose probe rows are
-        ``left_width`` values wide."""
-        return _Pieces(pieces, left_width, self._transposed)
 
     def drain(self):
         """Yield the completed batches, each one's outstanding rows
@@ -959,17 +953,19 @@ class _JoinOutput:
 
 
 class _Pieces:
-    """The column source of a join output batch: probe-side columns
-    repeat each piece's probe value, build-side columns are slices of the
+    """The column source of one join output batch over ``pieces``, whose
+    probe rows are ``left_width`` values wide: probe-side columns repeat
+    each piece's probe value, build-side columns are slices of the
     pieces' transposed build lists."""
 
     __slots__ = ("pieces", "left_width", "transposed")
 
-    def __init__(self, pieces, left_width, transposed):
+    def __init__(self, pieces, left_width):
         self.pieces = pieces
         self.left_width = left_width
-        #: The join's ``id(candidates) -> (candidates, columns)`` cache.
-        self.transposed = transposed
+        #: ``id(candidates)`` -> (candidates, their columns): a list is
+        #: transposed once per batch, when the batch first reads its side.
+        self.transposed = {}
 
     def column(self, position):
         out = []

@@ -1,9 +1,10 @@
 """Work-memory accounting and temp-file spilling shared by operators.
 
-Operators account their work memory in pages against the statement's
-:class:`~repro.exec.memory.Task`; rows that no longer fit are written to
-the temporary file in page-sized chunks (charging device time through the
-volume, exactly like any other page I/O).
+Operators take work memory, in pages of the statement's
+:class:`~repro.exec.memory.Task`, through :meth:`WorkMemory.reserve`;
+when the task finds no room an operator degrades itself, and rows that
+no longer fit are written to the temporary file in page-sized chunks
+(charging device time through the volume, like any other page I/O).
 """
 
 from repro.common.errors import ExecutionError, IOFaultError, SpillWriteError
@@ -20,52 +21,50 @@ def row_bytes(width):
 
 
 class WorkMemory:
-    """Page-accounted memory for one operator."""
+    """Page-accounted memory of ``owner``, registered with the task as a
+    memory consumer at ``owner.depth`` until :meth:`release_all`."""
 
-    def __init__(self, task, page_size):
+    def __init__(self, task, page_size, owner):
         self.task = task
         self.page_size = page_size
+        self.owner = owner
         self.bytes_used = 0
         self.pages_held = 0
+        task.register_consumer(owner, owner.depth)
+
+    def _pages_for(self, n_bytes):
+        """Pages beyond those held that ``n_bytes`` more need."""
+        return -(-(self.bytes_used + n_bytes) // self.page_size) - self.pages_held
+
+    def reserve(self, n_bytes):
+        """Account ``n_bytes`` more if :meth:`Task.reserve` finds room
+        under the soft limit; False, with nothing accounted, if not."""
+        pages = self._pages_for(n_bytes)
+        if pages > 0 and not self.task.reserve(self, pages):
+            return False
+        self.bytes_used += n_bytes
+        return True
 
     def add(self, n_bytes):
-        """Account ``n_bytes`` more; may trigger reclamation or the hard
-        limit via the task."""
-        self.bytes_used += int(n_bytes)
-        needed = -(-self.bytes_used // self.page_size)
-        if needed > self.pages_held:
-            # task.allocate may reclaim, re-entering *this* operator's
-            # relinquish_memory (which shrinks pages_held via remove), so
-            # apply the delta computed now rather than overwriting
-            # pages_held with the pre-reclaim target — otherwise
-            # pages_held overstates the net allocation and teardown
-            # over-releases, corrupting the task's accounting for every
-            # other consumer.
-            delta = needed - self.pages_held
-            self.task.allocate(delta)
-            self.pages_held += delta
+        """Account ``n_bytes`` more past the soft limit (what an owner that
+        degraded still holds); raises past the hard limit."""
+        pages = self._pages_for(n_bytes)
+        if pages > 0:
+            self.task.allocate(self, pages)
+        self.bytes_used += n_bytes
 
     def remove(self, n_bytes):
-        self.bytes_used = max(0, self.bytes_used - int(n_bytes))
-        needed = -(-self.bytes_used // self.page_size)
-        if needed < self.pages_held:
-            # Shrink our claim before returning the pages: the task's
-            # accounting must never show consumers holding more than the
-            # task has allocated.
-            surplus = self.pages_held - needed
-            self.pages_held = needed
-            self.task.release(surplus)
+        self.bytes_used = max(0, self.bytes_used - n_bytes)
+        surplus = -self._pages_for(0)
+        if surplus > 0:
+            self.task.release(self, surplus)
 
     def release_all(self):
-        held = self.pages_held
-        self.pages_held = 0
+        """Give every page back and unregister the owner."""
         self.bytes_used = 0
-        if held:
-            self.task.release(held)
-
-    def would_exceed_soft(self, n_bytes):
-        needed = -(-(self.bytes_used + n_bytes) // self.page_size)
-        return needed - self.pages_held > self.task.headroom_pages()
+        if self.pages_held:
+            self.task.release(self, self.pages_held)
+        self.task.unregister_consumer(self.owner)
 
 
 class SpillFile:
@@ -156,31 +155,39 @@ class SpillFile:
 
 
 class SpillableBuffer:
-    """An append-then-rescan row buffer that overflows to the temp file.
+    """A nested-loop join's inner input, a memory consumer at ``depth``:
+    rows stay in work memory until the task finds no room for one, then
+    every later row goes to the temp file."""
 
-    Used to materialize nested-loop-join inner inputs and derived tables:
-    rows stay in accounted work memory until the soft limit pushes the
-    tail to disk.
-    """
+    memory = None  # read by the registration in ``__init__``
 
-    def __init__(self, ctx, row_bytes_estimate=64):
+    def __init__(self, ctx, depth, row_bytes_estimate=64):
         self.ctx = ctx
-        self.memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self.depth = depth
         self.row_bytes = row_bytes_estimate
         self._in_memory = []
         self._spill = None
         self._sealed = False
+        self.memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
+
+    @property
+    def memory_pages(self):
+        return self.memory.pages_held if self.memory is not None else 0
+
+    def relinquish_memory(self):
+        """Declined: buffered rows keep their place ahead of the spilled
+        ones."""
+        return 0
 
     def append(self, row):
         if self._sealed:
             raise ExecutionError("buffer already sealed")
-        if self._spill is None and self.memory.would_exceed_soft(self.row_bytes):
+        if self._spill is None and not self.memory.reserve(self.row_bytes):
             self._spill = SpillFile.for_context(self.ctx, self.row_bytes)
         if self._spill is not None:
             self._spill.append(row)
         else:
             self._in_memory.append(row)
-            self.memory.add(self.row_bytes)
 
     def seal(self):
         if self._spill is not None:

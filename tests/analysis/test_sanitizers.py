@@ -66,21 +66,36 @@ class _PhantomConsumer:
 
 
 class _EvictingConsumer:
-    """Relinquishes by evicting bytes from its WorkMemory — the reentrant
-    shape of HashJoin/Sort/Distinct under reclaim."""
+    """Relinquishes by evicting bytes from its WorkMemory, as HashJoin,
+    Sort and Distinct do when the governor asks them."""
 
-    def __init__(self, memory, evict_bytes):
-        self.memory = memory
+    memory = None
+
+    def __init__(self, task, evict_bytes, depth=1, page_size=100):
         self.evict_bytes = evict_bytes
+        self.depth = depth
+        self.relinquish_calls = 0
+        self.memory = WorkMemory(task, page_size, self)
 
     @property
     def memory_pages(self):
-        return self.memory.pages_held
+        return self.memory.pages_held if self.memory is not None else 0
 
     def relinquish_memory(self):
+        self.relinquish_calls += 1
         before = self.memory.pages_held
         self.memory.remove(self.evict_bytes)
         return before - self.memory.pages_held
+
+
+class _ForgetfulConsumer(_EvictingConsumer):
+    """Relinquishes by dropping its pages without telling the task (a
+    planted accounting bug)."""
+
+    def relinquish_memory(self):
+        freed, self.memory.pages_held = self.memory.pages_held, 0
+        self.memory.bytes_used = 0
+        return freed
 
 
 class TestPinLeakDetector:
@@ -135,25 +150,28 @@ class TestQuotaSanitizer:
     def test_phantom_consumer_reported_with_origin(self):
         governor = make_governor()
         task = governor.begin_task()
-        task.register_consumer(_PhantomConsumer(), depth=0)
         with pytest.raises(QuotaAccountingError) as excinfo:
-            task.allocate(1)
+            task.register_consumer(_PhantomConsumer(), depth=0)
         message = str(excinfo.value)
-        assert "allocate(1)" in message
+        assert "register_consumer" in message
+        assert "hold 4 pages but used_pages=0" in message
         assert "test_sanitizers.py" in message
 
     def test_over_release_reported(self):
         governor = make_governor()
         task = governor.begin_task()
-        task.allocate(2)
+        memory = _EvictingConsumer(task, 0).memory
+        memory.add(200)
         with pytest.raises(QuotaAccountingError) as excinfo:
-            task.release(5)
+            task.release(memory, 5)
         assert "over-release" in str(excinfo.value)
 
     def test_dirty_teardown_reported(self):
         governor = make_governor()
         task = governor.begin_task()
-        task.allocate(3)
+        consumer = _EvictingConsumer(task, 0)
+        consumer.memory.add(300)
+        task._consumers.clear()  # lose the registration, keep the pages
         with pytest.raises(QuotaAccountingError) as excinfo:
             governor.end_task(task)
         assert "used_pages=3" in str(excinfo.value)
@@ -161,50 +179,71 @@ class TestQuotaSanitizer:
     def test_stale_consumer_at_teardown_reported(self):
         governor = make_governor()
         task = governor.begin_task()
-        consumer = _EvictingConsumer(WorkMemory(task, 100), 0)
-        task.register_consumer(consumer, depth=1)
+        _EvictingConsumer(task, 0)
         with pytest.raises(QuotaAccountingError) as excinfo:
             governor.end_task(task)
         assert "_EvictingConsumer" in str(excinfo.value)
 
+    def test_unregistered_work_memory_reported(self):
+        """Pages held by a work memory whose owner is not registered
+        break the ledger's equality."""
+        governor = make_governor()
+        task = governor.begin_task()
+        consumer = _EvictingConsumer(task, 0)
+        consumer.memory.add(100)
+        with pytest.raises(QuotaAccountingError) as excinfo:
+            task.unregister_consumer(consumer)
+        assert "hold 0 pages but used_pages=1" in str(excinfo.value)
+
+    def test_relinquish_without_remove_reported(self):
+        """A consumer that frees its pages behind the task's back is
+        caught at the next transition of the ledger."""
+        governor = make_governor(mpl=4)  # soft limit: 8 // 4 = 2 pages
+        task = governor.begin_task()
+        forgetful = _ForgetfulConsumer(task, 0, depth=0)
+        forgetful.memory.add(200)
+        caller = _EvictingConsumer(task, 0, depth=1)
+        # The walk asks it, and the task still sees no room.
+        assert not caller.memory.reserve(100)
+        with pytest.raises(QuotaAccountingError) as excinfo:
+            caller.memory.add(100)
+        assert "allocate(1)" in str(excinfo.value)
+        assert "hold 1 pages but used_pages=3" in str(excinfo.value)
+
 
 class TestWorkMemoryReentrancy:
-    """The WorkMemory.add fix (satellite 2): reclaim re-entering the same
-    operator's relinquish_memory must not corrupt pages_held."""
+    """The soft-limit walk never re-enters the caller: an operator whose
+    own request crosses the soft limit is told so and degrades itself."""
 
     def _task_and_memory(self):
         governor = make_governor(mpl=4)  # soft limit: 8 // 4 = 2 pages
         task = governor.begin_task()
-        memory = WorkMemory(task, 100)
-        consumer = _EvictingConsumer(memory, evict_bytes=150)
-        task.register_consumer(consumer, depth=1)
-        return governor, task, memory, consumer
+        consumer = _EvictingConsumer(task, evict_bytes=150)
+        return governor, task, consumer.memory, consumer
 
     def test_reentrant_reclaim_keeps_accounting_consistent(self):
         governor, task, memory, consumer = self._task_and_memory()
-        memory.add(150)  # 2 pages, at the soft limit
-        # The next add crosses the soft limit; reclaim re-enters
-        # consumer.relinquish_memory -> memory.remove(150) mid-allocate.
-        memory.add(100)
+        assert memory.reserve(150)  # 2 pages, at the soft limit
+        # The next request crosses the soft limit: the caller is not
+        # asked; it degrades itself (here: evicts), then takes the bytes.
+        assert not memory.reserve(100)
+        assert consumer.relinquish_calls == 0
         assert task.soft_limit_hits == 1
-        assert memory.pages_held == task.used_pages == 2
-        task.unregister_consumer(consumer)
+        memory.remove(150)
+        memory.add(100)
+        assert memory.pages_held == task.used_pages == 1
         memory.release_all()
         assert task.used_pages == 0
         governor.end_task(task)  # sanitizer: clean teardown
 
     def test_sanitizer_flags_the_old_overwrite_behaviour(self):
-        """Replaying the pre-fix add() (allocate, then overwrite
-        pages_held with the stale pre-reclaim target) trips the
-        over-release check at teardown — the bug the sanitizer would
-        have caught."""
+        """Replaying the old re-entrant add() (overwrite pages_held with
+        a target the task never allocated) trips the sanitizer at the
+        next transition."""
         governor, task, memory, consumer = self._task_and_memory()
         memory.add(150)
         memory.bytes_used += 100
-        needed = 3
-        task.allocate(needed - memory.pages_held)  # reclaim shrinks to 1
-        memory.pages_held = needed  # the old bug: ignores the reclaim
-        task.unregister_consumer(consumer)
+        memory.pages_held = 3  # the old bug: ignores the ledger
         with pytest.raises(QuotaAccountingError):
             memory.release_all()
 

@@ -21,6 +21,7 @@ from itertools import chain
 from repro.common.errors import ExecutionError
 from repro.exec.batch import DEFAULT_BATCH_ROWS, Batch, layout_of
 from repro.exec.expr import (
+    NUMBERS,
     _compare,
     _negate,
     _operate,
@@ -277,6 +278,10 @@ def _scalar_function(expr, env, params):
     args = [evaluate(arg, env, params) for arg in expr.args]
     name = expr.name
     if name == "ABS":
+        if args[0] is not None and type(args[0]) not in NUMBERS:
+            raise ExecutionError(
+                "cannot ABS %r values" % (type(args[0]).__name__,)
+            )
         return None if args[0] is None else abs(args[0])
     if name == "LENGTH":
         return None if args[0] is None else len(str(args[0]))

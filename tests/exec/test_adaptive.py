@@ -143,8 +143,11 @@ class TestHashJoinAdaptivity:
         )
         assert result.rows == [(41200, 1974278)]
         assert evicted == [0, 2, 7, 4, 5, 3]
+        # The aggregate above the join keeps its one group in memory (the
+        # build's reclaim once pushed it into its temp table: 2,410,589).
+        assert "group_by_fallback" not in result.notes
         if server.fault_plan is None:  # injected I/O retries take time
-            assert server.clock.now - started == 2_410_589
+            assert server.clock.now - started == 1_999_985
 
     def test_partition_placement_ignores_the_hash_salt(self):
         """Which partition a VARCHAR (or NULL) key lands in — so which

@@ -9,6 +9,7 @@ import pytest
 from repro import Server, ServerConfig
 from repro.buffer import GovernorConfig
 from repro.common import MiB
+from repro.exec.spill import SpillableBuffer
 
 #: 1,500 distinct keys: 72 KB of seen-set at 48 bytes a key, past the
 #: small server's 8-page soft limit and far under the large one's.
@@ -55,15 +56,17 @@ def test_governor_reclaim_engages_the_fallback_mid_statement():
     cursor = conn.open_cursor(sql)
     rows = cursor.fetchmany(300)
     assert "distinct_fallback" not in cursor.notes
-    # Another consumer of the statement's task crosses the soft limit:
-    # the governor asks the suspended DISTINCT to relinquish its memory.
+    # Another consumer of the statement's task, below the DISTINCT,
+    # crosses the soft limit: the governor asks the suspended DISTINCT to
+    # relinquish its memory.
     task = cursor._ctx.task
     held = task.used_pages
     assert held > 0
     wanted = task.soft_limit_pages - held + 1
-    task.allocate(wanted)
+    below = SpillableBuffer(cursor._ctx, depth=99, row_bytes_estimate=0)
+    assert below.memory.reserve(wanted * below.memory.page_size)
     assert task.used_pages == wanted
-    task.release(wanted)
+    below.free()
     rows += cursor.fetchall()
     assert cursor.notes["distinct_fallback"] == 1
     assert rows == expected

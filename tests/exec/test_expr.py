@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from repro.common.errors import ExecutionError
+from repro import Server, ServerConfig
+from repro.common.errors import ExecutionError, ReproError
 from repro.exec import evaluate_batch, evaluate_predicate_batch
 from repro.exec.expr import like_match
 from repro.sql import ast
@@ -256,3 +257,38 @@ class TestVarcharOperands:
             evaluate_one(ast.UnaryOp("-", lit("a")), {})
         with pytest.raises(ExecutionError, match="cannot compare"):
             evaluate_one(ast.Between(lit("a"), lit(1), lit(2), False), {})
+
+
+# Each scalar function over a column of each type (and a NULL literal)
+# gives a value or a typed engine error, never a builtin exception.
+SCALAR_FUNCTIONS = ["ABS", "LENGTH", "LOWER", "UPPER", "COALESCE"]
+ARGUMENTS = {"INT": "i", "DOUBLE": "d", "VARCHAR": "s", "BOOLEAN": "b",
+             "NULL": "NULL"}
+
+
+@pytest.fixture(scope="module")
+def typed_conn():
+    server = Server(ServerConfig(start_buffer_governor=False))
+    conn = server.connect()
+    conn.execute(
+        "CREATE TABLE typed (i INT PRIMARY KEY, d DOUBLE, s VARCHAR(10),"
+        " b BOOLEAN)"
+    )
+    conn.execute("INSERT INTO typed VALUES (-3, -2.5, 'Ab', TRUE)")
+    return conn
+
+
+@pytest.mark.parametrize("argument", sorted(ARGUMENTS))
+@pytest.mark.parametrize("function", SCALAR_FUNCTIONS)
+def test_scalar_function_gives_a_value_or_a_typed_error(
+        typed_conn, function, argument):
+    sql = "SELECT %s(%s) FROM typed" % (function, ARGUMENTS[argument])
+    if (function, argument) == ("ABS", "VARCHAR"):
+        with pytest.raises(ExecutionError, match="cannot ABS 'str' values"):
+            typed_conn.execute(sql)
+        return
+    try:
+        rows = typed_conn.execute(sql).rows
+    except ReproError:
+        return
+    assert len(rows) == 1

@@ -62,7 +62,7 @@ class EnvNLJoinOp(NLJoinOp):
         self.right_quantifiers = right_quantifiers
 
     def execute_batches(self, ctx):
-        inner = SpillableBuffer(ctx)
+        inner = SpillableBuffer(ctx, self.depth)
         try:
             for batch in self.right.execute_batches(ctx):
                 for env in env_rows(batch):
@@ -158,11 +158,10 @@ class EnvAlternateHashJoinOp(HashJoinOp):
 
     def execute_batches(self, ctx):
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._partitions = [dict() for __ in range(HASH_PARTITIONS)]
         self._partition_rows = [0] * HASH_PARTITIONS
         self._spills = [None] * HASH_PARTITIONS
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         try:
             self._build(ctx)
             # The rig's threshold always admits the switch.
@@ -172,7 +171,6 @@ class EnvAlternateHashJoinOp(HashJoinOp):
                 self._execute_alternate(ctx), ctx.batch_rows
             )
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
             for spill in self._spills:
                 if spill is not None:

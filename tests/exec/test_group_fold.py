@@ -54,12 +54,11 @@ class RowAtATimeGroupByOp(HashGroupByOp):
 
     def execute_batches(self, ctx):
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._groups = {}
         # Keyed by tuples whatever the key count: the inherited fallback
         # and emit helpers then take the keys as they are.
         self._single_key = False
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         group_bytes = 32 + 24 * len(self.aggregates)
         try:
             for batch in self.child.execute_batches(ctx):
@@ -82,19 +81,17 @@ class RowAtATimeGroupByOp(HashGroupByOp):
                         continue
                     states = self._groups.get(key)
                     if states is None:
-                        if self._memory.would_exceed_soft(group_bytes):
+                        if not self._memory.reserve(group_bytes):
                             self._engage_fallback()
                             self._fallback_accumulate(key, values)
                             continue
                         states = [AggState(call) for call in self.aggregates]
                         self._groups[key] = states
-                        self._memory.add(group_bytes)
                     for state, value in zip(states, values):
                         state.accumulate_value(value)
             self._emitting = True
             yield from rows_to_batches(self._emit(ctx), ctx.batch_rows)
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
             if self._fallback is not None:
                 self._fallback.free()

@@ -22,11 +22,12 @@ from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.common.hashing import stable_hash
 from repro.exec import MemoryGovernor, aggregates as aggregates_module
+from repro.exec import operators as operators_module
 from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate_batch
 from repro.exec.operators import HASH_PARTITIONS, HashJoinOp, Operator
-from repro.exec.spill import SpillFile
+from repro.exec.spill import SpillableBuffer, SpillFile
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
     CPU_HASH_PROBE_BATCH_US,
@@ -62,9 +63,7 @@ class RowPathHashJoinOp(HashJoinOp):
             stable_hash(key) if None in key else self._hash_key(key)
         ) % HASH_PARTITIONS
 
-    def relinquish_memory(self):
-        if not self._partitions:
-            return 0
+    def _evict_largest(self):
         candidates = [
             index
             for index in range(HASH_PARTITIONS)
@@ -79,6 +78,8 @@ class RowPathHashJoinOp(HashJoinOp):
             ),
         )
         return self._evict_partition(largest)
+
+    relinquish_memory = _evict_largest
 
     def _evict_partition(self, index):
         partition = self._partitions[index]
@@ -115,7 +116,10 @@ class RowPathHashJoinOp(HashJoinOp):
                 if self._partitions[index] is None:
                     self._spills[index].append((key, env))
                     continue
-                self._memory.add(self._row_bytes)
+                if not self._memory.reserve(self._row_bytes):
+                    self._evict_largest()
+                    if self._partitions[index] is not None:
+                        self._memory.add(self._row_bytes)
                 partition = self._partitions[index]
                 if partition is None:
                     self._spills[index].append((key, env))
@@ -331,7 +335,7 @@ def run_join(operator_class, case):
         return evict(index)
 
     operator._evict_partition = recording_evict
-    held = 0
+    pressure = None
     yielded = []
     reads = case["reads"]
     try:
@@ -342,16 +346,20 @@ def run_join(operator_class, case):
                 "yield", clock.now, ctx.carry_ps[0], batch.count, batch.layout,
                 consume(batch, before),
             ))
-            # A consumer that takes work memory: the task reclaims it
-            # from the join, evicting partitions between output batches.
+            # A consumer below the join that takes work memory: the task
+            # reclaims it from the join, evicting partitions between
+            # output batches.
             if case["pressure_every"] and number % case["pressure_every"] == 0:
-                task.allocate(case["pressure_pages"])
-                held += case["pressure_pages"]
+                pressure = pressure or SpillableBuffer(ctx, depth=2)
+                wanted = case["pressure_pages"] * pool.page_size
+                if not pressure.memory.reserve(wanted):
+                    pressure.memory.add(wanted)
             trace.append(("read", consume(batch, after)))
     except ExecutionError as error:
         return ("raised", type(error))
     finally:
-        task.release(held)
+        if pressure is not None:
+            pressure.free()
     # Every batch still reads the same once the join is done with it.
     trace.append(("after", [env_rows(batch) for batch in yielded]))
     return (
@@ -576,3 +584,34 @@ def test_group_by_evaluates_input_rows_not_joined_rows():
         [evaluated] = [n for expr, n in counted.items()
                        if expr.startswith(prefix)]
         assert evaluated <= J_ROWS + 4 * 256, counted
+
+
+def test_transposed_build_lists_do_not_outlive_their_batch():
+    """A residual filters each probe row's candidates into a list of its
+    own; reading it transposes it.  Each column source holds its
+    transpositions for its own batch only: none holds more than one entry
+    per build key (10 here; a join-wide cache held 2,000)."""
+    server = make_server()
+    conn = server.connect()
+    for name in ("a", "b"):
+        conn.execute("CREATE TABLE %s (id INT PRIMARY KEY, x INT, y INT)"
+                     % name)
+        server.load_table(
+            name, [(i, i % 10, (i * 7919) % 2000) for i in range(2000)]
+        )
+    sources = []
+    init = operators_module._Pieces.__init__
+
+    def recording_init(source, *args):
+        init(source, *args)
+        sources.append(source)
+
+    with mock.patch.object(operators_module._Pieces, "__init__",
+                           recording_init):
+        rows = conn.execute(
+            "SELECT COUNT(*) FROM a, b WHERE a.x = b.x AND b.y > a.y "
+            "AND b.y < a.y + 500"
+        ).rows
+    assert rows[0][0] > 0
+    assert sources
+    assert max(len(source.transposed) for source in sources) <= 10

@@ -391,6 +391,21 @@ def test_relinquish_after_pieces_folded():
     assert engine[2] and folded > 0
 
 
+@pytest.mark.parametrize("mpl, evicted", [(4, 1), (8, 4)])
+def test_the_join_evicts_before_the_group_by_degrades(mpl, evicted):
+    """The join's build leaves the task at its 8- or 4-page soft limit.
+    The group-by's first group crosses it: the walk passes over the
+    group-by (the caller, holding nothing) and asks the join below it,
+    which evicts partitions; the groups stay in memory."""
+    case = _j_case(keys=[(PROBE_QID, K)], mpl=mpl, batch_rows=32)
+    engine, folded = run(case)
+    assert engine == run(case, pieces=False)[0]
+    fallback_engaged, partitions_evicted = engine[2], engine[10]
+    assert not fallback_engaged
+    assert partitions_evicted == evicted
+    assert folded > 100
+
+
 @pytest.mark.parametrize("first, then, rows, name, folds", [
     # From the first float on, SUM adds left to right on the row path:
     # 0.1 times 32 is not 32 additions of 0.1.

@@ -6,6 +6,7 @@ from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.common.errors import MemoryQuotaExceededError
 from repro.exec import MemoryGovernor
+from repro.exec.spill import WorkMemory
 from repro.storage import FlashDisk, Volume
 
 
@@ -40,42 +41,62 @@ def test_soft_limit_tracks_pool_resizes(governor):
     assert task.soft_limit_pages == 200 // 4
 
 
+class _Consumer:
+    """Holds pages through its own work memory (a byte a page) and gives
+    them all back when asked."""
+
+    memory = None
+
+    def __init__(self, task, depth, log=None, name=None):
+        self.name, self.log, self.depth = name, log, depth
+        self.relinquish_calls = 0
+        self.memory = WorkMemory(task, 1, self)
+
+    @property
+    def memory_pages(self):
+        return self.memory.pages_held if self.memory is not None else 0
+
+    def relinquish_memory(self):
+        self.relinquish_calls += 1
+        if self.log is not None:
+            self.log.append(self.name)
+        freed = self.memory.pages_held
+        self.memory.remove(self.memory.bytes_used)
+        return freed
+
+
 def test_hard_limit_exceeded_terminates(governor):
     task = governor.begin_task()
     with pytest.raises(MemoryQuotaExceededError):
-        task.allocate(task.hard_limit_pages + 1)
+        _Consumer(task, 0).memory.add(task.hard_limit_pages + 1)
+    assert task.used_pages == 0
 
 
 def test_allocate_release_roundtrip(governor):
     task = governor.begin_task()
-    task.allocate(50)
-    assert task.used_pages == 50
-    task.release(20)
-    assert task.used_pages == 30
-    task.release(1000)
+    memory = _Consumer(task, 0).memory
+    memory.add(50)
+    assert task.used_pages == memory.pages_held == 50
+    memory.remove(20)
+    assert task.used_pages == memory.pages_held == 30
+    memory.remove(1000)  # more than it holds: gives back what it has
+    assert task.used_pages == memory.pages_held == 0
+    memory.release_all()
     assert task.used_pages == 0
-
-
-class _FakeConsumer:
-    def __init__(self, pages):
-        self.memory_pages = pages
-        self.relinquish_calls = 0
-
-    def relinquish_memory(self):
-        self.relinquish_calls += 1
-        freed = self.memory_pages
-        self.memory_pages = 0
-        return freed
+    assert not task._consumers
 
 
 def test_soft_limit_triggers_reclamation(governor):
     task = governor.begin_task()
-    consumer = _FakeConsumer(pages=60)
-    task.register_consumer(consumer, depth=0)
-    task.allocate(task.soft_limit_pages)  # at the limit
-    task.allocate(10)  # pushes over: reclamation must fire
-    assert consumer.relinquish_calls == 1
+    holder = _Consumer(task, 0)
+    holder.memory.add(60)
+    caller = _Consumer(task, 1)
+    assert caller.memory.reserve(task.soft_limit_pages - 60)  # at the limit
+    assert holder.relinquish_calls == 0 and task.soft_limit_hits == 0
+    assert caller.memory.reserve(10)  # pushes over: the walk frees room
+    assert holder.relinquish_calls == 1
     assert task.soft_limit_hits == 1
+    assert task.used_pages == task.soft_limit_pages - 50
 
 
 def test_reclamation_is_top_down(governor):
@@ -83,41 +104,56 @@ def test_reclamation_is_top_down(governor):
     # consuming operator and moving down the execution tree"
     task = governor.begin_task()
     order = []
+    deep = _Consumer(task, 2, order, "scan")       # near the inputs
+    top = _Consumer(task, 0, order, "group-by")    # consumer at the top
+    middle = _Consumer(task, 1, order, "join")
+    for consumer in (deep, top, middle):
+        consumer.memory.add(30)
+    caller = _Consumer(task, 3, order, "caller")
+    assert caller.memory.reserve(task.soft_limit_pages - 90 + 50)
+    assert order == ["group-by", "join"]
 
-    class Tracker:
-        def __init__(self, name):
-            self.name = name
-            self.memory_pages = 1000
 
-        def relinquish_memory(self):
-            order.append(self.name)
-            return 1000
-
-    deep = Tracker("scan")       # depth 2: near the inputs
-    middle = Tracker("join")     # depth 1
-    top = Tracker("group-by")    # depth 0: consumer at the top
-    task.register_consumer(deep, depth=2)
-    task.register_consumer(top, depth=0)
-    task.register_consumer(middle, depth=1)
-    task.allocate(task.soft_limit_pages + 1)
-    assert order[0] == "group-by"
+def test_the_walk_skips_empty_consumers_and_stops_at_the_caller(governor):
+    task = governor.begin_task()
+    order = []
+    empty = _Consumer(task, 0, order, "empty top")
+    caller = _Consumer(task, 1, order, "caller")
+    below = _Consumer(task, 2, order, "below")
+    caller.memory.add(task.soft_limit_pages)
+    below.memory.add(1)
+    # The caller holds pages: it is never asked, and nothing below it is.
+    assert not caller.memory.reserve(1)
+    assert order == [] and task.soft_limit_hits == 1
+    assert caller.memory.pages_held == task.soft_limit_pages
+    # Holding nothing, a caller is passed over like any empty consumer,
+    # and the consumers below it are asked in turn.
+    caller.memory.release_all()
+    filler = _Consumer(task, 3, order, "filler")
+    filler.memory.add(task.soft_limit_pages - 1)
+    assert empty.memory.reserve(3)
+    assert order == ["below", "filler"]
+    assert empty.memory.pages_held == task.used_pages == 3
 
 
 def test_unregister_consumer(governor):
     task = governor.begin_task()
-    consumer = _FakeConsumer(10)
-    task.register_consumer(consumer, depth=0)
+    consumer = _Consumer(task, 0)
     task.unregister_consumer(consumer)
-    task.allocate(task.soft_limit_pages + 1)
+    caller = _Consumer(task, 1)
+    assert caller.memory.reserve(task.soft_limit_pages + 1) is False
     assert consumer.relinquish_calls == 0
 
 
-def test_headroom(governor):
+def test_reserve_up_to_the_soft_limit(governor):
     task = governor.begin_task()
     soft = task.soft_limit_pages
-    assert task.headroom_pages() == soft
-    task.allocate(soft // 2)
-    assert task.headroom_pages() == soft - soft // 2
+    memory = _Consumer(task, 0).memory
+    assert memory.reserve(soft // 2)
+    assert memory.reserve(soft - soft // 2)
+    assert task.used_pages == soft and task.soft_limit_hits == 0
+    assert not memory.reserve(1)
+    assert task.used_pages == soft and task.soft_limit_hits == 1
 
 
 def test_active_requests_counts_tasks(governor):

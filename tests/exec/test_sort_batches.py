@@ -46,10 +46,9 @@ class RowPathSortOp(SortOp):
 
     def execute_batches(self, ctx):
         self._ctx = ctx
-        self._memory = WorkMemory(ctx.task, ctx.pool.page_size)
+        self._memory = WorkMemory(ctx.task, ctx.pool.page_size, self)
         self._current = []
         self._runs = []
-        ctx.task.register_consumer(self, depth=getattr(self, "depth", 1))
         try:
             for batch in self.child.execute_batches(ctx):
                 ctx.charge(batch.count * CPU_SORT_FACTOR_BATCH_US * 4)
@@ -58,7 +57,6 @@ class RowPathSortOp(SortOp):
             self._merging = True
             yield from rows_to_batches(self._merge_emit(ctx), ctx.batch_rows)
         finally:
-            ctx.task.unregister_consumer(self)
             self._memory.release_all()
 
     def _merge_emit(self, ctx):

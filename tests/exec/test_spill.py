@@ -50,10 +50,30 @@ class TestRowBytes:
             assert row_bytes(width) == env_row_bytes(env)
 
 
+class _Owner:
+    """A consumer holding nothing but its work memory."""
+
+    depth = 0
+    memory = None
+
+    @property
+    def memory_pages(self):
+        return self.memory.pages_held if self.memory is not None else 0
+
+    def relinquish_memory(self):
+        return 0
+
+
+def work_memory(task, page_size):
+    owner = _Owner()
+    owner.memory = WorkMemory(task, page_size, owner)
+    return owner.memory
+
+
 class TestWorkMemory:
     def test_pages_track_bytes(self, env):
         ctx, __, task, __v = env
-        memory = WorkMemory(task, ctx.pool.page_size)
+        memory = work_memory(task, ctx.pool.page_size)
         memory.add(ctx.pool.page_size * 3)
         assert memory.pages_held == 3
         assert task.used_pages == 3
@@ -64,16 +84,23 @@ class TestWorkMemory:
 
     def test_partial_pages_round_up(self, env):
         ctx, __, task, __v = env
-        memory = WorkMemory(task, ctx.pool.page_size)
+        memory = work_memory(task, ctx.pool.page_size)
         memory.add(1)
         assert memory.pages_held == 1
 
-    def test_would_exceed_soft(self, env):
+    def test_reserve_at_the_soft_limit(self, env):
         ctx, __, task, __v = env
-        memory = WorkMemory(task, ctx.pool.page_size)
-        headroom_bytes = task.headroom_pages() * ctx.pool.page_size
-        assert not memory.would_exceed_soft(headroom_bytes - ctx.pool.page_size)
-        assert memory.would_exceed_soft(headroom_bytes + 2 * ctx.pool.page_size)
+        memory = work_memory(task, ctx.pool.page_size)
+        page = ctx.pool.page_size
+        soft_bytes = task.soft_limit_pages * page
+        assert memory.reserve(soft_bytes - page)
+        assert memory.pages_held == task.soft_limit_pages - 1
+        # The last page fits; a byte past it does not, and is not taken.
+        assert memory.reserve(page)
+        assert not memory.reserve(1)
+        assert memory.bytes_used == soft_bytes
+        assert memory.pages_held == task.used_pages == task.soft_limit_pages
+        assert task.soft_limit_hits == 1
 
 
 class TestSpillFile:
@@ -117,7 +144,7 @@ class TestSpillFile:
 class TestSpillableBuffer:
     def test_small_buffer_stays_in_memory(self, env):
         ctx, temp, __, __v = env
-        buffer = SpillableBuffer(ctx, row_bytes_estimate=64)
+        buffer = SpillableBuffer(ctx, 0, row_bytes_estimate=64)
         for i in range(10):
             buffer.append({0: (i,)})
         buffer.seal()
@@ -127,7 +154,7 @@ class TestSpillableBuffer:
 
     def test_large_buffer_spills(self, env):
         ctx, temp, task, __v = env
-        buffer = SpillableBuffer(ctx, row_bytes_estimate=ctx.pool.page_size)
+        buffer = SpillableBuffer(ctx, 0, row_bytes_estimate=ctx.pool.page_size)
         n = task.soft_limit_pages + 20
         for i in range(n):
             buffer.append({0: (i,)})
@@ -138,14 +165,14 @@ class TestSpillableBuffer:
 
     def test_append_after_seal_rejected(self, env):
         ctx, __, __t, __v = env
-        buffer = SpillableBuffer(ctx)
+        buffer = SpillableBuffer(ctx, 0)
         buffer.seal()
         with pytest.raises(ExecutionError):
             buffer.append({0: (1,)})
 
     def test_free_releases_everything(self, env):
         ctx, temp, task, __v = env
-        buffer = SpillableBuffer(ctx, row_bytes_estimate=ctx.pool.page_size)
+        buffer = SpillableBuffer(ctx, 0, row_bytes_estimate=ctx.pool.page_size)
         for i in range(task.soft_limit_pages + 20):
             buffer.append({0: (i,)})
         buffer.free()
