@@ -24,7 +24,9 @@ show; these sanitizers check the invariants only execution can reach:
 * **shared bound forms** — every hit of the server's prepared-statement
   cache (:mod:`repro.engine.statements`) re-takes the structural
   fingerprint of the cached parse tree and bound form and compares it
-  with the one taken when the entry was cached (:class:`BoundFormError`).
+  with the one taken when the entry was cached, and a hit by statement
+  shape also parses and binds its own text and compares that with the
+  shared form read with its literal values (:class:`BoundFormError`).
 
 Enable them with ``Server(sanitize=True)``, the ``REPRO_SANITIZE``
 environment variable, or :func:`set_sanitizers_enabled` (the pytest
@@ -98,7 +100,8 @@ class GroupCommitInvariantError(SanitizerError):
 
 class BoundFormError(SanitizerError):
     """A cached statement's parse tree or bound form was written after
-    it was cached (only the binder may write a bound form)."""
+    it was cached (only the binder may write a bound form), or a text
+    does not bind to the form its shape shares."""
 
 
 class PageImageError(SanitizerError):

@@ -568,7 +568,9 @@ class Server:
     # optimizer plumbing
     # ------------------------------------------------------------------ #
 
-    def make_optimizer(self, use_indexes=True):
+    def make_optimizer(self, use_indexes=True, slots=None):
+        """An optimizer for one statement; ``slots`` are the values of
+        its lifted literals, which the estimator reads as literals."""
         context = CostModelContext(
             self.catalog.dtt_model,
             self.config.page_size,
@@ -593,7 +595,7 @@ class Server:
             effort = DEFAULT_EFFORT_FACTOR
         return Optimizer(
             self.catalog,
-            self._make_estimator(),
+            self._make_estimator(slots),
             context,
             quota=quota,
             metrics=self.metrics,
@@ -656,10 +658,10 @@ class Server:
         self.catalog.dtt_model = DTTModel.from_dict(data)
         return self.catalog.dtt_model
 
-    def _make_estimator(self):
+    def _make_estimator(self, slots=None):
         from repro.optimizer import SelectivityEstimator
 
-        return SelectivityEstimator(self.stats, self.catalog)
+        return SelectivityEstimator(self.stats, self.catalog, slots)
 
     # ------------------------------------------------------------------ #
     # bulk load (LOAD TABLE)
@@ -888,26 +890,27 @@ class Connection:
         """
         from repro.engine.cursor import Cursor
 
-        with self._statement(sql) as statement:
-            cursor = Cursor(self, statement.prepared, sql, params)
+        with self._statement(sql, params) as statement:
+            cursor = Cursor(self, statement.prepared, sql, statement.params)
             statement.result = Result(
                 plan_result=cursor.plan_result, notes=cursor.notes
             )
         return cursor
 
     def execute(self, sql, params=None, overrides=None):
-        with self._statement(sql) as statement:
+        with self._statement(sql, params) as statement:
             statement.result = self._execute(
-                statement.prepared, sql, params, overrides
+                statement.prepared, sql, statement.params, overrides
             )
         return statement.result
 
     @contextlib.contextmanager
-    def _statement(self, sql):
+    def _statement(self, sql, params):
         """One client statement's bookkeeping, shared by :meth:`execute`
         and :meth:`open_cursor`: prepare and count it, time it, note the
         faults it survived, trace it (failures too) and check its pins.
-        Yields a :class:`_Statement`; the body stores its Result there."""
+        Yields a :class:`_Statement`; the body runs it with its
+        ``params`` and stores its Result there."""
         if self._closed:
             raise ExecutionError("connection is closed")
         server = self.server
@@ -921,7 +924,13 @@ class Connection:
         statement = _Statement()
         error = None
         try:
-            statement.prepared = server.statements.prepare(sql)
+            # A text prepared by its shape runs with its literals' values
+            # as its parameters; one given parameters keeps its text key.
+            prepared = server.statements.prepare(sql, lift=params is None)
+            statement.prepared = prepared
+            statement.params = (
+                params if prepared.values is None else prepared.values
+            )
             server.statements_executed += 1
             server._m_statements.inc()
             yield statement
@@ -1062,7 +1071,9 @@ class Connection:
             bound.select_block
             if isinstance(prepared.tree, ast.InsertStatement) else bound
         )
-        optimizer = server.make_optimizer(use_indexes=use_indexes)
+        optimizer = server.make_optimizer(
+            use_indexes=use_indexes, slots=prepared.values
+        )
 
         def optimize(query_block):
             result = optimizer.optimize_select(query_block)
@@ -1154,7 +1165,9 @@ class Connection:
         server = self.server
         bound = prepared.bound
         table = bound.table
-        result = server.make_optimizer().optimize_simple_dml(bound)
+        result = server.make_optimizer(
+            slots=prepared.values
+        ).optimize_simple_dml(bound)
         self.last_plan = result
         targets = self._collect_dml_targets(bound, result, params)
         is_update = isinstance(prepared.tree, ast.UpdateStatement)
@@ -1492,12 +1505,14 @@ class Connection:
 
 
 class _Statement:
-    """A client statement in flight: its prepared form, then its Result."""
+    """A client statement in flight: its prepared form and parameters,
+    then its Result."""
 
-    __slots__ = ("prepared", "result")
+    __slots__ = ("prepared", "params", "result")
 
     def __init__(self):
         self.prepared = None
+        self.params = None
         self.result = None
 
 

@@ -288,6 +288,9 @@ def _has_null(expr, values):
     """Whether ``values``, ``expr``'s batch column, holds a NULL."""
     if isinstance(expr, ast.Literal):
         return expr.value is None
+    if isinstance(expr, ast.Parameter):
+        # One value, repeated (a lifted literal is a parameter too).
+        return bool(values) and values[0] is None
     return None in values
 
 

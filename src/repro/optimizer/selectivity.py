@@ -33,9 +33,12 @@ DEFAULT_GENERIC = 0.20
 class SelectivityEstimator:
     """Estimates predicate and join selectivities for one catalog."""
 
-    def __init__(self, stats_manager, catalog):
+    def __init__(self, stats_manager, catalog, slots=None):
         self.stats = stats_manager
         self.catalog = catalog
+        #: The values of the statement's lifted literals (its shape's
+        #: slots), or None.
+        self.slots = slots
 
     # ------------------------------------------------------------------ #
     # local (single-quantifier) predicates
@@ -69,9 +72,13 @@ class SelectivityEstimator:
         return self._predicate_selectivity(conjunct.column, quantifier)
 
     def _predicate_selectivity(self, predicate, quantifier):
-        # Operand policy: literals and ``-literal`` fold to values; a
-        # parameter (or any other expression) is an unknown constant.
-        values = [static_value(operand) for operand in predicate.operands]
+        # Operand policy: literals, lifted literals and ``-literal`` fold
+        # to values; a parameter (or any other expression) is an unknown
+        # constant.
+        values = [
+            static_value(operand, slots=self.slots)
+            for operand in predicate.operands
+        ]
         column = predicate.column
         kind = predicate.kind
         # The histogram's total, taken once for the whole estimate.

@@ -59,6 +59,20 @@ class Parameter(Expression):
         return "Parameter(%r)" % (self.name if self.name is not None else self.ordinal,)
 
 
+class Slot(Parameter):
+    """A number or string literal lifted out of a statement's shape: the
+    ``ordinal``-th literal of the text, read from the statement's
+    parameters like a ``?``.  ``kind`` ('int', 'float' or 'string') is
+    part of the shape; the value is not."""
+
+    def __init__(self, ordinal, kind):
+        super().__init__(ordinal=ordinal)
+        self.kind = kind
+
+    def __repr__(self):
+        return "Slot(%d, %s)" % (self.ordinal, self.kind)
+
+
 class ColumnRef(Expression):
     def __init__(self, table_alias, column_name):
         self.table_alias = table_alias  # None if unqualified

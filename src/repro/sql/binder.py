@@ -874,11 +874,15 @@ def _collect_aggregates(expr, out):
 _BOUND_MODULES = frozenset((ast.__name__, __name__, column_predicate.__module__))
 
 
-def bound_fingerprint(value):
+def bound_fingerprint(value, slot_values=None):
     """A structural snapshot of a parse tree or bound form: every
     attribute of every node reachable from ``value``, in a fixed walk
     order, with referenced schema objects by identity.  Two snapshots of
-    one form are equal unless something wrote into it in between."""
+    one form are equal unless something wrote into it in between.
+
+    With ``slot_values``, a lifted :class:`~repro.sql.ast.Slot` is taken
+    as the literal it stands for (``slot_values[ordinal]``), so a shared
+    form and a text's own parse and bind fingerprint alike."""
     seen = {}
 
     def walk(item):
@@ -897,6 +901,8 @@ def bound_fingerprint(value):
         if id(item) in seen:
             return ("seen", seen[id(item)])
         seen[id(item)] = len(seen)
+        if slot_values is not None and isinstance(item, ast.Slot):
+            return ("Literal", ("value", walk(slot_values[item.ordinal])))
         names = (
             sorted(vars(item)) if hasattr(item, "__dict__")
             else type(item).__slots__
@@ -912,6 +918,10 @@ def expr_signature(expr):
     """A structural signature for bound-expression equality."""
     if isinstance(expr, ast.Literal):
         return ("lit", expr.value)
+    if isinstance(expr, ast.Slot):
+        # A lifted literal equals only itself: its value is the text's,
+        # not the shape's, so nothing matches through it.
+        return ("slot", expr.ordinal)
     if isinstance(expr, ast.ColumnRef):
         return ("col", expr.quantifier_id, expr.column_index)
     if isinstance(expr, GroupRef):
@@ -963,6 +973,13 @@ class _GroupRewriter:
             expr_signature(expr): (index, type_name)
             for index, (expr, __, type_name) in enumerate(key_meta)
         }
+        #: Keys holding a lifted literal, with their slots made alike: an
+        #: expression that matches one of these would match the key in
+        #: some texts of the shape and not in others.
+        self._lifted_keys = {
+            _without_slots(signature) for signature in self._key_index
+            if _without_slots(signature) != signature
+        }
         self._n_keys = len(key_meta)
         self._agg_index = {}
         for offset, aggregate in enumerate(aggregates):
@@ -973,6 +990,11 @@ class _GroupRewriter:
         if signature in self._key_index:
             index, type_name = self._key_index[signature]
             return GroupRef(index, type_name, _display_name_bound(expr))
+        if self._lifted_keys and _without_slots(signature) in self._lifted_keys:
+            raise SqlTypeError(
+                "an expression matches a GROUP BY expression only through "
+                "the value of a literal"
+            )
         if isinstance(expr, ast.FunctionCall) and expr.is_aggregate:
             return GroupRef(
                 self._agg_index[id(expr)], _infer_type(expr), expr.name
@@ -986,6 +1008,16 @@ class _GroupRewriter:
         return expr
 
 
+def _without_slots(signature):
+    """``signature`` with every slot's ordinal dropped."""
+    if signature[:1] == ("slot",):
+        return ("slot",)
+    return tuple(
+        _without_slots(part) if isinstance(part, tuple) else part
+        for part in signature
+    )
+
+
 def _display_name(expr):
     if isinstance(expr, ast.ColumnRef):
         return expr.column_name
@@ -996,6 +1028,10 @@ def _display_name(expr):
 
 def _display_name_bound(expr):
     return _display_name(expr)
+
+
+#: A lifted literal's type, by its kind (the type its value would infer).
+_SLOT_TYPES = {"int": "INT", "float": "DOUBLE", "string": "VARCHAR"}
 
 
 def _infer_type(expr):
@@ -1013,6 +1049,8 @@ def _infer_type(expr):
         if isinstance(value, str):
             return "VARCHAR"
         return "DATE"
+    if isinstance(expr, ast.Slot):
+        return _SLOT_TYPES[expr.kind]
     if isinstance(expr, ast.ColumnRef):
         return expr.type_name if expr.type_name is not None else "VARCHAR"
     if isinstance(expr, GroupRef):

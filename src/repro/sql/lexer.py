@@ -1,6 +1,7 @@
 """SQL tokenizer."""
 
 import datetime
+import re
 
 from repro.common.errors import SqlParseError
 
@@ -101,6 +102,63 @@ def tokenize(text):
             raise SqlParseError("unexpected character %r" % (char,), index)
     tokens.append(Token("eof", None, length, length))
     return tokens
+
+
+#: One pass over a statement text that finds its number and string
+#: literals where :func:`tokenize` finds them.  Between two literals is
+#: one ``skip`` run of whole tokens: ASCII words (so the digits of
+#: ``t1`` stay in their identifier), quoted identifiers, comments, ASCII
+#: whitespace and operators.  ``bad`` is an exponent without digits
+#: (which ``tokenize`` rejects) and ``other`` anything else: a ``?``, a
+#: character outside ASCII, an unterminated quote.
+_SHAPE_SCAN = re.compile(r"""
+    (?P<skip>(?:
+        [A-Za-z_][A-Za-z0-9_]*
+      | "[^"]*"
+      | --[^\n]*
+      | [ \t\n\r\x0b\x0c\x1c-\x1f]
+      | [(),;*/=<>+] | -(?!-) | \.(?![0-9]) | != | \|\|
+    )+)
+  | (?P<bad>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE](?![+-]?[0-9]))
+  | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<string>'[^']*(?:''[^']*)*')
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
+
+#: What stands for a literal of each kind in a shape.  NUL never reaches
+#: a shape otherwise: outside a literal it is ``other``.
+SHAPE_INT, SHAPE_FLOAT, SHAPE_STRING = "\x00i", "\x00f", "\x00s"
+
+
+def literal_shape(text):
+    """``(shape, values)``: ``text`` with each number and string literal
+    replaced by its kind (:data:`SHAPE_INT`, :data:`SHAPE_FLOAT`,
+    :data:`SHAPE_STRING`), and the literals' values in text order — the
+    values and kinds :func:`tokenize` gives those tokens.  None when the
+    text has no literal, or the pass cannot split it as ``tokenize``
+    would (then the text is its own shape)."""
+    shape = []
+    values = []
+    for match in _SHAPE_SCAN.finditer(text):
+        kind = match.lastgroup
+        if kind == "skip":
+            shape.append(match.group())
+        elif kind == "number":
+            literal = match.group()
+            if literal.isdigit():
+                shape.append(SHAPE_INT)
+                values.append(int(literal))
+            else:
+                shape.append(SHAPE_FLOAT)
+                values.append(float(literal))
+        elif kind == "string":
+            shape.append(SHAPE_STRING)
+            values.append(match.group()[1:-1].replace("''", "'"))
+        else:
+            return None
+    if not values:
+        return None
+    return "".join(shape), tuple(values)
 
 
 def _read_string(text, index):

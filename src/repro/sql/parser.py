@@ -8,18 +8,43 @@ _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _AGG_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 
-def parse_statement(text):
-    """Parse one SQL statement; raises :class:`SqlParseError` on bad input."""
-    parser = _Parser(tokenize(text))
+#: The statements whose expression literals can be lifted into slots.
+_LIFTS = {"SELECT", "INSERT", "UPDATE", "DELETE"}
+
+
+def parse_statement(text, lift=False):
+    """Parse one SQL statement; raises :class:`SqlParseError` on bad input.
+
+    With ``lift``, each number and string literal the expression grammar
+    reads becomes an :class:`~repro.sql.ast.Slot`, numbered in text
+    order.  Then the result is None unless every literal of the text
+    lifted: a SELECT, INSERT, UPDATE or DELETE that reads no literal
+    elsewhere (``LIMIT n``, ``DATE '...'``)."""
+    parser = _Parser(tokenize(text), lift)
+    if lift and not parser.starts_with(_LIFTS):
+        return None
     statement = parser.statement()
     parser.expect_eof()
+    if lift and not parser.lifted_every_literal():
+        return None
     return statement
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, lift=False):
         self._tokens = tokens
         self._index = 0
+        #: How many literals became slots (None: not lifting).
+        self._lifted = 0 if lift else None
+
+    def starts_with(self, words):
+        first = self._tokens[0]
+        return first.kind == "keyword" and first.value in words
+
+    def lifted_every_literal(self):
+        return self._lifted == sum(
+            1 for token in self._tokens if token.kind in ("number", "string")
+        )
 
     # ------------------------------------------------------------------ #
     # token plumbing
@@ -560,12 +585,15 @@ class _Parser:
 
     def _primary(self):
         token = self._peek()
-        if token.kind == "number":
+        if token.kind in ("number", "string"):
             self._advance()
-            return ast.Literal(token.value)
-        if token.kind == "string":
-            self._advance()
-            return ast.Literal(token.value)
+            if self._lifted is None:
+                return ast.Literal(token.value)
+            self._lifted += 1
+            return ast.Slot(self._lifted - 1, (
+                "string" if token.kind == "string"
+                else "int" if isinstance(token.value, int) else "float"
+            ))
         if token.matches("keyword", "NULL"):
             self._advance()
             return ast.Literal(None)

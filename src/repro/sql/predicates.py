@@ -130,11 +130,15 @@ class _NoValue:
 NO_VALUE = _NoValue()
 
 
-def static_value(expr, params=None):
-    """The value ``expr`` has without a row: a literal, a negated literal
-    and — only when ``params`` is given — a parameter; else NO_VALUE."""
+def static_value(expr, params=None, slots=None):
+    """The value ``expr`` has without a row: a literal, a negated literal,
+    a lifted slot when its statement's ``slots`` (the literal values) are
+    given and — only when ``params`` is given — any parameter; else
+    NO_VALUE."""
     if isinstance(expr, ast.Literal):
         return expr.value
+    if isinstance(expr, ast.Slot) and slots is not None:
+        return slots[expr.ordinal]
     if isinstance(expr, ast.Parameter) and params is not None:
         try:
             if expr.name is not None:
@@ -143,7 +147,7 @@ def static_value(expr, params=None):
         except (KeyError, IndexError, TypeError):
             return NO_VALUE
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
-        inner = static_value(expr.operand, params)
+        inner = static_value(expr.operand, params, slots)
         if inner is not NO_VALUE and inner is not None:
             return -inner
     return NO_VALUE

@@ -1,10 +1,11 @@
 """Guard against a second front end in the engine (DESIGN.md §13, "One
 query path"): under ``repro/engine/``, a statement is parsed —
 ``parse_statement(`` — and bound — ``Binder(`` — only inside
-``StatementCache.prepare``, which keys the result on the catalog
-generation and shares it.  A parse or bind anywhere else would hand the
-executor a form the cache never saw: uncounted, unsanitized, and bound
-again on every run."""
+``StatementCache`` (``engine/statements.py``), which keys the result on
+the statement's shape or text and the catalog generation and shares it.
+A parse or bind anywhere else — a text's own form, or a shape's lifted
+template — would hand the executor a form the cache never saw:
+uncounted, unsanitized, and bound again on every run."""
 
 import ast
 import pathlib
@@ -43,8 +44,15 @@ def test_statements_are_parsed_and_bound_only_by_the_cache():
         }
     # Equality, not subset: the guard must notice its own target moving.
     assert found == {
-        ("statements", "parse_statement", "StatementCache.prepare"),
-        ("statements", "Binder", "StatementCache.prepare"),
+        # A shape's lifted template, bound once for all its texts.
+        ("statements", "parse_statement", "StatementCache._prepare_shape"),
+        ("statements", "Binder", "StatementCache._prepare_shape"),
+        # A text keyed on itself.
+        ("statements", "parse_statement", "StatementCache._prepare_text"),
+        ("statements", "Binder", "StatementCache._prepare_text"),
+        # The sanitizer's fresh parse and bind of a shape hit's text.
+        ("statements", "parse_statement", "StatementCache._check_shape"),
+        ("statements", "Binder", "StatementCache._check_shape"),
     }
 
 
@@ -60,3 +68,16 @@ def test_the_guard_sees_a_second_front_end():
         ("Binder", "Connection._execute_call"),
     }
     assert front_end_sites("binder = make_binder()\nparse(text)\n") == set()
+
+
+def test_the_guard_sees_a_template_bound_outside_the_cache():
+    planted = (
+        "class Connection:\n"
+        "    def _statement(self, sql, values):\n"
+        "        template = parse_statement(sql, lift=True)\n"
+        "        self._bound = Binder(self.server.catalog).bind(template)\n"
+    )
+    assert front_end_sites(planted) == {
+        ("parse_statement", "Connection._statement"),
+        ("Binder", "Connection._statement"),
+    }

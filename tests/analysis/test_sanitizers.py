@@ -26,10 +26,12 @@ from repro.buffer.frames import Frame, PageKind
 from repro.buffer.replacement import GClockPolicy
 from repro.common import MiB, SimClock
 from repro.common.errors import MemoryQuotaExceededError
+from repro.engine.statements import StatementCache
 from repro.exec.operators import SeqScanOp
 from repro.exec.spill import WorkMemory
 from repro.ossim import OperatingSystem
 from repro.storage import FlashDisk, Volume
+from repro.sql import ast as sql_ast, binder as binder_module
 from repro.storage.rowstore import TableStorage
 
 pytestmark = pytest.mark.sanitizer
@@ -556,6 +558,50 @@ class TestBoundFormSanitizer:
         with pytest.raises(BoundFormError) as excinfo:
             conn.execute(self.SELECT)
         assert self.SELECT in str(excinfo.value)
+
+    def test_shape_hits_parse_and_bind_their_own_text(self, monkeypatch):
+        """A text that differs from a cached one only in its literals
+        runs on the shared form, and the sanitizer parses and binds it
+        afresh to check that form against the text's own."""
+        server, conn = self._server()
+        checks = []
+        check_shape = StatementCache._check_shape
+
+        def counting(self, sql, prepared, values):
+            checks.append((sql, values))
+            return check_shape(self, sql, prepared, values)
+
+        monkeypatch.setattr(StatementCache, "_check_shape", counting)
+        assert conn.execute(self.SELECT).rows == [(1,)]
+        assert conn.execute("SELECT a FROM t WHERE b = 4").rows == [(2,)]
+        assert conn.execute("SELECT a FROM t WHERE b = 5").rows == []
+        assert checks == [
+            ("SELECT a FROM t WHERE b = 4", (4,)),
+            ("SELECT a FROM t WHERE b = 5", (5,)),
+        ]
+
+    def test_a_signature_reading_a_slot_detected(self, monkeypatch):
+        """Plant an ``expr_signature`` under which two lifted literals of
+        one kind are equal, as if it read their values: the shape of
+        ``b + 1 ... GROUP BY b + 1`` then binds with its select item
+        matched to the key, and a text of that shape whose literals
+        differ (which binds to an error as itself) must trip the
+        sanitizer instead of running on the shared form."""
+        signature = binder_module.expr_signature
+
+        def reading(expr):
+            if isinstance(expr, sql_ast.Slot):
+                return ("lit", expr.kind)
+            return signature(expr)
+
+        monkeypatch.setattr(binder_module, "expr_signature", reading)
+        server, conn = self._server()
+        same = "SELECT b + 1, COUNT(*) FROM t GROUP BY b + 1"
+        assert sorted(conn.execute(same).rows) == [(4, 1), (5, 1)]
+        differ = "SELECT b + 1, COUNT(*) FROM t GROUP BY b + 2"
+        with pytest.raises(BoundFormError) as excinfo:
+            conn.execute(differ)
+        assert differ in str(excinfo.value)
 
 
 class TestEnablement:

@@ -2,13 +2,17 @@
 
 :class:`ReferenceServer` keeps the uncached path: every statement is
 parsed by ``parse_statement`` and bound by a fresh ``Binder`` each time
-it runs, and the optimizer estimates every conjunct again for each index
-option, re-taking the histogram's total at every step.  A seeded testgen
-corpus (DML, TLP and NoREC queries, their plan variants, procedure
-calls, DDL moving the catalog generation, and repeated texts) runs on a
-cached server and a reference server in lockstep; after every statement
-rows, rowcount, error type, plan signature, estimated cost, optimizer
-nodes visited, the statement count and the simulated clock must agree.
+it runs, its literals stay literals, and the optimizer estimates every
+conjunct again for each index option, re-taking the histogram's total at
+every step.  A seeded testgen corpus (DML, TLP and NoREC queries, their
+plan variants, procedure calls, DDL moving the catalog generation, and
+repeated texts) runs on a cached server and a reference server in
+lockstep, each generated statement followed by two texts of its shape
+with other literals (negative, 0, a float with an exponent, a string
+with ``''``, the empty string, a value outside every histogram); after
+every statement rows, output columns and types, rowcount, error type,
+plan signature, estimated cost, optimizer nodes visited, the statement
+count, the simulated clock and every column histogram must agree.
 """
 
 import random
@@ -17,7 +21,7 @@ import pytest
 
 from repro import Server, ServerConfig, StatementOverrides
 from repro.engine import WorkloadScheduler
-from repro.engine.statements import CAPACITY, Prepared
+from repro.engine.statements import CAPACITY, Prepared, StatementCache
 from repro.optimizer.costmodel import CPU_ROW_US
 from repro.optimizer.enumeration import QuantifierInfo
 from repro.optimizer.optimizer import Optimizer
@@ -32,6 +36,7 @@ from repro.optimizer.selectivity import (
 )
 from repro.sql import Binder, ast, parse_statement
 from repro.sql.binder import Quantifier
+from repro.sql.lexer import SHAPE_FLOAT, SHAPE_INT, SHAPE_STRING
 from repro.sql.predicates import (
     CMP,
     IN,
@@ -45,6 +50,7 @@ from repro.sql.predicates import (
 from repro.testgen.oracles import NOREC_VARIANTS
 from repro.testgen.queries import QueryGenerator
 from repro.testgen.schema import SchemaGenerator, random_dml
+from tests.sql.test_literal_shape import relit
 
 # --------------------------------------------------------------------- #
 # the reference: the uncached front end and the per-index estimates
@@ -57,7 +63,7 @@ class FreshFrontEnd:
     def __init__(self, catalog):
         self.catalog = catalog
 
-    def prepare(self, sql, procedure_params=None):
+    def prepare(self, sql, procedure_params=None, lift=True):
         tree = parse_statement(sql)
         if not isinstance(tree, (
             ast.SelectStatement, ast.InsertStatement, ast.UpdateStatement,
@@ -242,11 +248,11 @@ class ReferenceServer(Server):
         super().__init__(*args, **kwargs)
         self.statements = FreshFrontEnd(self.catalog)
 
-    def _make_estimator(self):
-        return ReferenceEstimator(self.stats, self.catalog)
+    def _make_estimator(self, slots=None):
+        return ReferenceEstimator(self.stats, self.catalog, slots)
 
-    def make_optimizer(self, use_indexes=True):
-        optimizer = super().make_optimizer(use_indexes=use_indexes)
+    def make_optimizer(self, use_indexes=True, slots=None):
+        optimizer = super().make_optimizer(use_indexes=use_indexes, slots=slots)
         optimizer.__class__ = ReferenceOptimizer
         return optimizer
 
@@ -255,16 +261,31 @@ def config():
     return ServerConfig(start_buffer_governor=False, initial_pool_pages=256)
 
 
-def outcome(connection, sql, overrides=None):
+def histograms(server):
+    """Every column histogram the statistics hold, as plain values."""
+    return {
+        key: (
+            stats.histogram.bucket_view(), stats.histogram.singleton_view(),
+            stats.histogram.null_count, stats.histogram.distinct_nonsingleton,
+            stats.histogram.feedback_updates,
+        )
+        for key, stats in server.stats._columns.items()
+        if stats.histogram is not None
+    }
+
+
+def outcome(connection, sql, overrides=None, params=None):
     """Everything one statement must leave identical on both servers."""
     server = connection.server
     try:
-        result = connection.execute(sql, overrides=overrides)
+        result = connection.execute(sql, params, overrides=overrides)
     except Exception as exc:  # noqa: BLE001 — the error type is compared
         return ("error", type(exc).__name__, str(exc),
-                server.statements_executed, server.clock.now)
+                server.statements_executed, server.clock.now,
+                histograms(server))
     planned = result.plan_result
     return (
+        # ``columns`` holds each output column's name and type.
         result.rows, result.columns, result.rowcount,
         plan_signature(planned) if planned is not None else None,
         planned.plan.est_cost_us
@@ -273,6 +294,7 @@ def outcome(connection, sql, overrides=None):
         if planned is not None and planned.stats is not None else None,
         server.statements_executed,
         server.clock.now,
+        histograms(server),
     )
 
 
@@ -301,9 +323,19 @@ OVERRIDES = [None] + [overrides for __, overrides in NOREC_VARIANTS] + [
 ]
 
 
+#: Other literals of each kind for a text's variants (an int after a
+#: ``-`` is a negative; 1000000007 lies outside every histogram).
+VARIANT_LITERALS = {
+    SHAPE_INT: ["0", "1000000007", "3", "12"],
+    SHAPE_FLOAT: ["1.5e1", "0.0", "2.5E-1"],
+    SHAPE_STRING: ["''", "'it''s'", "'x%'"],
+}
+
+
 def corpus(schema_seed, slots):
     """A seeded statement stream: (sql, overrides) pairs, about half of
-    them repeats of an earlier text."""
+    them repeats of an earlier text; each new text is followed by two
+    variants of its shape."""
     schema = SchemaGenerator(schema_seed).generate()
     rng = random.Random("statement-cache:%d" % schema_seed)
     for sql in schema.ddl_statements():
@@ -344,18 +376,32 @@ def corpus(schema_seed, slots):
         for sql in texts:
             seen.append(sql)
             yield sql, rng.choice(OVERRIDES)
+            if not sql.startswith(("CREATE", "DROP")):
+                for __ in range(2):
+                    yield relit(sql, rng, VARIANT_LITERALS), rng.choice(OVERRIDES)
 
 
 @pytest.mark.parametrize("schema_seed", [1, 2, 3])
-def test_corpus_matches_the_uncached_front_end(schema_seed):
+def test_corpus_matches_the_uncached_front_end(schema_seed, monkeypatch):
+    shared = []
+    prepare = StatementCache.prepare
+
+    def recording(self, *args, **kwargs):
+        prepared = prepare(self, *args, **kwargs)
+        shared.append(prepared.values is not None)
+        return prepared
+
+    monkeypatch.setattr(StatementCache, "prepare", recording)
     lockstep = Lockstep()
     for sql, overrides in corpus(schema_seed, slots=400):
         lockstep.run(sql, overrides)
     cached = lockstep.cached.server
     snapshot = cached.metrics.snapshot()
-    # The corpus exercised the cache, misses and hits both.
-    assert snapshot["statements.cache_hits"] > 50
+    # The corpus exercised the cache, misses and hits both, and most
+    # statements ran on a form their shape shares.
+    assert snapshot["statements.cache_hits"] > 500
     assert snapshot["statements.cache_misses"] > 300
+    assert sum(shared) > 1000
     assert len(cached.statements) <= CAPACITY
 
 
@@ -389,8 +435,8 @@ def test_scheduled_sessions_sharing_texts_match_the_reference():
         ))
         hits.append(server.metrics.snapshot()["statements.cache_hits"])
     assert traces[0] == traces[1]
-    # The two sessions' 48 statements share 15 texts.
-    assert hits[0] == 48 - 15
+    # The two sessions' 48 statements (15 texts) share 3 shapes.
+    assert hits[0] == 48 - 3
 
 
 def test_recreated_table_with_reordered_columns_rebinds():
@@ -477,6 +523,126 @@ def test_a_bind_error_counts_the_statement_and_is_not_cached():
 def test_the_capacity_bounds_the_cache():
     connection = Server(config()).connect()
     connection.execute("CREATE TABLE t (a INT PRIMARY KEY)")
+    # Each alias makes another shape (a new literal alone would not).
     for i in range(CAPACITY + 10):
-        connection.execute("SELECT a FROM t WHERE a = %d" % i)
+        connection.execute("SELECT a AS c%d FROM t WHERE a = %d" % (i, i))
     assert len(connection.server.statements) == CAPACITY
+
+
+# --------------------------------------------------------------------- #
+# which texts share a shape
+# --------------------------------------------------------------------- #
+
+#: Texts that keep their exact-text key, with the reason.
+TEXT_KEYED = [
+    ("SELECT a FROM t WHERE b = 1 LIMIT 5", "LIMIT reads its literal"),
+    ("SELECT a FROM t WHERE b = 1 AND DATE '2020-01-02' IS NOT NULL",
+     "DATE reads its string"),
+    ("SET OPTION optimizer_quota = 50", "not a query or DML"),
+    ("SELECT a FROM t WHERE b = ? AND a > 1", "a ? parameter"),
+    ("CALL by_b(3)", "not a query or DML"),
+    ("WITH RECURSIVE r(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM r "
+     "WHERE n < 5) SELECT n FROM r", "a recursive CTE"),
+    ("SELECT b + 1, COUNT(*) FROM t GROUP BY b + 1",
+     "a select item matches GROUP BY through a literal"),
+    ("SELECT 1, COUNT(*) FROM t GROUP BY 1",
+     "a select item matches GROUP BY through a literal"),
+]
+
+#: Texts that share their shape's form.
+SHAPED = [
+    "SELECT a FROM t WHERE b = 1",
+    "SELECT a FROM t WHERE b IN (1, 2) AND 'x' LIKE 'x%'",
+    "SELECT b, COUNT(*) FROM t WHERE a > 0 GROUP BY b HAVING COUNT(*) > 1",
+    "SELECT a * 2.5e0 FROM t WHERE a = -3",
+    "INSERT INTO t VALUES (9, 9)",
+    "UPDATE t SET b = b + 1 WHERE a = 1",
+    "DELETE FROM t WHERE a = 7",
+]
+
+
+def shape_server():
+    lockstep = Lockstep()
+    lockstep.run("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+    lockstep.run("INSERT INTO t VALUES (1, 1), (2, 1), (3, 2)")
+    lockstep.run("CREATE PROCEDURE by_b(x) AS SELECT a FROM t WHERE b = x")
+    return lockstep
+
+
+@pytest.mark.parametrize("sql, reason", TEXT_KEYED)
+def test_texts_that_keep_the_text_key(sql, reason):
+    lockstep = shape_server()
+    statements = lockstep.cached.server.statements
+    params = [1] if "?" in sql else None
+    for __ in range(2):
+        got = outcome(lockstep.cached, sql, params=params)
+        assert got == outcome(lockstep.reference, sql, params=params)
+        assert got[0] != "error", reason
+    assert statements.prepare(sql).values is None, reason
+
+
+@pytest.mark.parametrize("sql", SHAPED)
+def test_texts_that_share_a_shape(sql):
+    lockstep = shape_server()
+    statements = lockstep.cached.server.statements
+    lockstep.run(sql)
+    assert statements.prepare(sql).values is not None
+    # A caller's own parameters keep the text key.
+    assert statements.prepare(sql, lift=False).values is None
+
+
+def test_group_by_through_a_literal_binds_each_text_as_itself():
+    lockstep = shape_server()
+    same = lockstep.run("SELECT b + 1, COUNT(*) FROM t GROUP BY b + 1")
+    assert sorted(same[0]) == [(2, 2), (3, 1)]
+    differ = lockstep.run("SELECT b + 1, COUNT(*) FROM t GROUP BY b + 2")
+    assert differ[:2] == ("error", "SqlTypeError")
+
+
+def test_a_user_parameter_stays_unknown_to_the_estimator():
+    """The estimator reads a lifted slot as its literal, and a ``?`` as
+    an unknown constant whatever the statement's slots are: the magic
+    number without statistics, the column's density for an equality."""
+    server = Server(config())
+    connection = server.connect()
+    connection.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+    connection.execute("CREATE TABLE u (a INT PRIMARY KEY, c INT)")
+    server.load_table("t", [(i, 0 if i % 2 else i % 40) for i in range(400)])
+
+    def selectivity(prepared, slots):
+        block = prepared.bound
+        conjunct = block.conjuncts[0]
+        estimator = server.make_optimizer(slots=slots).estimator
+        return estimator.conjunct_selectivity(
+            conjunct, block.quantifier(conjunct.column.column.quantifier_id)
+        )
+
+    def literal(sql):
+        tree = parse_statement(sql)
+        return Prepared(tree, Binder(server.catalog).bind(tree))
+
+    def user(sql):
+        return server.statements.prepare(sql, lift=False)
+
+    lifted_eq = server.statements.prepare("SELECT a FROM t WHERE b = 0")
+    lifted_range = server.statements.prepare("SELECT a FROM t WHERE b >= 10")
+    for lifted, sql in (
+        (lifted_eq, "SELECT a FROM t WHERE b = 0"),
+        (lifted_range, "SELECT a FROM t WHERE b >= 10"),
+    ):
+        assert lifted.values is not None
+        estimate = selectivity(lifted, lifted.values)
+        assert estimate == selectivity(literal(sql), None)
+        assert estimate not in (DEFAULT_EQ, DEFAULT_RANGE)
+    for slots in (None, lifted_eq.values, lifted_range.values):
+        assert selectivity(user("SELECT a FROM u WHERE c = ?"), slots) == (
+            DEFAULT_EQ
+        )
+        assert selectivity(user("SELECT a FROM t WHERE b > ?"), slots) == (
+            DEFAULT_RANGE
+        )
+        density = server.stats.histogram("t", 1).density()
+        assert selectivity(user("SELECT a FROM t WHERE b = ?"), slots) == (
+            density
+        )
+        assert density != selectivity(lifted_eq, lifted_eq.values)
