@@ -16,8 +16,11 @@ the literal text's.  Any other text — one given parameters or holding a
 ``?``, a procedure body, another kind of statement, a literal read
 outside an expression (``LIMIT n``, ``DATE '...'``), a shape whose
 lifted form does not bind or has a recursive CTE — is keyed on its exact
-text (plus the procedure parameter names a CALL body binds against).
-Every engine parse and bind goes through :meth:`StatementCache.prepare`.
+text (plus the procedure parameter names a CALL body binds against),
+and only a text that starts with one of the four keywords has its shape
+looked up.  A statement that changes the catalog is not remembered: it
+bumps the generation it would be keyed under.  Every engine parse and
+bind goes through :meth:`StatementCache.prepare`.
 
 The bound form is *shared*, never copied: the binder annotates parse-tree
 nodes in place, so a cached tree is bound exactly once, and nothing after
@@ -37,6 +40,7 @@ import collections
 from repro.sql import Binder, ast, parse_statement
 from repro.sql.binder import bound_fingerprint
 from repro.sql.lexer import literal_shape
+from repro.sql.parser import LIFTS
 
 #: Cached statements and shapes per server (LRU beyond this): about
 #: 2.8 KB each for a point SELECT.
@@ -46,6 +50,13 @@ CAPACITY = 1024
 _BINDS = (
     ast.SelectStatement, ast.InsertStatement, ast.UpdateStatement,
     ast.DeleteStatement,
+)
+
+#: Statements that bump :attr:`Catalog.generation` when they run.
+_CHANGES_CATALOG = (
+    ast.CreateTableStatement, ast.CreateIndexStatement,
+    ast.CreateProcedureStatement, ast.DropTableStatement,
+    ast.DropIndexStatement,
 )
 
 #: The second part of a shape's key (a text's is its procedure parameter
@@ -104,7 +115,10 @@ class StatementCache:
         ``lift=False`` keys the text on itself (its caller gives it
         parameters)."""
         shape = None
-        if lift and procedure_params is None:
+        # All four keywords have six letters.
+        if lift and procedure_params is None and (
+            sql.lstrip()[:6].upper() in LIFTS
+        ):
             shape = literal_shape(sql)
         if shape is not None:
             text, values = shape
@@ -179,6 +193,8 @@ class StatementCache:
             if binder.binds_recursive_arms:
                 return Prepared(tree, bound, binder=binder)
             prepared = Prepared(tree, bound)
+        if isinstance(tree, _CHANGES_CATALOG):
+            return prepared
         if self.sanitize:
             prepared.fingerprint = bound_fingerprint(
                 (prepared.tree, prepared._bound)

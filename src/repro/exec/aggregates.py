@@ -279,7 +279,9 @@ class HashGroupByOp(Operator):
         self._single_key = len(self.group_keys) == 1
         self._pieces = _PieceFold.over(self, ctx.params)
         # SUM and AVG: a float folded on the row path makes a later
-        # integer partial inexact (``(f + 1) + 1`` is not ``f + 2``).
+        # integer partial inexact (``(f + 1) + 1`` is not ``f + 2``), and
+        # a string would raise when a piece fold first folds the pending
+        # rows, before the row path would: only ints fold from pieces.
         totals = [
             position for position, call in enumerate(self.aggregates)
             if call.name in ("SUM", "AVG")
@@ -308,8 +310,9 @@ class HashGroupByOp(Operator):
                     else evaluate_batch(call.args[0], batch, ctx.params)
                     for call in self.aggregates
                 ]
-                if pieces is not None and any(
-                    float in map(type, value_columns[i]) for i in totals
+                if pieces is not None and not all(
+                    _INTS.issuperset(map(type, value_columns[i]))
+                    for i in totals
                 ):
                     self._pieces = None
                 # zip() of no columns is empty, not batch.count empties.

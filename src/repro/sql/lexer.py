@@ -1,30 +1,79 @@
-"""SQL tokenizer."""
+"""SQL tokenizer: one grammar, two scanners.
+
+Each token class is one regular-expression fragment, and each kind of
+literal becomes its value in one function.  :func:`tokenize` reads every
+class in one ``finditer``; :func:`literal_shape` finds only the literals
+and takes each run of other whole (ASCII) tokens as one match, so that a
+statement-cache hit (DESIGN.md §13) costs one short pass and no tokens.
+"""
 
 import datetime
 import re
 
 from repro.common.errors import SqlParseError
 
-KEYWORDS = {
-    "SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "ASC",
-    "DESC", "LIMIT", "DISTINCT", "AS", "ON", "JOIN", "INNER", "LEFT",
-    "OUTER", "CROSS", "AND", "OR", "NOT", "IS", "NULL", "LIKE", "BETWEEN",
-    "IN", "EXISTS", "UNION", "ALL", "INSERT", "INTO", "VALUES", "UPDATE",
-    "SET", "DELETE", "CREATE", "DROP", "TABLE", "INDEX", "UNIQUE",
-    "PRIMARY", "KEY", "FOREIGN", "REFERENCES", "STATISTICS", "CALIBRATE", "REORGANIZE",
-    "DATABASE", "PROCEDURE", "BEGIN", "COMMIT", "ROLLBACK", "WITH",
-    "RECURSIVE", "TRUE", "FALSE", "DATE", "OPTION", "CALL", "CASE", "WHEN",
-    "THEN", "ELSE", "END", "COUNT", "SUM", "AVG", "MIN", "MAX",
-}
+KEYWORDS = set("""
+    SELECT FROM WHERE GROUP BY HAVING ORDER ASC DESC LIMIT DISTINCT AS ON
+    JOIN INNER LEFT OUTER CROSS AND OR NOT IS NULL LIKE BETWEEN IN EXISTS
+    UNION ALL INSERT INTO VALUES UPDATE SET DELETE CREATE DROP TABLE INDEX
+    UNIQUE PRIMARY KEY FOREIGN REFERENCES STATISTICS CALIBRATE REORGANIZE
+    DATABASE PROCEDURE BEGIN COMMIT ROLLBACK WITH RECURSIVE TRUE FALSE DATE
+    OPTION CALL CASE WHEN THEN ELSE END COUNT SUM AVG MIN MAX
+""".split())
 
-#: What a number is made of.  ``str.isdigit`` is not it: it admits
-#: superscripts, which ``int()`` rejects.  (A set, not a string: the
-#: empty string is in every string.)
-DIGITS = frozenset("0123456789")
+# The token classes.  Digits are ASCII: ``\d`` and ``str.isdigit`` admit
+# digits that ``int()`` reads differently or not at all.
+_MANTISSA = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+NUMBER = _MANTISSA + r"(?:[eE][+-]?[0-9]+)?"
+#: An exponent without digits (with its sign): an error, not a token.
+BAD_EXPONENT = _MANTISSA + r"[eE](?![+-]?[0-9])[+-]?"
+#: ``''`` inside is one quote, so a quote may not follow the closing one.
+STRING = r"'[^']*(?:''[^']*)*'(?!')"
+QUOTED_IDENT = r'"[^"]*"'
+#: An identifier or keyword.  ``\w`` is ``str.isalnum()`` or ``_``;
+#: ``[^\W\d]`` also takes ``²`` and ``½``, which start no word
+#: (:func:`tokenize` checks ``str.isalpha()``).
+WORD = r"[^\W\d]\w*"
+COMMENT = r"--[^\n]*"
+#: Longest first; ``.`` before a digit starts a number.
+OPERATOR = r"<>|!=|<=|>=|\|\||\.(?![0-9])|[-=<>+*/(),;]"
+PARAMETER = r"\?"
 
-#: Multi-character operators, longest first.
-_OPERATORS = ["<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/",
-              "(", ")", ",", ".", "?", ";"]
+
+def _alternatives(**classes):
+    return "|".join("(?P<%s>%s)" % item for item in classes.items())
+
+
+#: A token after the whitespace and comments before it; the end of the
+#: text after the last token matches no group.
+_TOKEN_SCAN = re.compile(r"(?:\s|%s)*(?:%s|\Z)" % (COMMENT, _alternatives(
+    bad=BAD_EXPONENT, number=NUMBER, string=STRING, quoted=QUOTED_IDENT,
+    word=WORD, op=OPERATOR + "|" + PARAMETER, other=".",
+)), re.DOTALL)
+
+#: Between two literals, one ``skip`` run of whole ASCII tokens (so the
+#: digits of ``t1`` stay in their word); ``other`` is anything else — a
+#: ``?``, a character outside ASCII, an unterminated quote.
+_SHAPE_SCAN = re.compile(_alternatives(
+    skip="(?:%s)+" % "|".join((WORD, QUOTED_IDENT, COMMENT, r"\s", OPERATOR)),
+    bad=BAD_EXPONENT, number=NUMBER, string=STRING, other=".",
+), re.DOTALL | re.ASCII)
+
+
+def number_value(literal, position):
+    """The value of a :data:`NUMBER`'s text: digits alone are an int."""
+    if not literal.isdigit():
+        return float(literal)
+    try:
+        return int(literal)
+    except ValueError:  # past Python's integer string conversion limit
+        message = "integer literal of %d digits is too long" % len(literal)
+        raise SqlParseError(message, position) from None
+
+
+def string_value(literal):
+    """The value of a :data:`STRING`'s text."""
+    return literal[1:-1].replace("''", "'")
 
 
 class Token:
@@ -39,91 +88,52 @@ class Token:
         self.end = end            # ... and where it stops
 
     def matches(self, kind, value=None):
-        if self.kind != kind:
-            return False
-        return value is None or self.value == value
+        return self.kind == kind and (value is None or self.value == value)
 
     def __repr__(self):
         return "Token(%s, %r)" % (self.kind, self.value)
 
 
+_UNTERMINATED = {
+    "'": "unterminated string literal", '"': "unterminated quoted identifier",
+}
+
+
 def tokenize(text):
     """Tokenize SQL text into a list of :class:`Token` ending with EOF."""
     tokens = []
-    index = 0
-    length = len(text)
-    while index < length:
-        char = text[index]
-        if char.isspace():
-            index += 1
-            continue
-        if text.startswith("--", index):
-            newline = text.find("\n", index)
-            index = length if newline == -1 else newline + 1
-            continue
-        if char == "'":
-            value, end = _read_string(text, index)
-            tokens.append(Token("string", value, index, end))
-            index = end
-            continue
-        if char in DIGITS or (
-            char == "." and text[index + 1:index + 2] in DIGITS
-        ):
-            value, end = _read_number(text, index)
-            tokens.append(Token("number", value, index, end))
-            index = end
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (text[index].isalnum() or text[index] == "_"):
-                index += 1
-            word = text[start:index]
-            upper = word.upper()
+    for match in _TOKEN_SCAN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
+            break
+        literal = match[kind]
+        start, end = match.span(kind)
+        if kind == "word" and not (literal[0].isalpha() or literal[0] == "_"):
+            kind, literal = "other", literal[0]  # ``²`` or ``½``
+        if kind == "word":
+            upper = literal.upper()
             if upper in KEYWORDS:
-                tokens.append(Token("keyword", upper, start, index))
+                tokens.append(Token("keyword", upper, start, end))
             else:
-                tokens.append(Token("ident", word, start, index))
-            continue
-        if char == '"':
-            end = text.find('"', index + 1)
-            if end == -1:
-                raise SqlParseError("unterminated quoted identifier", index)
-            tokens.append(Token("ident", text[index + 1 : end], index, end + 1))
-            index = end + 1
-            continue
-        for operator in _OPERATORS:
-            if text.startswith(operator, index):
-                tokens.append(
-                    Token("op", operator, index, index + len(operator))
-                )
-                index += len(operator)
-                break
+                tokens.append(Token("ident", literal, start, end))
+        elif kind == "op":
+            tokens.append(Token("op", literal, start, end))
+        elif kind == "number":
+            value = number_value(literal, start)
+            tokens.append(Token("number", value, start, end))
+        elif kind == "string":
+            tokens.append(Token("string", string_value(literal), start, end))
+        elif kind == "quoted":
+            tokens.append(Token("ident", literal[1:-1], start, end))
+        elif kind == "bad":
+            message = "exponent without digits in %r" % (literal,)
+            raise SqlParseError(message, start)
         else:
-            raise SqlParseError("unexpected character %r" % (char,), index)
-    tokens.append(Token("eof", None, length, length))
+            raise SqlParseError(_UNTERMINATED.get(
+                literal, "unexpected character %r" % (literal,)), start)
+    tokens.append(Token("eof", None, len(text), len(text)))
     return tokens
 
-
-#: One pass over a statement text that finds its number and string
-#: literals where :func:`tokenize` finds them.  Between two literals is
-#: one ``skip`` run of whole tokens: ASCII words (so the digits of
-#: ``t1`` stay in their identifier), quoted identifiers, comments, ASCII
-#: whitespace and operators.  ``bad`` is an exponent without digits
-#: (which ``tokenize`` rejects) and ``other`` anything else: a ``?``, a
-#: character outside ASCII, an unterminated quote.
-_SHAPE_SCAN = re.compile(r"""
-    (?P<skip>(?:
-        [A-Za-z_][A-Za-z0-9_]*
-      | "[^"]*"
-      | --[^\n]*
-      | [ \t\n\r\x0b\x0c\x1c-\x1f]
-      | [(),;*/=<>+] | -(?!-) | \.(?![0-9]) | != | \|\|
-    )+)
-  | (?P<bad>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE](?![+-]?[0-9]))
-  | (?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-  | (?P<string>'[^']*(?:''[^']*)*')
-  | (?P<other>.)
-""", re.VERBOSE | re.DOTALL)
 
 #: What stands for a literal of each kind in a shape.  NUL never reaches
 #: a shape otherwise: outside a literal it is ``other``.
@@ -136,76 +146,25 @@ def literal_shape(text):
     :data:`SHAPE_STRING`), and the literals' values in text order — the
     values and kinds :func:`tokenize` gives those tokens.  None when the
     text has no literal, or the pass cannot split it as ``tokenize``
-    would (then the text is its own shape)."""
-    shape = []
-    values = []
+    would (then the text is its own shape); a number with no value
+    raises ``tokenize``'s error."""
+    shape, values = [], []
     for match in _SHAPE_SCAN.finditer(text):
         kind = match.lastgroup
         if kind == "skip":
             shape.append(match.group())
         elif kind == "number":
-            literal = match.group()
-            if literal.isdigit():
-                shape.append(SHAPE_INT)
-                values.append(int(literal))
-            else:
-                shape.append(SHAPE_FLOAT)
-                values.append(float(literal))
+            value = number_value(match.group(), match.start())
+            shape.append(SHAPE_INT if type(value) is int else SHAPE_FLOAT)
+            values.append(value)
         elif kind == "string":
             shape.append(SHAPE_STRING)
-            values.append(match.group()[1:-1].replace("''", "'"))
+            values.append(string_value(match.group()))
         else:
             return None
     if not values:
         return None
     return "".join(shape), tuple(values)
-
-
-def _read_string(text, index):
-    """Read a single-quoted string with '' escaping."""
-    start = index
-    index += 1
-    parts = []
-    while index < len(text):
-        char = text[index]
-        if char == "'":
-            if text.startswith("''", index):
-                parts.append("'")
-                index += 2
-                continue
-            return "".join(parts), index + 1
-        parts.append(char)
-        index += 1
-    raise SqlParseError("unterminated string literal", start)
-
-
-def _read_number(text, index):
-    start = index
-    seen_dot = False
-    seen_exp = False
-    while index < len(text):
-        char = text[index]
-        if char in DIGITS:
-            index += 1
-        elif char == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            index += 1
-        elif char in "eE" and not seen_exp and index > start:
-            seen_exp = True
-            index += 1
-            if index < len(text) and text[index] in "+-":
-                index += 1
-            if index == len(text) or text[index] not in DIGITS:
-                raise SqlParseError(
-                    "exponent without digits in %r" % (text[start:index],),
-                    start,
-                )
-        else:
-            break
-    literal = text[start:index]
-    if seen_dot or seen_exp:
-        return float(literal), index
-    return int(literal), index
 
 
 def parse_date_literal(text):

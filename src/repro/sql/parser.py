@@ -9,7 +9,7 @@ _AGG_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 
 #: The statements whose expression literals can be lifted into slots.
-_LIFTS = {"SELECT", "INSERT", "UPDATE", "DELETE"}
+LIFTS = {"SELECT", "INSERT", "UPDATE", "DELETE"}
 
 
 def parse_statement(text, lift=False):
@@ -21,7 +21,7 @@ def parse_statement(text, lift=False):
     lifted: a SELECT, INSERT, UPDATE or DELETE that reads no literal
     elsewhere (``LIMIT n``, ``DATE '...'``)."""
     parser = _Parser(tokenize(text), lift)
-    if lift and not parser.starts_with(_LIFTS):
+    if lift and not parser.starts_with(LIFTS):
         return None
     statement = parser.statement()
     parser.expect_eof()

@@ -147,7 +147,8 @@ def static_value(expr, params=None, slots=None):
         except (KeyError, IndexError, TypeError):
             return NO_VALUE
     if isinstance(expr, ast.UnaryOp) and expr.op == "-":
+        # Only a number negates: the executor raises for anything else.
         inner = static_value(expr.operand, params, slots)
-        if inner is not NO_VALUE and inner is not None:
+        if type(inner) in (int, float, bool):
             return -inner
     return NO_VALUE

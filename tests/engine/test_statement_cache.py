@@ -529,6 +529,34 @@ def test_the_capacity_bounds_the_cache():
     assert len(connection.server.statements) == CAPACITY
 
 
+def test_ddl_leaves_no_entry_behind():
+    """A statement that changes the catalog bumps the generation it would
+    be keyed under, so it is not remembered; a CALL or SET OPTION text
+    is keyed on itself without a shape lookup."""
+    server = Server(config())
+    connection = server.connect()
+    for sql in [
+        "CREATE TABLE t (a INT PRIMARY KEY, v VARCHAR(10))",
+        "CREATE INDEX tv ON t (v)",
+        "CREATE PROCEDURE by_v(x) AS SELECT a FROM t WHERE v = x",
+        "DROP INDEX tv",
+        "CREATE TABLE u (a INT PRIMARY KEY)",
+        "DROP TABLE u",
+    ]:
+        connection.execute(sql)
+        assert not [
+            key for key in server.statements._entries
+            if key[2] < server.catalog.generation
+        ], sql
+    connection.execute("CALL by_v('x')")
+    connection.execute("SET OPTION optimizer_quota = 50")
+    assert [key[:2] for key in server.statements._entries] == [
+        ("CALL by_v('x')", None),
+        ("SELECT a FROM t WHERE v = x", ("x",)),
+        ("SET OPTION optimizer_quota = 50", None),
+    ]
+
+
 # --------------------------------------------------------------------- #
 # which texts share a shape
 # --------------------------------------------------------------------- #

@@ -17,14 +17,12 @@ from repro.buffer import BufferPool
 from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.exec import MemoryGovernor
-from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.operators import (
     HASH_PARTITIONS,
     HashJoinOp,
     IndexNLJoinOp,
     NLJoinOp,
-    Operator,
     index_rows,
 )
 from repro.exec.spill import SpillableBuffer, WorkMemory
@@ -34,7 +32,7 @@ from repro.optimizer.costmodel import (
     INDEX_NODE_US,
 )
 from repro.sql import ast
-from repro.sql.binder import Conjunct, Quantifier
+from repro.sql.binder import Quantifier
 from repro.storage import FlashDisk, Volume
 from tests.exec.env_reference import (
     env_of,
@@ -43,6 +41,14 @@ from tests.exec.env_reference import (
     evaluate_predicate,
     null_extend,
     rows_to_batches,
+)
+from tests.exec.stubs import (
+    EXTRA_QID,
+    StubChild,
+    StubQuantifier,
+    chunked,
+    column,
+    conjunct,
 )
 from tests.exec.test_adaptive import make_server
 
@@ -194,18 +200,7 @@ class EnvAlternateHashJoinOp(HashJoinOp):
 # a rig that shows both operators the same world
 # --------------------------------------------------------------------- #
 
-LEFT_QID, RIGHT_QID, EXTRA_QID = 1, 2, 7
-
-
-def column(qid, index):
-    ref = ast.ColumnRef(None, "c%d" % index)
-    ref.quantifier_id, ref.column_index, ref.type_name = qid, index, "INT"
-    return ref
-
-
-def conjunct(expr):
-    return Conjunct(expr, {LEFT_QID, RIGHT_QID})
-
+LEFT_QID, RIGHT_QID = 1, 2
 
 #: Join predicates over ``left(k, v)`` and ``right(k, w)``; the last
 #: divides by a column that can be 0, so it can raise.
@@ -223,46 +218,6 @@ PREDICATES = [
 JOIN_TYPES = [
     Quantifier.INNER, Quantifier.LEFT, Quantifier.SEMI, Quantifier.ANTI,
 ]
-
-
-class StubQuantifier:
-    def __init__(self, qid, n_columns):
-        self.id = qid
-        self.columns = [None] * n_columns
-
-
-class StubChild(Operator):
-    """Yields prepared batches; each pull records the clock as the join
-    left it, then moves it the way a scan's page fetch would."""
-
-    def __init__(self, name, batches, trace):
-        self.name, self.batches, self.trace = name, batches, trace
-
-    def execute_batches(self, ctx):
-        for batch in self.batches:
-            self.trace.append((self.name, ctx.clock.now, ctx.carry_ps[0]))
-            ctx.clock.advance(3)
-            ctx.charge(0.3)
-            yield batch
-        self.trace.append((self.name + "-end", ctx.clock.now, ctx.carry_ps[0]))
-
-
-def chunked(qid, rows, size, extra_every=0):
-    """``rows`` as batches of ``size``; every ``extra_every``-th batch
-    carries a second quantifier (``qid + EXTRA_QID``), so the input
-    changes layout."""
-    batches = []
-    for number, start in enumerate(range(0, len(rows), size)):
-        chunk = rows[start:start + size]
-        if extra_every and number % extra_every == 0:
-            width = len(chunk[0])
-            batches.append(Batch.from_flat_rows(
-                ((qid, 0, width), (qid + EXTRA_QID, width, 1)),
-                [row + (number,) for row in chunk],
-            ))
-        else:
-            batches.append(Batch.from_rows(qid, chunk))
-    return batches
 
 
 def drain(operator, ctx, trace):

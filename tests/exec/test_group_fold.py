@@ -32,16 +32,15 @@ from repro.exec.aggregates import (
     HashGroupByOp,
     _TempGroupStore,
 )
-from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate_batch
-from repro.exec.operators import Operator
 from repro.exec.spill import WorkMemory
 from repro.optimizer.costmodel import CPU_HASH_BUILD_BATCH_US, CPU_ROW_BATCH_US
 from repro.sql import ast
 from repro.sql.binder import GROUP_ENV
 from repro.storage import FlashDisk, Volume
 from tests.exec.env_reference import env_rows, rows_to_batches
+from tests.exec.stubs import StubChild, chunked, column
 
 
 # --------------------------------------------------------------------- #
@@ -135,35 +134,6 @@ class RowAtATimeGroupByOp(HashGroupByOp):
 KEY_QID = 1
 
 
-def column(index):
-    ref = ast.ColumnRef(None, "c%d" % index)
-    ref.quantifier_id, ref.column_index, ref.type_name = KEY_QID, index, "INT"
-    return ref
-
-
-class StubChild(Operator):
-    """Yields prepared batches; each pull records the clock as the
-    group-by left it, then moves it the way a scan's page fetch would.
-    Before the pulls named in ``relinquish_before`` the memory governor
-    asks the group-by to give its memory back."""
-
-    def __init__(self, batches, trace, relinquish_before=()):
-        self.batches, self.trace = batches, trace
-        self.relinquish_before = relinquish_before
-        self.owner = None
-
-    def execute_batches(self, ctx):
-        for number, batch in enumerate(self.batches):
-            if number in self.relinquish_before:
-                freed = self.owner.relinquish_memory()
-                self.trace.append(("relinquished", freed, ctx.clock.now))
-            self.trace.append(("pull", ctx.clock.now, ctx.carry_ps[0]))
-            ctx.clock.advance(3)
-            ctx.charge(0.3)
-            yield batch
-        self.trace.append(("end", ctx.clock.now, ctx.carry_ps[0]))
-
-
 def run_group_by(operator_class, case):
     """Everything one operator lets the rest of the engine observe."""
     clock = SimClock()
@@ -176,17 +146,14 @@ def run_group_by(operator_class, case):
     ctx = ExecutionContext(
         pool, temp, None, clock, task, batch_rows=case["batch_rows"]
     )
-    rows = case["rows"]
-    size = case["batch_rows"]
     trace = []
     child = StubChild(
-        [Batch.from_rows(KEY_QID, rows[start:start + size])
-         for start in range(0, len(rows), size)],
-        trace, case["relinquish_before"],
+        "pull", chunked(KEY_QID, case["rows"], case["batch_rows"]), trace,
+        case["relinquish_before"],
     )
-    group_keys = [(column(0), "k", "INT")] if case["grouped"] else []
+    group_keys = [(column(KEY_QID, 0), "k", "INT")] if case["grouped"] else []
     aggregates = [
-        ast.FunctionCall(name, [] if star else [column(argument)],
+        ast.FunctionCall(name, [] if star else [column(KEY_QID, argument)],
                          distinct=distinct, star=star)
         for name, star, distinct, argument in case["aggregates"]
     ]
@@ -328,7 +295,7 @@ def test_fold_equals_accumulate_value_per_value(aggregate, values, cuts):
     state and the same result, types included."""
     name, star, distinct = aggregate
     call = ast.FunctionCall(
-        name, [] if star else [column(1)], distinct=distinct, star=star
+        name, [] if star else [column(KEY_QID, 1)], distinct=distinct, star=star
     )
     one_at_a_time, folded = AggState(call), AggState(call)
     for value in values:
@@ -347,7 +314,7 @@ def test_fold_equals_accumulate_value_per_value(aggregate, values, cuts):
 def test_equal_extremes_keep_the_earliest(name, values):
     """``1`` and ``1.0`` are equal; the first one seen is the extreme,
     whether the tie is inside one fold or across two."""
-    call = ast.FunctionCall(name, [column(1)])
+    call = ast.FunctionCall(name, [column(KEY_QID, 1)])
     extreme = min(values) if name == "MIN" else max(values)
     expected = next(value for value in values if value == extreme)
     for cut in range(len(values) + 1):

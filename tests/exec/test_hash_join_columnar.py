@@ -23,10 +23,9 @@ from repro.common.errors import ExecutionError
 from repro.common.hashing import stable_hash
 from repro.exec import MemoryGovernor, aggregates as aggregates_module
 from repro.exec import operators as operators_module
-from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
 from repro.exec.expr import evaluate_batch
-from repro.exec.operators import HASH_PARTITIONS, HashJoinOp, Operator
+from repro.exec.operators import HASH_PARTITIONS, HashJoinOp
 from repro.exec.spill import SpillableBuffer, SpillFile
 from repro.optimizer.costmodel import (
     CPU_HASH_BUILD_BATCH_US,
@@ -36,7 +35,7 @@ from repro.optimizer.costmodel import (
     CPU_ROW_US,
 )
 from repro.sql import ast
-from repro.sql.binder import Conjunct, Quantifier
+from repro.sql.binder import Quantifier
 from repro.storage import FlashDisk, Volume
 from tests.exec.env_reference import (
     BatchBuilder,
@@ -45,6 +44,13 @@ from tests.exec.env_reference import (
     env_rows,
     evaluate_predicate,
     null_extend,
+)
+from tests.exec.stubs import (
+    StubChild,
+    StubQuantifier,
+    chunked,
+    column,
+    conjunct,
 )
 from tests.exec.test_adaptive import make_server
 
@@ -211,18 +217,7 @@ class RowPathHashJoinOp(HashJoinOp):
 # lets the world see
 # --------------------------------------------------------------------- #
 
-LEFT_QID, RIGHT_QID, EXTRA_QID = 1, 2, 7
-
-
-def column(qid, index, type_name="INT"):
-    ref = ast.ColumnRef(None, "c%d" % index)
-    ref.quantifier_id, ref.column_index, ref.type_name = qid, index, type_name
-    return ref
-
-
-def conjunct(expr):
-    return Conjunct(expr, {LEFT_QID, RIGHT_QID})
-
+LEFT_QID, RIGHT_QID = 1, 2
 
 EQUI = conjunct(ast.BinaryOp("=", column(LEFT_QID, 0), column(RIGHT_QID, 0)))
 #: Residuals over ``left(k, v)`` and ``right(k, w)``; the last divides by
@@ -236,45 +231,6 @@ RESIDUALS = [
         column(LEFT_QID, 1),
     )),
 ]
-
-
-class StubQuantifier:
-    def __init__(self, qid, n_columns):
-        self.id = qid
-        self.columns = [None] * n_columns
-
-
-class StubChild(Operator):
-    """Yields prepared batches; each pull records the clock as the join
-    left it, then moves it the way a scan's page fetch would."""
-
-    def __init__(self, name, batches, trace):
-        self.name, self.batches, self.trace = name, batches, trace
-
-    def execute_batches(self, ctx):
-        for batch in self.batches:
-            self.trace.append((self.name, ctx.clock.now, ctx.carry_ps[0]))
-            ctx.clock.advance(3)
-            ctx.charge(0.3)
-            yield batch
-        self.trace.append((self.name + "-end", ctx.clock.now, ctx.carry_ps[0]))
-
-
-def chunked(qid, rows, size, extra_every=0):
-    """``rows`` as batches of ``size``; every ``extra_every``-th batch
-    carries a second quantifier, so the probe input changes shape."""
-    batches = []
-    for number, start in enumerate(range(0, len(rows), size)):
-        batch = Batch.from_rows(qid, rows[start:start + size])
-        if extra_every and number % extra_every == 0:
-            width = len(batch.columns)
-            batch = Batch(
-                batch.layout + ((EXTRA_QID, width, 1),),
-                batch.columns + [[number] * batch.count],
-                batch.count,
-            )
-        batches.append(batch)
-    return batches
 
 
 def consume(batch, plan):
@@ -317,7 +273,7 @@ def run_join(operator_class, case):
         StubChild(
             "left",
             chunked(LEFT_QID, case["left"], case["left_chunk"],
-                    case["extra_every"]),
+                    case["extra_every"], columnar=True),
             trace,
         ),
         StubChild(

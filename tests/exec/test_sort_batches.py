@@ -22,9 +22,7 @@ from repro.common import SimClock
 from repro.common.errors import ExecutionError
 from repro.exec import MemoryGovernor, aggregates as aggregates_module
 from repro.exec.aggregates import SortOp, _OrderedValue
-from repro.exec.batch import Batch
 from repro.exec.executor import ExecutionContext
-from repro.exec.operators import Operator
 from repro.exec.spill import WorkMemory
 from repro.optimizer.costmodel import CPU_ROW_BATCH_US, CPU_SORT_FACTOR_BATCH_US
 from repro.sql import ast
@@ -35,6 +33,7 @@ from tests.exec.env_reference import (
     evaluate,
     rows_to_batches,
 )
+from tests.exec.stubs import StubChild, chunked, column
 
 
 # --------------------------------------------------------------------- #
@@ -113,64 +112,18 @@ class RowPathSortOp(SortOp):
 # a rig that shows both operators the same world
 # --------------------------------------------------------------------- #
 
-QID, EXTRA_QID = 1, 7
-
-
-def column(index):
-    ref = ast.ColumnRef(None, "c%d" % index)
-    ref.quantifier_id, ref.column_index, ref.type_name = QID, index, "INT"
-    return ref
+QID = 1
 
 
 #: Sort key expressions over ``(a INT, b INT-or-DOUBLE, s VARCHAR)``; the
 #: last divides by a column that can be 0, so it can raise.
 KEYS = [
-    column(0),
-    column(1),
-    column(2),
-    ast.BinaryOp("+", column(0), column(1)),
-    ast.BinaryOp("/", ast.Literal(6), column(0)),
+    column(QID, 0),
+    column(QID, 1),
+    column(QID, 2),
+    ast.BinaryOp("+", column(QID, 0), column(QID, 1)),
+    ast.BinaryOp("/", ast.Literal(6), column(QID, 0)),
 ]
-
-
-class StubChild(Operator):
-    """Yields prepared batches; each pull records the clock as the sort
-    left it, then moves it.  Before the pulls named in
-    ``relinquish_before`` the memory governor asks the sort to give its
-    memory back."""
-
-    def __init__(self, batches, trace, relinquish_before):
-        self.batches, self.trace = batches, trace
-        self.relinquish_before = relinquish_before
-        self.owner = None
-
-    def execute_batches(self, ctx):
-        for number, batch in enumerate(self.batches):
-            if number in self.relinquish_before:
-                freed = self.owner.relinquish_memory()
-                self.trace.append(("relinquished", freed, ctx.clock.now))
-            self.trace.append(("pull", ctx.clock.now, ctx.carry_ps[0]))
-            ctx.clock.advance(3)
-            ctx.charge(0.3)
-            yield batch
-        self.trace.append(("end", ctx.clock.now, ctx.carry_ps[0]))
-
-
-def batches_of(rows, size, extra_every):
-    """``rows`` as row-backed batches of ``size``; every
-    ``extra_every``-th batch carries a second quantifier, so the input
-    changes shape."""
-    batches = []
-    for number, start in enumerate(range(0, len(rows), size)):
-        chunk = rows[start:start + size]
-        if extra_every and number % extra_every == 0:
-            batches.append(Batch.from_flat_rows(
-                ((QID, 0, 3), (EXTRA_QID, 3, 1)),
-                [row + (number,) for row in chunk],
-            ))
-        else:
-            batches.append(Batch.from_rows(QID, chunk))
-    return batches
 
 
 def run_sort(operator_class, case):
@@ -206,7 +159,7 @@ def run_sort(operator_class, case):
             super().append(row)
 
     child = StubChild(
-        batches_of(case["rows"], case["chunk"], case["extra_every"]),
+        "pull", chunked(QID, case["rows"], case["chunk"], case["extra_every"]),
         trace, case["relinquish_before"],
     )
     sort = operator_class(

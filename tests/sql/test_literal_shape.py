@@ -15,6 +15,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Server, ServerConfig
+from repro.common.errors import SqlParseError
+from repro.sql import parse_statement
 from repro.sql.lexer import (
     SHAPE_FLOAT,
     SHAPE_INT,
@@ -114,6 +117,17 @@ HAND_CASES = [
 def test_hand_cases(text, expected):
     assert literal_shape(text) == expected
     check(text)
+
+
+def test_an_integer_past_the_conversion_limit_is_a_parse_error():
+    """Python converts at most 4,300 digits to an int; both front-end
+    entry points raise the lexer's error for a longer literal."""
+    text = "SELECT a FROM t WHERE a = " + "1" * 5000
+    statements = Server(ServerConfig(start_buffer_governor=False)).statements
+    for entry in (parse_statement, statements.prepare):
+        with pytest.raises(SqlParseError, match="5000 digits") as raised:
+            entry(text)
+        assert raised.value.position == text.index("1")
 
 
 # --------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Server, ServerConfig
+from repro.common.errors import ExecutionError
 from repro.exec.operators import classify_predicate
 from repro.optimizer.plans import sarg_for
 from repro.optimizer.selectivity import (
@@ -204,6 +205,12 @@ SHAPES = [
      None, None, None),
     ("LENGTH(name) IN (1, 2, 3)", None, None, const(min(1.0, DEFAULT_EQ * 3)),
      None, None, None),
+    # Only a number negates: no reader takes -'a' as a value (the
+    # executor raises "cannot negate 'str'").
+    ("name = -'a'", None, ("cmp", "=", "name", False), density("name"),
+     None, None, None),
+    ("k < -'a'", None, ("cmp", "<", "k", False), const(DEFAULT_RANGE),
+     None, None, None),
     ("a + 1 = 5", None, None, const(DEFAULT_EQ), None, None, None),
     ("a = b", None, None, const(DEFAULT_EQ), None, None, None),
     ("a < b", None, None, const(DEFAULT_RANGE), None, None, None),
@@ -255,6 +262,16 @@ def test_every_reader_of_a_shape(server, predicate, params, recognised,
 
     assert classify_predicate(reading, params) == feedback
     assert _sargable_column(reading) == consultant
+
+
+def test_a_negated_string_raises_the_executors_error():
+    server = Server(ServerConfig(start_buffer_governor=False))
+    conn = server.connect()
+    conn.execute("CREATE TABLE t (a INT PRIMARY KEY, v VARCHAR(10))")
+    conn.execute("INSERT INTO t VALUES (1, 'a')")
+    for predicate in ("v = -'a'", "a = -'a'"):
+        with pytest.raises(ExecutionError, match="cannot negate 'str'"):
+            conn.execute("SELECT a FROM t WHERE %s" % predicate)
 
 
 def test_sargable_conjuncts_reach_the_plan_and_the_consultant(server):
